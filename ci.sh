@@ -29,6 +29,16 @@ cargo test -q -p kshot --test fault_sweep
 echo "== channel ordering fuzz =="
 cargo test -q -p kshot-patchserver --test prop_channel_orderings
 
+# Sparse physical memory gates: random writes, reads, slices, attribute
+# changes and clone-then-diverge sequences against a dense model (reads
+# always match, slices match or fail typed, clones stay isolated), and
+# the allocator-independent footprint bound (a booted, installed and
+# patched fleet machine owns at most 32 pages; a snapshot shares every
+# run until the next write).
+echo "== sparse memory model + footprint =="
+cargo test -q -p kshot-machine --test prop_phys_model
+cargo test -q -p kshot --test memory_footprint
+
 # Fleet gates: the byte-identical-applied-state property (including
 # under an injected fault + retry, across pipeline depths and worker
 # counts), the incremental shard-tail and injection-accounting

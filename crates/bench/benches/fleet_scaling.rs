@@ -70,10 +70,11 @@ fn fleet_scaling(c: &mut Criterion) {
     group.finish();
 
     // Retained vs folded on a compute-bound fleet (no link RTT): the
-    // fold path skips the per-machine recorder scope and record stream,
-    // recycles boot images through the per-worker arena, and replaces
-    // the outcome vector + exact latency sort with O(log n) fold state —
-    // the per-machine throughput gap is the whole point of fold mode.
+    // fold path skips the per-machine recorder scope and record stream
+    // and replaces the outcome vector + exact latency sort with O(log n)
+    // fold state — the per-machine throughput gap is the whole point of
+    // fold mode. Both modes boot every machine from the one shared image
+    // onto sparse memory, so neither pays for RAM a machine never writes.
     let mut group = c.benchmark_group("fleet_fold");
     group.sample_size(10);
     for (label, fold) in [("retained", false), ("folded", true)] {

@@ -1,5 +1,6 @@
 //! The KShot orchestrator: the full Fig. 2 pipeline.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -257,14 +258,6 @@ impl KShot {
         &mut self.kernel
     }
 
-    /// Tear the system down, releasing the kernel (and with it the
-    /// machine and its pristine boot image) to the caller. Used by
-    /// fleet session arenas to recycle boot-image allocations across
-    /// the machines a worker drives.
-    pub fn into_kernel(self) -> Kernel {
-        self.kernel
-    }
-
     /// The reserved-region layout.
     pub fn reserved(&self) -> &ReservedLayout {
         &self.reserved
@@ -304,12 +297,18 @@ impl KShot {
     }
 
     /// Lower-level entry: apply a pre-built bundle (benchmarks drive
-    /// this with synthetic bundles).
+    /// this with synthetic bundles). The bundle is only read, so a fleet
+    /// passes a borrow of its decoded-once copy; an owned bundle works
+    /// too.
     ///
     /// # Errors
     ///
     /// As [`KShot::live_patch`].
-    pub fn live_patch_bundle(&mut self, bundle: PatchBundle) -> Result<PatchReport, KShotError> {
+    pub fn live_patch_bundle(
+        &mut self,
+        bundle: impl Borrow<PatchBundle>,
+    ) -> Result<PatchReport, KShotError> {
+        let bundle = bundle.borrow();
         let mut span = kshot_telemetry::span_at(
             "kshot.live_patch_bundle",
             self.kernel.machine().now().as_ns(),
@@ -428,7 +427,7 @@ impl KShot {
         let info = self.kernel.info();
         let mut bundles = Vec::with_capacity(patches.len());
         for patch in patches {
-            bundles.push((*server.build_patch_cached(&info, patch)?).clone());
+            bundles.push(server.build_patch_cached(&info, patch)?);
         }
         self.live_patch_batch_bundles(bundles)
     }
@@ -440,6 +439,8 @@ impl KShot {
     /// [`KShot::recover`] after a mid-batch fault preserves completed
     /// CVEs and unwinds only the interrupted one, and the returned
     /// [`PatchReport::segments`] itemizes each CVE's contribution.
+    /// Bundles may be owned or borrowed; the merged bundle copies what
+    /// it needs from them.
     ///
     /// # Errors
     ///
@@ -450,13 +451,10 @@ impl KShot {
     /// * [`KShotError::BatchGlobalOverlap`] when two patches write
     ///   overlapping global data ranges.
     /// * Any [`KShot::live_patch`] error otherwise.
-    pub fn live_patch_batch_bundles(
+    pub fn live_patch_batch_bundles<B: Borrow<PatchBundle>>(
         &mut self,
-        bundles: Vec<PatchBundle>,
+        bundles: impl IntoIterator<Item = B>,
     ) -> Result<PatchReport, KShotError> {
-        if bundles.is_empty() {
-            return Err(KShotError::EmptyBatch);
-        }
         let info = self.kernel.info();
         let mut merged = PatchBundle {
             id: String::from("BATCH"),
@@ -467,6 +465,7 @@ impl KShot {
         let mut global_ranges: Vec<(u64, u64)> = Vec::new();
         let mut ids = Vec::new();
         for bundle in bundles {
+            let bundle = bundle.borrow();
             // Two patches redirecting (or defining) the same function
             // cannot both hold; catch entries AND new functions.
             for e in bundle.entries.iter().chain(&bundle.new_functions) {
@@ -499,12 +498,17 @@ impl KShot {
                     new_functions: bundle.new_functions.len() as u32,
                     global_ops: bundle.global_ops.len() as u32,
                 });
-            merged.entries.extend(bundle.entries);
-            merged.new_functions.extend(bundle.new_functions);
-            merged.global_ops.extend(bundle.global_ops);
+            merged.entries.extend_from_slice(&bundle.entries);
+            merged
+                .new_functions
+                .extend_from_slice(&bundle.new_functions);
+            merged.global_ops.extend_from_slice(&bundle.global_ops);
             merged.types.t1 |= bundle.types.t1;
             merged.types.t2 |= bundle.types.t2;
             merged.types.t3 |= bundle.types.t3;
+        }
+        if ids.is_empty() {
+            return Err(KShotError::EmptyBatch);
         }
         merged.id = format!("BATCH({})", ids.join("+"));
         self.live_patch_bundle(merged)

@@ -37,11 +37,12 @@ use crate::report::{CampaignHealth, CampaignReport, WorkerOccupancy};
 use crate::rollout::{
     RolloutController, RolloutGate, RolloutPlan, RolloutReport, RolloutTrail, Wave, WaveAction,
 };
-use crate::session::{MachineSession, SessionArena, StepStatus};
+use crate::session::{MachineSession, StepStatus};
 
 /// What every machine in the fleet patches: one pre-linked kernel image
-/// (shared immutably — booting a machine clones segments, not relinks
-/// the tree) plus the version string and memory layout it boots under.
+/// (shared immutably — booting a machine copies its segments into
+/// memory, never relinks the tree) plus the version string and memory
+/// layout it boots under.
 #[derive(Debug, Clone)]
 pub struct CampaignTarget {
     /// The kernel image every machine boots. Linked once, shared by all.
@@ -81,7 +82,7 @@ impl CampaignTarget {
     /// obtain a [`kshot_kernel::KernelInfo`] for the patch server, and by
     /// tests that want a reference machine.
     pub fn boot_one(&self) -> Kernel {
-        Kernel::boot((*self.image).clone(), self.version.as_str(), self.layout)
+        Kernel::boot(Arc::clone(&self.image), self.version.as_str(), self.layout)
             .expect("fleet image boots on the fleet layout")
     }
 }
@@ -665,9 +666,6 @@ fn run_worker(
     // Fold mode's worker-level recorder: streaming folds merge each
     // machine's metric totals into it before dropping the machine.
     let fold_recorder = Recorder::with_capacity(1);
-    // Per-worker image arena: boot draws from it, finalize returns to
-    // it, so at most `depth` image clones ever exist per worker.
-    let mut arena = SessionArena::with_capacity(depth);
     let mut next_admit = 0usize;
     let mut live = 0usize;
     let mut park_seq = 0u64;
@@ -761,16 +759,12 @@ fn run_worker(
             let step_started = Instant::now();
             let status = if record_scope {
                 let _scope = RecorderScope::enter(Arc::clone(&active.session.recorder));
-                active
-                    .session
-                    .step(target, cache, bundle_bytes, config, &mut arena)
+                active.session.step(target, cache, bundle_bytes, config)
             } else {
                 // Fold fast path: no recorder scope, so every telemetry
                 // emit inside the step early-returns — the per-machine
                 // record pipeline costs nothing.
-                active
-                    .session
-                    .step(target, cache, bundle_bytes, config, &mut arena)
+                active.session.step(target, cache, bundle_bytes, config)
             };
             busy += step_started.elapsed();
             match status {

@@ -107,10 +107,10 @@
 //!   pipeline_depth + log machines) instead of O(machines); root
 //!   equality of the digest roll-up replaces the all-pairs digest
 //!   comparison, and [`kshot_telemetry::FullDigestTree`] can name the
-//!   first diverging machine between two retained runs. Per-worker
-//!   session arenas recycle the booted kernel image across a worker's
-//!   machines, so fold-mode campaigns also stop paying a fresh
-//!   multi-megabyte image clone per machine.
+//!   first diverging machine between two retained runs. Every machine
+//!   boots from the campaign's one shared kernel image, and simulated
+//!   memory owns only the pages a machine writes, so a patched machine
+//!   costs its 21 written pages rather than 26 MB of address space.
 
 pub mod campaign;
 pub mod config;

@@ -35,7 +35,6 @@ use std::time::Instant;
 use kshot_core::reserved::rw_offsets;
 use kshot_core::{KShot, KShotError, Recovery};
 use kshot_crypto::sha256::sha256;
-use kshot_kcc::KernelImage;
 use kshot_kernel::Kernel;
 use kshot_machine::{CostModel, InjectionPlan, LinearCost, SimTime};
 use kshot_patchserver::BundleCache;
@@ -43,61 +42,6 @@ use kshot_telemetry::Recorder;
 
 use crate::campaign::{CampaignTarget, MachineOutcome};
 use crate::config::{splitmix64, FleetConfig};
-
-/// A per-worker pool of kernel images recycled across the worker's
-/// machines.
-///
-/// Booting a machine used to clone the shared campaign image — a
-/// multi-megabyte allocation per machine that the session dropped
-/// wholesale at finalization. The image is never mutated after boot
-/// (`Kernel::boot` copies its segments into the machine's physical
-/// memory and keeps the image only as a reference), so a finalized
-/// session's image is byte-identical to a fresh clone and can be handed
-/// verbatim to the worker's next machine. The pool holds at most
-/// `pipeline_depth` images — the most sessions a worker ever has live —
-/// so arena memory is O(depth), not O(machines).
-pub(crate) struct SessionArena {
-    images: Vec<KernelImage>,
-    cap: usize,
-    reused: u64,
-}
-
-impl SessionArena {
-    /// An empty arena holding at most `cap` recycled images.
-    pub(crate) fn with_capacity(cap: usize) -> SessionArena {
-        SessionArena {
-            images: Vec::with_capacity(cap.clamp(1, 64)),
-            cap: cap.max(1),
-            reused: 0,
-        }
-    }
-
-    /// An image to boot the next machine from: recycled if the pool has
-    /// one, else a fresh clone of the shared campaign image.
-    fn take(&mut self, target: &CampaignTarget) -> KernelImage {
-        match self.images.pop() {
-            Some(image) => {
-                self.reused += 1;
-                image
-            }
-            None => (*target.image).clone(),
-        }
-    }
-
-    /// Return a finalized session's image to the pool (dropped if the
-    /// pool is already at capacity).
-    fn reclaim(&mut self, image: KernelImage) {
-        if self.images.len() < self.cap {
-            self.images.push(image);
-        }
-    }
-
-    /// How many boots were served from the pool instead of cloning.
-    #[cfg(test)]
-    pub(crate) fn reuses(&self) -> u64 {
-        self.reused
-    }
-}
 
 /// Where a session is in its Boot → Install → InFlight → Patch →
 /// Backoff → Done lifecycle.
@@ -241,28 +185,26 @@ impl MachineSession {
 
     /// Advance the session by one phase. The scheduler must only call
     /// this once any pending deadline has passed, and must run it under
-    /// this session's recorder scope. `arena` is the worker's image
-    /// pool: Boot draws from it, finalization returns to it.
+    /// this session's recorder scope.
     pub(crate) fn step(
         &mut self,
         target: &CampaignTarget,
         cache: &BundleCache,
         bundle_bytes: &[u8],
         config: &FleetConfig,
-        arena: &mut SessionArena,
     ) -> StepStatus {
         match self.state {
-            SessionState::Boot => self.step_boot(target, arena),
+            SessionState::Boot => self.step_boot(target),
             SessionState::Install => self.step_install(config),
             // A released InFlight deadline means the delivery landed:
             // the patch attempt is the next CPU work.
             SessionState::InFlight { .. } | SessionState::Patch => {
-                self.step_patch(cache, bundle_bytes, target, config, arena)
+                self.step_patch(cache, bundle_bytes, target, config)
             }
             SessionState::Backoff { .. } => self.step_backoff(config),
             SessionState::AwaitVerdict => StepStatus::Held,
-            SessionState::Rollback => self.step_rollback(target, arena),
-            SessionState::Release => self.finalize(target, arena),
+            SessionState::Rollback => self.step_rollback(target),
+            SessionState::Release => self.finalize(target),
             SessionState::Done => StepStatus::Done,
         }
     }
@@ -279,8 +221,12 @@ impl MachineSession {
         };
     }
 
-    fn step_boot(&mut self, target: &CampaignTarget, arena: &mut SessionArena) -> StepStatus {
-        match Kernel::boot(arena.take(target), target.version.as_str(), target.layout) {
+    fn step_boot(&mut self, target: &CampaignTarget) -> StepStatus {
+        match Kernel::boot(
+            Arc::clone(&target.image),
+            target.version.as_str(),
+            target.layout,
+        ) {
             Ok(kernel) => {
                 self.kernel = Some(kernel);
                 self.state = SessionState::Install;
@@ -349,7 +295,6 @@ impl MachineSession {
         bundle_bytes: &[u8],
         target: &CampaignTarget,
         config: &FleetConfig,
-        arena: &mut SessionArena,
     ) -> StepStatus {
         // Decode this attempt's bundle(s) through the shared cache —
         // decode-once across the whole fleet. Batched attempts route
@@ -372,21 +317,18 @@ impl MachineSession {
                     // observed-write count would otherwise vanish exactly
                     // like the success-path leak PR 5 fixed.
                     self.fold_injection_stats();
-                    return self.finalize(target, arena);
+                    return self.finalize(target);
                 }
             }
         }
         let system = self.system.as_mut().expect("Patch follows Install");
+        // Borrow the fleet's decoded bundles: a copy per machine would
+        // cost a megabyte on large patches.
         let attempt = if config.batched_smi && !config.catalogue.is_empty() {
             // One SMI for the whole not-yet-applied suffix.
-            system.live_patch_batch_bundles(
-                decoded[self.next_patch..]
-                    .iter()
-                    .map(|b| (**b).clone())
-                    .collect(),
-            )
+            system.live_patch_batch_bundles(decoded[self.next_patch..].iter().map(Arc::as_ref))
         } else {
-            system.live_patch_bundle((*decoded[0]).clone())
+            system.live_patch_bundle(decoded[0].as_ref())
         };
         match attempt {
             Ok(report) => {
@@ -408,7 +350,7 @@ impl MachineSession {
                         return self.begin_attempt(config);
                     }
                 }
-                self.patched(target, config, arena)
+                self.patched(target, config)
             }
             Err(e) => {
                 self.outcome.error = Some(e.to_string());
@@ -448,7 +390,7 @@ impl MachineSession {
                             // A late fault can error the attempt after
                             // every segment already committed: the whole
                             // catalogue is applied, nothing to retry.
-                            return self.patched(target, config, arena);
+                            return self.patched(target, config);
                         }
                         if self.patch_attempts < config.max_attempts.max(1) {
                             // Ready immediately: the backoff is
@@ -458,7 +400,7 @@ impl MachineSession {
                             self.state = SessionState::Backoff { deadline };
                             StepStatus::Wait
                         } else {
-                            self.finalize(target, arena)
+                            self.finalize(target)
                         }
                     }
                     Err(re) => {
@@ -470,7 +412,7 @@ impl MachineSession {
                         self.outcome.recovery_failed = true;
                         self.outcome.error = Some(format!("{e}; recovery failed: {re}"));
                         self.fold_injection_stats();
-                        self.finalize(target, arena)
+                        self.finalize(target)
                     }
                 }
             }
@@ -480,12 +422,7 @@ impl MachineSession {
     /// The machine is fully patched (every catalogue CVE, or the classic
     /// single bundle): record success and either park for the wave
     /// verdict (rollout campaigns) or finalize.
-    fn patched(
-        &mut self,
-        target: &CampaignTarget,
-        config: &FleetConfig,
-        arena: &mut SessionArena,
-    ) -> StepStatus {
+    fn patched(&mut self, target: &CampaignTarget, config: &FleetConfig) -> StepStatus {
         self.outcome.ok = true;
         self.outcome.error = None;
         self.outcome.latency = Some(self.latency_acc);
@@ -511,7 +448,7 @@ impl MachineSession {
             self.state = SessionState::AwaitVerdict;
             StepStatus::Held
         } else {
-            self.finalize(target, arena)
+            self.finalize(target)
         }
     }
 
@@ -540,7 +477,7 @@ impl MachineSession {
     /// ([`KShotError::RollbackIncomplete`]) is rolled forward through
     /// the SMRAM journal via `recover()`; only if that also fails is
     /// the machine reported as `rollback_failed`.
-    fn step_rollback(&mut self, target: &CampaignTarget, arena: &mut SessionArena) -> StepStatus {
+    fn step_rollback(&mut self, target: &CampaignTarget) -> StepStatus {
         let pops = self.next_patch.max(1);
         let system = self.system.as_mut().expect("Rollback follows AwaitVerdict");
         let mut skipped_total = 0u64;
@@ -560,7 +497,7 @@ impl MachineSession {
                         self.outcome.rollback_failed = true;
                         self.outcome.ok = false;
                         self.outcome.error = Some(format!("rollback: {e}"));
-                        return self.finalize(target, arena);
+                        return self.finalize(target);
                     }
                 }
             }
@@ -568,7 +505,7 @@ impl MachineSession {
         self.outcome.rolled_back = true;
         self.outcome.rollback_skipped = skipped_total;
         kshot_telemetry::counter("fleet.rolled_back", 1);
-        self.finalize(target, arena)
+        self.finalize(target)
     }
 
     fn step_backoff(&mut self, config: &FleetConfig) -> StepStatus {
@@ -589,7 +526,7 @@ impl MachineSession {
     }
 
     /// Record what the installed machine ended as and release it.
-    fn finalize(&mut self, target: &CampaignTarget, arena: &mut SessionArena) -> StepStatus {
+    fn finalize(&mut self, target: &CampaignTarget) -> StepStatus {
         let system = self.system.as_ref().expect("finalize with a live system");
         self.outcome.sim_clock = system.kernel().machine().now();
         self.outcome.smm_overbudget = system.kernel().machine().smm_overbudget_count();
@@ -612,13 +549,8 @@ impl MachineSession {
         };
         // Drop the machine now: at pipeline depth k a worker holds k
         // live machines, so releasing each one's memory at completion
-        // (not at collection) bounds the high-water mark. The boot
-        // image rides back into the worker's arena — it was never
-        // mutated after boot, so the next machine boots from it
-        // verbatim instead of cloning the shared image again.
-        if let Some(system) = self.system.take() {
-            arena.reclaim(system.into_kernel().into_image());
-        }
+        // (not at collection) bounds the high-water mark.
+        self.system = None;
         self.state = SessionState::Done;
         StepStatus::Done
     }
@@ -736,11 +668,10 @@ mod tests {
         });
         let cache = BundleCache::new();
         let garbage: &[u8] = b"not a bundle";
-        let mut arena = SessionArena::with_capacity(1);
         let mut session = MachineSession::new(0, 0, Recorder::new());
-        let boot = session.step(&target, &cache, garbage, &config, &mut arena);
+        let boot = session.step(&target, &cache, garbage, &config);
         assert_eq!(boot, StepStatus::Ready, "Boot");
-        let install = session.step(&target, &cache, garbage, &config, &mut arena);
+        let install = session.step(&target, &cache, garbage, &config);
         assert_eq!(install, StepStatus::Ready, "Install, zero RTT");
         {
             let m = session
@@ -754,7 +685,7 @@ mod tests {
             m.write_bytes(AccessCtx::Smm, scratch, &[0]).unwrap();
             m.rsm().unwrap();
         }
-        let done = session.step(&target, &cache, garbage, &config, &mut arena);
+        let done = session.step(&target, &cache, garbage, &config);
         assert_eq!(done, StepStatus::Done, "decode failure is terminal");
         let o = &session.outcome;
         assert!(!o.ok);
@@ -770,12 +701,13 @@ mod tests {
         );
     }
 
-    /// The arena hands a finalized machine's boot image to the next
-    /// machine verbatim. Because the image is never mutated after boot,
-    /// a recycled-image session must be indistinguishable from a
-    /// fresh-clone session in every simulated-domain observable.
+    /// Every session boots from the campaign's one shared image: a live
+    /// machine holds a reference to it, a finished one releases it, and
+    /// a machine driven after others on the same target is
+    /// indistinguishable from one driven on a freshly linked target in
+    /// every simulated-domain observable.
     #[test]
-    fn arena_recycles_the_boot_image_without_changing_results() {
+    fn sessions_share_the_campaign_image_without_changing_results() {
         let spec = find("CVE-2017-17806").expect("benchmark CVE exists");
         let (target, server) = CampaignTarget::benchmark(spec.version);
         let info = target.boot_one().info();
@@ -786,18 +718,29 @@ mod tests {
             .encode();
         let config = FleetConfig::new(2, 1);
         let cache = BundleCache::new();
-        let drive = |arena: &mut SessionArena, machine: usize| {
+        let drive = |target: &CampaignTarget, machine: usize| {
             let mut session = MachineSession::new(machine, 0, Recorder::new());
-            while session.step(&target, &cache, &bundle, &config, arena) != StepStatus::Done {}
+            assert_eq!(
+                session.step(target, &cache, &bundle, &config),
+                StepStatus::Ready
+            );
+            assert_eq!(
+                Arc::strong_count(&target.image),
+                2,
+                "the booted machine shares the campaign image"
+            );
+            while session.step(target, &cache, &bundle, &config) != StepStatus::Done {}
+            assert_eq!(
+                Arc::strong_count(&target.image),
+                1,
+                "a finished session releases its image reference"
+            );
             session.outcome
         };
-        let mut shared = SessionArena::with_capacity(1);
-        let a = drive(&mut shared, 0);
-        assert_eq!(shared.reuses(), 0, "first boot had nothing to recycle");
-        let b = drive(&mut shared, 1);
-        assert_eq!(shared.reuses(), 1, "second boot reuses the reclaimed image");
-        let mut fresh = SessionArena::with_capacity(1);
-        let b_fresh = drive(&mut fresh, 1);
+        let a = drive(&target, 0);
+        let b = drive(&target, 1);
+        let (fresh_target, _) = CampaignTarget::benchmark(spec.version);
+        let b_fresh = drive(&fresh_target, 1);
         assert!(a.ok && b.ok);
         assert_eq!(b.state_digest, b_fresh.state_digest);
         assert_eq!(b.sim_clock, b_fresh.sim_clock);

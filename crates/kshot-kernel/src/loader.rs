@@ -1,6 +1,7 @@
 //! Booting a kernel image onto the simulated machine.
 
 use std::fmt;
+use std::sync::Arc;
 
 use kshot_kcc::codegen::CodegenOptions;
 use kshot_kcc::image::KernelImage;
@@ -82,8 +83,9 @@ impl From<MachineError> for BootError {
     }
 }
 
-/// The running kernel: a machine, the boot-time image it was loaded from,
-/// the runtime tracer, and the task table.
+/// The running kernel: a machine, the boot-time image it was loaded from
+/// (shared, never mutated after boot), the runtime tracer, and the task
+/// table.
 ///
 /// # Examples
 ///
@@ -105,7 +107,7 @@ impl From<MachineError> for BootError {
 #[derive(Debug)]
 pub struct Kernel {
     pub(crate) machine: Machine,
-    pub(crate) image: KernelImage,
+    pub(crate) image: Arc<KernelImage>,
     pub(crate) tracer: TraceState,
     pub(crate) tasks: Vec<Task>,
     pub(crate) current_task: Option<u64>,
@@ -124,14 +126,18 @@ impl Kernel {
     /// `r-x`, data/stack `rw-`), and leave the boot-reserved KShot region
     /// untouched for `kshot-core` to claim.
     ///
+    /// The image is taken by value or as an `Arc`: a fleet boots every
+    /// machine from one shared image without copying it.
+    ///
     /// # Errors
     ///
     /// Returns a [`BootError`] if the image does not fit the layout.
     pub fn boot(
-        image: KernelImage,
+        image: impl Into<Arc<KernelImage>>,
         version: impl Into<String>,
         layout: MemLayout,
     ) -> Result<Kernel, BootError> {
+        let image = image.into();
         let mut machine = Machine::new(layout)?;
         if image.text_base != layout.kernel_text_base {
             return Err(BootError::BaseMismatch {
@@ -216,16 +222,6 @@ impl Kernel {
     /// pristine boot copy.
     pub fn image(&self) -> &KernelImage {
         &self.image
-    }
-
-    /// Tear the kernel down and reclaim its pristine boot image. The
-    /// image is never mutated after [`boot`](Self::boot) (live patching
-    /// writes machine memory only), so the returned value is
-    /// bit-identical to what was booted — fleet workers recycle it into
-    /// the next machine's boot instead of cloning the shared image
-    /// again.
-    pub fn into_image(self) -> KernelImage {
-        self.image
     }
 
     /// The execution-trace ring (post-mortem debugging aid).

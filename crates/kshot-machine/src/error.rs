@@ -28,6 +28,15 @@ pub enum MachineError {
         /// Installed memory size.
         mem_size: u64,
     },
+    /// The range is in bounds but not stored contiguously: it crosses
+    /// the edge of a run of written pages, so it cannot be borrowed as
+    /// one slice (`PhysMemory::read_raw` copies any in-bounds range).
+    NotContiguous {
+        /// First address of the range.
+        addr: u64,
+        /// Length of the range.
+        len: usize,
+    },
     /// Attempt to reconfigure SMRAM after the firmware locked it.
     SmramLocked,
     /// `RSM` executed while not in System Management Mode.
@@ -70,6 +79,10 @@ impl fmt::Display for MachineError {
                 f,
                 "physical address {addr:#x}+{len} outside installed memory ({mem_size:#x} bytes)"
             ),
+            MachineError::NotContiguous { addr, len } => write!(
+                f,
+                "physical range {addr:#x}+{len} crosses a storage run edge and cannot be borrowed"
+            ),
             MachineError::SmramLocked => write!(f, "SMRAM configuration is locked"),
             MachineError::NotInSmm => write!(f, "RSM outside of System Management Mode"),
             MachineError::AlreadyInSmm => write!(f, "SMI raised while already in SMM"),
@@ -106,6 +119,10 @@ mod tests {
                 addr: 1,
                 len: 8,
                 mem_size: 0,
+            },
+            MachineError::NotContiguous {
+                addr: 0xff8,
+                len: 16,
             },
             MachineError::SmramLocked,
             MachineError::NotInSmm,

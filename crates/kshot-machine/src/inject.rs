@@ -237,6 +237,13 @@ pub struct MachineSnapshot {
     pub(crate) inner: Box<Machine>,
 }
 
+impl MachineSnapshot {
+    /// The captured physical memory.
+    pub fn phys(&self) -> &crate::phys::PhysMemory {
+        self.inner.phys()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,8 +14,10 @@
 //!    what lets KShot pause and resume the OS "for free" instead of
 //!    checkpointing.
 //!
-//! This crate simulates exactly that machine: a flat physical memory with
-//! a per-page attribute table ([`PageAttrs`]), a CPU register file
+//! This crate simulates exactly that machine: a physical memory with a
+//! per-page attribute table ([`PageAttrs`]), stored sparsely and
+//! copy-on-write so a machine owns only the pages it writes
+//! ([`PhysMemory`]), a CPU register file
 //! ([`CpuState`]), a locked SMRAM region, SMI entry / RSM exit with
 //! hardware state save ([`Machine::raise_smi`], [`Machine::rsm`]), and a
 //! simulated [`Clock`] driven by a [`CostModel`] calibrated against the

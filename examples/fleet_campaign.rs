@@ -48,6 +48,13 @@ fn text_digest(system: &kshot::core::KShot, target: &CampaignTarget) -> [u8; 32]
     kshot::crypto::sha256::sha256(text)
 }
 
+/// Wall time of the 100k-machine "scale" run (1 worker, depth 1) when
+/// every simulated machine zeroed a dense 26 MB RAM vector, measured on a
+/// shared 2-vCPU x86-64 host. Reported next to the run's own wall as the
+/// reference for sparse copy-on-write memory; that host's speed drifts
+/// between runs, so DESIGN.md §17.3 compares the two builds interleaved.
+const DENSE_MEMORY_SCALE_WALL_MS: u64 = 433_531;
+
 const MACHINES: usize = 64;
 const LINK_RTT: Duration = Duration::from_millis(60);
 /// Depth for the single-worker pipelined run. 16 in-flight sessions
@@ -302,14 +309,12 @@ fn main() {
     // set) matches a machine patched with the k-1 prefix.
     let mut popped = kshot::bench_setup::install_kshot(target.boot_one(), 77);
     popped
-        .live_patch_batch_bundles(bundles.clone())
+        .live_patch_batch_bundles(&bundles)
         .expect("batch applies");
     popped.rollback_last().expect("pop the last CVE");
     let mut prefix = kshot::bench_setup::install_kshot(target.boot_one(), 77);
     for bundle in &bundles[..k_full - 1] {
-        prefix
-            .live_patch_bundle(bundle.clone())
-            .expect("prefix applies");
+        prefix.live_patch_bundle(bundle).expect("prefix applies");
     }
     let rollback_pops_last_cve = text_digest(&popped, &target) == text_digest(&prefix, &target)
         && popped.active_sites().unwrap().len() == prefix.active_sites().unwrap().len();
@@ -403,8 +408,8 @@ fn main() {
 
     // The headline run: a fleet three-plus orders of magnitude past the
     // retained-mode design point. One worker at depth 1 is the fastest
-    // grid point on a single-core host (interleaving live multi-MB
-    // machines thrashes the cache; extra workers just contend) — the
+    // grid point on a single-core host (interleaving live machines
+    // only trades cache locality; extra workers just contend) — the
     // cross-worker merge and pipelined reorder paths are already pinned
     // by the root-identity grid above.
     let (scale_workers, scale_depth) = (1usize, 1usize);
@@ -436,6 +441,7 @@ fn main() {
     let scale_json = format!(
         "{{\"machines\":{scale_machines},\"workers\":{scale_workers},\"pipeline_depth\":{scale_depth},\
          \"wall_ms\":{},\"throughput_wall\":{:.1},\
+         \"dense_memory_wall_ms\":{DENSE_MEMORY_SCALE_WALL_MS},\
          \"fold_resident_bytes\":{fold_resident},\
          \"retained_equiv_bytes\":{retained_equiv},\
          \"per_outcome_bytes\":{per_outcome},\

@@ -441,7 +441,7 @@ fn prefix_references(
             let mut system = fresh_system(target);
             for bundle in &bundles[..p] {
                 system
-                    .live_patch_bundle(bundle.clone())
+                    .live_patch_bundle(bundle)
                     .expect("clean prefix apply");
             }
             applied_digest(&system, target)
@@ -511,7 +511,7 @@ fn batched_patch_sweep_every_step_fail_write() {
             .kernel_mut()
             .machine_mut()
             .arm_injection(InjectionPlan::fail_nth_smm_write(k));
-        let result = system.live_patch_batch_bundles(bundles.clone());
+        let result = system.live_patch_batch_bundles(&bundles);
         let stats = system
             .kernel_mut()
             .machine_mut()
@@ -559,7 +559,7 @@ fn batched_patch_sweep_every_step_power_loss() {
             .kernel_mut()
             .machine_mut()
             .arm_injection(InjectionPlan::power_loss_at_smm_write(k));
-        let result = system.live_patch_batch_bundles(bundles.clone());
+        let result = system.live_patch_batch_bundles(&bundles);
         let m = system.kernel_mut().machine_mut();
         let stats = m.injection_stats().unwrap();
         if stats.faults_injected == 0 {
