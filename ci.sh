@@ -64,14 +64,16 @@ cargo test -q -p kshot-telemetry --test prop_sketch
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
 # root/divergence/frontier round-trip), the fleet fold's merge-equals-
-# sequential-fold property plus the fold-mode campaign tests (fold ==
-# retained summaries, pipelined reorder, streamed roll-up lines
-# reconstructing the campaign root), and the cross-scheduler
+# sequential-fold property plus the fold-only campaign tests (fold ==
+# retained summaries, pipelined reorder, streamed per-block roll-up
+# lines reconstructing the campaign root), the block placement property
+# every campaign's folds rest on, and the cross-scheduler
 # root-vs-digest-vector property with the exact divergence locator.
 echo "== merkle roll-up + outcome folding =="
 cargo test -q -p kshot-telemetry merkle
 cargo test -q -p kshot-telemetry rollup
 cargo test -q -p kshot-fleet fold
+cargo test -q -p kshot-fleet placement_deals_adjacent_blocks_round_robin
 cargo test -q -p kshot --test merkle_rollup
 
 echo "== health stream determinism =="
@@ -80,11 +82,13 @@ cargo test -q -p kshot-fleet --test health_stream
 # Rollout gate: canary→ramp admission order, a mid-campaign Halt that
 # stops admission, auto-rollback restoring the never-patched digest
 # (and the session error paths the orchestrator trusts: folded
-# injection stats on decode failure, terminal recovery failures), and
-# a byte-identical wave trail + health stream across worker counts and
-# pipeline depths.
+# injection stats on decode failure, terminal recovery failures), a
+# byte-identical wave trail + health stream across worker counts and
+# pipeline depths, and rollouts that keep no outcomes reporting the
+# same rollout, health stream and root as their retained twins.
 echo "== rollout: staged waves, auto-halt, rollback determinism =="
 cargo test -q -p kshot --test rollout
+cargo test -q -p kshot --test rollout folded_rollouts_match_their_retained_twins
 cargo test -q -p kshot-fleet decode_failure_terminal_path_folds_injection_stats
 cargo test -q -p kshot-fleet failed_recovery_is_terminal_and_counted
 

@@ -1,6 +1,6 @@
-//! The campaign driver: shard machines across workers, run every
-//! machine's full KShot session with retry/recovery, and fold the
-//! results into one [`CampaignReport`].
+//! The campaign driver: place machines on workers, run every machine's
+//! full KShot session with retry/recovery, and fold the results into
+//! one [`CampaignReport`].
 //!
 //! Each worker is an event-driven scheduler over resumable
 //! [`MachineSession`](crate::session) state machines: CPU phases run
@@ -14,6 +14,8 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::iter::Peekable;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -155,23 +157,52 @@ pub struct MachineOutcome {
     pub dwell_worst: Option<(u64, SmiCause)>,
 }
 
+impl MachineOutcome {
+    /// The outcome of a machine whose session has not run yet: admitted,
+    /// no attempts, nothing applied.
+    pub(crate) fn new(machine: usize, worker: usize) -> MachineOutcome {
+        MachineOutcome {
+            machine,
+            worker,
+            attempts: 0,
+            retries: 0,
+            ok: false,
+            error: None,
+            latency: None,
+            sim_clock: SimTime::ZERO,
+            state_digest: [0; 32],
+            faults_injected: 0,
+            injection_writes_seen: 0,
+            smm_overbudget: 0,
+            max_smm_dwell: SimTime::ZERO,
+            recovery_failed: false,
+            rolled_back: false,
+            rollback_skipped: 0,
+            rollback_failed: false,
+            admitted: true,
+            flight: Vec::new(),
+            dwell_worst: None,
+        }
+    }
+}
+
 /// Run one campaign: patch `config.machines` machines, sharded over
 /// `config.workers` OS threads, all applying the bundle serialized in
 /// `bundle_bytes` (decoded once through a shared [`BundleCache`]).
 ///
-/// Machine `i` runs on worker `i % workers` (round-robin), except in
-/// fold mode ([`FleetConfig::fold_outcomes`]) where each worker owns
-/// one contiguous ascending range — the sharding that makes each
-/// worker's Merkle roll-up a single range and the cross-worker fold
-/// merge an adjacent-range join. Per-machine results are independent of
-/// the machine→worker mapping (a machine's seed, clock, and digest
-/// derive only from its own index), so the two shardings produce
-/// identical simulated-domain results. Each worker keeps up to
-/// [`FleetConfig::pipeline_depth`] sessions live at once, stepping
-/// whichever has CPU work while the others wait out their link RTT or
-/// backoff deadlines; per-machine execution stays deterministic because
-/// scheduling only decides *when* a machine's next step runs, never
-/// what it computes.
+/// Every campaign takes one path. [`placement`] cuts the fleet into
+/// consecutive blocks dealt round-robin to the workers; each worker
+/// folds every block it owns, in machine order, into an
+/// [`OutcomeFold`], and the campaign merges the block folds in block
+/// order into the report's fold. [`FleetConfig::retain_outcomes`] only
+/// decides whether each folded outcome (and its recorder) is kept as
+/// well. Per-machine results are independent of placement (a machine's
+/// seed, clock, and digest derive only from its own index). Each
+/// worker keeps up to [`FleetConfig::pipeline_depth`] sessions live at
+/// once, stepping whichever has CPU work while the others wait out
+/// their link RTT or backoff deadlines; per-machine execution stays
+/// deterministic because scheduling only decides *when* a machine's
+/// next step runs, never what it computes.
 pub fn run_campaign(
     target: &CampaignTarget,
     bundle_bytes: &[u8],
@@ -180,15 +211,6 @@ pub fn run_campaign(
     let cache = BundleCache::new();
     let workers = config.workers.max(1);
     let started = Instant::now();
-
-    // Fold mode drops outcomes as sessions retire; a rollout's verdict
-    // plane needs retained outcomes (and round-robin wave admission),
-    // so the combination would silently mis-report — fail loudly.
-    assert!(
-        !(config.fold_outcomes && config.rollout.is_some()),
-        "FleetConfig::with_outcome_fold is incompatible with with_rollout \
-         (verdict actuation needs retained outcomes and round-robin admission)"
-    );
 
     // The health monitor tails the worker shard files; arming it
     // without streaming would silently watch nothing, so fail loudly.
@@ -223,16 +245,12 @@ pub fn run_campaign(
             (plan, waves, gate)
         });
     let campaign_done = AtomicBool::new(false);
+    let shards = placement(config.machines, workers);
+    let blocks: usize = shards.iter().map(Vec::len).sum();
 
-    let mut per_machine: Vec<(MachineOutcome, Arc<Recorder>)> =
-        Vec::with_capacity(if config.fold_outcomes {
-            0
-        } else {
-            config.machines
-        });
-    let mut fold: Option<OutcomeFold> = None;
-    let mut fold_recorders: Vec<Arc<Recorder>> = Vec::new();
-    let mut occupancy: Vec<WorkerOccupancy> = Vec::with_capacity(workers);
+    let recorder = Recorder::new();
+    let mut occupancy = Vec::with_capacity(workers);
+    let mut worker_blocks = Vec::with_capacity(workers);
     let mut health: Option<CampaignHealth> = None;
     let mut trail: Option<RolloutTrail> = None;
     thread::scope(|scope| {
@@ -257,30 +275,21 @@ pub fn run_campaign(
                 )
             })
         });
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let cache = &cache;
-            let gate = rollout_cfg.as_ref().map(|(_, _, gate)| gate);
-            handles.push(
-                scope.spawn(move || run_worker(target, cache, bundle_bytes, config, worker, gate)),
-            );
-        }
-        // Workers are joined in worker order; in fold mode that is also
-        // ascending machine-range order, so folds merge left to right.
+        let handles: Vec<_> = shards
+            .iter()
+            .enumerate()
+            .map(|(worker, blocks)| {
+                let cache = &cache;
+                let gate = rollout_cfg.as_ref().map(|(_, _, gate)| gate);
+                scope.spawn(move || {
+                    run_worker(target, cache, bundle_bytes, config, worker, blocks, gate)
+                })
+            })
+            .collect();
         for handle in handles {
-            let (yielded, worker_occupancy) = handle.join().expect("fleet worker panicked");
-            match yielded {
-                WorkerYield::Retained(results) => per_machine.extend(results),
-                WorkerYield::Folded(worker_fold, recorder) => {
-                    fold_recorders.push(recorder);
-                    match fold.as_mut() {
-                        None => fold = Some(*worker_fold),
-                        Some(merged) => merged
-                            .merge(&worker_fold)
-                            .expect("worker folds cover adjacent machine ranges"),
-                    }
-                }
-            }
+            let (closed, metrics, worker_occupancy) = handle.join().expect("fleet worker panicked");
+            recorder.metrics().merge_from(metrics.metrics());
+            worker_blocks.push(closed.into_iter());
             occupancy.push(worker_occupancy);
         }
         // Every worker has flushed its shard; release the monitor for
@@ -292,30 +301,26 @@ pub fn run_campaign(
             trail = rollout_trail;
         }
     });
-    per_machine.sort_by_key(|(o, _)| o.machine);
-    occupancy.sort_by_key(|o| o.worker);
-
     let wall = started.elapsed();
-    let recorder = Recorder::new();
-    let mut outcomes = Vec::with_capacity(per_machine.len());
-    for (outcome, machine_recorder) in per_machine {
-        if config.retain_records {
+    // Block `b` ran on worker `b % workers`, so taking the next block
+    // from each worker in turn walks the fleet in machine order: the
+    // folds merge as adjacent ranges, and kept outcomes (with their
+    // records) arrive sorted.
+    let mut fold = OutcomeFold::new();
+    let mut outcomes = Vec::new();
+    for worker in (0..workers).cycle().take(blocks) {
+        let block = worker_blocks[worker]
+            .next()
+            .expect("a fold for every block");
+        fold.merge(&block.fold)
+            .expect("consecutive blocks cover adjacent machine ranges");
+        for (outcome, machine_recorder) in block.kept {
             recorder.merge_from(&machine_recorder);
-        } else {
-            // Summaries-only: fold metric totals but drop the record
-            // stream (it lives in the shard files when streaming).
-            recorder.metrics().merge_from(machine_recorder.metrics());
+            outcomes.push(outcome);
         }
-        outcomes.push(outcome);
-    }
-    // Fold mode: each worker carried one recorder (streaming folds
-    // merged their machines' metric totals into it; the unstreamed
-    // fast path recorded nothing — the fold is the summary).
-    for worker_recorder in &fold_recorders {
-        recorder.metrics().merge_from(worker_recorder.metrics());
     }
     let rollout = rollout_cfg.map(|(plan, _, _)| {
-        RolloutReport::assemble(plan, config.machines, trail.unwrap_or_default(), &outcomes)
+        RolloutReport::assemble(plan, config.machines, trail.unwrap_or_default(), &fold)
     });
     CampaignReport::assemble(
         config,
@@ -329,18 +334,6 @@ pub fn run_campaign(
         health,
         rollout,
     )
-}
-
-/// What one worker hands back: its machines' retained outcomes and
-/// recorders (the classic mode), or one streaming fold plus the
-/// worker-level recorder (fold mode — outcomes were dropped as their
-/// sessions retired).
-enum WorkerYield {
-    /// One `(outcome, recorder)` per machine, in completion order.
-    Retained(Vec<(MachineOutcome, Arc<Recorder>)>),
-    /// The worker's contiguous range folded down, plus its merged
-    /// metric totals (empty in the unstreamed fast path).
-    Folded(Box<OutcomeFold>, Arc<Recorder>),
 }
 
 /// The campaign's live health thread: poll the worker shards every
@@ -491,13 +484,10 @@ type Parcel = Option<(Vec<String>, MetricsSnapshot, String)>;
 fn flush_parcels(
     sink: &Option<StreamSink>,
     parcels: &mut BTreeMap<usize, Parcel>,
-    my_machines: &[usize],
-    next_flush: &mut usize,
+    order: &mut Peekable<impl Iterator<Item = usize>>,
 ) {
-    while *next_flush < my_machines.len() {
-        let Some(parcel) = parcels.remove(&my_machines[*next_flush]) else {
-            break;
-        };
+    while let Some(parcel) = order.peek().and_then(|m| parcels.remove(m)) {
+        order.next();
         if let (Some(sink), Some((lines, metrics, outcome_line))) = (sink.as_ref(), parcel) {
             for line in &lines {
                 sink.write_raw_line(line);
@@ -510,15 +500,14 @@ fn flush_parcels(
             sink.write_raw_line(&outcome_line);
             sink.flush();
         }
-        *next_flush += 1;
     }
 }
 
 /// Build the shard parcel for a machine whose telemetry is final (for
 /// the shard's purposes): fold ring-eviction losses into a counter
 /// *before* the metrics block is rendered, so the health monitor (and
-/// any shard re-aggregation) sees the drop accounting a summaries-only
-/// campaign would otherwise lose with the record stream.
+/// any shard re-aggregation) sees the drop accounting a campaign that
+/// keeps no records would otherwise lose with the record stream.
 fn seal_parcel(active: &mut Active) -> Parcel {
     let dropped = active.session.recorder.dropped();
     if dropped > 0 {
@@ -560,74 +549,135 @@ fn seal_parcel(active: &mut Active) -> Parcel {
 /// false`.
 fn skipped_outcome(machine: usize, worker: usize) -> MachineOutcome {
     MachineOutcome {
-        machine,
-        worker,
-        attempts: 0,
-        retries: 0,
-        ok: false,
         error: Some("rollout halted before admission".to_string()),
-        latency: None,
-        sim_clock: SimTime::ZERO,
-        state_digest: [0; 32],
-        faults_injected: 0,
-        injection_writes_seen: 0,
-        smm_overbudget: 0,
-        max_smm_dwell: SimTime::ZERO,
-        recovery_failed: false,
-        rolled_back: false,
-        rollback_skipped: 0,
-        rollback_failed: false,
         admitted: false,
-        flight: Vec::new(),
-        dwell_worst: None,
+        ..MachineOutcome::new(machine, worker)
     }
 }
 
-/// The machines `worker` owns: round-robin (`worker`, `worker +
-/// workers`, ...) in retained mode, one contiguous ascending range in
-/// fold mode. The contiguous split hands `machines / workers` machines
-/// to every worker (the first `machines % workers` workers take one
-/// extra), ranges tiling `0..machines` in worker order — so worker
-/// `w`'s range starts exactly where worker `w-1`'s ends and the
-/// per-worker folds merge as adjacent Merkle ranges.
-fn worker_shard(config: &FleetConfig, worker: usize) -> Vec<usize> {
-    let workers = config.workers.max(1);
-    if config.fold_outcomes {
-        let base = config.machines / workers;
-        let rem = config.machines % workers;
-        let start = worker * base + worker.min(rem);
-        let len = base + usize::from(worker < rem);
-        (start..start + len).collect()
-    } else {
-        (worker..config.machines).step_by(workers).collect()
+/// Most placement blocks one worker owns. [`placement`] sizes blocks
+/// so no worker exceeds it, which bounds the block folds a worker holds
+/// until the campaign merges them.
+const BLOCKS_PER_WORKER: usize = 64;
+
+/// Where every machine runs: `0..machines` cut into consecutive blocks
+/// of `max(1, ⌈machines / (workers × 64)⌉)` machines, block `b` dealt to
+/// worker `b % workers`. Returns each worker's blocks in block order.
+///
+/// Each worker's machines therefore ascend (rollout admission relies on
+/// it), block `b + 1` starts where block `b` ends (block folds merge in
+/// block order), and no worker owns more than [`BLOCKS_PER_WORKER`]
+/// blocks. Up to 64 machines per worker the blocks hold one machine
+/// each — exact round-robin — and a single worker owns `0..machines`.
+fn placement(machines: usize, workers: usize) -> Vec<Vec<Range<usize>>> {
+    let workers = workers.max(1);
+    let size = machines
+        .div_ceil(workers.saturating_mul(BLOCKS_PER_WORKER))
+        .max(1);
+    let mut shards = vec![Vec::new(); workers];
+    for (block, start) in (0..machines).step_by(size).enumerate() {
+        shards[block % workers].push(start..machines.min(start.saturating_add(size)));
+    }
+    shards
+}
+
+/// One placement block as its worker closed it: the block's fold and,
+/// when the campaign retains outcomes, each outcome with its recorder,
+/// in machine order.
+struct Block {
+    fold: OutcomeFold,
+    kept: Vec<(MachineOutcome, Arc<Recorder>)>,
+}
+
+/// One worker's blocks as they fold. Sessions retire out of machine
+/// order — pipelined ones by a few places, and a machine held for its
+/// rollout wave's verdict after its successors — but a block's Merkle
+/// roll-up must absorb digests in machine order, so a retired outcome
+/// waits in `pending` until every earlier machine of the worker has
+/// retired.
+struct BlockFolds<'a> {
+    /// The worker's blocks, and one [`Block`] for each.
+    ranges: &'a [Range<usize>],
+    blocks: Vec<Block>,
+    /// Index of the block now folding; the blocks before it are closed.
+    open: usize,
+    /// Retired outcomes waiting for an earlier machine.
+    pending: BTreeMap<usize, (MachineOutcome, Arc<Recorder>)>,
+    /// Whether absorbed outcomes are kept ([`FleetConfig::retain_outcomes`]).
+    keep: bool,
+    /// Metric totals of the machines that are not kept.
+    metrics: Arc<Recorder>,
+    /// The worker's shard, which gets each block's `rollup` line.
+    sink: Option<&'a StreamSink>,
+}
+
+impl<'a> BlockFolds<'a> {
+    fn new(ranges: &'a [Range<usize>], keep: bool, sink: Option<&'a StreamSink>) -> Self {
+        let blocks = ranges
+            .iter()
+            .map(|r| Block {
+                fold: OutcomeFold::starting_at(r.start),
+                kept: Vec::new(),
+            })
+            .collect();
+        BlockFolds {
+            ranges,
+            blocks,
+            open: 0,
+            pending: BTreeMap::new(),
+            keep,
+            metrics: Recorder::with_capacity(1),
+            sink,
+        }
+    }
+
+    /// Retire one machine, then absorb every outcome that is next in
+    /// machine order. Closing a block writes its `rollup` line, after
+    /// the block's last parcel.
+    fn retire(&mut self, outcome: MachineOutcome, recorder: Arc<Recorder>) {
+        self.pending.insert(outcome.machine, (outcome, recorder));
+        while let Some(block) = self.blocks.get_mut(self.open) {
+            let next = block.fold.start() + block.fold.machines();
+            let Some((outcome, recorder)) = self.pending.remove(&next) else {
+                return;
+            };
+            block.fold.absorb(&outcome);
+            if self.keep {
+                block.kept.push((outcome, recorder));
+            } else {
+                self.metrics.metrics().merge_from(recorder.metrics());
+            }
+            if next + 1 == self.ranges[self.open].end {
+                if let Some(sink) = self.sink {
+                    sink.write_raw_line(&rollup_json_line(&block.fold));
+                }
+                self.open += 1;
+            }
+        }
+    }
+
+    /// The folded blocks and the metric totals of unkept machines.
+    fn finish(self) -> (Vec<Block>, Arc<Recorder>) {
+        debug_assert!(self.open == self.blocks.len() && self.pending.is_empty());
+        (self.blocks, self.metrics)
     }
 }
 
-/// Where `worker`'s fold-mode range starts even when it is empty (more
-/// workers than machines): the end of the previous worker's range, so
-/// empty folds still merge as zero-length adjacent ranges.
-fn worker_fold_start(config: &FleetConfig, worker: usize) -> usize {
-    let workers = config.workers.max(1);
-    let base = config.machines / workers;
-    let rem = config.machines % workers;
-    worker * base + worker.min(rem)
-}
-
-/// Drive one worker's share of the fleet (see [`worker_shard`]) with up
-/// to `config.pipeline_depth` sessions in flight, and return its yield
-/// (retained outcomes or a fold) plus the worker's busy/in-flight
-/// occupancy split.
+/// Drive one worker's blocks (see [`placement`]) with up to
+/// `config.pipeline_depth` sessions in flight, and return the closed
+/// blocks, the metric totals of machines it did not keep, and the
+/// worker's busy/in-flight occupancy split.
 fn run_worker(
     target: &CampaignTarget,
     cache: &BundleCache,
     bundle_bytes: &[u8],
     config: &FleetConfig,
     worker: usize,
+    blocks: &[Range<usize>],
     gate: Option<&RolloutGate>,
-) -> (WorkerYield, WorkerOccupancy) {
+) -> (Vec<Block>, Arc<Recorder>, WorkerOccupancy) {
     let workers = config.workers.max(1);
     let depth = config.pipeline_depth.max(1);
-    let fold_mode = config.fold_outcomes;
     // Stagger worker starts across one link RTT. Without this the
     // fleet convoys: every worker sleeps its RTT in lockstep (host
     // core idle), then all wake and contend for it at once. Offsetting
@@ -638,35 +688,27 @@ fn run_worker(
         thread::sleep(stagger);
     }
     // One shard file per worker; every machine this worker drives
-    // lands in it, machine blocks in machine order.
+    // lands in it as one parcel, parcels in machine order.
     let sink = config.stream_dir.as_ref().map(|dir| {
         let path = dir.join(format!("worker-{worker}.jsonl"));
         StreamSink::to_path(&path).unwrap_or_else(|e| panic!("open shard {}: {e}", path.display()))
     });
 
-    let my_machines = worker_shard(config, worker);
-    // Whether sessions record telemetry at all. Fold mode without a
-    // stream sink is the fast path: no per-machine recorder, no
-    // RecorderScope entered around steps (every telemetry emit
-    // early-returns without a scope), no parcels sealed — the fold is
-    // the campaign's entire summary. Fold *with* streaming keeps the
-    // per-machine recorders so shard parcels stay byte-identical to
-    // the retained mode's.
-    let record_scope = !fold_mode || sink.is_some();
-    // Fast-path sessions share one inert recorder (the session struct
-    // needs one); nothing ever enters it, so it stays empty.
+    // The worker's machines in machine order; admission and the shard
+    // flush each walk them with their own cursor.
+    let mut admit = blocks.iter().cloned().flatten().peekable();
+    let mut flush = blocks.iter().cloned().flatten().peekable();
+    // Whether sessions record telemetry at all: kept outcomes keep
+    // their recorders, and streamed machines write shard parcels.
+    // Otherwise no per-machine recorder exists and no RecorderScope is
+    // entered around steps, so every telemetry emit returns early — the
+    // fold is the campaign's entire summary.
+    let record_scope = config.retain_outcomes || sink.is_some();
+    // Sessions without a recorder of their own (and machines a stopped
+    // rollout never admits) share one inert recorder; nothing ever
+    // enters it, so it stays empty.
     let shared_recorder = Recorder::with_capacity(1);
-    // Fold mode: the worker's running summary plus a depth-bounded
-    // reorder buffer — pipelined sessions retire out of order, but the
-    // Merkle roll-up must absorb digests in machine order.
-    let fold_start = worker_fold_start(config, worker);
-    let mut fold = OutcomeFold::starting_at(fold_start);
-    let mut next_fold = fold_start;
-    let mut pending: BTreeMap<usize, MachineOutcome> = BTreeMap::new();
-    // Fold mode's worker-level recorder: streaming folds merge each
-    // machine's metric totals into it before dropping the machine.
-    let fold_recorder = Recorder::with_capacity(1);
-    let mut next_admit = 0usize;
+    let mut folds = BlockFolds::new(blocks, config.retain_outcomes, sink.as_ref());
     let mut live = 0usize;
     let mut park_seq = 0u64;
     let mut ready: VecDeque<Active> = VecDeque::new();
@@ -679,8 +721,6 @@ fn run_worker(
     let mut held: BTreeMap<usize, Active> = BTreeMap::new();
     // Shard parcels waiting for their turn in the shard file.
     let mut parcels: BTreeMap<usize, Parcel> = BTreeMap::new();
-    let mut next_flush = 0usize;
-    let mut results = Vec::with_capacity(if fold_mode { 0 } else { my_machines.len() });
     let mut busy = Duration::ZERO;
     let mut in_flight = Duration::ZERO;
 
@@ -704,11 +744,10 @@ fn run_worker(
         // Admit new machines while the pipeline has room (and, under a
         // rollout, the gate has opened their wave — machine indices
         // ascend, so the first blocked machine blocks the rest too).
-        while live < depth && next_admit < my_machines.len() {
-            let machine = my_machines[next_admit];
-            if gate.is_some_and(|g| !g.may_admit(machine)) {
+        while live < depth {
+            let Some(machine) = admit.next_if(|&m| gate.is_none_or(|g| g.may_admit(m))) else {
                 break;
-            }
+            };
             let recorder = if record_scope {
                 Recorder::new()
             } else {
@@ -726,21 +765,20 @@ fn run_worker(
                 lines,
                 flushed: false,
             });
-            next_admit += 1;
             live += 1;
         }
         // A stopped rollout never opens the remaining waves: report
         // their machines as never admitted and advance the flush
         // cursor past them (they have no shard parcel).
-        if gate.is_some_and(RolloutGate::halted) {
-            let gate = gate.expect("checked above");
-            while next_admit < my_machines.len() && !gate.may_admit(my_machines[next_admit]) {
-                let machine = my_machines[next_admit];
-                results.push((skipped_outcome(machine, worker), Recorder::new()));
+        if let Some(gate) = gate.filter(|g| g.halted()) {
+            while let Some(machine) = admit.next_if(|&m| !gate.may_admit(m)) {
                 parcels.insert(machine, None);
-                next_admit += 1;
+                folds.retire(
+                    skipped_outcome(machine, worker),
+                    Arc::clone(&shared_recorder),
+                );
             }
-            flush_parcels(&sink, &mut parcels, &my_machines, &mut next_flush);
+            flush_parcels(&sink, &mut parcels, &mut flush);
         }
         // Release every parked session whose deadline has passed, in
         // deadline order.
@@ -761,9 +799,6 @@ fn run_worker(
                 let _scope = RecorderScope::enter(Arc::clone(&active.session.recorder));
                 active.session.step(target, cache, bundle_bytes, config)
             } else {
-                // Fold fast path: no recorder scope, so every telemetry
-                // emit inside the step early-returns — the per-machine
-                // record pipeline costs nothing.
                 active.session.step(target, cache, bundle_bytes, config)
             };
             busy += step_started.elapsed();
@@ -790,12 +825,11 @@ fn run_worker(
                     // from it — free the pipeline slot, and hold the
                     // live session for `deliver_verdict`. Records the
                     // session emits *after* this point (rollback
-                    // telemetry) stay in the in-memory campaign
-                    // recorder only.
+                    // telemetry) stay in memory only.
                     live -= 1;
                     let parcel = seal_parcel(&mut active);
                     parcels.insert(active.session.outcome.machine, parcel);
-                    flush_parcels(&sink, &mut parcels, &my_machines, &mut next_flush);
+                    flush_parcels(&sink, &mut parcels, &mut flush);
                     held.insert(active.session.outcome.machine, active);
                 }
                 StepStatus::Done => {
@@ -803,30 +837,12 @@ fn run_worker(
                     if record_scope && !active.flushed {
                         let parcel = seal_parcel(&mut active);
                         parcels.insert(active.session.outcome.machine, parcel);
-                        flush_parcels(&sink, &mut parcels, &my_machines, &mut next_flush);
+                        flush_parcels(&sink, &mut parcels, &mut flush);
                     }
-                    let Active { session, .. } = active;
-                    if fold_mode {
-                        // Streaming folds keep the machine's metric
-                        // totals (the parcel snapshot already rendered
-                        // them) before its recorder drops with it.
-                        if record_scope {
-                            fold_recorder
-                                .metrics()
-                                .merge_from(session.recorder.metrics());
-                        }
-                        // Pipelined sessions retire out of order; the
-                        // roll-up absorbs in machine order through a
-                        // reorder buffer never deeper than the pipeline.
-                        pending.insert(session.outcome.machine, session.outcome);
-                        debug_assert!(pending.len() <= depth);
-                        while let Some(o) = pending.remove(&next_fold) {
-                            fold.absorb(&o);
-                            next_fold += 1;
-                        }
-                    } else {
-                        results.push((session.outcome, session.recorder));
-                    }
+                    let MachineSession {
+                        outcome, recorder, ..
+                    } = active.session;
+                    folds.retire(outcome, recorder);
                 }
             }
         } else if let Some(p) = parked.peek() {
@@ -837,7 +853,7 @@ fn run_worker(
                 thread::sleep(wait);
                 in_flight += wait;
             }
-        } else if !held.is_empty() || (gate.is_some() && next_admit < my_machines.len()) {
+        } else if !held.is_empty() || (gate.is_some() && admit.peek().is_some()) {
             // Waiting on the rollout gate: held sessions need their
             // wave's verdict, or the next wave has not been opened.
             // Verdicts arrive on the monitor's ~1 ms poll cadence.
@@ -845,32 +861,17 @@ fn run_worker(
             thread::sleep(wait);
             in_flight += wait;
         } else {
-            debug_assert_eq!(next_admit, my_machines.len());
+            debug_assert!(admit.peek().is_none());
             break;
-        }
-    }
-    if fold_mode {
-        debug_assert!(pending.is_empty(), "every retired outcome was absorbed");
-        debug_assert_eq!(fold.machines(), my_machines.len());
-        // Close the shard with the worker's digest roll-up: the stated
-        // root plus the frontier nodes that let
-        // [`kshot_telemetry::ShardData::digest_rollups`] reconstruct
-        // the tree and merge adjacent worker ranges back to the
-        // campaign root offline.
-        if let Some(sink) = &sink {
-            sink.write_raw_line(&rollup_json_line(&fold));
         }
     }
     if let Some(sink) = &sink {
         sink.flush();
     }
-    let yielded = if fold_mode {
-        WorkerYield::Folded(Box::new(fold), fold_recorder)
-    } else {
-        WorkerYield::Retained(results)
-    };
+    let (closed, metrics) = folds.finish();
     (
-        yielded,
+        closed,
+        metrics,
         WorkerOccupancy {
             worker,
             busy,
@@ -879,9 +880,9 @@ fn run_worker(
     )
 }
 
-/// The shard line closing a fold-mode worker's shard: its Merkle
-/// roll-up as `{"type":"rollup",...}` with the stated root and the
-/// O(log n) frontier, the serialization
+/// The shard line closing a placement block: its Merkle roll-up as
+/// `{"type":"rollup",...}` with the stated root and the O(log n)
+/// frontier, the serialization
 /// [`kshot_telemetry::ShardData::digest_rollups`] validates and
 /// reconstructs. Roots alone would not compose — bagged peaks are not
 /// mergeable — so the frontier travels too.
@@ -1304,30 +1305,74 @@ mod tests {
         assert_eq!(stagger_delay(rtt, 3, 0), Duration::ZERO);
     }
 
-    /// Contiguous fold-mode sharding must tile `0..machines` exactly,
-    /// in worker order, for every split — including workers that get an
-    /// empty range (their fold starts where the previous one ends, so
-    /// zero-length merges still chain).
+    /// The one placement function, as a property over fleet shapes:
+    /// every machine runs on exactly one worker, each worker's machines
+    /// ascend, consecutive blocks are adjacent, no worker owns more than
+    /// 64 blocks, small fleets are dealt exactly round-robin, and a
+    /// single worker owns `0..machines`.
     #[test]
-    fn fold_shards_tile_the_fleet_in_worker_order() {
-        for (machines, workers) in [(0, 3), (1, 4), (7, 3), (8, 3), (9, 3), (100, 8)] {
-            let mut config = FleetConfig::new(machines, workers).with_outcome_fold();
-            config.workers = workers;
-            let mut next = 0usize;
-            for worker in 0..workers {
-                assert_eq!(
-                    worker_fold_start(&config, worker),
-                    next,
-                    "machines={machines} workers={workers} worker={worker}"
-                );
-                let shard = worker_shard(&config, worker);
-                for (i, &m) in shard.iter().enumerate() {
-                    assert_eq!(m, next + i);
+    fn placement_deals_adjacent_blocks_round_robin() {
+        for (machines, workers) in [
+            (0, 3),
+            (1, 4),
+            (7, 3),
+            (64, 8),
+            (65, 8),
+            (512, 8),
+            (513, 8),
+            (2048, 8),
+            (1, 1),
+            (100_000, 1),
+            (1_000_003, 8),
+        ] {
+            let case = format!("machines={machines} workers={workers}");
+            let shards = placement(machines, workers);
+            assert_eq!(shards.len(), workers, "{case}");
+            let mut owner = vec![None; machines];
+            for (worker, blocks) in shards.iter().enumerate() {
+                assert!(blocks.len() <= BLOCKS_PER_WORKER, "{case}");
+                let mine: Vec<usize> = blocks.iter().cloned().flatten().collect();
+                assert!(mine.windows(2).all(|w| w[0] < w[1]), "{case}");
+                if machines <= BLOCKS_PER_WORKER * workers {
+                    let round_robin = (worker..machines).step_by(workers);
+                    assert!(mine.iter().copied().eq(round_robin), "{case}");
                 }
-                next += shard.len();
+                if workers == 1 {
+                    assert!(mine.iter().copied().eq(0..machines), "{case}");
+                }
+                for &m in &mine {
+                    assert_eq!(owner[m].replace(worker), None, "{case}: machine {m}");
+                }
             }
-            assert_eq!(next, machines, "machines={machines} workers={workers}");
+            assert!(owner.iter().all(Option::is_some), "{case}");
+            // Taking one block from each worker in turn walks the fleet.
+            let mut cursors: Vec<_> = shards.iter().map(|b| b.iter()).collect();
+            let mut next = 0;
+            for worker in (0..workers).cycle() {
+                let Some(block) = cursors[worker].next() else {
+                    break;
+                };
+                assert_eq!(block.start, next, "{case}");
+                assert!(block.end > block.start, "{case}");
+                next = block.end;
+            }
+            assert_eq!(next, machines, "{case}");
+            assert!(cursors.iter_mut().all(|c| c.next().is_none()), "{case}");
         }
+    }
+
+    /// A config whose public `workers` field was set to 0 runs one
+    /// worker, and its report must say so.
+    #[test]
+    fn zero_worker_config_reports_the_one_worker_it_ran() {
+        let (target, bytes) = campaign_fixture();
+        let mut config = FleetConfig::new(2, 1).with_seed(4);
+        config.workers = 0;
+        let report = run_campaign(&target, &bytes, &config);
+        assert_eq!(report.succeeded, 2);
+        assert_eq!(report.worker_occupancy.len(), 1);
+        assert_eq!(report.workers, 1);
+        assert!(report.to_json().contains("\"workers\":1,"));
     }
 
     /// The fold campaign must agree with the retained campaign on every
@@ -1386,9 +1431,9 @@ mod tests {
     }
 
     /// Fold + streaming: every worker seals the same parcels as a
-    /// retained streaming run *and* appends one roll-up line; the
-    /// roll-ups parsed back from the shards merge (in range order,
-    /// across workers) to exactly the campaign's root.
+    /// retained streaming run *and* closes each of its blocks with a
+    /// roll-up line; the roll-ups parsed back from the shards merge (in
+    /// range order, across workers) to exactly the campaign's root.
     #[test]
     fn streamed_fold_rollups_reconstruct_the_campaign_root() {
         let (target, bytes) = campaign_fixture();
@@ -1410,7 +1455,7 @@ mod tests {
             rollups.extend(shard.digest_rollups().expect("roll-up lines validate"));
         }
         rollups.sort_by_key(|r| r.start);
-        assert_eq!(rollups.len(), WORKERS, "one roll-up line per worker");
+        assert_eq!(rollups.len(), 7, "one roll-up line per one-machine block");
         let mut merged = rollups.remove(0).tree;
         for r in rollups {
             merged.merge(&r.tree).expect("worker ranges are adjacent");
@@ -1422,15 +1467,5 @@ mod tests {
             "shard roll-ups reconstruct the campaign root"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible with with_rollout")]
-    fn fold_mode_rejects_rollouts_loudly() {
-        let (target, bytes) = campaign_fixture();
-        let config = FleetConfig::new(4, 2)
-            .with_outcome_fold()
-            .with_rollout(crate::rollout::RolloutPlan::canary_machines(2));
-        run_campaign(&target, &bytes, &config);
     }
 }

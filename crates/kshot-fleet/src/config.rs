@@ -78,7 +78,8 @@ pub struct FleetConfig {
     /// When set, each worker streams its machines' telemetry to
     /// `<stream_dir>/worker-<N>.jsonl` as machines complete (records as
     /// they are emitted, one metrics block plus one `machine` outcome
-    /// line per machine). See `kshot_telemetry::StreamSink`.
+    /// line per machine, and one `rollup` line per placement block).
+    /// See `kshot_telemetry::StreamSink`.
     pub stream_dir: Option<PathBuf>,
     /// SMM dwell-time budget armed on every machine; SMIs dwelling
     /// longer are counted and reported in
@@ -98,12 +99,6 @@ pub struct FleetConfig {
     /// spawning threads. Simulated-domain results (state digests, sim
     /// clocks, metrics, shard contents) are identical at every depth.
     pub pipeline_depth: usize,
-    /// Whether the merged campaign recorder retains every machine's
-    /// records (`true`, the default) or only the merged metric
-    /// summaries (`false`). Summaries-only is the memory-bounded mode
-    /// for large fleets: with `stream_dir` set, the full record stream
-    /// lives in the per-worker shard files instead.
-    pub retain_records: bool,
     /// When set, `run_campaign` spawns a live
     /// [`kshot_telemetry::HealthMonitor`] thread tailing the worker
     /// shards while the campaign runs (requires `stream_dir`); the
@@ -155,22 +150,18 @@ pub struct FleetConfig {
     /// `CampaignReport::integrity`. Requires [`FleetConfig::with_health`]
     /// (the monitor hosts the replay).
     pub integrity: Option<IntegrityPolicy>,
-    /// Streaming outcome folding: each machine's
-    /// [`crate::MachineOutcome`] is absorbed into a per-worker
-    /// [`crate::OutcomeFold`] (counts, latency sketch, Merkle digest
-    /// roll-up) the moment its session retires, and the outcome itself
-    /// is dropped — the campaign's resident state stays O(workers ×
-    /// pipeline_depth) instead of O(machines). The report then carries
-    /// the merged fold ([`crate::CampaignReport::fold`]) and an empty
-    /// `outcomes` vector. Fold mode shards machines *contiguously*
-    /// (worker `w` owns one ascending range) instead of round-robin, so
-    /// each worker's fold covers one Merkle range and the cross-worker
-    /// merge is a pure adjacent-range join; per-machine results are
-    /// worker-independent, so digests and roots are unchanged by the
-    /// resharding. Incompatible with [`FleetConfig::rollout`] (verdict
-    /// actuation needs retained outcomes and round-robin wave
-    /// admission); `run_campaign` panics loudly on the combination.
-    pub fold_outcomes: bool,
+    /// Whether the report keeps every machine's [`crate::MachineOutcome`]
+    /// and telemetry records (`true`, the default). Every campaign folds
+    /// its outcomes into a [`crate::OutcomeFold`], which is what the
+    /// report's counts, percentiles and Merkle root are read from; this
+    /// switch only decides whether each folded outcome and its recorder
+    /// are kept as well. When it is clear,
+    /// [`crate::CampaignReport::outcomes`] is empty, the record stream
+    /// is dropped, and metric totals survive only when streaming (the
+    /// records then live in the shard files); nothing resident then
+    /// grows with the fleet beyond the fold's logarithmic Merkle
+    /// frontier.
+    pub retain_outcomes: bool,
 }
 
 impl FleetConfig {
@@ -190,7 +181,6 @@ impl FleetConfig {
             smm_dwell_budget: None,
             slowdowns: Vec::new(),
             pipeline_depth: 1,
-            retain_records: true,
             health_policy: None,
             health_window: 8,
             rollout: None,
@@ -199,7 +189,7 @@ impl FleetConfig {
             batched_smi: false,
             attacks: Vec::new(),
             integrity: None,
-            fold_outcomes: false,
+            retain_outcomes: true,
         }
     }
 
@@ -243,14 +233,6 @@ impl FleetConfig {
     /// Builder-style: slow one machine's SMM stages down.
     pub fn with_slowdown(mut self, slowdown: PlannedSlowdown) -> Self {
         self.slowdowns.push(slowdown);
-        self
-    }
-
-    /// Builder-style: keep only merged metric summaries in the campaign
-    /// recorder (pair with [`FleetConfig::with_stream_dir`] so the full
-    /// record stream still lands on disk).
-    pub fn summaries_only(mut self) -> Self {
-        self.retain_records = false;
         self
     }
 
@@ -314,13 +296,10 @@ impl FleetConfig {
         self
     }
 
-    /// Builder-style: fold outcomes as sessions retire instead of
-    /// retaining them — the memory-bounded mode for very large fleets.
-    /// Implies summaries-only (the record stream, if wanted, lives in
-    /// the shard files). See [`FleetConfig::fold_outcomes`].
+    /// Builder-style: keep only the fold — the memory-bounded mode for
+    /// very large fleets. Clears [`FleetConfig::retain_outcomes`].
     pub fn with_outcome_fold(mut self) -> Self {
-        self.fold_outcomes = true;
-        self.retain_records = false;
+        self.retain_outcomes = false;
         self
     }
 }
@@ -355,11 +334,10 @@ mod tests {
 
     #[test]
     fn outcome_fold_implies_summaries_only() {
-        let c = FleetConfig::new(8, 2).with_outcome_fold();
-        assert!(c.fold_outcomes);
+        assert!(FleetConfig::new(8, 2).retain_outcomes);
         assert!(
-            !c.retain_records,
-            "fold mode drops outcomes; retaining records would defeat it"
+            !FleetConfig::new(8, 2).with_outcome_fold().retain_outcomes,
+            "a fold-only campaign keeps summaries, not outcomes"
         );
     }
 

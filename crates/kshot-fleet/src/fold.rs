@@ -1,24 +1,25 @@
-//! Streaming outcome folding: the memory-bounded summary a fold-mode
-//! campaign keeps *instead of* the per-machine outcome vector.
+//! Streaming outcome folding: the memory-bounded summary every
+//! campaign reports from.
 //!
-//! A retained campaign carries one [`MachineOutcome`] per machine to
-//! the report assembler — fine at thousands of machines, fatal at a
-//! million (an outcome owns an error string, a flight ring, and ~200
-//! fixed bytes; a million of them is gigabytes). An [`OutcomeFold`]
-//! absorbs each outcome the moment its session retires and keeps only
-//! what the report actually derives from the vector: counters, a
-//! mergeable latency [`QuantileSketch`], capped dwell-anomaly
+//! Carrying one [`MachineOutcome`] per machine to the report assembler
+//! is fine at thousands of machines and fatal at a million (an outcome
+//! owns an error string, a flight ring, and ~200 fixed bytes; a million
+//! of them is gigabytes). An [`OutcomeFold`] absorbs each outcome the
+//! moment its session retires and keeps only what the report derives:
+//! counters, a mergeable latency [`QuantileSketch`], capped dwell-anomaly
 //! attribution, and a [`DigestTree`] Merkle roll-up whose root replaces
 //! the all-pairs digest comparison. Resident size is O(log machines)
 //! for the tree plus O(1) for everything else, independent of fleet
-//! size.
+//! size. Keeping the outcomes as well is an option of the campaign
+//! (`FleetConfig::retain_outcomes`), not a second summary path.
 //!
 //! Folds compose exactly like the digest trees inside them: each worker
-//! folds its own contiguous machine range in ascending order, and the
-//! campaign merges the per-worker folds left to right. Every aggregate
-//! here is either a sum, a max, a sketch merge, or an adjacent-range
-//! tree join, so fold-then-merge is identical to one sequential fold —
-//! the property the `fold_merge_equals_sequential_fold` test pins.
+//! folds each of its placement blocks (a contiguous machine range) in
+//! ascending order, and the campaign merges the block folds left to
+//! right. Every aggregate here is either a sum, a max, a sketch merge,
+//! or an adjacent-range tree join, so fold-then-merge is identical to
+//! one sequential fold — the property the
+//! `fold_merge_equals_sequential_fold` test pins.
 
 use kshot_machine::{SimTime, SmiCause};
 use kshot_telemetry::{DigestTree, MerkleError, QuantileSketch};
@@ -89,7 +90,7 @@ impl OutcomeFold {
     }
 
     /// An empty fold whose first absorbed machine must be `start` —
-    /// one per worker, at the base of its contiguous shard.
+    /// one per placement block, at the block's first machine.
     pub fn starting_at(start: usize) -> OutcomeFold {
         OutcomeFold {
             start,
@@ -180,7 +181,7 @@ impl OutcomeFold {
     /// Merge the fold of the adjacent range to the right. Sums, maxes
     /// and sketch merges are order-free; the digest tree join and the
     /// divergence rule are not, so `right` must start exactly where
-    /// this fold ends (the campaign merges worker folds left to right).
+    /// this fold ends (the campaign merges block folds left to right).
     pub fn merge(&mut self, right: &OutcomeFold) -> Result<(), MerkleError> {
         self.tree.merge(&right.tree)?;
         self.next = right.next;
@@ -283,8 +284,6 @@ mod tests {
 
     fn outcome(machine: usize, ok: bool, latency_ns: u64, digest: u8) -> MachineOutcome {
         MachineOutcome {
-            machine,
-            worker: 0,
             attempts: 1,
             retries: u64::from(!ok),
             ok,
@@ -292,17 +291,7 @@ mod tests {
             latency: ok.then(|| SimTime::from_ns(latency_ns)),
             sim_clock: SimTime::from_ns(latency_ns * 2),
             state_digest: [digest; 32],
-            faults_injected: 0,
-            injection_writes_seen: 0,
-            smm_overbudget: 0,
-            max_smm_dwell: SimTime::ZERO,
-            recovery_failed: false,
-            rolled_back: false,
-            rollback_skipped: 0,
-            rollback_failed: false,
-            admitted: true,
-            flight: Vec::new(),
-            dwell_worst: None,
+            ..MachineOutcome::new(machine, 0)
         }
     }
 

@@ -17,8 +17,11 @@
 //! * **Deterministic machines, concurrent fleet.** Each machine stays
 //!   deterministic and single-threaded (its own clock, its own
 //!   splitmix64-derived seed); only the *sharding* across workers is
-//!   concurrent. Round-robin sharding makes the machine→worker mapping
-//!   deterministic too.
+//!   concurrent. One placement serves every campaign: consecutive
+//!   blocks of `max(1, ⌈machines / (workers × 64)⌉)` machines dealt
+//!   round-robin, so the machine→worker mapping is deterministic, up to
+//!   64 machines per worker it is exact round-robin, and no worker owns
+//!   more than 64 blocks.
 //! * **Pipelined sessions hide the link.** Campaign wall time is
 //!   dominated by the orchestrator↔machine RTT, not compute. Each
 //!   worker is an event-driven scheduler over resumable
@@ -35,17 +38,24 @@
 //!   (via `kshot-machine`'s injection engine); a failed session is
 //!   recovered with [`kshot_core::KShot::recover`] and retried under
 //!   simulated exponential backoff, up to a configurable attempt cap.
-//! * **One merged report.** Every machine records into its own
-//!   thread-local `kshot-telemetry` recorder; the campaign merges them
-//!   and summarizes latency percentiles, throughput (simulated and
-//!   wall-clock), retry/failure counts, and cache effectiveness in a
-//!   [`CampaignReport`].
+//! * **One campaign path.** Each worker folds every block it owns, in
+//!   machine order, into an [`OutcomeFold`] (counters, a mergeable
+//!   latency sketch, capped dwell attribution, and a
+//!   [`kshot_telemetry::DigestTree`] Merkle roll-up), and the campaign
+//!   merges the block folds in block order. Every summary in the
+//!   [`CampaignReport`] — counts, latency percentiles, throughput
+//!   (simulated and wall-clock), dwell anomalies, the digest root, the
+//!   rollout counters — is read from that fold. Keeping the outcomes
+//!   is an observer on the same path: with
+//!   [`FleetConfig::retain_outcomes`] (the default) each folded outcome
+//!   and its machine's recorder are kept as well and merged in machine
+//!   order.
 //! * **Streaming observability.** With [`FleetConfig::with_stream_dir`]
 //!   each worker streams its machines' telemetry to a per-worker
 //!   `worker-<N>.jsonl` shard as it happens; the shards re-aggregate
 //!   (via [`kshot_telemetry::ShardData`]) to exactly the in-memory
-//!   merged totals, so `summaries_only` campaigns can drop the record
-//!   stream without losing anything. An SMM dwell-time watchdog
+//!   merged totals, so a campaign that keeps no outcomes can drop the
+//!   record stream without losing anything. An SMM dwell-time watchdog
 //!   ([`FleetConfig::with_smm_dwell_budget`]) flags machines whose SMIs
 //!   overstay their budget in [`CampaignReport::dwell_anomalies`].
 //! * **Live health plane.** [`FleetConfig::with_health`] arms a
@@ -96,21 +106,19 @@
 //!   from the canary cohort's own dwell p99. The wave sequence, halt
 //!   point, and rollback set are byte-identical across worker counts
 //!   and pipeline depths; the [`RolloutReport`] lands in
-//!   [`CampaignReport::rollout`].
+//!   [`CampaignReport::rollout`]. Its counters come from the fold, so a
+//!   rollout runs folded as readily as retained.
 //! * **Million-machine folding.** [`FleetConfig::with_outcome_fold`]
-//!   is the memory-bounded mode for very large fleets: machines are
-//!   sharded contiguously, each worker absorbs outcomes into an
-//!   [`OutcomeFold`] (counters, a mergeable latency sketch, capped
-//!   dwell attribution, and a [`kshot_telemetry::DigestTree`] Merkle
-//!   roll-up) the moment a session retires, and the campaign merges
-//!   the per-worker folds left to right. Resident state is O(workers ×
-//!   pipeline_depth + log machines) instead of O(machines); root
-//!   equality of the digest roll-up replaces the all-pairs digest
-//!   comparison, and [`kshot_telemetry::FullDigestTree`] can name the
-//!   first diverging machine between two retained runs. Every machine
-//!   boots from the campaign's one shared kernel image, and simulated
-//!   memory owns only the pages a machine writes, so a patched machine
-//!   costs its 21 written pages rather than 26 MB of address space.
+//!   clears `retain_outcomes`: the report keeps only the fold, sessions
+//!   retire fully at completion, and resident state is bounded by the
+//!   workers, the pipeline depth and at most 64 block folds per worker,
+//!   plus a logarithmic Merkle frontier. Root equality of the digest
+//!   roll-up replaces the all-pairs digest comparison, and
+//!   [`kshot_telemetry::FullDigestTree`] can name the first diverging
+//!   machine between two retained runs. Every machine boots from the
+//!   campaign's one shared kernel image, and simulated memory owns only
+//!   the pages a machine writes, so a patched machine costs its 21
+//!   written pages rather than 26 MB of address space.
 
 pub mod campaign;
 pub mod config;

@@ -6,9 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use kshot_machine::{SimTime, SmiCause};
-use kshot_telemetry::{
-    DigestTree, HealthReport, IntegrityReport, PhaseProfile, QuantileSketch, Recorder,
-};
+use kshot_telemetry::{HealthReport, IntegrityReport, PhaseProfile, Recorder};
 
 use crate::campaign::MachineOutcome;
 use crate::config::FleetConfig;
@@ -24,15 +22,6 @@ use crate::rollout::RolloutReport;
 /// plausible *anomaly* population, and a fleet-wide overrun is a
 /// campaign configuration problem the count still surfaces.
 pub const DWELL_ANOMALY_CAP: usize = 64;
-
-/// Largest retained campaign whose latency percentiles are computed by
-/// exactly sorting every sample. Above this the report folds latencies
-/// through a [`QuantileSketch`] instead: O(occupied buckets) resident
-/// instead of O(machines), never undershooting the exact nearest-rank
-/// sample and overshooting by at most
-/// [`QuantileSketch::MAX_RELATIVE_ERROR_PER_MILLE`]. The max stays
-/// exact in both paths.
-pub(crate) const LATENCY_EXACT_MAX: usize = 4096;
 
 /// What the live health monitor produced for one campaign: the full
 /// [`HealthReport`] plus how much of it was *live* — snapshots emitted
@@ -87,7 +76,7 @@ impl WorkerOccupancy {
 pub struct CampaignReport {
     /// Machines the campaign drove.
     pub machines: usize,
-    /// Worker threads they were sharded across.
+    /// Worker threads they ran on (`FleetConfig::workers`, at least 1).
     pub workers: usize,
     /// Per-worker pipeline depth the campaign ran with (1 = sequential).
     pub pipeline_depth: usize,
@@ -99,11 +88,16 @@ pub struct CampaignReport {
     pub retries: u64,
     /// Faults the injection engine actually fired across the fleet.
     pub faults_injected: u64,
-    /// Median successful-session latency (simulated).
+    /// Median successful-session latency (simulated), read from the
+    /// fold's [`kshot_telemetry::QuantileSketch`]: never below the exact
+    /// nearest-rank sample, at most
+    /// [`kshot_telemetry::QuantileSketch::MAX_RELATIVE_ERROR_PER_MILLE`]
+    /// above it, and exact when every latency is equal.
     pub latency_p50: SimTime,
-    /// 95th-percentile successful-session latency (simulated).
+    /// 95th-percentile successful-session latency (simulated), from the
+    /// same sketch and with the same bound as `latency_p50`.
     pub latency_p95: SimTime,
-    /// Worst successful-session latency (simulated).
+    /// Worst successful-session latency (simulated), exact.
     pub latency_max: SimTime,
     /// Wall-clock duration of the whole campaign.
     pub wall: Duration,
@@ -118,14 +112,12 @@ pub struct CampaignReport {
     pub cache_hits: u64,
     /// Bundle-cache misses (decodes) across the fleet.
     pub cache_misses: u64,
-    /// Per-machine outcomes, ordered by machine index. Empty in fold
-    /// mode ([`crate::FleetConfig::fold_outcomes`]) — the summary lives
-    /// in [`CampaignReport::fold`] instead.
+    /// Per-machine outcomes, ordered by machine index. Empty unless the
+    /// campaign ran with [`crate::FleetConfig::retain_outcomes`].
     pub outcomes: Vec<MachineOutcome>,
-    /// The merged streaming fold, when the campaign ran with
-    /// [`crate::FleetConfig::with_outcome_fold`]: counters, the latency
-    /// sketch, and the Merkle digest roll-up that replace the retained
-    /// outcome vector.
+    /// The campaign's merged fold — counters, the latency sketch, and
+    /// the Merkle digest roll-up every summary in this report is read
+    /// from. Always `Some` for a report `run_campaign` returns.
     pub fold: Option<OutcomeFold>,
     /// Machines (by index) the SMM dwell watchdog flagged — at least
     /// one SMI exceeded [`crate::FleetConfig::smm_dwell_budget`].
@@ -155,19 +147,20 @@ pub struct CampaignReport {
     /// the campaign armed
     /// [`FleetConfig::with_integrity`](crate::FleetConfig::with_integrity).
     pub integrity: Option<IntegrityReport>,
-    /// Every machine's telemetry, merged into one recorder (metric
-    /// summaries only when the campaign ran `summaries_only`).
+    /// Every kept machine's telemetry, merged into one recorder in
+    /// machine order (metric totals only, and only when streaming, when
+    /// the campaign kept no outcomes).
     pub recorder: Arc<Recorder>,
 }
 
 impl CampaignReport {
-    /// Fold per-machine outcomes — or an already-streamed
-    /// [`OutcomeFold`] — into the campaign summary.
+    /// Summarize a campaign from its merged fold. `outcomes` are the
+    /// kept outcomes, carried through untouched.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         config: &FleetConfig,
         outcomes: Vec<MachineOutcome>,
-        fold: Option<OutcomeFold>,
+        fold: OutcomeFold,
         recorder: Arc<Recorder>,
         worker_occupancy: Vec<WorkerOccupancy>,
         wall: Duration,
@@ -176,97 +169,18 @@ impl CampaignReport {
         health: Option<CampaignHealth>,
         rollout: Option<RolloutReport>,
     ) -> CampaignReport {
-        let (succeeded, failed, retries, faults_injected) = match &fold {
-            Some(f) => (
-                f.succeeded as usize,
-                f.failed as usize,
-                f.retries,
-                f.faults_injected,
-            ),
-            None => (
-                outcomes.iter().filter(|o| o.ok).count(),
-                outcomes.iter().filter(|o| !o.ok).count(),
-                outcomes.iter().map(|o| o.retries).sum(),
-                outcomes.iter().map(|o| o.faults_injected).sum(),
-            ),
-        };
-        let mut dwell_anomalies: Vec<usize> = Vec::new();
-        let mut dwell_anomaly_smis: Vec<(usize, u64, SmiCause)> = Vec::new();
-        let mut dwell_anomalies_truncated = 0u64;
-        match &fold {
-            Some(f) => {
-                dwell_anomalies.clone_from(&f.dwell_anomalies);
-                dwell_anomaly_smis.clone_from(&f.dwell_anomaly_smis);
-                dwell_anomalies_truncated = f.dwell_anomalies_truncated;
-            }
-            None => {
-                for o in outcomes.iter().filter(|o| o.smm_overbudget > 0) {
-                    if dwell_anomalies.len() < DWELL_ANOMALY_CAP {
-                        dwell_anomalies.push(o.machine);
-                        if let Some((smi, cause)) = o.dwell_worst {
-                            dwell_anomaly_smis.push((o.machine, smi, cause));
-                        }
-                    } else {
-                        dwell_anomalies_truncated += 1;
-                    }
-                }
-            }
-        }
+        let succeeded = fold.succeeded as usize;
         // The integrity section is the health monitor's detached
         // replay; lift it to the report root so readers need not know
         // it rides inside the health plane.
         let integrity = health.as_ref().and_then(|h| h.report.integrity.clone());
-
-        let (latency_p50, latency_p95, latency_max) = match &fold {
-            // A fold already carries the sketch; its max is exact.
-            Some(f) => (
-                SimTime::from_ns(f.latency.quantile_per_mille(500)),
-                SimTime::from_ns(f.latency.quantile_per_mille(950)),
-                SimTime::from_ns(f.latency.max()),
-            ),
-            // Retained campaigns above the exact threshold fold their
-            // latencies through a sketch too: sorting a million u64s
-            // per report was the second O(machines) cost after the
-            // outcome vector itself.
-            None if outcomes.len() > LATENCY_EXACT_MAX => {
-                let mut sketch = QuantileSketch::new();
-                for ns in outcomes.iter().filter_map(|o| o.latency.map(|t| t.as_ns())) {
-                    sketch.observe(ns);
-                }
-                (
-                    SimTime::from_ns(sketch.quantile_per_mille(500)),
-                    SimTime::from_ns(sketch.quantile_per_mille(950)),
-                    SimTime::from_ns(sketch.max()),
-                )
-            }
-            None => {
-                let mut latencies: Vec<u64> = outcomes
-                    .iter()
-                    .filter_map(|o| o.latency.map(|t| t.as_ns()))
-                    .collect();
-                latencies.sort_unstable();
-                (
-                    SimTime::from_ns(percentile(&latencies, 50)),
-                    SimTime::from_ns(percentile(&latencies, 95)),
-                    SimTime::from_ns(latencies.last().copied().unwrap_or(0)),
-                )
-            }
-        };
-
         let wall_secs = wall.as_secs_f64();
         let throughput_wall = if wall_secs > 0.0 {
             succeeded as f64 / wall_secs
         } else {
             0.0
         };
-        let slowest_ns = match &fold {
-            Some(f) => f.slowest_sim_clock.as_ns(),
-            None => outcomes
-                .iter()
-                .map(|o| o.sim_clock.as_ns())
-                .max()
-                .unwrap_or(0),
-        };
+        let slowest_ns = fold.slowest_sim_clock.as_ns();
         let throughput_sim = if slowest_ns > 0 {
             succeeded as f64 / (slowest_ns as f64 / 1e9)
         } else {
@@ -275,25 +189,25 @@ impl CampaignReport {
 
         CampaignReport {
             machines: config.machines,
-            workers: config.workers,
+            workers: config.workers.max(1),
             pipeline_depth: config.pipeline_depth.max(1),
             succeeded,
-            failed,
-            retries,
-            faults_injected,
-            latency_p50,
-            latency_p95,
-            latency_max,
+            failed: fold.failed as usize,
+            retries: fold.retries,
+            faults_injected: fold.faults_injected,
+            latency_p50: SimTime::from_ns(fold.latency.quantile_per_mille(500)),
+            latency_p95: SimTime::from_ns(fold.latency.quantile_per_mille(950)),
+            latency_max: SimTime::from_ns(fold.latency.max()),
             wall,
             throughput_wall,
             throughput_sim,
             cache_hits,
             cache_misses,
             outcomes,
-            fold,
-            dwell_anomalies,
-            dwell_anomaly_smis,
-            dwell_anomalies_truncated,
+            dwell_anomalies: fold.dwell_anomalies.clone(),
+            dwell_anomaly_smis: fold.dwell_anomaly_smis.clone(),
+            dwell_anomalies_truncated: fold.dwell_anomalies_truncated,
+            fold: Some(fold),
             worker_occupancy,
             health,
             rollout,
@@ -303,46 +217,34 @@ impl CampaignReport {
     }
 
     /// Per-phase timing breakdown reconstructed from the merged
-    /// recorder's `phase.*` spans. Empty when the campaign ran
-    /// `summaries_only` (records were dropped); re-aggregate from the
-    /// streamed shard files instead
+    /// recorder's `phase.*` spans. Empty when the campaign kept no
+    /// outcomes (records were dropped); re-aggregate from the streamed
+    /// shard files instead
     /// ([`kshot_telemetry::PhaseProfile::from_json_lines`]).
     pub fn phase_profile(&self) -> PhaseProfile {
         PhaseProfile::from_recorder(&self.recorder)
     }
 
     /// Whether every machine ended with the same text/`mem_X` digest —
-    /// the fleet-wide "byte-identical applied state" property. Vacuously
-    /// true for an empty campaign. Fold campaigns answer from the
-    /// fold's O(1) uniformity tracker; retained campaigns compare the
-    /// outcome vector.
+    /// the fleet-wide "byte-identical applied state" property, answered
+    /// by the fold's O(1) uniformity tracker. Vacuously true for an
+    /// empty campaign.
     pub fn all_identical_digests(&self) -> bool {
-        match &self.fold {
-            Some(f) => f.all_identical_digests(),
-            None => match self.outcomes.first() {
-                None => true,
-                Some(first) => self
-                    .outcomes
-                    .iter()
-                    .all(|o| o.state_digest == first.state_digest),
-            },
-        }
+        self.fold
+            .as_ref()
+            .is_none_or(OutcomeFold::all_identical_digests)
     }
 
     /// Merkle root over every machine's state digest, in machine order
     /// — 32 bytes that stand in for the whole digest vector. Two
     /// campaigns over the same fleet are byte-identical iff their roots
-    /// are equal, regardless of which ran folded and which retained
-    /// (the fold's incremental tree and the vector-built tree commit to
-    /// the same leaves).
+    /// are equal, whatever their placement and whether they kept
+    /// outcomes.
     pub fn digest_root(&self) -> [u8; 32] {
-        match &self.fold {
-            Some(f) => f.merkle_root(),
-            None => {
-                let leaves: Vec<[u8; 32]> = self.outcomes.iter().map(|o| o.state_digest).collect();
-                DigestTree::from_leaves(&leaves).root()
-            }
-        }
+        self.fold.as_ref().map_or_else(
+            || OutcomeFold::new().merkle_root(),
+            OutcomeFold::merkle_root,
+        )
     }
 
     /// Serialize the summary (not per-machine outcomes) as a JSON
@@ -419,7 +321,6 @@ impl CampaignReport {
             })
             .collect::<Vec<_>>()
             .join(",");
-        // Additive: the fold summary, only on fold-mode campaigns.
         let fold = match &self.fold {
             None => String::new(),
             Some(f) => format!(
@@ -482,23 +383,13 @@ impl CampaignReport {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice; 0 if empty.
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() - 1) * pct / 100;
-    sorted[rank]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kshot_telemetry::QuantileSketch;
 
     fn outcome(machine: usize, ok: bool, latency_ns: u64, digest: u8) -> MachineOutcome {
         MachineOutcome {
-            machine,
-            worker: 0,
             attempts: 1,
             retries: 0,
             ok,
@@ -506,18 +397,16 @@ mod tests {
             latency: ok.then(|| SimTime::from_ns(latency_ns)),
             sim_clock: SimTime::from_ns(latency_ns * 2),
             state_digest: [digest; 32],
-            faults_injected: 0,
-            injection_writes_seen: 0,
-            smm_overbudget: 0,
-            max_smm_dwell: SimTime::ZERO,
-            recovery_failed: false,
-            rolled_back: false,
-            rollback_skipped: 0,
-            rollback_failed: false,
-            admitted: true,
-            flight: Vec::new(),
-            dwell_worst: None,
+            ..MachineOutcome::new(machine, 0)
         }
+    }
+
+    fn fold_of(outcomes: &[MachineOutcome]) -> OutcomeFold {
+        let mut fold = OutcomeFold::new();
+        for o in outcomes {
+            fold.absorb(o);
+        }
+        fold
     }
 
     #[test]
@@ -533,8 +422,8 @@ mod tests {
         ];
         let report = CampaignReport::assemble(
             &config,
-            outcomes,
-            None,
+            outcomes.clone(),
+            fold_of(&outcomes),
             Recorder::new(),
             vec![
                 WorkerOccupancy {
@@ -556,7 +445,12 @@ mod tests {
         );
         assert_eq!(report.succeeded, 2);
         assert_eq!(report.failed, 1);
-        assert_eq!(report.latency_p50.as_ns(), 1_000);
+        assert_eq!(report.outcomes.len(), 3, "kept outcomes pass through");
+        // The median sample is 1000 ns; the sketch never undershoots it
+        // and overshoots by at most its documented γ − 1.
+        let p50 = report.latency_p50.as_ns();
+        assert!(p50 >= 1_000, "{p50}");
+        assert!(p50 * 1000 <= 1_000 * (1000 + QuantileSketch::MAX_RELATIVE_ERROR_PER_MILLE));
         assert_eq!(report.latency_max.as_ns(), 3_000);
         // 2 successes in 10 ms of wall time.
         assert!((report.throughput_wall - 200.0).abs() < 1.0);
@@ -568,9 +462,10 @@ mod tests {
         assert!(json.starts_with(&format!("{{\"v\":{}", kshot_telemetry::SCHEMA_VERSION)));
         assert!(json.contains("\"succeeded\":2"));
         assert!(json.contains("\"identical_digests\":false"));
-        assert!(json.contains("\"p50\":1000"));
+        assert!(json.contains(&format!("\"p50\":{p50}")), "{json}");
         assert!(json.contains("\"dwell_anomalies\":[1]"));
         assert!(json.contains("\"pipeline_depth\":1"));
+        assert!(json.contains("\"fold\":{\"machines\":3"), "{json}");
         // Occupancy serializes per worker; a half-busy worker reads as
         // a 0.5 busy fraction.
         assert!(json.contains("\"occupancy\":[{\"worker\":0"), "{json}");
@@ -583,7 +478,7 @@ mod tests {
         let report = CampaignReport::assemble(
             &FleetConfig::new(0, 1),
             Vec::new(),
-            None,
+            OutcomeFold::new(),
             Recorder::new(),
             Vec::new(),
             Duration::ZERO,
@@ -598,74 +493,8 @@ mod tests {
         assert_eq!(report.throughput_sim, 0.0);
     }
 
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let v = [10, 20, 30, 40];
-        assert_eq!(percentile(&v, 50), 20);
-        assert_eq!(percentile(&v, 95), 30);
-        assert_eq!(percentile(&v, 100), 40);
-        assert_eq!(percentile(&[], 50), 0);
-    }
-
-    fn assemble(outcomes: Vec<MachineOutcome>, fold: Option<OutcomeFold>) -> CampaignReport {
-        let machines = fold
-            .as_ref()
-            .map(|f| f.machines())
-            .unwrap_or(outcomes.len());
-        CampaignReport::assemble(
-            &FleetConfig::new(machines, 2),
-            outcomes,
-            fold,
-            Recorder::new(),
-            Vec::new(),
-            Duration::from_millis(10),
-            0,
-            0,
-            None,
-            None,
-        )
-    }
-
-    /// Satellite (b): above the exact threshold the percentiles come
-    /// from the sketch. The estimate must never undershoot the exact
-    /// nearest-rank sample and never overshoot it by more than the
-    /// sketch's documented γ − 1 relative error; the max stays exact.
-    #[test]
-    fn sketch_percentiles_stay_within_documented_error_above_threshold() {
-        let n = LATENCY_EXACT_MAX + 1_000;
-        // A spread of latencies over three decades so bucket widths
-        // actually matter; 7919 is coprime to n so values don't repeat
-        // in lockstep.
-        let outcomes: Vec<MachineOutcome> = (0..n)
-            .map(|m| outcome(m, true, 10_000 + (m as u64 * 7_919) % 9_000_000, 5))
-            .collect();
-        let mut exact: Vec<u64> = outcomes
-            .iter()
-            .filter_map(|o| o.latency.map(|t| t.as_ns()))
-            .collect();
-        exact.sort_unstable();
-        let report = assemble(outcomes, None);
-        for (q, got) in [(500u64, report.latency_p50), (950, report.latency_p95)] {
-            // The sketch ranks by ceil(count·q/1000), 1-based.
-            let rank = (exact.len() as u64 * q).div_ceil(1000).max(1) as usize;
-            let want = exact[rank - 1];
-            let got = got.as_ns();
-            assert!(got >= want, "q={q}: sketch {got} undershoots exact {want}");
-            assert!(
-                got as u128 * 1000
-                    <= want as u128 * (1000 + QuantileSketch::MAX_RELATIVE_ERROR_PER_MILLE as u128),
-                "q={q}: sketch {got} overshoots exact {want} beyond γ"
-            );
-        }
-        assert_eq!(
-            report.latency_max.as_ns(),
-            *exact.last().unwrap(),
-            "the max stays exact on the sketch path"
-        );
-    }
-
-    /// Satellite (a): the dwell-anomaly vectors cap at
-    /// [`DWELL_ANOMALY_CAP`] and the overflow is counted, not dropped.
+    /// The dwell-anomaly vectors cap at [`DWELL_ANOMALY_CAP`] and the
+    /// overflow is counted, not dropped.
     #[test]
     fn dwell_anomalies_cap_with_truncation_counter() {
         let outcomes: Vec<MachineOutcome> = (0..DWELL_ANOMALY_CAP + 9)
@@ -676,52 +505,22 @@ mod tests {
                 o
             })
             .collect();
-        let report = assemble(outcomes, None);
+        let report = CampaignReport::assemble(
+            &FleetConfig::new(outcomes.len(), 2),
+            Vec::new(),
+            fold_of(&outcomes),
+            Recorder::new(),
+            Vec::new(),
+            Duration::from_millis(10),
+            0,
+            0,
+            None,
+            None,
+        );
         assert_eq!(report.dwell_anomalies.len(), DWELL_ANOMALY_CAP);
         assert_eq!(report.dwell_anomaly_smis.len(), DWELL_ANOMALY_CAP);
         assert_eq!(report.dwell_anomalies_truncated, 9);
         let json = report.to_json();
         assert!(json.contains("\"dwell_anomalies_truncated\":9"), "{json}");
-    }
-
-    /// A report assembled from a fold must summarize identically to one
-    /// assembled from the outcomes the fold absorbed — same counts,
-    /// same root, same identical-digests verdict, percentiles within
-    /// the sketch's bracket.
-    #[test]
-    fn fold_assembly_matches_retained_assembly() {
-        let outcomes: Vec<MachineOutcome> = (0..300)
-            .map(|m| {
-                let ok = m % 97 != 13;
-                let digest = if m == 250 { 9 } else { 4 };
-                outcome(m, ok, 5_000 + m as u64 * 31, digest)
-            })
-            .collect();
-        let mut fold = OutcomeFold::new();
-        for o in &outcomes {
-            fold.absorb(o);
-        }
-        let retained = assemble(outcomes.clone(), None);
-        let folded = assemble(Vec::new(), Some(fold));
-        assert_eq!(folded.succeeded, retained.succeeded);
-        assert_eq!(folded.failed, retained.failed);
-        assert_eq!(folded.retries, retained.retries);
-        assert_eq!(folded.digest_root(), retained.digest_root());
-        assert!(!folded.all_identical_digests());
-        assert_eq!(folded.fold.as_ref().unwrap().first_divergence(), Some(250));
-        assert_eq!(folded.latency_max, retained.latency_max);
-        // Retained (300 outcomes) took the exact path; the fold's
-        // sketch must bracket it from above within γ.
-        let (p50_exact, p50_fold) = (retained.latency_p50.as_ns(), folded.latency_p50.as_ns());
-        assert!(p50_fold >= p50_exact);
-        assert!(
-            p50_fold as u128 * 1000
-                <= p50_exact as u128
-                    * (1000 + QuantileSketch::MAX_RELATIVE_ERROR_PER_MILLE as u128)
-        );
-        let json = folded.to_json();
-        assert!(json.contains("\"fold\":{\"machines\":300"), "{json}");
-        assert!(json.contains("\"merkle_root\":\""), "{json}");
-        assert!(json.contains("\"identical_digests\":false"), "{json}");
     }
 }

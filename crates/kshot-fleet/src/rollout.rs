@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use kshot_telemetry::{json_escape, HealthMonitor};
 
-use crate::campaign::MachineOutcome;
+use crate::fold::OutcomeFold;
 
 /// How large the canary cohort is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,7 +228,7 @@ impl RolloutGate {
 }
 
 /// What the controller learned, handed back to `run_campaign` to build
-/// the public [`RolloutReport`] alongside the machine outcomes.
+/// the public [`RolloutReport`] alongside the campaign's fold.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RolloutTrail {
     pub(crate) waves: Vec<WaveOutcome>,
@@ -427,7 +427,7 @@ impl RolloutReport {
         plan: &RolloutPlan,
         machines: usize,
         trail: RolloutTrail,
-        outcomes: &[MachineOutcome],
+        fold: &OutcomeFold,
     ) -> RolloutReport {
         RolloutReport {
             canary: plan.canary_size(machines),
@@ -438,10 +438,10 @@ impl RolloutReport {
             halt_verdict: trail.halt_verdict.map(str::to_string),
             halt_reasons: trail.halt_reasons,
             dwell_budget_ns: trail.dwell_budget_ns,
-            rolled_back: outcomes.iter().filter(|o| o.rolled_back).count() as u64,
-            rollback_skipped_sites: outcomes.iter().map(|o| o.rollback_skipped).sum(),
-            rollback_failed: outcomes.iter().filter(|o| o.rollback_failed).count() as u64,
-            not_admitted: outcomes.iter().filter(|o| !o.admitted).count() as u64,
+            rolled_back: fold.rolled_back,
+            rollback_skipped_sites: fold.rollback_skipped,
+            rollback_failed: fold.rollback_failed,
+            not_admitted: fold.not_admitted,
         }
     }
 
@@ -584,7 +584,7 @@ mod tests {
             halt_reasons: vec!["failure rate 500 per-mille exceeds halt ceiling 300".to_string()],
             dwell_budget_ns: Some(40_000),
         };
-        let report = RolloutReport::assemble(&plan, 12, trail, &[]);
+        let report = RolloutReport::assemble(&plan, 12, trail, &OutcomeFold::new());
         assert_eq!(report.planned_waves, 3);
         assert!(!report.completed());
         let json = report.to_json();

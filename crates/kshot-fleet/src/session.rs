@@ -150,28 +150,7 @@ impl MachineSession {
     /// A fresh session for `machine`, about to boot.
     pub(crate) fn new(machine: usize, worker: usize, recorder: Arc<Recorder>) -> MachineSession {
         MachineSession {
-            outcome: MachineOutcome {
-                machine,
-                worker,
-                attempts: 0,
-                retries: 0,
-                ok: false,
-                error: None,
-                latency: None,
-                sim_clock: SimTime::ZERO,
-                state_digest: [0; 32],
-                faults_injected: 0,
-                injection_writes_seen: 0,
-                smm_overbudget: 0,
-                max_smm_dwell: SimTime::ZERO,
-                recovery_failed: false,
-                rolled_back: false,
-                rollback_skipped: 0,
-                rollback_failed: false,
-                admitted: true,
-                flight: Vec::new(),
-                dwell_worst: None,
-            },
+            outcome: MachineOutcome::new(machine, worker),
             recorder,
             state: SessionState::Boot,
             kernel: None,

@@ -1270,6 +1270,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A hostile shard line nested far past the JSON parser's limit
+    /// ends the poll in a typed parse error on a default 2 MiB thread —
+    /// the stack a campaign's monitor thread gets — instead of
+    /// overflowing it and aborting the process.
+    #[test]
+    fn deeply_nested_shard_line_is_a_typed_parse_error() {
+        let dir = scratch("deep");
+        let shard = dir.join("worker-0.jsonl");
+        let mut text = machine_parcel(0, true, 0, &[40_000]);
+        text.push_str(&"[".repeat(200_000));
+        text.push('\n');
+        text.push_str(&machine_parcel(1, true, 0, &[41_000]));
+        std::fs::write(&shard, text).unwrap();
+        let polled = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || HealthMonitor::new(HealthPolicy::new(), 2, 2, vec![shard]).poll())
+            .unwrap()
+            .join()
+            .expect("the poll returns instead of overflowing the stack");
+        assert!(
+            matches!(&polled, Err(ShardError::Parse { error, .. }) if error.contains("nesting deeper than")),
+            "{polled:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn missing_shard_files_mean_no_data_not_errors() {
         let dir = scratch("missing");

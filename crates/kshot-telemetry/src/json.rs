@@ -67,16 +67,24 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts: 128. Shard lines nest
+/// at most 3 levels (a `rollup` frontier node), Chrome traces 4 and
+/// `BENCH_fleet.json` 5, so the limit only ever rejects corrupt or
+/// hostile input — which would otherwise recurse once per `[` or `{`
+/// until the thread's stack overflowed and the process aborted.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one complete JSON document.
 ///
 /// # Errors
 ///
-/// A human-readable description with a byte offset on malformed input or
-/// trailing data.
+/// A human-readable description with a byte offset on malformed input,
+/// trailing data, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -90,6 +98,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -119,8 +129,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -278,6 +302,39 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("[1,2,]").is_err());
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_typed_error() {
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH))).unwrap_err();
+        assert!(err.contains(&format!("at byte {}", MAX_DEPTH + 4)), "{err}");
+        // A hostile line far past the limit fails typed on a default
+        // 2 MiB thread — the stack a campaign's health monitor gets —
+        // instead of overflowing it and aborting the process.
+        let deep = "[".repeat(200_000);
+        let outcome = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                (
+                    parse(&deep).map(drop),
+                    crate::ShardData::parse(&deep).map(drop),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("the parser returns instead of overflowing the stack");
+        assert!(outcome.0.unwrap_err().contains("nesting deeper than"));
+        assert!(outcome.1.unwrap_err().contains("nesting deeper than"));
     }
 
     #[test]

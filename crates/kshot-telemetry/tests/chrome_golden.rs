@@ -3,14 +3,15 @@
 //! Builds a fixed set of records (deterministic ids, threads and
 //! timestamps), renders them with [`kshot_telemetry::export::chrome_trace`]
 //! and compares byte-for-byte against `tests/golden/chrome_trace.json`.
-//! A minimal recursive-descent JSON parser (no external crates) then
-//! checks the output is well-formed JSON with the envelope Perfetto and
+//! The crate's own JSON parser ([`kshot_telemetry::json`]) then checks
+//! the output is well-formed JSON with the envelope Perfetto and
 //! `chrome://tracing` expect.
 //!
 //! Regenerate the golden after an intentional format change with
 //! `KSHOT_UPDATE_GOLDEN=1 cargo test -p kshot-telemetry --test chrome_golden`.
 
 use kshot_telemetry::export::chrome_trace;
+use kshot_telemetry::json;
 use kshot_telemetry::{EventRecord, Record, SpanRecord, Value};
 
 fn fixture() -> Vec<Record> {
@@ -136,208 +137,6 @@ fn chrome_trace_is_valid_json_with_expected_envelope() {
             "X" => assert!(matches!(get("dur"), Some(json::Value::Number(_)))),
             "i" => assert!(get("dur").is_none()),
             other => panic!("unexpected phase {other:?}"),
-        }
-    }
-}
-
-/// Minimal JSON parser — just enough to validate exporter output without
-/// pulling in serde. Numbers are parsed as f64; no unicode-escape
-/// decoding beyond pass-through (the validator only needs structure).
-mod json {
-    #[derive(Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Number(f64),
-        String(String),
-        Array(Vec<Value>),
-        Object(Vec<(String, Value)>),
-    }
-
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}, found {:?}",
-                    b as char,
-                    self.pos,
-                    self.peek().map(|c| c as char)
-                ))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::String(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-                other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-            }
-        }
-
-        fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.pos))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-')
-            {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|e| e.to_string())?
-                .parse::<f64>()
-                .map(Value::Number)
-                .map_err(|e| format!("bad number at byte {start}: {e}"))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                if self.pos + 4 > self.bytes.len() {
-                                    return Err("truncated \\u escape".to_string());
-                                }
-                                let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                    .map_err(|e| e.to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|e| format!("bad \\u escape: {e}"))?;
-                                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                self.pos += 4;
-                            }
-                            other => return Err(format!("bad escape {:?}", other as char)),
-                        }
-                    }
-                    Some(c) if c < 0x20 => {
-                        return Err(format!("raw control byte {c:#04x} in string"))
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 scalar (input is a &str, so
-                        // boundaries are valid).
-                        let s = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|e| e.to_string())?;
-                        let ch = s.chars().next().ok_or("empty")?;
-                        out.push(ch);
-                        self.pos += ch.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    other => return Err(format!("expected , or ] got {other:?}")),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Object(items));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                let val = self.value()?;
-                items.push((key, val));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Object(items));
-                    }
-                    other => return Err(format!("expected , or }} got {other:?}")),
-                }
-            }
         }
     }
 }

@@ -148,8 +148,8 @@ fn summaries_only_campaign_keeps_totals_and_streams_the_records() {
     let dir = scratch_dir("summaries");
     let config = FleetConfig::new(8, 2)
         .with_seed(9)
-        .with_stream_dir(&dir)
-        .summaries_only();
+        .with_outcome_fold()
+        .with_stream_dir(&dir);
     let report = run_campaign(&target, &bytes, &config);
     assert_eq!(report.succeeded, 8);
 

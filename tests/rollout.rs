@@ -13,6 +13,7 @@
 //! * a canary-calibrated dwell budget catches a slow ramp machine and
 //!   pauses the ramp without reverting anything.
 
+use std::path::Path;
 use std::sync::OnceLock;
 
 use kshot_cve::{find, patch_for};
@@ -51,6 +52,44 @@ fn policy() -> HealthPolicy {
 /// [0,2), [2,6), [6,12).
 fn plan() -> RolloutPlan {
     RolloutPlan::canary_machines(2)
+}
+
+/// Builds one scenario's campaign at one scheduler point: the shard
+/// directory, workers, and pipeline depth.
+type Scenario = fn(&Path, usize, usize) -> FleetConfig;
+
+/// The healthy-ramp campaign at one scheduler point.
+fn ramp_config(dir: &Path, workers: usize, depth: usize) -> FleetConfig {
+    FleetConfig::new(MACHINES, workers)
+        .with_seed(0x57A6)
+        .with_pipeline_depth(depth)
+        .with_stream_dir(dir)
+        // Deliberately not the canary size: the rollout plan must
+        // override the window so no window straddles a wave.
+        .with_health(policy(), 5)
+        .with_rollout(plan())
+}
+
+/// The halting campaign at one scheduler point. Machines 3 and 4 sit
+/// in ramp wave [2,6); with no retry budget their faults are terminal,
+/// so both of that wave's windows carry 500-per-mille failure -> Halt.
+fn halt_config(dir: &Path, workers: usize, depth: usize) -> FleetConfig {
+    let mut config = FleetConfig::new(MACHINES, workers)
+        .with_seed(0x57A6)
+        .with_pipeline_depth(depth)
+        .with_stream_dir(dir)
+        .with_health(policy(), 2)
+        .with_rollout(plan())
+        .with_fault(PlannedFault {
+            machine: 3,
+            smm_write_index: 2,
+        })
+        .with_fault(PlannedFault {
+            machine: 4,
+            smm_write_index: 2,
+        });
+    config.max_attempts = 1;
+    config
 }
 
 /// The scheduler sweep every rollout campaign must be invariant under.
@@ -93,15 +132,7 @@ fn healthy_ramp_admits_every_wave_and_is_scheduler_invariant() {
 
     let run = |label: &str, workers: usize, depth: usize| -> (String, String) {
         let dir = scratch.join(label);
-        let config = FleetConfig::new(MACHINES, workers)
-            .with_seed(0x57A6)
-            .with_pipeline_depth(depth)
-            .with_stream_dir(&dir)
-            // Deliberately not the canary size: the rollout plan must
-            // override the window so no window straddles a wave.
-            .with_health(policy(), 5)
-            .with_rollout(plan());
-        let report = run_campaign(target, bytes, &config);
+        let report = run_campaign(target, bytes, &ramp_config(&dir, workers, depth));
 
         assert_eq!(report.succeeded, MACHINES, "{label}: {:?}", report.outcomes);
         assert_eq!(report.failed, 0, "{label}");
@@ -172,25 +203,7 @@ fn halt_verdict_stops_admission_and_rolls_back_the_wave() {
 
     let run = |label: &str, workers: usize, depth: usize| -> (String, String) {
         let dir = scratch.join(label);
-        // Machines 3 and 4 sit in ramp wave [2,6); with no retry budget
-        // their faults are terminal, so both of that wave's windows
-        // carry 500-per-mille failure -> Halt.
-        let mut config = FleetConfig::new(MACHINES, workers)
-            .with_seed(0x57A6)
-            .with_pipeline_depth(depth)
-            .with_stream_dir(&dir)
-            .with_health(policy(), 2)
-            .with_rollout(plan())
-            .with_fault(PlannedFault {
-                machine: 3,
-                smm_write_index: 2,
-            })
-            .with_fault(PlannedFault {
-                machine: 4,
-                smm_write_index: 2,
-            });
-        config.max_attempts = 1;
-        let report = run_campaign(target, bytes, &config);
+        let report = run_campaign(target, bytes, &halt_config(&dir, workers, depth));
 
         let rollout = report.rollout.as_ref().expect("rollout report");
         assert!(!rollout.completed(), "{label}");
@@ -287,6 +300,53 @@ fn halt_verdict_stops_admission_and_rolls_back_the_wave() {
         let (trail, stream) = run(label, workers, depth);
         assert_eq!(trail, ref_trail, "{label}: rollout trail diverged");
         assert_eq!(stream, ref_stream, "{label}: health.jsonl diverged");
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// Rollouts run folded: over the same sweep, a campaign that keeps no
+/// outcomes reports the same rollout, streams the same `health.jsonl`
+/// and commits to the same digest root as its retained twin — the
+/// rollout counters come from the fold either way.
+#[test]
+fn folded_rollouts_match_their_retained_twins() {
+    let (target, bytes) = fixture();
+    let scratch = std::env::temp_dir().join(format!("kshot-rollout-folded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&scratch);
+    let scenarios: [(&str, Scenario); 2] = [("ramp", ramp_config), ("halt", halt_config)];
+    for (scenario, config) in scenarios {
+        for &(label, workers, depth) in SWEEP {
+            let case = format!("{scenario} {label}");
+            let run = |mode: &str, fold: bool| {
+                let dir = scratch.join(format!("{scenario}-{label}-{mode}"));
+                let mut config = config(&dir, workers, depth);
+                if fold {
+                    config = config.with_outcome_fold();
+                }
+                let report = run_campaign(target, bytes, &config);
+                let health = std::fs::read_to_string(dir.join("health.jsonl")).unwrap();
+                (report, health)
+            };
+            let (retained, retained_health) = run("retained", false);
+            let (folded, folded_health) = run("folded", true);
+
+            assert_eq!(retained.outcomes.len(), MACHINES, "{case}");
+            assert!(folded.outcomes.is_empty(), "{case}: nothing retained");
+            assert!(folded.rollout.is_some(), "{case}");
+            assert_eq!(folded.rollout, retained.rollout, "{case}");
+            assert_eq!(
+                folded_health, retained_health,
+                "{case}: health.jsonl diverged"
+            );
+            assert_eq!(folded.digest_root(), retained.digest_root(), "{case}");
+            assert_eq!(folded.succeeded, retained.succeeded, "{case}");
+            assert_eq!(folded.failed, retained.failed, "{case}");
+            if scenario == "halt" {
+                let rollout = folded.rollout.as_ref().expect("checked above");
+                assert_eq!(rollout.rolled_back, 2, "{case}");
+                assert_eq!(rollout.not_admitted, 6, "{case}");
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }
