@@ -55,12 +55,20 @@ cargo test -q -p kshot-fleet unfired_injection_plan_is_disarmed_and_accounted_on
 cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
 
 # Health-plane gates: the quantile sketch's documented error bound and
-# merge-order independence over randomized distributions, and the
-# byte-identical health.jsonl stream across worker counts and pipeline
-# depths (with deterministic Degraded/Halt verdicts under an injected
-# fault).
+# merge-order independence over randomized distributions, its u64
+# saturation pins through registry merges, a hostile min > max sketch
+# line failing typed in both ShardData::parse (among the malformed
+# lines) and HealthMonitor::poll,
+# the phase profile's state bounded by distinct values (not samples),
+# and the byte-identical health.jsonl stream across worker counts and
+# pipeline depths (with deterministic Degraded/Halt verdicts under an
+# injected fault).
 echo "== sketch error-bound property =="
 cargo test -q -p kshot-telemetry --test prop_sketch
+cargo test -q -p kshot-telemetry sketch_merge_saturates_at_u64_boundaries
+cargo test -q -p kshot-telemetry rejects_version_drift_and_malformed_lines
+cargo test -q -p kshot-telemetry hostile_sketch_line_is_a_typed_parse_error
+cargo test -q -p kshot-telemetry profile_size_tracks_distinct_values_not_samples
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
 # root/divergence/frontier round-trip), the fleet fold's merge-equals-

@@ -493,7 +493,7 @@ fn flush_parcels(
                 sink.write_raw_line(line);
             }
             // Close the machine's section of the shard: its metric
-            // totals (counters saturate, histograms merge bucket-wise
+            // totals (counters saturate, sketches merge bucket-wise
             // on re-aggregation) and one outcome line carrying what
             // the in-memory MachineOutcome carries.
             sink.write_metrics(&metrics);

@@ -101,8 +101,10 @@ struct SimDomainFingerprint {
     /// `cache.bundle_lookups` total here; every other counter must
     /// match exactly.
     counters: BTreeMap<String, u64>,
-    /// Histogram (count, sum, min, max) totals from the shard files.
-    histograms: BTreeMap<String, (u64, u64, u64, u64)>,
+    /// Sketch totals from the shard files, each rendered as its
+    /// `to_json_line` so the comparison is byte-exact. Every sketch in
+    /// the shards (`machine.smm_dwell_ns`) is simulated-domain.
+    sketches: BTreeMap<String, String>,
     /// Span/event record counts across all shards.
     spans: u64,
     events: u64,
@@ -164,10 +166,10 @@ fn fingerprint(report: &CampaignReport, stream_dir: &Path, workers: usize) -> Si
             counters.insert("cache.bundle_lookups".to_string(), lookups);
             counters
         },
-        histograms: shards
-            .histograms
+        sketches: shards
+            .sketches
             .iter()
-            .map(|(k, h)| (k.clone(), (h.count, h.sum, h.min, h.max)))
+            .map(|(k, s)| (k.clone(), s.to_json_line(k)))
             .collect(),
         spans: shards.spans,
         events: shards.events,
@@ -208,6 +210,13 @@ fn pipelining_and_sharding_preserve_the_simulated_domain() {
     };
 
     let reference = run("seq", 1, 1);
+    // The sketch comparison below must not be vacuous: every SMI's
+    // dwell, the faulted attempt's included, lands in this sketch.
+    assert!(
+        reference.sketches.contains_key("machine.smm_dwell_ns"),
+        "{:?}",
+        reference.sketches.keys()
+    );
     for (label, workers, depth) in [
         ("w1-d4", 1, 4),
         ("w1-dmax", 1, MACHINES),
@@ -227,8 +236,8 @@ fn pipelining_and_sharding_preserve_the_simulated_domain() {
             "{label}: shard counters diverged"
         );
         assert_eq!(
-            fp.histograms, reference.histograms,
-            "{label}: shard histograms diverged"
+            fp.sketches, reference.sketches,
+            "{label}: shard sketches diverged"
         );
         assert_eq!(fp.spans, reference.spans, "{label}: span counts diverged");
         assert_eq!(

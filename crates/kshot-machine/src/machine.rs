@@ -787,7 +787,7 @@ impl Machine {
                 rec.exit = SmiExit::Ok;
                 self.push_flight(rec);
             }
-            kshot_telemetry::sketch_observe("machine.smm_dwell_ns", dwell.as_ns());
+            kshot_telemetry::observe("machine.smm_dwell_ns", dwell.as_ns());
             if let Some(budget) = self.smm_dwell_budget {
                 let effective_ns = budget.as_ns().saturating_mul(self.smm_dwell_budget_scale);
                 if dwell.as_ns() > effective_ns {

@@ -74,9 +74,9 @@ pub fn record_json_line(rec: &Record) -> String {
 }
 
 /// Render a metrics snapshot as JSON lines: one `counter`, `gauge`, or
-/// `histogram` object per line, each stamped with `"v"`. Counters and
-/// histogram lines are *mergeable* across shards (add counters,
-/// bucket-merge histograms); gauges are last-writer-wins.
+/// `sketch` object per line, each stamped with `"v"`. Counter and
+/// sketch lines are *mergeable* across shards (add counters,
+/// bucket-merge sketches); gauges are last-writer-wins.
 pub fn metrics_json_lines(metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &metrics.counters {
@@ -95,22 +95,6 @@ pub fn metrics_json_lines(metrics: &MetricsSnapshot) -> String {
             value
         );
     }
-    for (name, h) in &metrics.histograms {
-        let bounds: Vec<String> = h.bounds.iter().map(|b| b.to_string()).collect();
-        let counts: Vec<String> = h.counts.iter().map(|c| c.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"histogram\",\"v\":{SCHEMA_VERSION},\"name\":{},\"count\":{},\
-             \"sum\":{},\"min\":{},\"max\":{},\"bounds\":[{}],\"counts\":[{}]}}",
-            json_escape(name),
-            h.count,
-            h.sum,
-            h.min,
-            h.max,
-            bounds.join(","),
-            counts.join(","),
-        );
-    }
     for (name, s) in &metrics.sketches {
         let _ = writeln!(out, "{}", s.to_json_line(name));
     }
@@ -118,7 +102,7 @@ pub fn metrics_json_lines(metrics: &MetricsSnapshot) -> String {
 }
 
 /// One JSON object per line: spans, events, then counters, gauges, and
-/// histograms from the metrics snapshot. Every line is independently
+/// sketches from the metrics snapshot. Every line is independently
 /// parseable, so partial files (e.g. from a truncated run) still load.
 pub fn json_lines(records: &[Record], metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
@@ -224,7 +208,7 @@ struct SpanAgg {
 
 /// Plain-text table: per-span-name aggregates (count, wall mean/max,
 /// sim mean where instrumented), then events, counters, gauges, and
-/// histogram lines.
+/// sketch quantiles.
 pub fn summary(records: &[Record], metrics: &MetricsSnapshot) -> String {
     let mut spans: BTreeMap<&'static str, SpanAgg> = BTreeMap::new();
     let mut events: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -286,27 +270,6 @@ pub fn summary(records: &[Record], metrics: &MetricsSnapshot) -> String {
         let _ = writeln!(out, "{}", "-".repeat(41));
         for (name, value) in &metrics.gauges {
             let _ = writeln!(out, "{name:<28} {value:>12}");
-        }
-    }
-    if !metrics.histograms.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<28} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            "histogram", "count", "mean", "p50", "p95", "min", "max"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(102));
-        for (name, h) in &metrics.histograms {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>7} {:>12} {:>12} {:>12} {:>12} {:>12}",
-                name,
-                h.count,
-                fmt_ns(h.mean()),
-                fmt_ns(h.percentile(50)),
-                fmt_ns(h.percentile(95)),
-                fmt_ns(h.min),
-                fmt_ns(h.max)
-            );
         }
     }
     if !metrics.sketches.is_empty() {
@@ -432,8 +395,8 @@ mod tests {
     fn sketch_metrics_export_as_schema_stamped_lines() {
         use crate::metrics::MetricsRegistry;
         let reg = MetricsRegistry::new();
-        reg.sketch_observe("machine.smm_dwell_ns", 45_000);
-        reg.sketch_observe("machine.smm_dwell_ns", 52_000);
+        reg.observe("machine.smm_dwell_ns", 45_000);
+        reg.observe("machine.smm_dwell_ns", 52_000);
         let snap = reg.snapshot();
         let out = metrics_json_lines(&snap);
         let line = out
@@ -455,10 +418,10 @@ mod tests {
     #[test]
     fn summary_percentile_edge_cases() {
         use crate::metrics::MetricsRegistry;
-        // Empty histograms cannot exist through the registry (first
-        // observation creates them), so empty-percentile behaviour is
-        // covered on the snapshot type directly in metrics.rs. Here:
-        // single-sample and all-equal histograms through the exporter.
+        // Empty sketches cannot exist through the registry (first
+        // observation creates them), so empty-quantile behaviour is
+        // covered on the sketch type directly in sketch.rs. Here:
+        // single-sample and all-equal sketches through the exporter.
         let reg = MetricsRegistry::new();
         reg.observe("single", 1_500);
         for _ in 0..10 {
@@ -467,15 +430,18 @@ mod tests {
         let snap = reg.snapshot();
         let out = summary(&[], &snap);
         // A single sample is every percentile.
-        let single = snap.histogram("single").unwrap();
-        assert_eq!(single.percentile(50), 1_500);
-        assert_eq!(single.percentile(95), 1_500);
+        let single = snap.sketch("single").unwrap();
+        assert_eq!(single.quantile_per_mille(500), 1_500);
+        assert_eq!(single.quantile_per_mille(950), 1_500);
         // All-equal samples collapse to that value at every percentile.
-        let equal = snap.histogram("equal").unwrap();
-        assert_eq!(equal.percentile(1), 7_000);
-        assert_eq!(equal.percentile(50), 7_000);
-        assert_eq!(equal.percentile(100), 7_000);
-        assert!(out.contains("1.50us"), "{out}");
-        assert!(out.contains("7.00us"), "{out}");
+        let equal = snap.sketch("equal").unwrap();
+        assert_eq!(equal.quantile_per_mille(10), 7_000);
+        assert_eq!(equal.quantile_per_mille(500), 7_000);
+        assert_eq!(equal.quantile_per_mille(1000), 7_000);
+        // And the summary row shows the exact value in every quantile,
+        // min and max column.
+        let row = |name: &str| out.lines().find(|l| l.starts_with(name)).unwrap();
+        assert_eq!(row("single").matches("1.50us").count(), 5, "{out}");
+        assert_eq!(row("equal").matches("7.00us").count(), 5, "{out}");
     }
 }

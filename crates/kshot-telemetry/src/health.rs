@@ -36,8 +36,7 @@ use crate::sketch::QuantileSketch;
 use crate::stream::StreamSink;
 
 /// The sketch-backed SMM dwell signal consumed by the monitor; emitted
-/// by `kshot-machine` on every SMM exit via
-/// [`crate::sketch_observe`].
+/// by `kshot-machine` on every SMM exit via [`crate::observe`].
 pub const SMM_DWELL_METRIC: &str = "machine.smm_dwell_ns";
 
 /// Declarative health thresholds. All rates are per-mille (so 50 means
@@ -885,7 +884,7 @@ mod tests {
     fn machine_parcel(machine: u64, ok: bool, retries: u64, dwell_ns: &[u64]) -> String {
         let reg = MetricsRegistry::new();
         for &d in dwell_ns {
-            reg.sketch_observe(SMM_DWELL_METRIC, d);
+            reg.observe(SMM_DWELL_METRIC, d);
         }
         reg.counter_add("machine.smi", dwell_ns.len() as u64);
         let mut out = metrics_json_lines(&reg.snapshot());
@@ -1291,6 +1290,29 @@ mod tests {
             .expect("the poll returns instead of overflowing the stack");
         assert!(
             matches!(&polled, Err(ShardError::Parse { error, .. }) if error.contains("nesting deeper than")),
+            "{polled:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A non-empty sketch line whose `min` exceeds its `max` ends the
+    /// poll in a typed parse error naming the line, instead of reaching
+    /// the window's quantile query and panicking the monitor thread.
+    #[test]
+    fn hostile_sketch_line_is_a_typed_parse_error() {
+        let dir = scratch("minmax");
+        let shard = dir.join("worker-0.jsonl");
+        let hostile = "{\"type\":\"sketch\",\"v\":1,\"name\":\"machine.smm_dwell_ns\",\
+                       \"count\":1,\"sum\":1,\"zeros\":0,\"min\":100,\"max\":50,\
+                       \"idx\":[200],\"counts\":[1]}";
+        std::fs::write(
+            &shard,
+            format!("{hostile}\n{}", machine_parcel(0, true, 0, &[])),
+        )
+        .unwrap();
+        let polled = HealthMonitor::new(HealthPolicy::new(), 1, 1, vec![shard]).poll();
+        assert!(
+            matches!(&polled, Err(ShardError::Parse { error, .. }) if error == "line 1: sketch min 100 > max 50"),
             "{polled:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);

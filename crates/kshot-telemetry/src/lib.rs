@@ -15,8 +15,10 @@
 //!   graph and cannot name `SimTime`).
 //! - **Events** mark instants (SMRAM lock faults, trampoline writes,
 //!   introspection violations) with structured fields.
-//! - **Metrics** are counters, gauges, and fixed-bucket histograms on a
-//!   registry attached to the recorder.
+//! - **Metrics** are counters, gauges, and mergeable
+//!   [`QuantileSketch`]es on a registry attached to the recorder. The
+//!   sketch is the crate's one distribution type: phase timings
+//!   ([`PhaseProfile`]) and the health plane summarize through it too.
 //! - The **recorder** is a bounded ring buffer with pluggable streaming
 //!   [`Sink`]s and three exporters: JSON lines, Chrome `trace_event`
 //!   (Perfetto-loadable), and a plain-text summary table.
@@ -77,7 +79,7 @@ pub use health::{
 };
 pub use integrity::{IntegrityMonitor, IntegrityPolicy, IntegrityReport, IntegrityVerdict};
 pub use merkle::{DigestTree, FrontierNode, FullDigestTree, MerkleError};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, DEFAULT_BOUNDS_NS};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use phase::{PhaseProfile, PhaseStats, PHASES, PHASE_PREFIX};
 pub use record::{json_escape, EventRecord, Field, Record, SpanRecord, Value};
 pub use recorder::{Recorder, Sink, DEFAULT_CAPACITY};
@@ -313,26 +315,15 @@ pub fn gauge(name: &'static str, value: i64) {
     }
 }
 
-/// Record one histogram observation (default ns buckets).
+/// Record one observation in the named mergeable [`QuantileSketch`],
+/// whose fleet percentiles merge deterministically across workers
+/// (e.g. SMM dwell time feeding the live [`HealthMonitor`]).
 pub fn observe(name: &'static str, value: u64) {
     if !is_enabled() {
         return;
     }
     if let Some(rec) = recorder() {
         rec.metrics().observe(name, value);
-    }
-}
-
-/// Record one observation in a mergeable [`QuantileSketch`] — the
-/// aggregation-path alternative to [`observe`] for signals whose fleet
-/// percentiles must merge deterministically across workers (e.g. SMM
-/// dwell time feeding the live [`HealthMonitor`]).
-pub fn sketch_observe(name: &'static str, value: u64) {
-    if !is_enabled() {
-        return;
-    }
-    if let Some(rec) = recorder() {
-        rec.metrics().sketch_observe(name, value);
     }
 }
 
@@ -435,7 +426,8 @@ mod tests {
             let snap = rec.metrics_snapshot();
             assert_eq!(snap.counter("c"), 3);
             assert_eq!(snap.gauge("g"), Some(-5));
-            assert_eq!(snap.histogram("h").unwrap().count, 1);
+            let h = snap.sketch("h").unwrap();
+            assert_eq!((h.count(), h.sum()), (1, 1_500));
         });
     }
 
@@ -584,11 +576,11 @@ mod tests {
         a.merge_from(&b);
         let snap = a.metrics_snapshot();
         assert_eq!(snap.counter("m.c"), 3);
-        let h = snap.histogram("m.h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 30_000);
-        assert_eq!(h.min, 10_000);
-        assert_eq!(h.max, 20_000);
+        let h = snap.sketch("m.h").unwrap();
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.sum(), 30_000);
+        assert_eq!(h.min(), 10_000);
+        assert_eq!(h.max(), 20_000);
         assert_eq!(a.len(), 3);
         // `b` untouched.
         assert_eq!(b.len(), 2);

@@ -1,186 +1,14 @@
-//! Counters, gauges, fixed-bucket histograms, and mergeable quantile
-//! sketches.
+//! Counters, gauges, and mergeable quantile sketches.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use crate::sketch::QuantileSketch;
 
-/// Default histogram bucket upper bounds in nanoseconds: 1µs to ~1s in
-/// roughly decade steps with a 1-2-5 pattern, plus a +Inf overflow
-/// bucket implied at the end. Chosen to resolve both SMM stage times
-/// (tens of µs) and whole live-patch runs (ms to s).
-pub const DEFAULT_BOUNDS_NS: [u64; 16] = [
-    1_000,
-    2_000,
-    5_000,
-    10_000,
-    20_000,
-    50_000,
-    100_000,
-    200_000,
-    500_000,
-    1_000_000,
-    5_000_000,
-    10_000_000,
-    50_000_000,
-    100_000_000,
-    500_000_000,
-    1_000_000_000,
-];
-
-/// One histogram: fixed bounds, counts per bucket (+ overflow), and the
-/// usual scalar aggregates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Bucket upper bounds (inclusive), ascending.
-    pub bounds: Vec<u64>,
-    /// `bounds.len() + 1` counts; the last is the overflow bucket.
-    pub counts: Vec<u64>,
-    pub count: u64,
-    pub sum: u64,
-    pub min: u64,
-    pub max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean observed value, zero when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Nearest-rank percentile estimated from the buckets: the upper
-    /// bound of the bucket holding the `pct`-th ranked observation,
-    /// clamped into `[min, max]` so degenerate histograms behave
-    /// exactly — an all-equal (or single-sample) histogram returns the
-    /// observed value at every percentile, and an empty one returns 0.
-    pub fn percentile(&self, pct: u8) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let pct = u64::from(pct.min(100));
-        // ceil(count * pct / 100), computed without overflow for counts
-        // near u64::MAX by splitting the product.
-        let rank = (self.count / 100).saturating_mul(pct)
-            + ((self.count % 100).saturating_mul(pct)).div_ceil(100);
-        let rank = rank.max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.counts.iter().enumerate() {
-            seen = seen.saturating_add(n);
-            if seen >= rank {
-                let bound = self.bounds.get(i).copied().unwrap_or(self.max);
-                return bound.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Fold another snapshot into this one, exactly as the live
-    /// registry merge does: identical bounds merge bucket-for-bucket,
-    /// differing bounds re-bucket by upper bound, and every aggregate
-    /// saturates at the `u64` range. This is how streamed shard files
-    /// are re-aggregated into campaign totals.
-    pub fn merge_from(&mut self, other: &HistogramSnapshot) {
-        // A merged-in empty snapshot must not drag `min` to 0 (the
-        // snapshot encoding of "no samples").
-        merge_counts(&self.bounds, &mut self.counts, &other.bounds, &other.counts);
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = if self.count == 0 {
-                other.min
-            } else {
-                self.min.min(other.min)
-            };
-            self.max = self.max.max(other.max);
-        }
-        self.count = self.count.saturating_add(other.count);
-    }
-}
-
-/// Bucket-merge `other` into `(bounds, counts)`: identical bounds add
-/// element-wise; differing bounds re-bucket each of `other`'s buckets by
-/// its upper bound (overflow lands in overflow). All additions saturate.
-fn merge_counts(bounds: &[u64], counts: &mut [u64], other_bounds: &[u64], other_counts: &[u64]) {
-    if bounds == other_bounds {
-        for (mine, theirs) in counts.iter_mut().zip(other_counts) {
-            *mine = mine.saturating_add(*theirs);
-        }
-    } else {
-        for (i, &n) in other_counts.iter().enumerate() {
-            let representative = other_bounds.get(i).copied().unwrap_or(u64::MAX);
-            let idx = bounds.partition_point(|&b| b < representative);
-            counts[idx] = counts[idx].saturating_add(n);
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Histogram {
-    // Owned (not `&'static`) so a registry can also adopt buckets from
-    // another registry's histograms during [`MetricsRegistry::merge_from`].
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Histogram {
-    fn new(bounds: &[u64]) -> Self {
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Fold `other` into `self`. Identical bounds merge bucket-for-
-    /// bucket; differing bounds re-bucket each of `other`'s buckets by
-    /// its upper bound (overflow lands in overflow), preserving totals.
-    fn merge(&mut self, other: &Histogram) {
-        merge_counts(&self.bounds, &mut self.counts, &other.bounds, &other.counts);
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    fn observe(&mut self, value: u64) {
-        // partition_point returns the count of bounds strictly below the
-        // value, i.e. the index of the first bucket whose (inclusive)
-        // upper bound admits it; past the last bound it lands on the
-        // overflow slot.
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: self.counts.clone(),
-            count: self.count,
-            sum: self.sum,
-            min: if self.count == 0 { 0 } else { self.min },
-            max: self.max,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<&'static str, Histogram>,
     sketches: BTreeMap<&'static str, QuantileSketch>,
 }
 
@@ -190,7 +18,6 @@ struct RegistryInner {
 pub struct MetricsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
     pub gauges: Vec<(&'static str, i64)>,
-    pub histograms: Vec<(&'static str, HistogramSnapshot)>,
     pub sketches: Vec<(&'static str, QuantileSketch)>,
 }
 
@@ -210,14 +37,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| *n == name)
             .map(|(_, v)| *v)
-    }
-
-    /// Histogram by name, if any observations were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, h)| h)
     }
 
     /// Quantile sketch by name, if any observations were recorded.
@@ -252,29 +71,10 @@ impl MetricsRegistry {
         self.inner.lock().unwrap().gauges.insert(name, value);
     }
 
-    /// Record one observation in the named histogram (default bounds).
+    /// Record one observation in the named [`QuantileSketch`] —
+    /// mergeable in any order with byte-identical results, and
+    /// queryable at arbitrary per-mille quantiles.
     pub fn observe(&self, name: &'static str, value: u64) {
-        self.observe_with_bounds(name, value, &DEFAULT_BOUNDS_NS);
-    }
-
-    /// Record one observation using explicit bucket bounds. The bounds
-    /// are fixed on first use; later calls with different bounds keep
-    /// the original buckets.
-    pub fn observe_with_bounds(&self, name: &'static str, value: u64, bounds: &[u64]) {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
-    }
-
-    /// Record one observation in the named quantile sketch. Unlike
-    /// [`MetricsRegistry::observe`], the aggregate is a log-bucket
-    /// [`QuantileSketch`] — mergeable in any order with byte-identical
-    /// results, and queryable at arbitrary per-mille quantiles. This is
-    /// the aggregation-path signal for fleet latency percentiles.
-    pub fn sketch_observe(&self, name: &'static str, value: u64) {
         self.inner
             .lock()
             .unwrap()
@@ -286,8 +86,7 @@ impl MetricsRegistry {
 
     /// Fold every metric of `other` into this registry: counters add,
     /// gauges take `other`'s value (last writer wins, as with
-    /// [`MetricsRegistry::gauge_set`]), histograms merge bucket-wise
-    /// (re-bucketing by upper bound when the bounds differ).
+    /// [`MetricsRegistry::gauge_set`]), sketches merge bucket-wise.
     ///
     /// This is how a fleet campaign folds per-machine registries into
     /// one report; `other` is left untouched.
@@ -308,16 +107,6 @@ impl MetricsRegistry {
         for (name, v) in &theirs.gauges {
             mine.gauges.insert(*name, *v);
         }
-        for (name, h) in &theirs.histograms {
-            match mine.histograms.entry(*name) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    let mut fresh = Histogram::new(&h.bounds);
-                    fresh.merge(h);
-                    e.insert(fresh);
-                }
-            }
-        }
         for (name, s) in &theirs.sketches {
             mine.sketches.entry(*name).or_default().merge_from(s);
         }
@@ -329,11 +118,6 @@ impl MetricsRegistry {
         MetricsSnapshot {
             counters: inner.counters.iter().map(|(k, v)| (*k, *v)).collect(),
             gauges: inner.gauges.iter().map(|(k, v)| (*k, *v)).collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| (*k, h.snapshot()))
-                .collect(),
             sketches: inner
                 .sketches
                 .iter()
@@ -346,6 +130,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
 
     #[test]
     fn counters_accumulate_and_saturate() {
@@ -370,24 +155,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_boundaries_are_inclusive() {
-        static BOUNDS: [u64; 3] = [10, 100, 1000];
-        let reg = MetricsRegistry::new();
-        // One per region: <=10, ==10 (same bucket), 11 (next), ==1000,
-        // 1001 (overflow).
-        for v in [3, 10, 11, 100, 101, 1000, 1001, u64::MAX] {
-            reg.observe_with_bounds("h", v, &BOUNDS);
-        }
-        let snap = reg.snapshot();
-        let h = snap.histogram("h").unwrap();
-        assert_eq!(h.bounds, vec![10, 100, 1000]);
-        assert_eq!(h.counts, vec![2, 2, 2, 2]);
-        assert_eq!(h.count, 8);
-        assert_eq!(h.min, 3);
-        assert_eq!(h.max, u64::MAX);
-    }
-
-    #[test]
     fn merge_from_folds_counters_gauges_histograms() {
         let a = MetricsRegistry::new();
         let b = MetricsRegistry::new();
@@ -404,73 +171,77 @@ mod tests {
         assert_eq!(snap.counter("c"), 3);
         assert_eq!(snap.counter("only_b"), 7);
         assert_eq!(snap.gauge("g"), Some(9));
-        let h = snap.histogram("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 4_500);
-        assert_eq!(h.min, 1_500);
-        assert_eq!(h.max, 3_000);
-        assert_eq!(snap.histogram("h2").unwrap().count, 1);
-        // Bucket counts merged element-wise (identical default bounds).
-        assert_eq!(h.counts.iter().sum::<u64>(), 2);
+        let h = snap.sketch("h").unwrap();
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.sum(), 4_500);
+        assert_eq!(h.min(), 1_500);
+        assert_eq!(h.max(), 3_000);
+        assert_eq!(snap.sketch("h2").unwrap().count(), 1);
+        // Buckets merged: the two samples sit an octave apart.
+        assert_eq!(h.bucket_len(), 2);
     }
 
-    #[test]
-    fn merge_rebuckets_when_bounds_differ() {
-        static A_BOUNDS: [u64; 2] = [10, 100];
-        static B_BOUNDS: [u64; 2] = [50, 500];
-        let a = MetricsRegistry::new();
-        let b = MetricsRegistry::new();
-        a.observe_with_bounds("h", 5, &A_BOUNDS);
-        b.observe_with_bounds("h", 40, &B_BOUNDS); // bucket ≤50
-        b.observe_with_bounds("h", 400, &B_BOUNDS); // bucket ≤500
-        b.observe_with_bounds("h", 9_000, &B_BOUNDS); // overflow
-        a.merge_from(&b);
-        let snap = a.snapshot();
-        let h = snap.histogram("h").unwrap();
-        assert_eq!(h.bounds, vec![10, 100]);
-        assert_eq!(h.count, 4);
-        // b's ≤50 bucket re-buckets under a's ≤100; ≤500 and overflow
-        // both land in a's overflow slot.
-        assert_eq!(h.counts, vec![1, 1, 2]);
-        assert_eq!(h.max, 9_000);
+    /// A sketch's `(zeros, bucket counts)` as serialized — the state
+    /// its accessors do not expose.
+    fn zeros_and_buckets(s: &QuantileSketch) -> (u64, Vec<u64>) {
+        let v = json::parse(&s.to_json_line("s")).unwrap();
+        let Some(Value::Array(counts)) = v.get("counts") else {
+            panic!("sketch line without counts: {v:?}");
+        };
+        (
+            v.get("zeros").and_then(Value::as_u64).unwrap(),
+            counts.iter().map(|n| n.as_u64().unwrap()).collect(),
+        )
     }
 
-    /// Companion to the PR-3 `SimTime` saturating-arithmetic fixes: a
-    /// fleet merge tree can fold arbitrarily many shards, so every
-    /// histogram aggregate must pin at `u64::MAX` instead of wrapping
-    /// (release) or panicking (debug).
+    /// Companion to the `SimTime` saturating-arithmetic fixes: a fleet
+    /// merge tree can fold arbitrarily many shards, so every sketch
+    /// aggregate must pin at `u64::MAX` instead of wrapping (release)
+    /// or panicking (debug).
     #[test]
-    fn histogram_merge_saturates_at_u64_boundaries() {
-        // `sum` saturation: two near-MAX observations merged together.
+    fn sketch_merge_saturates_at_u64_boundaries() {
+        // `sum` saturation: near-MAX observations merged together.
         let a = MetricsRegistry::new();
         let b = MetricsRegistry::new();
         a.observe("h", u64::MAX - 10);
+        a.observe("h", 0);
         b.observe("h", u64::MAX);
+        a.observe("top", u64::MAX - 10);
+        b.observe("top", u64::MAX);
         a.merge_from(&b);
-        let h = a.snapshot().histogram("h").cloned().unwrap();
-        assert_eq!(h.sum, u64::MAX);
-        assert_eq!(h.count, 2);
-        assert_eq!(h.min, u64::MAX - 10);
-        assert_eq!(h.max, u64::MAX);
+        let s = a.snapshot().sketch("h").cloned().unwrap();
+        assert_eq!(s.sum(), u64::MAX);
+        assert_eq!(s.count(), 3);
+        assert_eq!(s.min(), 0);
+        assert_eq!(s.max(), u64::MAX);
 
-        // `count` and bucket-count saturation: ping-pong merging doubles
-        // the counts each round, crossing the u64 boundary in < 130
-        // rounds. Exercised on snapshots (the same merge arithmetic the
-        // shard re-aggregation path uses).
-        let mut x = h.clone();
-        let mut y = h;
+        // `count`, `zeros` and bucket-count saturation: ping-pong
+        // merging doubles the counts each round, crossing the u64
+        // boundary in < 130 rounds. Exercised on snapshots (the same
+        // merge the shard re-aggregation path uses).
+        let mut x = s.clone();
+        let mut y = s;
         for _ in 0..130 {
             x.merge_from(&y);
             y.merge_from(&x);
         }
-        assert_eq!(x.count, u64::MAX);
-        assert_eq!(y.count, u64::MAX);
-        assert_eq!(x.sum, u64::MAX);
-        // Every observation sat in the overflow bucket (values near
-        // u64::MAX), so that bucket count saturated too.
-        assert_eq!(*x.counts.last().unwrap(), u64::MAX);
-        // Percentiles on a saturated histogram stay well-defined.
-        assert_eq!(x.percentile(50), u64::MAX);
+        for s in [&x, &y] {
+            assert_eq!(s.count(), u64::MAX);
+            assert_eq!(s.sum(), u64::MAX);
+            let (zeros, buckets) = zeros_and_buckets(s);
+            assert_eq!(zeros, u64::MAX);
+            assert!(buckets.iter().all(|&n| n == u64::MAX), "{buckets:?}");
+        }
+        // Quantiles on a saturated sketch stay defined: every rank
+        // lands in the pinned zero bucket.
+        for q in [1, 500, 950, 990, 1000] {
+            assert_eq!(x.quantile_per_mille(q), 0, "q={q}");
+        }
+        // Merging an empty sketch changes nothing.
+        let before = x.clone();
+        x.merge_from(&QuantileSketch::new());
+        assert_eq!(x, before);
+
         // And the registry-level merge agrees: merging the saturated
         // registry into a fresh one keeps the pinned values.
         let c = MetricsRegistry::new();
@@ -480,19 +251,30 @@ mod tests {
             b.merge_from(&a);
         }
         c.merge_from(&a);
-        let merged = c.snapshot().histogram("h").cloned().unwrap();
-        assert_eq!(merged.count, u64::MAX);
-        assert_eq!(merged.min, 1);
+        let snap = c.snapshot();
+        let merged = snap.sketch("h").unwrap();
+        assert_eq!(merged.count(), u64::MAX);
+        assert_eq!(merged.sum(), u64::MAX);
+        assert_eq!(zeros_and_buckets(merged).0, u64::MAX);
+        assert_eq!(merged.min(), 0);
+        assert_eq!(merged.max(), u64::MAX);
+        // Without zeros, the ranked walk crosses the pinned top bucket.
+        let top = snap.sketch("top").unwrap();
+        assert_eq!(top.count(), u64::MAX);
+        assert_eq!(zeros_and_buckets(top), (0, vec![u64::MAX]));
+        for q in [1, 500, 1000] {
+            assert_eq!(top.quantile_per_mille(q), u64::MAX, "q={q}");
+        }
     }
 
     #[test]
     fn sketches_observe_merge_and_snapshot() {
         let a = MetricsRegistry::new();
         let b = MetricsRegistry::new();
-        a.sketch_observe("s", 1_000);
-        a.sketch_observe("s", 3_000);
-        b.sketch_observe("s", 2_000);
-        b.sketch_observe("only_b", 7);
+        a.observe("s", 1_000);
+        a.observe("s", 3_000);
+        b.observe("s", 2_000);
+        b.observe("only_b", 7);
         a.merge_from(&b);
         let snap = a.snapshot();
         let s = snap.sketch("s").unwrap();
@@ -506,58 +288,8 @@ mod tests {
         // which registry each sample passed through.
         let direct = MetricsRegistry::new();
         for v in [1_000, 3_000, 2_000] {
-            direct.sketch_observe("s", v);
+            direct.observe("s", v);
         }
         assert_eq!(direct.snapshot().sketch("s"), Some(s));
-    }
-
-    #[test]
-    fn percentile_nearest_rank_over_buckets() {
-        static BOUNDS: [u64; 4] = [10, 20, 30, 40];
-        let reg = MetricsRegistry::new();
-        for v in [5, 15, 25, 35] {
-            reg.observe_with_bounds("h", v, &BOUNDS);
-        }
-        let snap = reg.snapshot();
-        let h = snap.histogram("h").unwrap();
-        // Ranks: p25→1st bucket, p50→2nd, p75→3rd, p100→4th; the
-        // estimate is the bucket upper bound, clamped into [min, max].
-        assert_eq!(h.percentile(25), 10);
-        assert_eq!(h.percentile(50), 20);
-        assert_eq!(h.percentile(75), 30);
-        assert_eq!(h.percentile(100), 35); // clamped to max
-        assert_eq!(h.percentile(1), 10);
-        // Empty snapshot: every percentile is 0.
-        let empty = HistogramSnapshot {
-            bounds: vec![10],
-            counts: vec![0, 0],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        };
-        assert_eq!(empty.percentile(50), 0);
-        // Merging an empty snapshot is a no-op (min not dragged to 0).
-        let mut h2 = h.clone();
-        h2.merge_from(&empty);
-        assert_eq!(&h2, h);
-    }
-
-    #[test]
-    fn histogram_mean_and_empty_defaults() {
-        let reg = MetricsRegistry::new();
-        reg.observe("lat", 100);
-        reg.observe("lat", 300);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histogram("lat").unwrap().mean(), 200);
-        let empty = HistogramSnapshot {
-            bounds: vec![],
-            counts: vec![0],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        };
-        assert_eq!(empty.mean(), 0);
     }
 }

@@ -15,12 +15,16 @@
 //!
 //! A [`PhaseProfile`] aggregates those spans from any source — a live
 //! [`Recorder`](crate::Recorder), a record slice, or a streamed
-//! JSON-lines shard file — into per-phase sample sets with nearest-rank
-//! percentiles over the *raw* samples (not histogram buckets), so two
-//! profiles built from the same spans via different paths compare equal.
-//! That equality is the streaming pipeline's lossless-export proof: the
-//! profile parsed back from per-worker shard files must `==` the profile
-//! taken from the in-memory merged recorder.
+//! JSON-lines shard file — into one [`QuantileSketch`] of wall-clock and
+//! one of simulated durations per phase. Counts, totals and maxima are
+//! exact; p50/p95 are sketch estimates (the exact nearest-rank value
+//! `x` and the estimate `e` satisfy `x ≤ e ≤ x·γ`, at most 2.2 % high,
+//! exact for one value or all-equal samples). Sketch state depends only
+//! on the multiset of samples, so two profiles built from the same spans
+//! via different paths compare equal. That equality is the streaming
+//! pipeline's lossless-export proof: the profile parsed back from
+//! per-worker shard files must `==` the profile taken from the
+//! in-memory merged recorder.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,6 +33,8 @@ use crate::export::fmt_ns;
 use crate::json::{self, Value};
 use crate::record::Record;
 use crate::recorder::Recorder;
+use crate::shard::{check_schema_version, field_str, field_u64};
+use crate::sketch::QuantileSketch;
 
 /// The canonical pipeline phase names, in execution order.
 pub const PHASES: [&str; 6] = [
@@ -43,87 +49,40 @@ pub const PHASES: [&str; 6] = [
 /// Span-name prefix marking a phase span.
 pub const PHASE_PREFIX: &str = "phase.";
 
-/// Timing samples for one phase. Sample vectors are kept sorted, so the
-/// derived equality is order-independent: profiles built from the same
-/// spans observed in different orders (e.g. different worker
-/// interleavings) compare equal.
+/// Timing of one phase: a sketch of wall-clock durations (one sample
+/// per span) and one of simulated durations (spans that carry simulated
+/// time). Building one costs a bucket lookup per sample, its size is
+/// bounded by the occupied buckets rather than the sample count, and
+/// equality is order-independent: profiles built from the same spans
+/// observed in different orders (e.g. different worker interleavings)
+/// compare equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseStats {
-    wall_ns: Vec<u64>,
-    sim_ns: Vec<u64>,
-}
-
-fn sorted_insert(v: &mut Vec<u64>, x: u64) {
-    let idx = v.partition_point(|&y| y <= x);
-    v.insert(idx, x);
-}
-
-/// Nearest-rank percentile over a sorted sample vector.
-fn percentile_sorted(sorted: &[u64], pct: u8) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let pct = u64::from(pct.min(100));
-    let n = sorted.len() as u64;
-    let rank = ((n * pct).div_ceil(100)).max(1);
-    sorted[(rank - 1) as usize]
+    wall: QuantileSketch,
+    sim: QuantileSketch,
 }
 
 impl PhaseStats {
-    /// Number of samples (spans seen for this phase).
-    pub fn count(&self) -> u64 {
-        self.wall_ns.len() as u64
+    /// Wall-clock durations, one sample per span.
+    pub fn wall(&self) -> &QuantileSketch {
+        &self.wall
     }
 
-    /// Number of samples carrying simulated time.
-    pub fn sim_count(&self) -> u64 {
-        self.sim_ns.len() as u64
-    }
-
-    /// Total wall-clock ns across samples (saturating).
-    pub fn wall_total_ns(&self) -> u64 {
-        self.wall_ns.iter().fold(0u64, |a, &b| a.saturating_add(b))
-    }
-
-    /// Total simulated ns across samples (saturating).
-    pub fn sim_total_ns(&self) -> u64 {
-        self.sim_ns.iter().fold(0u64, |a, &b| a.saturating_add(b))
-    }
-
-    /// Nearest-rank wall-clock percentile (0 when no samples).
-    pub fn wall_percentile(&self, pct: u8) -> u64 {
-        percentile_sorted(&self.wall_ns, pct)
-    }
-
-    /// Nearest-rank simulated-clock percentile (0 when no samples).
-    pub fn sim_percentile(&self, pct: u8) -> u64 {
-        percentile_sorted(&self.sim_ns, pct)
-    }
-
-    /// Largest wall-clock sample (0 when empty).
-    pub fn wall_max_ns(&self) -> u64 {
-        self.wall_ns.last().copied().unwrap_or(0)
-    }
-
-    /// Largest simulated-clock sample (0 when empty).
-    pub fn sim_max_ns(&self) -> u64 {
-        self.sim_ns.last().copied().unwrap_or(0)
+    /// Simulated durations, one sample per span carrying simulated time.
+    pub fn sim(&self) -> &QuantileSketch {
+        &self.sim
     }
 
     fn add_sample(&mut self, wall_ns: u64, sim_ns: Option<u64>) {
-        sorted_insert(&mut self.wall_ns, wall_ns);
+        self.wall.observe(wall_ns);
         if let Some(sim) = sim_ns {
-            sorted_insert(&mut self.sim_ns, sim);
+            self.sim.observe(sim);
         }
     }
 
     fn merge_from(&mut self, other: &PhaseStats) {
-        for &w in &other.wall_ns {
-            sorted_insert(&mut self.wall_ns, w);
-        }
-        for &s in &other.sim_ns {
-            sorted_insert(&mut self.sim_ns, s);
-        }
+        self.wall.merge_from(&other.wall);
+        self.sim.merge_from(&other.sim);
     }
 }
 
@@ -150,11 +109,7 @@ impl PhaseProfile {
         for rec in records {
             if let Record::Span(s) = rec {
                 if let Some(name) = s.name.strip_prefix(PHASE_PREFIX) {
-                    profile
-                        .phases
-                        .entry(name.to_string())
-                        .or_default()
-                        .add_sample(s.wall_dur_ns, s.sim_dur_ns());
+                    profile.add_sample(name, s.wall_dur_ns, s.sim_dur_ns());
                 }
             }
         }
@@ -172,58 +127,58 @@ impl PhaseProfile {
     ///
     /// # Errors
     ///
-    /// A line that is not valid JSON, or a span line whose `"v"` does not
+    /// A line that is not valid JSON, a span line whose `"v"` does not
     /// match [`crate::SCHEMA_VERSION`] (format drift must be loud, not a
-    /// silently empty profile).
+    /// silently empty profile), a span line without a string `"name"`,
+    /// or a phase span line without an integer `"wall_dur_ns"`.
     pub fn from_json_lines(text: &str) -> Result<PhaseProfile, String> {
         let mut profile = PhaseProfile::new();
-        for (lineno, line) in text.lines().enumerate() {
+        for (idx, line) in text.lines().enumerate() {
+            let lineno = idx + 1;
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let v = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
             if v.get("type").and_then(Value::as_str) != Some("span") {
                 continue;
             }
-            let ver = v.get("v").and_then(Value::as_u64);
-            if ver != Some(u64::from(crate::SCHEMA_VERSION)) {
-                return Err(format!(
-                    "line {}: schema version {ver:?}, expected {}",
-                    lineno + 1,
-                    crate::SCHEMA_VERSION
-                ));
-            }
-            let Some(name) = v
-                .get("name")
-                .and_then(Value::as_str)
-                .and_then(|n| n.strip_prefix(PHASE_PREFIX))
-            else {
-                continue;
-            };
-            let wall = v
-                .get("wall_dur_ns")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("line {}: span without wall_dur_ns", lineno + 1))?;
-            let sim = match (
-                v.get("sim_start_ns").and_then(Value::as_u64),
-                v.get("sim_end_ns").and_then(Value::as_u64),
-            ) {
-                (Some(s), Some(e)) => Some(e.saturating_sub(s)),
-                _ => None,
-            };
-            profile
-                .phases
-                .entry(name.to_string())
-                .or_default()
-                .add_sample(wall, sim);
+            check_schema_version(&v, lineno)?;
+            profile.add_span_line(&v, lineno)?;
         }
         Ok(profile)
     }
 
+    /// Fold one parsed `"type":"span"` line in: a `phase.*` span adds
+    /// one sample — its wall duration, plus its simulated duration when
+    /// both simulated stamps are present — and any other span is
+    /// ignored. The one span decoder behind
+    /// [`from_json_lines`](Self::from_json_lines) and
+    /// [`crate::ShardData`].
+    ///
+    /// # Errors
+    ///
+    /// A span without a string `"name"`, or a phase span without an
+    /// integer `"wall_dur_ns"`.
+    pub(crate) fn add_span_line(&mut self, span: &Value, lineno: usize) -> Result<(), String> {
+        let Some(phase) = field_str(span, "name", lineno)?.strip_prefix(PHASE_PREFIX) else {
+            return Ok(());
+        };
+        let wall = field_u64(span, "wall_dur_ns", lineno)?;
+        let sim = match (
+            span.get("sim_start_ns").and_then(Value::as_u64),
+            span.get("sim_end_ns").and_then(Value::as_u64),
+        ) {
+            (Some(s), Some(e)) => Some(e.saturating_sub(s)),
+            _ => None,
+        };
+        self.add_sample(phase, wall, sim);
+        Ok(())
+    }
+
     /// Add one sample directly (phase name without the `phase.`
-    /// prefix). This is the primitive the record/JSON constructors and
-    /// [`crate::shard`] re-aggregation build on.
+    /// prefix). This is the primitive the record and span-line
+    /// constructors build on.
     pub fn add_sample(&mut self, phase: &str, wall_ns: u64, sim_ns: Option<u64>) {
         self.phases
             .entry(phase.to_string())
@@ -253,7 +208,7 @@ impl PhaseProfile {
 
     /// Total samples across all phases.
     pub fn total_samples(&self) -> u64 {
-        self.phases.values().map(PhaseStats::count).sum()
+        self.phases.values().map(|s| s.wall.count()).sum()
     }
 
     /// Phase names present, canonical phases first (pipeline order),
@@ -283,9 +238,9 @@ impl PhaseProfile {
         );
         let _ = writeln!(out, "{}", "-".repeat(94));
         for name in self.phase_names() {
-            let s = &self.phases[name];
-            let sim = |v: u64| {
-                if s.sim_count() == 0 {
+            let PhaseStats { wall, sim } = &self.phases[name];
+            let sim_ns = |v: u64| {
+                if sim.is_empty() {
                     "-".to_string()
                 } else {
                     fmt_ns(v)
@@ -295,13 +250,13 @@ impl PhaseProfile {
                 out,
                 "{:<14} {:>7} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
                 name,
-                s.count(),
-                sim(s.sim_percentile(50)),
-                sim(s.sim_percentile(95)),
-                sim(s.sim_max_ns()),
-                fmt_ns(s.wall_percentile(50)),
-                fmt_ns(s.wall_percentile(95)),
-                fmt_ns(s.wall_max_ns()),
+                wall.count(),
+                sim_ns(sim.quantile_per_mille(500)),
+                sim_ns(sim.quantile_per_mille(950)),
+                sim_ns(sim.max()),
+                fmt_ns(wall.quantile_per_mille(500)),
+                fmt_ns(wall.quantile_per_mille(950)),
+                fmt_ns(wall.max()),
             );
         }
         out
@@ -312,6 +267,20 @@ impl PhaseProfile {
 mod tests {
     use super::*;
     use crate::record::SpanRecord;
+
+    /// The sketch contract for an estimate `e` of the exact
+    /// nearest-rank sample `x`: `x ≤ e ≤ x·γ`, with the integer slack
+    /// `tests/prop_sketch.rs` allows.
+    fn assert_in_gamma_bracket(estimate: u64, exact: u64) {
+        let bound = u128::from(exact)
+            * (1000 + u128::from(QuantileSketch::MAX_RELATIVE_ERROR_PER_MILLE) + 1)
+            / 1000
+            + 1;
+        assert!(
+            exact <= estimate && u128::from(estimate) <= bound,
+            "estimate {estimate} outside [{exact}, {bound}]"
+        );
+    }
 
     fn phase_span(name: &'static str, wall: u64, sim: Option<(u64, u64)>) -> Record {
         Record::Span(SpanRecord {
@@ -338,13 +307,13 @@ mod tests {
         let p = PhaseProfile::from_records(&records);
         assert_eq!(p.total_samples(), 3);
         let d = p.get("decrypt").unwrap();
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sim_percentile(50), 1_000);
-        assert_eq!(d.sim_max_ns(), 3_000);
-        assert_eq!(d.wall_total_ns(), 400);
+        assert_eq!(d.wall().count(), 2);
+        assert_in_gamma_bracket(d.sim().quantile_per_mille(500), 1_000);
+        assert_eq!(d.sim().max(), 3_000);
+        assert_eq!(d.wall().sum(), 400);
         let a = p.get("attest").unwrap();
-        assert_eq!(a.sim_count(), 0);
-        assert_eq!(a.wall_percentile(95), 50);
+        assert!(a.sim().is_empty());
+        assert_eq!(a.wall().quantile_per_mille(950), 50);
         assert!(p.get("window").is_none());
     }
 
@@ -375,6 +344,11 @@ mod tests {
             .unwrap_err()
             .contains("schema version"));
         assert!(PhaseProfile::from_json_lines("not json").is_err());
+        let no_wall = "{\"type\":\"span\",\"v\":1,\"name\":\"phase.apply\"}";
+        assert_eq!(
+            PhaseProfile::from_json_lines(no_wall).unwrap_err(),
+            "line 1: missing/invalid \"wall_dur_ns\""
+        );
     }
 
     #[test]
@@ -389,7 +363,7 @@ mod tests {
         let mut ba = b.clone();
         ba.merge_from(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.get("decrypt").unwrap().count(), 2);
+        assert_eq!(ab.get("decrypt").unwrap().wall().count(), 2);
     }
 
     #[test]
@@ -412,11 +386,44 @@ mod tests {
         for v in [40, 10, 30, 20] {
             s.add_sample(v, None);
         }
-        assert_eq!(s.wall_percentile(25), 10);
-        assert_eq!(s.wall_percentile(50), 20);
-        assert_eq!(s.wall_percentile(75), 30);
-        assert_eq!(s.wall_percentile(100), 40);
-        assert_eq!(s.wall_percentile(1), 10);
-        assert_eq!(PhaseStats::default().wall_percentile(50), 0);
+        // Each percentile is a sketch estimate inside the γ bracket of
+        // the exact nearest-rank sample...
+        for (q, exact) in [(250, 10), (500, 20), (750, 30), (1000, 40), (10, 10)] {
+            assert_in_gamma_bracket(s.wall().quantile_per_mille(q), exact);
+        }
+        // ...while count, total and max stay exact.
+        assert_eq!(s.wall().count(), 4);
+        assert_eq!(s.wall().sum(), 100);
+        assert_eq!(s.wall().max(), 40);
+        assert_eq!(PhaseStats::default().wall().quantile_per_mille(500), 0);
+    }
+
+    /// A profile's state is bounded by the distinct values it has seen,
+    /// not by its sample count, and does not depend on arrival order:
+    /// 100 000 samples over 1 000 distinct values occupy exactly the
+    /// buckets those values occupy seen once each.
+    #[test]
+    fn profile_size_tracks_distinct_values_not_samples() {
+        // 7 919 is coprime to 1 000, so i ↦ i·7 919 mod 1 000 cycles
+        // through every k in 0..1 000; the values span ~20 octaves.
+        let value = |i: u64| {
+            let k = i * 7_919 % 1_000 + 1;
+            k * k * 53
+        };
+        let build = |order: &mut dyn Iterator<Item = u64>| {
+            let mut p = PhaseProfile::new();
+            for v in order.map(value) {
+                p.add_sample("decrypt", v / 10, Some(v));
+            }
+            p
+        };
+        let many = build(&mut (0..100_000));
+        let once = build(&mut (0..1_000));
+        let (m, o) = (many.get("decrypt").unwrap(), once.get("decrypt").unwrap());
+        assert_eq!(m.wall().count(), 100_000);
+        assert_eq!(o.wall().count(), 1_000);
+        assert_eq!(m.wall().bucket_len(), o.wall().bucket_len());
+        assert_eq!(m.sim().bucket_len(), o.sim().bucket_len());
+        assert_eq!(build(&mut (0..100_000).rev()), many);
     }
 }

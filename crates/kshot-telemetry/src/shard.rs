@@ -10,11 +10,9 @@
 //! - counter totals (adding across repeated lines, e.g. one metrics
 //!   block per machine),
 //! - gauges (last writer wins, matching the registry semantics),
-//! - histogram totals (bucket-merged via
-//!   [`HistogramSnapshot::merge_from`], the same arithmetic the live
-//!   registry merge uses),
-//! - quantile-sketch totals ([`QuantileSketch::merge_from`] —
-//!   merge-order-independent by construction),
+//! - quantile-sketch totals ([`QuantileSketch::merge_from`], the same
+//!   arithmetic the live registry merge uses — merge-order-independent
+//!   by construction),
 //! - every other typed object (e.g. a fleet's `"type":"machine"`
 //!   outcome lines) verbatim in [`ShardData::other`], so higher layers
 //!   can extend the shard format without this crate knowing about it.
@@ -33,8 +31,8 @@ use std::path::{Path, PathBuf};
 
 use crate::json::{self, Value};
 use crate::merkle::{self, DigestTree, FrontierNode};
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-use crate::phase::{PhaseProfile, PHASE_PREFIX};
+use crate::metrics::MetricsSnapshot;
+use crate::phase::PhaseProfile;
 use crate::sketch::QuantileSketch;
 
 /// Why a shard read failed. [`ShardData::tail_file`] distinguishes
@@ -98,8 +96,6 @@ pub struct ShardData {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values, last writer wins.
     pub gauges: BTreeMap<String, i64>,
-    /// Histogram totals, bucket-merged across all parsed lines.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Quantile-sketch totals, merged across all parsed lines.
     pub sketches: BTreeMap<String, QuantileSketch>,
     /// Phase profile from `phase.*` span lines.
@@ -113,28 +109,28 @@ pub struct ShardData {
     pub other: Vec<Value>,
 }
 
-fn field_u64(v: &Value, key: &str, lineno: usize) -> Result<u64, String> {
+pub(crate) fn field_u64(v: &Value, key: &str, lineno: usize) -> Result<u64, String> {
     v.get(key)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("line {lineno}: missing/invalid {key:?}"))
 }
 
-fn field_str<'a>(v: &'a Value, key: &str, lineno: usize) -> Result<&'a str, String> {
+pub(crate) fn field_str<'a>(v: &'a Value, key: &str, lineno: usize) -> Result<&'a str, String> {
     v.get(key)
         .and_then(Value::as_str)
         .ok_or_else(|| format!("line {lineno}: missing/invalid {key:?}"))
 }
 
-fn u64_array(v: &Value, key: &str, lineno: usize) -> Result<Vec<u64>, String> {
-    match v.get(key) {
-        Some(Value::Array(items)) => items
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .ok_or_else(|| format!("line {lineno}: non-integer in {key:?}"))
-            })
-            .collect(),
-        _ => Err(format!("line {lineno}: missing/invalid {key:?}")),
+/// Reject a line whose `"v"` is not [`crate::SCHEMA_VERSION`].
+pub(crate) fn check_schema_version(v: &Value, lineno: usize) -> Result<(), String> {
+    let ver = v.get("v").and_then(Value::as_u64);
+    if ver == Some(u64::from(crate::SCHEMA_VERSION)) {
+        Ok(())
+    } else {
+        Err(format!(
+            "line {lineno}: schema version {ver:?}, expected {}",
+            crate::SCHEMA_VERSION
+        ))
     }
 }
 
@@ -162,28 +158,11 @@ impl ShardData {
                 continue;
             }
             let v = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-            let ver = v.get("v").and_then(Value::as_u64);
-            if ver != Some(u64::from(crate::SCHEMA_VERSION)) {
-                return Err(format!(
-                    "line {lineno}: schema version {ver:?}, expected {}",
-                    crate::SCHEMA_VERSION
-                ));
-            }
+            check_schema_version(&v, lineno)?;
             match field_str(&v, "type", lineno)? {
                 "span" => {
                     self.spans += 1;
-                    let name = field_str(&v, "name", lineno)?;
-                    if let Some(phase) = name.strip_prefix(PHASE_PREFIX) {
-                        let wall = field_u64(&v, "wall_dur_ns", lineno)?;
-                        let sim = match (
-                            v.get("sim_start_ns").and_then(Value::as_u64),
-                            v.get("sim_end_ns").and_then(Value::as_u64),
-                        ) {
-                            (Some(s), Some(e)) => Some(e.saturating_sub(s)),
-                            _ => None,
-                        };
-                        self.phases.add_sample(phase, wall, sim);
-                    }
+                    self.phases.add_span_line(&v, lineno)?;
                 }
                 "event" => self.events += 1,
                 "counter" => {
@@ -199,26 +178,6 @@ impl ShardData {
                         .and_then(Value::as_i64)
                         .ok_or_else(|| format!("line {lineno}: missing/invalid \"value\""))?;
                     self.gauges.insert(name.to_string(), value);
-                }
-                "histogram" => {
-                    let name = field_str(&v, "name", lineno)?;
-                    let snap = HistogramSnapshot {
-                        bounds: u64_array(&v, "bounds", lineno)?,
-                        counts: u64_array(&v, "counts", lineno)?,
-                        count: field_u64(&v, "count", lineno)?,
-                        sum: field_u64(&v, "sum", lineno)?,
-                        min: field_u64(&v, "min", lineno)?,
-                        max: field_u64(&v, "max", lineno)?,
-                    };
-                    if snap.counts.len() != snap.bounds.len() + 1 {
-                        return Err(format!("line {lineno}: histogram bucket shape mismatch"));
-                    }
-                    match self.histograms.get_mut(name) {
-                        Some(existing) => existing.merge_from(&snap),
-                        None => {
-                            self.histograms.insert(name.to_string(), snap);
-                        }
-                    }
                 }
                 "sketch" => {
                     let name = field_str(&v, "name", lineno)?;
@@ -325,8 +284,8 @@ impl ShardData {
     }
 
     /// Fold another aggregate into this one with the registry-merge
-    /// semantics: counters add, gauges last-writer-wins, histograms
-    /// bucket-merge, phases merge sample-wise, `other` lines append.
+    /// semantics: counters add, gauges last-writer-wins, sketches and
+    /// phases merge bucket-wise, `other` lines append.
     pub fn merge_from(&mut self, other: &ShardData) {
         for (name, v) in &other.counters {
             let slot = self.counters.entry(name.clone()).or_insert(0);
@@ -334,14 +293,6 @@ impl ShardData {
         }
         for (name, v) in &other.gauges {
             self.gauges.insert(name.clone(), *v);
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(existing) => existing.merge_from(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
         }
         for (name, s) in &other.sketches {
             self.sketches.entry(name.clone()).or_default().merge_from(s);
@@ -379,11 +330,6 @@ impl ShardData {
     /// Counter total by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Histogram total by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.get(name)
     }
 
     /// Quantile-sketch total by name.
@@ -469,7 +415,7 @@ impl ShardData {
 
     /// Check this aggregate's metric totals against an in-memory
     /// snapshot, field by field. `Ok(())` means every counter, gauge,
-    /// and histogram matches exactly in both directions — the lossless
+    /// and sketch matches exactly in both directions — the lossless
     /// streaming proof for metrics.
     ///
     /// # Errors
@@ -503,20 +449,6 @@ impl ShardData {
         if self.gauges.len() != snap.gauges.len() {
             return Err("gauge present only in shards".to_string());
         }
-        for (name, h) in &snap.histograms {
-            match self.histogram(name) {
-                Some(mine) if mine == h => {}
-                Some(mine) => {
-                    return Err(format!(
-                        "histogram {name:?}: shards={mine:?} in-memory={h:?}"
-                    ))
-                }
-                None => return Err(format!("histogram {name:?} missing from shards")),
-            }
-        }
-        if self.histograms.len() != snap.histograms.len() {
-            return Err("histogram present only in shards".to_string());
-        }
         for (name, s) in &snap.sketches {
             match self.sketches.get(*name) {
                 Some(mine) if mine == s => {}
@@ -542,7 +474,7 @@ mod tests {
     #[test]
     fn parses_metric_lines_and_sums_across_blocks() {
         // Two machines' metrics blocks into one shard: counters add,
-        // histograms bucket-merge, exactly like a registry merge.
+        // sketches bucket-merge, exactly like a registry merge.
         let m1 = MetricsRegistry::new();
         m1.counter_add("fleet.machines_patched", 1);
         m1.observe("smm.dwell", 45_000);
@@ -556,9 +488,11 @@ mod tests {
         );
         let shard = ShardData::parse(&text).unwrap();
         assert_eq!(shard.counter("fleet.machines_patched"), 2);
-        let h = shard.histogram("smm.dwell").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 92_000);
+        let s = shard.sketch("smm.dwell").unwrap();
+        assert_eq!(s.count(), 2);
+        assert_eq!(s.sum(), 92_000);
+        assert_eq!(s.min(), 45_000);
+        assert_eq!(s.max(), 47_000);
 
         // And the merged in-memory registry agrees.
         let merged = MetricsRegistry::new();
@@ -585,7 +519,9 @@ mod tests {
         shard.assert_metrics_match(&rec.metrics_snapshot()).unwrap();
         let profile = crate::PhaseProfile::from_recorder(&rec);
         assert_eq!(shard.phases, profile);
-        assert_eq!(shard.phases.get("decrypt").unwrap().sim_max_ns(), 22_000);
+        assert_eq!(shard.phases.get("decrypt").unwrap().sim().max(), 22_000);
+        let latency = shard.sketch("kshot.latency").unwrap();
+        assert_eq!((latency.count(), latency.sum()), (1, 5_000));
     }
 
     #[test]
@@ -608,11 +544,23 @@ mod tests {
             .contains("schema version"));
         assert!(ShardData::parse("{\"no\":\"type\"}").is_err());
         assert!(ShardData::parse("garbage").is_err());
-        let bad_hist = "{\"type\":\"histogram\",\"v\":1,\"name\":\"h\",\"count\":1,\
-                        \"sum\":1,\"min\":1,\"max\":1,\"bounds\":[10],\"counts\":[1]}";
-        assert!(ShardData::parse(bad_hist)
+        let bad_shape = "{\"type\":\"sketch\",\"v\":1,\"name\":\"s\",\"count\":1,\
+                         \"sum\":1,\"zeros\":0,\"min\":1,\"max\":1,\"idx\":[1,2],\"counts\":[1]}";
+        assert!(ShardData::parse(bad_shape)
             .unwrap_err()
             .contains("bucket shape"));
+        // A non-empty sketch with min > max (its first quantile query
+        // would panic in `clamp`), ahead of the machine line that would
+        // carry it into the health monitor: a parse error naming the
+        // line.
+        let inverted = "{\"type\":\"sketch\",\"v\":1,\"name\":\"machine.smm_dwell_ns\",\
+                        \"count\":1,\"sum\":1,\"zeros\":0,\"min\":100,\"max\":50,\
+                        \"idx\":[200],\"counts\":[1]}\n\
+                        {\"type\":\"machine\",\"v\":1,\"machine\":0,\"ok\":true}\n";
+        assert_eq!(
+            ShardData::parse(inverted).unwrap_err(),
+            "line 1: sketch min 100 > max 50"
+        );
     }
 
     #[test]
@@ -697,9 +645,11 @@ mod tests {
         let off2 = tail.tail_file(&path, off1).unwrap();
         assert_eq!(off2, (block1.len() + block2.len()) as u64);
         assert_eq!(tail.counter("tail.machines"), 2);
-        let h = tail.histogram("tail.latency").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 84_000);
+        let s = tail.sketch("tail.latency").unwrap();
+        assert_eq!(s.count(), 2);
+        assert_eq!(s.sum(), 84_000);
+        assert_eq!(s.min(), 40_000);
+        assert_eq!(s.max(), 44_000);
 
         // The incremental aggregate equals the one-shot full parse.
         assert_eq!(tail, ShardData::parse_file(&path).unwrap());
@@ -759,10 +709,10 @@ mod tests {
     #[test]
     fn parses_and_merges_sketch_lines() {
         let m1 = MetricsRegistry::new();
-        m1.sketch_observe("machine.smm_dwell_ns", 45_000);
-        m1.sketch_observe("machine.smm_dwell_ns", 61_000);
+        m1.observe("machine.smm_dwell_ns", 45_000);
+        m1.observe("machine.smm_dwell_ns", 61_000);
         let m2 = MetricsRegistry::new();
-        m2.sketch_observe("machine.smm_dwell_ns", 47_000);
+        m2.observe("machine.smm_dwell_ns", 47_000);
         let text = format!(
             "{}{}",
             metrics_json_lines(&m1.snapshot()),
@@ -780,7 +730,7 @@ mod tests {
 
         // A sketch mismatch (or absence) is reported specifically.
         let drifted = MetricsRegistry::new();
-        drifted.sketch_observe("machine.smm_dwell_ns", 1);
+        drifted.observe("machine.smm_dwell_ns", 1);
         let err = shard.assert_metrics_match(&drifted.snapshot()).unwrap_err();
         assert!(err.contains("sketch"), "{err}");
     }
@@ -795,7 +745,7 @@ mod tests {
             reg.counter_add("t.machines", w + 1);
             reg.gauge_set("t.last_worker", w as i64);
             reg.observe("t.lat", 10_000 * (w + 1));
-            reg.sketch_observe("t.dwell", 40_000 + w);
+            reg.observe("t.dwell", 40_000 + w);
             let mut text = metrics_json_lines(&reg.snapshot());
             text.push_str(&format!(
                 "{{\"type\":\"machine\",\"v\":1,\"machine\":{w},\"ok\":true}}\n"

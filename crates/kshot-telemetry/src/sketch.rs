@@ -17,10 +17,10 @@
 //!   bucket-wise saturating merges are commutative **and** associative:
 //!   tree-merging worker shards in any shape yields byte-identical
 //!   serialized state to a sequential fold.
-//! - Quantile queries use the same nearest-rank convention as
-//!   [`HistogramSnapshot::percentile`](crate::HistogramSnapshot): the
-//!   estimate is the bucket's upper bound clamped into `[min, max]`,
-//!   which makes single-value and all-equal sketches exact.
+//! - Quantile queries are nearest-rank over the cumulative bucket
+//!   counts: the estimate is the ranked bucket's upper bound clamped
+//!   into `[min, max]`, which makes single-value and all-equal sketches
+//!   exact.
 //!
 //! The relative-error contract: for any quantile, the estimate `e` and
 //! the exact nearest-rank sample `x` satisfy `x ≤ e ≤ x·γ` (plus at
@@ -30,10 +30,14 @@
 //! this against exact sorted-sample quantiles over randomized
 //! distributions including the `u64::MAX` saturation edge.
 //!
+//! This is the crate's one distribution type: registry metrics
+//! ([`crate::observe`]), the per-phase timings of a
+//! [`crate::PhaseProfile`], and the health plane's dwell and latency
+//! signals all summarize through it.
+//!
 //! Serialization is one `{"type":"sketch",...}` JSON line under the
 //! existing [`crate::SCHEMA_VERSION`]; [`crate::ShardData`] parses it
-//! back and merges sketches across shards exactly like counters and
-//! histograms.
+//! back and merges sketches across shards exactly like counters.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -96,7 +100,7 @@ pub struct QuantileSketch {
     zeros: u64,
     count: u64,
     sum: u64,
-    /// `u64::MAX` when empty — same sentinel the histograms use.
+    /// `u64::MAX` when empty.
     min: u64,
     max: u64,
 }
@@ -144,9 +148,9 @@ impl QuantileSketch {
         u64::try_from(rep).unwrap_or(u64::MAX)
     }
 
-    /// Record one observation. `sum` saturates at `u64::MAX` (the same
-    /// sentinel convention as the histogram aggregates), so saturated
-    /// states still round-trip and merge exactly.
+    /// Record one observation. Counts and the sum saturate at
+    /// `u64::MAX`, so saturated states still round-trip and merge
+    /// exactly.
     pub fn observe(&mut self, value: u64) {
         if value == 0 {
             self.zeros = self.zeros.saturating_add(1);
@@ -186,7 +190,7 @@ impl QuantileSketch {
         self.sum
     }
 
-    /// Smallest observation (0 when empty, matching the histograms).
+    /// Smallest observation (0 when empty).
     pub fn min(&self) -> u64 {
         if self.count == 0 {
             0
@@ -249,18 +253,6 @@ impl QuantileSketch {
         self.max
     }
 
-    /// The bracket the error contract puts around the exact
-    /// nearest-rank sample `x` for quantile `q`: the estimate `e`
-    /// satisfies `x ≤ e ≤ x·γ`, so `x` lies in `[e·1000/(1000+γ‰), e]`.
-    /// Lets report consumers state "p95 is between A and B ns" without
-    /// re-deriving the γ arithmetic.
-    pub fn quantile_bounds_per_mille(&self, q: u64) -> (u64, u64) {
-        let e = self.quantile_per_mille(q);
-        let lower =
-            (u128::from(e) * 1000 / (1000 + u128::from(Self::MAX_RELATIVE_ERROR_PER_MILLE))) as u64;
-        (lower, e)
-    }
-
     /// Serialize as one JSON line under the crate schema version:
     /// `{"type":"sketch","v":1,"name":...,"count":...,"sum":...,
     /// "zeros":...,"min":...,"max":...,"idx":[...],"counts":[...]}`.
@@ -301,7 +293,9 @@ impl QuantileSketch {
     /// # Errors
     ///
     /// Missing or malformed fields, mismatched `idx`/`counts` lengths,
-    /// or an out-of-universe bucket index — shard drift fails loudly.
+    /// an out-of-universe bucket index, or a non-empty sketch whose
+    /// `min` exceeds its `max` — shard drift and hostile lines fail
+    /// loudly here instead of panicking a later quantile query.
     pub fn from_json_value(v: &Value, lineno: usize) -> Result<QuantileSketch, String> {
         let field = |key: &str| {
             v.get(key)
@@ -339,13 +333,18 @@ impl QuantileSketch {
             *slot = slot.saturating_add(n);
         }
         let count = field("count")?;
+        let min = if count == 0 { u64::MAX } else { field("min")? };
+        let max = field("max")?;
+        if count > 0 && min > max {
+            return Err(format!("line {lineno}: sketch min {min} > max {max}"));
+        }
         Ok(QuantileSketch {
             buckets,
             zeros: field("zeros")?,
             count,
             sum: field("sum")?,
-            min: if count == 0 { u64::MAX } else { field("min")? },
-            max: field("max")?,
+            min,
+            max,
         })
     }
 }
@@ -408,6 +407,7 @@ mod tests {
         let mut s = QuantileSketch::new();
         assert_eq!(s.quantile_per_mille(500), 0);
         assert_eq!(s.min(), 0);
+        assert_eq!(s.mean(), 0);
         s.observe(45_000);
         for q in [1, 500, 950, 1000] {
             assert_eq!(s.quantile_per_mille(q), 45_000, "single sample at q={q}");
@@ -522,6 +522,17 @@ mod tests {
         assert!(QuantileSketch::from_json_value(&oob, 4)
             .unwrap_err()
             .contains("out of range"));
+        // A non-empty sketch with min > max would panic the first
+        // quantile query's clamp; it is rejected, naming the line.
+        let inverted = crate::json::parse(
+            "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
+             \"zeros\":0,\"min\":100,\"max\":50,\"idx\":[200],\"counts\":[1]}",
+        )
+        .unwrap();
+        assert_eq!(
+            QuantileSketch::from_json_value(&inverted, 4).unwrap_err(),
+            "line 4: sketch min 100 > max 50"
+        );
     }
 
     #[test]

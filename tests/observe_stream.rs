@@ -2,7 +2,7 @@
 //! 32-machine campaign streams per-worker JSON-lines shards while it
 //! runs, and re-aggregating those shards from disk must reproduce the
 //! in-memory merged telemetry *exactly* — same counter totals, same
-//! histogram buckets, same per-phase timing samples. Alongside, the SMM
+//! sketch buckets, same per-phase timing sketches. Alongside, the SMM
 //! dwell-time watchdog must flag the one machine whose SMM stages were
 //! artificially slowed, and nobody else.
 
@@ -80,13 +80,13 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
 
     let merged = parse_shards(&dir, WORKERS);
 
-    // Metrics: every counter, gauge, and histogram equal in both
+    // Metrics: every counter, gauge, and sketch equal in both
     // directions between the shard files and the merged recorder.
     merged
         .assert_metrics_match(&report.recorder.metrics_snapshot())
         .expect("streamed metric totals equal the in-memory merge");
 
-    // Phases: identical sample sets (order-independent), and every
+    // Phases: identical sketches (order-independent), and every
     // pipeline phase observed at least once per machine.
     let in_memory: PhaseProfile = report.phase_profile();
     assert_eq!(merged.phases, in_memory, "phase profiles diverged");
@@ -96,9 +96,9 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
             .get(phase)
             .unwrap_or_else(|| panic!("phase {phase:?} missing from shards"));
         assert!(
-            stats.count() >= MACHINES as u64,
+            stats.wall().count() >= MACHINES as u64,
             "phase {phase:?} has {} samples for {MACHINES} machines",
-            stats.count()
+            stats.wall().count()
         );
     }
 

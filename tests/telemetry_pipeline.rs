@@ -122,7 +122,7 @@ fn live_patch_emits_expected_span_tree() {
         let stats = profile
             .get(phase)
             .unwrap_or_else(|| panic!("phase {phase} missing from profile"));
-        assert_eq!(stats.count(), 1, "{phase} sample count");
+        assert_eq!(stats.wall().count(), 1, "{phase} sample count");
     }
 
     // Trampoline installation shows up as events inside the apply
