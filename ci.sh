@@ -29,6 +29,23 @@ cargo test -q -p kshot --test fault_sweep
 echo "== channel ordering fuzz =="
 cargo test -q -p kshot-patchserver --test prop_channel_orderings
 
+# Crypto fast paths against their references: Montgomery exponentiation
+# equals BigUint::modpow at 8 and 32 limbs (random odd moduli, the
+# default prime, MODP-2048; edge-case bases and exponents), the golden
+# DH values of both groups, the one-instance-per-group DhParams, and the
+# dispatched SHA-256 equal to the portable compressor (FIPS 180-4
+# vectors, random lengths and three-way update splits). The log names
+# the SHA-256 compressor that ran: sha-ni or portable.
+echo "== crypto fast paths vs reference =="
+cargo test -q -p kshot-crypto montgomery
+cargo test -q -p kshot-crypto golden_dh_values
+cargo test -q -p kshot-crypto sha256::tests::fips_vectors_through_both_compressors
+cargo test -q -p kshot-crypto sha256::tests::dispatched_sha256_equals_portable_over_random_splits
+cargo test -q -p kshot-crypto sha256::tests::dispatched_compressor_is_reported -- --nocapture \
+  | tee target/sha256_path.log
+grep -Eq "sha256 compressor: (sha-ni|portable)" target/sha256_path.log
+cargo test -q -p kshot-core dh_group_params_are_built_once_per_process
+
 # Sparse physical memory gates: random writes, reads, slices, attribute
 # changes and clone-then-diverge sequences against a dense model (reads
 # always match, slices match or fail typed, clones stay isolated), and
@@ -58,7 +75,8 @@ cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
 # merge-order independence over randomized distributions, its u64
 # saturation pins through registry merges, a hostile min > max sketch
 # line failing typed in both ShardData::parse (among the malformed
-# lines) and HealthMonitor::poll,
+# lines) and HealthMonitor::poll, a duplicate, an out-of-range and an
+# ok-less machine line each failing typed and naming the machine,
 # the phase profile's state bounded by distinct values (not samples),
 # and the byte-identical health.jsonl stream across worker counts and
 # pipeline depths (with deterministic Degraded/Halt verdicts under an
@@ -68,6 +86,9 @@ cargo test -q -p kshot-telemetry --test prop_sketch
 cargo test -q -p kshot-telemetry sketch_merge_saturates_at_u64_boundaries
 cargo test -q -p kshot-telemetry rejects_version_drift_and_malformed_lines
 cargo test -q -p kshot-telemetry hostile_sketch_line_is_a_typed_parse_error
+cargo test -q -p kshot-telemetry duplicate_machine_line_is_a_typed_parse_error
+cargo test -q -p kshot-telemetry out_of_range_machine_line_is_a_typed_parse_error
+cargo test -q -p kshot-telemetry machine_line_without_ok_is_a_typed_parse_error
 cargo test -q -p kshot-telemetry profile_size_tracks_distinct_values_not_samples
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/

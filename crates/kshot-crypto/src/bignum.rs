@@ -138,6 +138,18 @@ impl BigUint {
         }
     }
 
+    /// The normalized little-endian limbs.
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
+    /// From little-endian limbs (high zero limbs allowed).
+    pub(crate) fn from_limbs(limbs: Vec<u64>) -> BigUint {
+        let mut n = BigUint { limbs };
+        n.normalize();
+        n
+    }
+
     /// `self + other`.
     pub fn add(&self, other: &BigUint) -> BigUint {
         let (long, short) = if self.limbs.len() >= other.limbs.len() {

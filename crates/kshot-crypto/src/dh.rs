@@ -9,15 +9,37 @@
 //!
 //! Entropy is supplied by the caller as raw bytes so this crate stays
 //! dependency-free; the enclave/SMM components pass in RNG output.
+//!
+//! Every exponentiation runs through the group's precomputed
+//! [`Montgomery`] context: 8 limbs for moduli of up to 512 bits, 32 for
+//! up to 2048. [`BigUint::modpow`] is the reference it is tested
+//! against.
+//!
+//! The two shipped groups differ in strength. [`DhParams::modp_2048`]
+//! is a safe-prime group. [`DhParams::default_group`] is not: its
+//! `p − 1` has small factors, so [`DhKeyPair::agree`] accepts peer
+//! values of small order. The threat model (paper §III) does not rely
+//! on the group: the attacker it considers controls the kernel, not the
+//! DH exchange between the enclave and SMM.
 
 use crate::bignum::BigUint;
+use crate::montgomery::Montgomery;
 use crate::sha256::Sha256;
 
-/// A Diffie–Hellman group (prime modulus and generator).
+/// A Diffie–Hellman group (prime modulus and generator), with the
+/// modulus's Montgomery context built once at construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DhParams {
     p: BigUint,
     g: BigUint,
+    ctx: Exponentiator,
+}
+
+/// The Montgomery context at the narrowest width that holds the modulus.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Exponentiator {
+    Limbs8(Montgomery<8>),
+    Limbs32(Box<Montgomery<32>>),
 }
 
 impl DhParams {
@@ -25,7 +47,10 @@ impl DhParams {
     ///
     /// # Panics
     ///
-    /// Panics if `p < 3` or `g < 2` — such groups are degenerate.
+    /// Panics if `p < 3` or `g < 2` — such groups are degenerate — or if
+    /// `p` is even or wider than 2048 bits, which the Montgomery
+    /// exponentiation cannot serve. Both shipped groups are odd and at
+    /// most 2048 bits.
     pub fn new(p: BigUint, g: BigUint) -> Self {
         assert!(
             p.cmp_to(&BigUint::from_u64(3)) != std::cmp::Ordering::Less,
@@ -35,19 +60,32 @@ impl DhParams {
             g.cmp_to(&BigUint::from_u64(2)) != std::cmp::Ordering::Less,
             "DH generator too small"
         );
-        Self { p, g }
+        assert!(!p.is_even(), "DH modulus must be odd");
+        assert!(p.bit_len() <= 2048, "DH modulus wider than 2048 bits");
+        let ctx = if p.bit_len() <= 512 {
+            Exponentiator::Limbs8(Montgomery::new(&p).expect("odd, 3 ≤ p < 2^512"))
+        } else {
+            Exponentiator::Limbs32(Box::new(
+                Montgomery::new(&p).expect("odd, 2^512 ≤ p < 2^2048"),
+            ))
+        };
+        Self { p, g, ctx }
     }
 
-    /// The default group used by the reproduction: a 512-bit safe prime
-    /// (generated with `openssl dhparam`-style procedure), generator 2.
+    /// The default group used by the reproduction: the 512-bit prime
+    /// 2^512 − 569, generator 2.
+    ///
+    /// It is prime but **not** a safe prime: `p − 1 = 2·23·41·353·c`
+    /// with `c` a 493-bit composite, so the group has subgroups of small
+    /// order (for example, one of order 23). Use [`DhParams::modp_2048`]
+    /// for a safe-prime group. The reproduction's threat model (paper
+    /// §III) does not rely on the group's strength.
     ///
     /// Chosen so that per-patch key generation stays fast in debug builds
     /// while still exercising full multi-limb bignum arithmetic; the
     /// paper's 5.2 µs SMM key-generation figure is modelled separately by
     /// the calibrated cost model in `kshot-machine`.
     pub fn default_group() -> Self {
-        // 2^512 - 569 is prime (a well-known "Crandall" prime near 2^512),
-        // and (p-1)/2 has large factors; adequate for a simulation.
         let p = BigUint::from_u64(1)
             .shl(512)
             .checked_sub(&BigUint::from_u64(569))
@@ -55,7 +93,8 @@ impl DhParams {
         Self::new(p, BigUint::from_u64(2))
     }
 
-    /// RFC 3526 MODP group 14 (2048-bit), for full-strength runs.
+    /// RFC 3526 MODP group 14 (2048-bit, a safe prime), for
+    /// full-strength runs.
     pub fn modp_2048() -> Self {
         let p = BigUint::from_hex(concat!(
             "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1",
@@ -82,6 +121,14 @@ impl DhParams {
     /// The generator.
     pub fn generator(&self) -> &BigUint {
         &self.g
+    }
+
+    /// `base^exp mod p`, through the precomputed Montgomery context.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        match &self.ctx {
+            Exponentiator::Limbs8(m) => m.pow(base, exp),
+            Exponentiator::Limbs32(m) => m.pow(base, exp),
+        }
     }
 }
 
@@ -114,7 +161,7 @@ impl DhKeyPair {
             .checked_sub(&two)
             .expect("modulus ≥ 3 by construction");
         let private = BigUint::from_bytes_be(entropy).rem(&span).add(&two);
-        let public = params.g.modpow(&private, &params.p);
+        let public = params.pow(&params.g, &private);
         Ok(Self { private, public })
     }
 
@@ -130,6 +177,12 @@ impl DhKeyPair {
     ///
     /// Rejects degenerate peer values (`0`, `1`, `p−1`, or ≥ `p`), which
     /// would let an active attacker force a predictable key.
+    ///
+    /// This is not a subgroup check. In a group whose `p − 1` has small
+    /// factors, such as [`DhParams::default_group`], an element of small
+    /// order passes it and confines the secret to a few values. Only a
+    /// safe-prime group ([`DhParams::modp_2048`]) has no such elements
+    /// beyond the ones rejected here.
     pub fn agree(&self, params: &DhParams, peer_public: &BigUint) -> Result<SessionKey, DhError> {
         use std::cmp::Ordering::*;
         let pm1 = params
@@ -143,7 +196,7 @@ impl DhKeyPair {
         if bad {
             return Err(DhError::InvalidPeerPublic);
         }
-        let secret = peer_public.modpow(&self.private, &params.p);
+        let secret = params.pow(peer_public, &self.private);
         let mut h = Sha256::new();
         h.update(b"kshot-dh-kdf-v1");
         h.update(&secret.to_bytes_be());
@@ -282,6 +335,76 @@ mod tests {
     fn modp_2048_parses() {
         let params = DhParams::modp_2048();
         assert_eq!(params.prime().bit_len(), 2048);
+    }
+
+    /// Pins one public value and one session key per group, so a change
+    /// of exponentiation or KDF cannot silently move every DH value.
+    fn assert_golden(params: &DhParams, public_hex: &str, key_hex: &str) {
+        let alice = DhKeyPair::from_entropy(params, &entropy(1)).unwrap();
+        let bob = DhKeyPair::from_entropy(params, &entropy(2)).unwrap();
+        assert_eq!(alice.public().to_string(), public_hex);
+        let key = alice.agree(params, bob.public()).unwrap();
+        assert_eq!(crate::sha256::hex(key.as_bytes()), key_hex);
+    }
+
+    #[test]
+    fn golden_dh_values_default_group() {
+        assert_golden(
+            &DhParams::default_group(),
+            concat!(
+                "74de8f2a83870a8d110cd3822499938b2044657304518a1cf85cd76afcdc583c",
+                "07c0c6e446c63d7c0a27bd75ca21a041be145d178a24e0ee7686ff39f8287437"
+            ),
+            "662e409d2ef1e3416196fc71ed77a3d248753ae5c36a0f8488444fbbdf71d5b0",
+        );
+    }
+
+    #[test]
+    fn golden_dh_values_modp_2048() {
+        assert_golden(
+            &DhParams::modp_2048(),
+            concat!(
+                "a7fca5d6b2c37859e41ee514885cb0f2964a3481e5d730e86d982dbb9a6ef00d",
+                "0d7e59bd3494182dcb0fb95416923972f325416b3ff5e4ecb080e9e3c9104d53",
+                "8cdf9d1bc2894c1529cc6fae01444acb3bbdaa169fc398287f04aa11bf6fd88f",
+                "7d659867b873ce8a5123e37629f345929f71cdb1d77724c488741d5421deb700",
+                "6d2cc7dca545840097c66885d29bf756784cb86b3fba337dd641c3ffafdb497c",
+                "5a583169d751beeb0fae437502ca622536e815809353d2b49b4cfaf1d394870d",
+                "653bb8582d3c738346861960afc0ad2971b1b606b54443bf3b8293cf24619712",
+                "a29843b93a49b33fb671e4d63ee72337fea1982eff348527dfcd00a66d218328"
+            ),
+            "67b0f2e7834ab10cdbcc69f0f9712e3e34eb70703dfd9cc94635325a0f9fa05d",
+        );
+    }
+
+    #[test]
+    fn default_group_admits_small_order_peer_values() {
+        // 23 divides p − 1, so h = 3^((p−1)/23) has order 23: it passes
+        // `agree`'s range check, and h^x takes only 23 values. The docs
+        // say so; this pins that they are right.
+        let params = DhParams::default_group();
+        let one = BigUint::one();
+        let pm1 = params.prime().checked_sub(&one).unwrap();
+        let (cofactor, r) = pm1.div_rem(&BigUint::from_u64(23));
+        assert!(r.is_zero());
+        let h = BigUint::from_u64(3).modpow(&cofactor, params.prime());
+        assert_ne!(h, one);
+        assert_eq!(h.modpow(&BigUint::from_u64(23), params.prime()), one);
+        let alice = DhKeyPair::from_entropy(&params, &entropy(1)).unwrap();
+        assert!(alice.agree(&params, &h).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "DH modulus must be odd")]
+    fn new_rejects_even_modulus() {
+        let _ = DhParams::new(BigUint::from_u64(1 << 20), BigUint::from_u64(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "DH modulus wider than 2048 bits")]
+    fn new_rejects_modulus_wider_than_2048_bits() {
+        let p = BigUint::one().shl(2048).add(&BigUint::one());
+        let _ = DhParams::new(p, BigUint::from_u64(2));
     }
 
     #[test]

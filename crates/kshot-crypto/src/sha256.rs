@@ -4,6 +4,13 @@
 //! carried in the package header before applying it (paper §V-C, step 1).
 //! The paper notes that this verification dominates SMM patching time,
 //! which our Table III reproduction confirms — see `kshot-core::smm`.
+//!
+//! Every compression goes through one `compress_blocks`: the bulk of an
+//! [`Sha256::update`] in one call, a completed buffer block, and the
+//! padding blocks of [`Sha256::finalize`]. On x86_64 CPUs that report
+//! the SHA extensions (with SSSE3 and SSE4.1) it runs a SHA-NI
+//! compressor. Everywhere else it runs the portable compressor, which
+//! is also the reference the SHA-NI path is tested against.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -72,55 +79,68 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            compress_blocks(&mut self.state, &[self.buf]);
+            self.buf_len = 0;
         }
-        while data.len() >= BLOCK_LEN {
-            let mut block = [0u8; BLOCK_LEN];
-            block.copy_from_slice(&data[..BLOCK_LEN]);
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
+        let (blocks, rest) = data.as_chunks::<BLOCK_LEN>();
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero-pad to 56 mod 64, then the length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0x00);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buf_len, 0);
+        // The buffered tail, 0x80, zeros to 56 mod 64, then the bit
+        // length: one block, or two when the tail leaves no room for
+        // the nine trailing bytes.
+        let mut tail = [0u8; 2 * BLOCK_LEN];
+        tail[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        tail[self.buf_len] = 0x80;
+        let len = if self.buf_len < BLOCK_LEN - 8 {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
+        tail[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, tail[..len].as_chunks().0);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == BLOCK_LEN {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
+/// Fold whole blocks into `state`: through SHA-NI when the CPU has it,
+/// else through the portable compressor.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_available() {
+        // SAFETY: `compress_sha_ni` needs sha, sse2, ssse3 and sse4.1.
+        // The CPU reports sha, ssse3 and sse4.1, and every x86_64 CPU
+        // has sse2.
+        unsafe { x86::compress_sha_ni(state, blocks) };
+        return;
     }
+    compress_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// Whether [`compress_blocks`] takes the SHA-NI path on this CPU.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_available() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// The portable FIPS 180-4 compression function, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -138,7 +158,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -159,14 +179,86 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{BLOCK_LEN, K};
+    use std::arch::x86_64::*;
+
+    /// The compression function on the SHA extensions. The state
+    /// travels as the two vectors `sha256rnds2` works on, ABEF and
+    /// CDGH; each block runs 16 groups of four rounds, and from the
+    /// fifth group on each group's message words come from
+    /// `sha256msg1`/`sha256msg2` over the previous 16 words.
+    ///
+    /// Calling it is undefined behaviour unless the CPU has every
+    /// enabled feature; the caller checks with `is_x86_feature_detected!`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_sha_ni(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+        // Reverses the bytes of each 32-bit lane: message words are
+        // big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let lane = |i: usize| state[i] as i32;
+        let dcba = _mm_set_epi32(lane(3), lane(2), lane(1), lane(0));
+        let hgfe = _mm_set_epi32(lane(7), lane(6), lane(5), lane(4));
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let word4 = |i: usize| {
+                let half =
+                    |at: usize| i64::from_le_bytes(block[at..at + 8].try_into().expect("8 bytes"));
+                _mm_shuffle_epi8(_mm_set_epi64x(half(16 * i + 8), half(16 * i)), bswap)
+            };
+            let (mut w0, mut w1, mut w2, mut w3) = (word4(0), word4(1), word4(2), word4(3));
+            for group in 0..16 {
+                let w = if group < 4 {
+                    w0
+                } else {
+                    let msg = _mm_sha256msg1_epu32(w0, w1);
+                    let msg = _mm_add_epi32(msg, _mm_alignr_epi8(w3, w2, 4));
+                    _mm_sha256msg2_epu32(msg, w3)
+                };
+                let k = |j: usize| K[4 * group + j] as i32;
+                let wk = _mm_add_epi32(w, _mm_set_epi32(k(3), k(2), k(1), k(0)));
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+                (w0, w1, w2, w3) = (w1, w2, w3, w);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        let lanes = [
+            _mm_extract_epi32(dcba, 0),
+            _mm_extract_epi32(dcba, 1),
+            _mm_extract_epi32(dcba, 2),
+            _mm_extract_epi32(dcba, 3),
+            _mm_extract_epi32(hgfe, 0),
+            _mm_extract_epi32(hgfe, 1),
+            _mm_extract_epi32(hgfe, 2),
+            _mm_extract_epi32(hgfe, 3),
+        ];
+        for (word, lane) in state.iter_mut().zip(lanes) {
+            *word = lane as u32;
+        }
     }
 }
 
@@ -255,5 +347,101 @@ mod tests {
     #[test]
     fn hex_format() {
         assert_eq!(hex(&[0x00, 0xff, 0x0a]), "00ff0a");
+    }
+
+    type Compressor = fn(&mut [u32; 8], &[[u8; BLOCK_LEN]]);
+
+    /// The whole message padded in one buffer and compressed in one
+    /// call: an oracle that shares no buffering code with [`Sha256`].
+    fn padded_digest(compress: Compressor, data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, msg.as_chunks().0);
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn fips_vectors_through_both_compressors() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (data, want) in vectors {
+            let portable: Compressor = compress_portable;
+            let dispatched: Compressor = compress_blocks;
+            for compress in [portable, dispatched] {
+                assert_eq!(
+                    hex(&padded_digest(compress, data)),
+                    want,
+                    "len {}",
+                    data.len()
+                );
+            }
+            assert_eq!(hex(&sha256(data)), want, "len {}", data.len());
+        }
+    }
+
+    /// Prints the compressor this CPU dispatches to, so a test log
+    /// shows whether the SHA-NI path was exercised.
+    #[test]
+    fn dispatched_compressor_is_reported() {
+        #[cfg(target_arch = "x86_64")]
+        let path = if sha_ni_available() {
+            "sha-ni"
+        } else {
+            "portable"
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let path = "portable";
+        println!("sha256 compressor: {path}");
+        assert_eq!(sha256(b"abc"), padded_digest(compress_portable, b"abc"));
+    }
+
+    proptest::proptest! {
+        /// The dispatched hasher, fed in three random pieces, equals
+        /// the portable compressor over the whole message.
+        #[test]
+        fn dispatched_sha256_equals_portable_over_random_splits(
+            data in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..600),
+            a in proptest::arbitrary::any::<proptest::sample::Index>(),
+            b in proptest::arbitrary::any::<proptest::sample::Index>(),
+        ) {
+            let (i, j) = (a.index(data.len() + 1), b.index(data.len() + 1));
+            let (i, j) = (i.min(j), i.max(j));
+            let mut h = Sha256::new();
+            h.update(&data[..i]);
+            h.update(&data[i..j]);
+            h.update(&data[j..]);
+            proptest::prop_assert_eq!(h.finalize(), padded_digest(compress_portable, &data));
+        }
     }
 }

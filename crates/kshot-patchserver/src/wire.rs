@@ -3,6 +3,11 @@
 
 use std::fmt;
 
+/// Bytes a [`Writer`] grows by beyond what a field needs. Without them,
+/// a megabyte payload followed by a four-byte count reallocates to
+/// twice the payload's size.
+const TRAILER_ROOM: usize = 256;
+
 /// Serialization writer.
 ///
 /// Length-prefixed fields carry a `u32` prefix, so a payload longer
@@ -61,7 +66,7 @@ impl Writer {
             return self;
         };
         self.put_u32(len);
-        self.buf.extend_from_slice(v);
+        self.append(v);
         self
     }
 
@@ -73,9 +78,20 @@ impl Writer {
     /// Append raw bytes with no length prefix (fixed-size fields).
     pub fn put_raw(&mut self, v: &[u8]) -> &mut Self {
         if self.error.is_none() {
-            self.buf.extend_from_slice(v);
+            self.append(v);
         }
         self
+    }
+
+    /// Append `v`. When the buffer must grow, it grows by
+    /// [`TRAILER_ROOM`] bytes more than `v` needs, so the short fields
+    /// that close a message (a reloc count, a segment table, a trailing
+    /// hash or MAC) fit instead of doubling a payload-sized buffer.
+    fn append(&mut self, v: &[u8]) {
+        if self.buf.capacity() - self.buf.len() < v.len() {
+            self.buf.reserve(v.len() + TRAILER_ROOM);
+        }
+        self.buf.extend_from_slice(v);
     }
 
     /// The poisoning error, if an oversize put was rejected.
@@ -287,6 +303,19 @@ mod tests {
         assert_eq!(r.get_str("e").unwrap(), "kshot");
         assert_eq!(r.get_raw(2, "f").unwrap(), &[9, 9]);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn trailer_after_a_large_field_does_not_double_the_buffer() {
+        let payload = vec![7u8; 1 << 20];
+        let mut w = Writer::new();
+        w.put_str("id")
+            .put_bytes(&payload)
+            .put_u32(0)
+            .put_raw(&[0u8; 32]);
+        assert!(w.buf.capacity() < (1 << 20) + 4 * TRAILER_ROOM);
+        let bytes = w.into_bytes().unwrap();
+        assert_eq!(bytes.len(), 4 + 2 + 4 + (1 << 20) + 4 + 32);
     }
 
     #[test]

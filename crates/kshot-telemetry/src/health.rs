@@ -620,6 +620,18 @@ impl HealthMonitor {
                 let shard = ShardData::parse(&parcel_lines).map_err(&parse_err)?;
                 self.lines_consumed += parcel_lines.lines().count() as u64;
                 let (machine, agg) = parcel_from_shard(&shard).map_err(&parse_err)?;
+                // Each machine is judged once: a second parcel could
+                // overwrite a failure, and one past the fleet would sit
+                // outside every window.
+                if machine >= self.machines {
+                    return Err(parse_err(format!(
+                        "machine {machine} out of range: the campaign has {} machines",
+                        self.machines
+                    )));
+                }
+                if machine < self.next_window_start || self.parcels.contains_key(&machine) {
+                    return Err(parse_err(format!("machine {machine} reported twice")));
+                }
                 if let Some(integrity) = self.integrity.as_mut() {
                     for smi in shard.other_of_type("smi") {
                         if let crate::integrity::IntegrityVerdict::Violation { reasons } =
@@ -855,7 +867,10 @@ fn parcel_from_shard(shard: &ShardData) -> Result<(u64, Agg), String> {
             .ok_or_else(|| format!("machine line missing {key:?}"))
     };
     let machine = field("machine")?;
-    let ok = outcome.get("ok").and_then(Value::as_bool).unwrap_or(false);
+    let ok = outcome
+        .get("ok")
+        .and_then(Value::as_bool)
+        .ok_or_else(|| format!("machine {machine}: machine line missing \"ok\""))?;
     let mut agg = Agg {
         machines: 1,
         ok: u64::from(ok),
@@ -1316,6 +1331,78 @@ mod tests {
             "{polled:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Feed `text` as worker 0's shard of a 2-machine, window-2 monitor
+    /// and return what `poll` then `finish` make of it.
+    fn judge_two_machines(case: &str, text: &str) -> Result<HealthReport, ShardError> {
+        let dir = scratch(case);
+        let shard = dir.join("worker-0.jsonl");
+        std::fs::write(&shard, text).unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 2, 2, vec![shard]);
+        let judged = mon.poll().and_then(|_| mon.finish());
+        let _ = std::fs::remove_dir_all(&dir);
+        judged
+    }
+
+    fn assert_parse_error_names(judged: &Result<HealthReport, ShardError>, want: &str) {
+        assert!(
+            matches!(judged, Err(ShardError::Parse { error, .. }) if error.contains(want)),
+            "want a parse error containing {want:?}, got {judged:?}"
+        );
+    }
+
+    /// A second parcel for a machine cannot overwrite its verdict:
+    /// neither while the first is pending nor after its window closed.
+    #[test]
+    fn duplicate_machine_line_is_a_typed_parse_error() {
+        let pending = machine_parcel(0, true, 0, &[40_000])
+            + &machine_parcel(1, false, 1, &[40_000])
+            + &machine_parcel(1, true, 0, &[40_000]);
+        let judged = judge_two_machines("dup-pending", &pending);
+        assert_parse_error_names(&judged, "machine 1 reported twice");
+
+        let dir = scratch("dup-judged");
+        let shard = dir.join("worker-0.jsonl");
+        std::fs::write(
+            &shard,
+            machine_parcel(0, true, 0, &[40_000]) + &machine_parcel(1, false, 1, &[40_000]),
+        )
+        .unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 2, 2, vec![shard.clone()]);
+        assert_eq!(mon.poll().unwrap(), 1);
+        OpenOptions::new()
+            .append(true)
+            .open(&shard)
+            .unwrap()
+            .write_all(machine_parcel(1, true, 0, &[40_000]).as_bytes())
+            .unwrap();
+        assert_parse_error_names(&mon.finish(), "machine 1 reported twice");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_machine_line_is_a_typed_parse_error() {
+        let text = machine_parcel(0, true, 0, &[40_000])
+            + &machine_parcel(1, true, 0, &[40_000])
+            + &machine_parcel(7, true, 0, &[40_000]);
+        let judged = judge_two_machines("out-of-range", &text);
+        assert_parse_error_names(&judged, "machine 7 out of range");
+    }
+
+    /// A machine line whose `ok` is absent or not a bool is malformed,
+    /// not a failure.
+    #[test]
+    fn machine_line_without_ok_is_a_typed_parse_error() {
+        let good = machine_parcel(1, true, 0, &[40_000]);
+        for (case, bad) in [
+            ("no-ok", good.replace("\"ok\":true,", "")),
+            ("int-ok", good.replace("\"ok\":true,", "\"ok\":1,")),
+        ] {
+            let text = machine_parcel(0, true, 0, &[40_000]) + &bad;
+            let judged = judge_two_machines(case, &text);
+            assert_parse_error_names(&judged, "machine 1: machine line missing \"ok\"");
+        }
     }
 
     #[test]
