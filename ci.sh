@@ -81,6 +81,16 @@ cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
 # and the byte-identical health.jsonl stream across worker counts and
 # pipeline depths (with deterministic Degraded/Halt verdicts under an
 # injected fault).
+#
+# Shard-line intake: an unknown line type and a malformed smi line fail
+# typed; a machine line spelled `"type": "machine"` still closes its
+# parcel; an smi line naming another machine than its parcel's fails
+# typed; an open parcel counts in the monitor's resident state and
+# 10k machine-less metric blocks stay bounded; every typed line
+# round-trips through its writer and the decoder, and truncated,
+# duplicated or nested-"type" lines end in a verdict or a typed error;
+# a real campaign's re-spaced shards judge like the compact ones; and a
+# monitor that fails under a rollout fails closed instead of hanging.
 echo "== sketch error-bound property =="
 cargo test -q -p kshot-telemetry --test prop_sketch
 cargo test -q -p kshot-telemetry sketch_merge_saturates_at_u64_boundaries
@@ -90,6 +100,15 @@ cargo test -q -p kshot-telemetry duplicate_machine_line_is_a_typed_parse_error
 cargo test -q -p kshot-telemetry out_of_range_machine_line_is_a_typed_parse_error
 cargo test -q -p kshot-telemetry machine_line_without_ok_is_a_typed_parse_error
 cargo test -q -p kshot-telemetry profile_size_tracks_distinct_values_not_samples
+cargo test -q -p kshot-telemetry unknown_line_type_is_a_typed_parse_error
+cargo test -q -p kshot-telemetry malformed_record_is_flagged_not_ignored
+cargo test -q -p kshot-telemetry spaced_machine_line_closes_its_parcel
+cargo test -q -p kshot-telemetry smi_line_of_another_machine_is_a_typed_parse_error
+cargo test -q -p kshot-telemetry open_parcel_counts_in_resident_state_until_its_machine_line
+cargo test -q -p kshot-telemetry ten_k_metric_blocks_without_a_machine_line_stay_bounded
+cargo test -q -p kshot-telemetry --test prop_shard_intake
+cargo test -q -p kshot-fleet --test health_stream respaced_campaign_shards_judge_like_the_compact_ones
+cargo test -q -p kshot-fleet --test health_stream monitor_failure_under_a_rollout_fails_closed
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
 # root/divergence/frontier round-trip), the fleet fold's merge-equals-

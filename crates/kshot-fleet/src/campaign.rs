@@ -25,12 +25,12 @@ use std::time::{Duration, Instant};
 use kshot_cve::{benchmark_options, benchmark_tree, KernelVersion};
 use kshot_kcc::KernelImage;
 use kshot_kernel::Kernel;
-use kshot_machine::{MemLayout, SimTime, SmiCause, SmiFlightRecord, WriteRange};
+use kshot_machine::{JournalOp, MemLayout, SimTime, SmiCause, SmiFlightRecord};
 use kshot_patchserver::{BundleCache, PatchServer};
 use kshot_telemetry::export::record_json_line;
 use kshot_telemetry::{
-    HealthMonitor, IntegrityPolicy, MetricsSnapshot, Record, Recorder, RecorderScope, Sink,
-    StreamSink, SCHEMA_VERSION,
+    DigestRollup, HealthMonitor, IntegrityPolicy, MachineLine, MetricsSnapshot, Record, Recorder,
+    RecorderScope, Sink, SmiLine, StreamSink, RECORDS_DROPPED_METRIC,
 };
 
 use crate::config::FleetConfig;
@@ -158,6 +158,26 @@ pub struct MachineOutcome {
 }
 
 impl MachineOutcome {
+    /// The outcome line a worker appends to its shard, closing the
+    /// machine's parcel.
+    fn shard_line(&self) -> MachineLine {
+        MachineLine {
+            machine: self.machine as u64,
+            worker: self.worker as u64,
+            ok: self.ok,
+            attempts: u64::from(self.attempts),
+            retries: self.retries,
+            faults_injected: self.faults_injected,
+            sim_clock_ns: self.sim_clock.as_ns(),
+            smm_overbudget: self.smm_overbudget,
+            max_smm_dwell_ns: self.max_smm_dwell.as_ns(),
+            dwell_worst: self
+                .dwell_worst
+                .map(|(smi, cause)| (smi, cause.label().to_string())),
+            latency_ns: self.latency.map(SimTime::as_ns),
+        }
+    }
+
     /// The outcome of a machine whose session has not run yet: admitted,
     /// no attempts, nothing applied.
     pub(crate) fn new(machine: usize, worker: usize) -> MachineOutcome {
@@ -251,7 +271,7 @@ pub fn run_campaign(
     let recorder = Recorder::new();
     let mut occupancy = Vec::with_capacity(workers);
     let mut worker_blocks = Vec::with_capacity(workers);
-    let mut health: Option<CampaignHealth> = None;
+    let mut health: Option<Result<CampaignHealth, String>> = None;
     let mut trail: Option<RolloutTrail> = None;
     thread::scope(|scope| {
         // Spawn the monitor before the workers so the earliest windows
@@ -301,6 +321,7 @@ pub fn run_campaign(
             trail = rollout_trail;
         }
     });
+    let health = health.transpose().unwrap_or_else(|e| panic!("{e}"));
     let wall = started.elapsed();
     // Block `b` ran on worker `b % workers`, so taking the next block
     // from each worker in turn walks the fleet in machine order: the
@@ -336,17 +357,19 @@ pub fn run_campaign(
     )
 }
 
-/// The campaign's live health thread: poll the worker shards every
-/// millisecond until the campaign signals completion, tracking how many
-/// snapshots were emitted *while workers were still running* (the
-/// mid-campaign detection the health plane exists for), then run one
-/// final catch-up poll and fold everything into a [`CampaignHealth`].
+/// The campaign's live health thread: build the monitor and [`watch`]
+/// the worker shards until the campaign completes.
 ///
 /// Under a rollout, this thread also hosts the [`RolloutController`]:
 /// after every poll it folds new snapshots into wave verdicts and
 /// actuates the shared gate (admission, finalization, rollback) the
 /// workers are watching. Running the controller here keeps its
-/// decisions in the monitor's deterministic snapshot order.
+/// decisions in the monitor's deterministic snapshot order. A monitor
+/// that fails — its sink cannot open, or a poll or the final catch-up
+/// fails — can judge nothing more, so it fails closed: the wave in
+/// flight is halted as a Halt verdict would halt it, and the workers
+/// finish instead of waiting on a gate nobody opens. The error goes
+/// back to `run_campaign`, which panics with it.
 #[allow(clippy::too_many_arguments)]
 fn run_health_monitor(
     policy: kshot_telemetry::HealthPolicy,
@@ -357,7 +380,7 @@ fn run_health_monitor(
     done: &AtomicBool,
     rollout: Option<(&RolloutPlan, &[Wave], &RolloutGate)>,
     integrity: Option<IntegrityPolicy>,
-) -> (CampaignHealth, Option<RolloutTrail>) {
+) -> (Result<CampaignHealth, String>, Option<RolloutTrail>) {
     let shards: Vec<PathBuf> = (0..workers)
         .map(|w| dir.join(format!("worker-{w}.jsonl")))
         .collect();
@@ -368,11 +391,28 @@ fn run_health_monitor(
     if let Some(policy) = integrity {
         monitor = monitor.with_integrity(policy);
     }
-    let mut monitor = monitor
-        .with_snapshot_path(dir.join("health.jsonl"))
-        .unwrap_or_else(|e| panic!("open health snapshot sink: {e}"));
     let mut controller =
         rollout.map(|(plan, waves, gate)| RolloutController::new(plan, waves.to_vec(), gate));
+    let health = monitor
+        .with_snapshot_path(dir.join("health.jsonl"))
+        .map_err(|e| format!("open health snapshot sink: {e}"))
+        .and_then(|monitor| watch(monitor, done, controller.as_mut()));
+    if let (Err(_), Some(controller)) = (&health, controller.as_mut()) {
+        controller.fail_closed();
+    }
+    (health, controller.map(RolloutController::into_trail))
+}
+
+/// Poll `monitor` every millisecond until the campaign signals
+/// completion, tracking how many snapshots were emitted *while workers
+/// were still running* (the mid-campaign detection the health plane
+/// exists for), then run one final catch-up poll and fold everything
+/// into a [`CampaignHealth`].
+fn watch(
+    mut monitor: HealthMonitor,
+    done: &AtomicBool,
+    mut controller: Option<&mut RolloutController<'_>>,
+) -> Result<CampaignHealth, String> {
     let mut live_snapshots = 0u64;
     let mut degraded_live = false;
     let mut halt_live = false;
@@ -383,8 +423,8 @@ fn run_health_monitor(
         let finished = done.load(Ordering::Acquire);
         let emitted = monitor
             .poll()
-            .unwrap_or_else(|e| panic!("health monitor poll: {e}"));
-        if let Some(controller) = controller.as_mut() {
+            .map_err(|e| format!("health monitor poll: {e}"))?;
+        if let Some(controller) = controller.as_deref_mut() {
             controller.observe(&mut monitor);
         }
         if !finished && emitted > 0 {
@@ -408,16 +448,13 @@ fn run_health_monitor(
     }
     let report = monitor
         .finish()
-        .unwrap_or_else(|e| panic!("health monitor finish: {e}"));
-    (
-        CampaignHealth {
-            report,
-            live_snapshots,
-            degraded_live,
-            halt_live,
-        },
-        controller.map(RolloutController::into_trail),
-    )
+        .map_err(|e| format!("health monitor finish: {e}"))?;
+    Ok(CampaignHealth {
+        report,
+        live_snapshots,
+        degraded_live,
+        halt_live,
+    })
 }
 
 /// A session parked until its wall-clock deadline. Heap order is
@@ -515,7 +552,7 @@ fn seal_parcel(active: &mut Active) -> Parcel {
             .session
             .recorder
             .metrics()
-            .counter_add("fleet.records_dropped", dropped);
+            .counter_add(RECORDS_DROPPED_METRIC, dropped);
     }
     let mut buffered = active
         .lines
@@ -533,14 +570,14 @@ fn seal_parcel(active: &mut Active) -> Parcel {
             outcome
                 .flight
                 .iter()
-                .map(|rec| smi_json_line(outcome.machine, rec)),
+                .map(|rec| smi_line(outcome.machine, rec).to_json_line()),
         );
     }
     active.flushed = true;
     Some((
         buffered,
         active.session.recorder.metrics_snapshot(),
-        machine_json_line(&active.session.outcome),
+        active.session.outcome.shard_line().to_json_line(),
     ))
 }
 
@@ -649,7 +686,10 @@ impl<'a> BlockFolds<'a> {
             }
             if next + 1 == self.ranges[self.open].end {
                 if let Some(sink) = self.sink {
-                    sink.write_raw_line(&rollup_json_line(&block.fold));
+                    let rollup = DigestRollup {
+                        tree: block.fold.tree.clone(),
+                    };
+                    sink.write_raw_line(&rollup.to_json_line());
                 }
                 self.open += 1;
             }
@@ -880,34 +920,6 @@ fn run_worker(
     )
 }
 
-/// The shard line closing a placement block: its Merkle roll-up as
-/// `{"type":"rollup",...}` with the stated root and the O(log n)
-/// frontier, the serialization
-/// [`kshot_telemetry::ShardData::digest_rollups`] validates and
-/// reconstructs. Roots alone would not compose — bagged peaks are not
-/// mergeable — so the frontier travels too.
-fn rollup_json_line(fold: &OutcomeFold) -> String {
-    use kshot_telemetry::merkle::digest_hex;
-    let frontier = fold
-        .tree
-        .frontier()
-        .iter()
-        .map(|n| format!("[{},{},\"{}\"]", n.level, n.index, digest_hex(&n.hash)))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        concat!(
-            "{{\"type\":\"rollup\",\"v\":{},\"start\":{},\"machines\":{},",
-            "\"root\":\"{}\",\"frontier\":[{}]}}"
-        ),
-        SCHEMA_VERSION,
-        fold.tree.start(),
-        fold.tree.len(),
-        digest_hex(&fold.merkle_root()),
-        frontier,
-    )
-}
-
 /// The start offset for `worker`'s first delivery: `link_rtt * worker /
 /// workers`, computed in 128-bit nanoseconds so huge worker counts or
 /// RTTs saturate instead of panicking in `Duration`'s `Mul` overflow
@@ -925,85 +937,21 @@ fn stagger_delay(link_rtt: Duration, worker: usize, workers: usize) -> Duration 
     Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
 }
 
-/// The per-machine outcome line a worker appends to its shard file,
-/// mirroring [`MachineOutcome`] (minus the error string, digest, and
-/// injection write count, which stay in the in-memory report).
-/// `kshot_telemetry::ShardData` surfaces these via
-/// `other_of_type("machine")`.
-fn machine_json_line(o: &MachineOutcome) -> String {
-    let latency = match o.latency {
-        Some(t) => format!(",\"latency_ns\":{}", t.as_ns()),
-        None => String::new(),
-    };
-    // Dwell attribution: which SMI (index + declared cause) produced
-    // `max_smm_dwell_ns`, so a shard reader can name the exact SMI
-    // behind a dwell anomaly. Additive — absent when no SMI completed.
-    let dwell_worst = match o.dwell_worst {
-        Some((smi, cause)) => format!(
-            ",\"dwell_worst_smi\":{},\"dwell_worst_cause\":\"{}\"",
-            smi,
-            cause.label()
-        ),
-        None => String::new(),
-    };
-    format!(
-        concat!(
-            "{{\"type\":\"machine\",\"v\":{},\"machine\":{},\"worker\":{},",
-            "\"ok\":{},\"attempts\":{},\"retries\":{},\"faults_injected\":{},",
-            "\"sim_clock_ns\":{},\"smm_overbudget\":{},\"max_smm_dwell_ns\":{}{}{}}}"
-        ),
-        SCHEMA_VERSION,
-        o.machine,
-        o.worker,
-        o.ok,
-        o.attempts,
-        o.retries,
-        o.faults_injected,
-        o.sim_clock.as_ns(),
-        o.smm_overbudget,
-        o.max_smm_dwell.as_ns(),
-        dwell_worst,
-        latency,
-    )
-}
-
-/// One SMI flight record as a shard line, the schema the
-/// [`kshot_telemetry::IntegrityMonitor`] replays. The measurement (and
-/// the segment-id hashes inside the journal op encoding) travel as hex
-/// strings: the telemetry JSON layer parses numbers as `f64`, which is
-/// only integer-exact to 2^53. Deliberately carries no wall-clock
-/// field, so the smi stream is byte-identical across schedules.
-fn smi_json_line(machine: usize, rec: &SmiFlightRecord) -> String {
-    let writes = rec
-        .writes
-        .iter()
-        .map(|WriteRange { base, len }| format!("[{base},{len}]"))
-        .collect::<Vec<_>>()
-        .join(",");
-    let journal = rec
-        .journal
-        .iter()
-        .map(|op| format!("\"{}\"", op.encode()))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        concat!(
-            "{{\"type\":\"smi\",\"v\":{},\"machine\":{},\"smi\":{},\"cause\":\"{}\",",
-            "\"measurement\":\"{:#018x}\",\"writes\":[{}],\"writes_truncated\":{},",
-            "\"journal\":[{}],\"journal_truncated\":{},\"dwell_ns\":{},\"exit\":\"{}\"}}"
-        ),
-        kshot_machine::flight::FLIGHT_SCHEMA_VERSION,
-        machine,
-        rec.index,
-        rec.cause.label(),
-        rec.measurement,
-        writes,
-        rec.writes_truncated,
-        journal,
-        rec.journal_truncated,
-        rec.dwell.as_ns(),
-        rec.exit.label(),
-    )
+/// One SMI flight record of `machine` as its shard line, rendered
+/// straight from the ring: simulated-domain values only.
+fn smi_line(machine: usize, rec: &SmiFlightRecord) -> SmiLine {
+    SmiLine {
+        machine: machine as u64,
+        smi: rec.index,
+        cause: rec.cause.label().to_string(),
+        measurement: rec.measurement,
+        writes: rec.writes.iter().map(|w| (w.base, w.len)).collect(),
+        writes_truncated: rec.writes_truncated,
+        journal: rec.journal.iter().map(JournalOp::encode).collect(),
+        journal_truncated: rec.journal_truncated,
+        dwell_ns: rec.dwell.as_ns(),
+        exit: rec.exit.label().to_string(),
+    }
 }
 
 #[cfg(test)]
@@ -1451,10 +1399,10 @@ mod tests {
         for worker in 0..WORKERS {
             let shard =
                 kshot_telemetry::ShardData::parse_file(dir.join(format!("worker-{worker}.jsonl")))
-                    .expect("worker shard parses");
-            rollups.extend(shard.digest_rollups().expect("roll-up lines validate"));
+                    .expect("worker shard parses, its roll-up lines validated");
+            rollups.extend(shard.rollups);
         }
-        rollups.sort_by_key(|r| r.start);
+        rollups.sort_by_key(|r| r.tree.start());
         assert_eq!(rollups.len(), 7, "one roll-up line per one-machine block");
         let mut merged = rollups.remove(0).tree;
         for r in rollups {

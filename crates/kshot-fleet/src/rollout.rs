@@ -180,9 +180,9 @@ impl RolloutGate {
         }
     }
 
-    /// May `machine` start its session now?
+    /// May `machine` start its session now? Never once halted.
     pub(crate) fn may_admit(&self, machine: usize) -> bool {
-        machine < self.admit.load(Ordering::Acquire)
+        machine < self.admit.load(Ordering::Acquire) && !self.halted()
     }
 
     /// Has admission stopped for good?
@@ -364,6 +364,16 @@ impl<'a> RolloutController<'a> {
                 self.gate.halt(wave.start, Some(wave));
                 self.finished = true;
             }
+        }
+    }
+
+    /// The monitor failed and no verdict will come: halt the wave in
+    /// flight as a Halt verdict would, so no worker waits forever.
+    pub(crate) fn fail_closed(&mut self) {
+        if !self.finished {
+            let wave = self.waves[self.current];
+            self.gate.halt(wave.start, Some(wave));
+            self.finished = true;
         }
     }
 

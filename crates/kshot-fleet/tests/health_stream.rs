@@ -9,11 +9,18 @@
 //! retries trips a deterministic `Degraded` window, and the same fault
 //! with no retry budget trips `Halt`.
 
+use std::path::Path;
 use std::sync::OnceLock;
+use std::time::Duration;
 
+use kshot_core::expected_handler_measurement;
 use kshot_cve::{find, patch_for};
-use kshot_fleet::{run_campaign, CampaignHealth, CampaignTarget, FleetConfig, PlannedFault};
-use kshot_telemetry::{HealthPolicy, ShardData, SMM_DWELL_METRIC};
+use kshot_fleet::{
+    run_campaign, CampaignHealth, CampaignTarget, FleetConfig, PlannedFault, RolloutPlan,
+};
+use kshot_telemetry::{
+    HealthMonitor, HealthPolicy, HealthReport, IntegrityPolicy, ShardData, SMM_DWELL_METRIC,
+};
 
 const MACHINES: usize = 6;
 const WINDOW: usize = 2;
@@ -188,4 +195,145 @@ fn arming_health_without_streaming_panics_loudly() {
     let (target, bytes) = fixture();
     let config = FleetConfig::new(1, 1).with_health(HealthPolicy::new(), WINDOW);
     let _ = run_campaign(target, bytes, &config);
+}
+
+/// A monitor that fails under a rollout fails closed. Here its snapshot
+/// sink cannot open, because `health.jsonl` is a directory. The wave in
+/// flight halts as a Halt verdict would halt it, the workers finish,
+/// and `run_campaign` panics naming the monitor's error, instead of the
+/// workers waiting forever on a gate nobody opens.
+#[test]
+fn monitor_failure_under_a_rollout_fails_closed() {
+    let dir = std::env::temp_dir().join(format!("kshot-health-failclosed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("health.jsonl")).unwrap();
+    let config = FleetConfig::new(16, 2)
+        .with_seed(0x4EA1)
+        .with_stream_dir(&dir)
+        .with_health(policy(), WINDOW)
+        .with_rollout(RolloutPlan::canary_machines(2));
+    let (sent, outcome) = std::sync::mpsc::channel();
+    let campaign = std::thread::spawn(move || {
+        let (target, bytes) = fixture();
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_campaign(target, bytes, &config)
+        }));
+        let _ = sent.send(ran.map(drop).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        }));
+    });
+    let ran = outcome
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the campaign terminates within 60 s");
+    campaign.join().expect("the panic was caught");
+    let message = ran.expect_err("a failed monitor fails the campaign");
+    assert!(
+        message.starts_with("open health snapshot sink: ") && message.contains("health.jsonl"),
+        "{message}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `line` with a space after every `{`, `[`, `,` and `:` and before
+/// every `}` and `]` outside strings: the same JSON, spelled apart.
+fn respace(line: &str) -> String {
+    let mut out = String::with_capacity(2 * line.len());
+    let (mut in_string, mut escaped) = (false, false);
+    for c in line.chars() {
+        match c {
+            _ if in_string => {
+                out.push(c);
+                (in_string, escaped) = match (escaped, c) {
+                    (true, _) => (true, false),
+                    (false, '\\') => (true, true),
+                    (false, '"') => (false, false),
+                    _ => (true, false),
+                };
+            }
+            '"' => {
+                in_string = true;
+                out.push(c);
+            }
+            '{' | '[' | ',' | ':' => {
+                out.push(c);
+                out.push(' ');
+            }
+            '}' | ']' => {
+                out.push(' ');
+                out.push(c);
+            }
+            _ => out.push(c),
+        }
+    }
+    out
+}
+
+/// The monitor and `ShardData` read what a line says, not how it is
+/// spaced. The shards of a real campaign (one fault, one retry,
+/// integrity on), re-spaced between every token, judge to the same
+/// `HealthReport` as the compact originals (and as the campaign's own
+/// monitor), and parse to the same `ShardData`.
+#[test]
+fn respaced_campaign_shards_judge_like_the_compact_ones() {
+    const MACHINES: usize = 8;
+    const WORKERS: usize = 2;
+    let (target, bytes) = fixture();
+    let dir = std::env::temp_dir().join(format!("kshot-health-respaced-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let layout = &target.layout;
+    let integrity = IntegrityPolicy::new()
+        .with_expected_measurement(expected_handler_measurement())
+        .with_allowed_extent(layout.smram_base, layout.smram_size)
+        .with_allowed_extent(layout.kernel_text_base, layout.kernel_text_size)
+        .with_allowed_extent(layout.kernel_data_base, layout.kernel_data_size)
+        .with_allowed_extent(layout.reserved_base, layout.reserved_size);
+    let config = FleetConfig::new(MACHINES, WORKERS)
+        .with_seed(0x4EA1)
+        .with_fault(PlannedFault {
+            machine: 2,
+            smm_write_index: 3,
+        })
+        .with_stream_dir(&dir)
+        .with_health(policy(), WINDOW)
+        .with_integrity(integrity.clone());
+    let report = run_campaign(target, bytes, &config);
+    assert_eq!((report.succeeded, report.retries), (MACHINES, 1));
+
+    let spaced = dir.join("respaced");
+    std::fs::create_dir_all(&spaced).unwrap();
+    for w in 0..WORKERS {
+        let name = format!("worker-{w}.jsonl");
+        let text = std::fs::read_to_string(dir.join(&name)).unwrap();
+        let respaced: String = text.lines().map(|l| respace(l) + "\n").collect();
+        assert!(respaced.len() > text.len() + text.lines().count());
+        std::fs::write(spaced.join(&name), &respaced).unwrap();
+        assert_eq!(
+            ShardData::parse(&respaced).unwrap(),
+            ShardData::parse(&text).unwrap(),
+            "{name}"
+        );
+    }
+    let judge = |d: &Path| -> HealthReport {
+        let shards = (0..WORKERS)
+            .map(|w| d.join(format!("worker-{w}.jsonl")))
+            .collect();
+        let mut judged = HealthMonitor::new(policy(), WINDOW, MACHINES, shards)
+            .with_integrity(integrity.clone())
+            .finish()
+            .unwrap();
+        judged.agg_wall = Duration::ZERO;
+        judged
+    };
+    let compact = judge(&dir);
+    assert_eq!(compact.snapshots.len(), MACHINES / WINDOW);
+    assert_eq!(compact.final_verdict().label(), "degraded");
+    assert!(compact.integrity.as_ref().unwrap().records_checked > 2 * MACHINES as u64);
+    assert_eq!(judge(&spaced), compact);
+    let mut live = report.health.expect("armed monitor reports").report;
+    live.agg_wall = Duration::ZERO;
+    assert_eq!(live, compact);
+    let _ = std::fs::remove_dir_all(&dir);
 }

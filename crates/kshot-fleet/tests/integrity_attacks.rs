@@ -20,7 +20,7 @@ use kshot_fleet::{
     RolloutPlan,
 };
 use kshot_machine::{AttackKind, MemLayout, SimTime};
-use kshot_telemetry::HealthPolicy;
+use kshot_telemetry::{HealthPolicy, ShardLine};
 
 /// Shared expensive fixture (tree link + server build); campaigns never
 /// mutate it.
@@ -86,16 +86,13 @@ fn smi_stream(dir: &Path, workers: usize) -> String {
         let path = dir.join(format!("worker-{w}.jsonl"));
         let text =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for line in text.lines().filter(|l| l.starts_with("{\"type\":\"smi\"")) {
-            let v = kshot_telemetry::json::parse(line).expect("smi line parses");
-            let machine = v
-                .get("machine")
-                .and_then(kshot_telemetry::json::Value::as_u64)
-                .expect("smi line carries its machine");
-            per_machine
-                .entry(machine)
-                .or_default()
-                .push(line.to_string());
+        for line in text.lines() {
+            if let ShardLine::Smi(smi) = ShardLine::decode(line).expect("shard line decodes") {
+                per_machine
+                    .entry(smi.machine)
+                    .or_default()
+                    .push(line.to_string());
+            }
         }
     }
     let mut out = String::new();

@@ -13,7 +13,6 @@ use std::sync::OnceLock;
 
 use kshot_cve::{find, patch_for};
 use kshot_fleet::{run_campaign, CampaignReport, CampaignTarget, FleetConfig, PlannedFault};
-use kshot_telemetry::json::Value;
 use kshot_telemetry::ShardData;
 use proptest::prelude::*;
 
@@ -125,23 +124,9 @@ fn fingerprint(report: &CampaignReport, stream_dir: &Path, workers: usize) -> Si
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
     let machine_lines = shards
-        .other_of_type("machine")
-        .map(|v| {
-            let field = |k: &str| {
-                v.get(k)
-                    .and_then(Value::as_u64)
-                    .unwrap_or_else(|| panic!("{k}?"))
-            };
-            (
-                field("machine"),
-                (
-                    field("worker"),
-                    matches!(v.get("ok"), Some(Value::Bool(true))),
-                    field("attempts"),
-                    field("sim_clock_ns"),
-                ),
-            )
-        })
+        .machines
+        .iter()
+        .map(|m| (m.machine, (m.worker, m.ok, m.attempts, m.sim_clock_ns)))
         .collect();
     SimDomainFingerprint {
         outcomes: report

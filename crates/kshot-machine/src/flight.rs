@@ -6,7 +6,7 @@
 //! measurement taken at entry, the ordered SMM write-set, the journal
 //! operations performed, the dwell, and how the SMI exited. Records
 //! accumulate in a bounded ring on the machine; the fleet streams them
-//! as `smi.*` JSON lines so a detached integrity monitor can replay the
+//! as `smi` JSON lines so a detached integrity monitor can replay the
 //! SMI against declarative invariants (see `kshot-telemetry`'s
 //! `integrity` module) without trusting the handler.
 //!
@@ -18,9 +18,6 @@
 //! compromised handler cannot forge its own flight records.
 
 use crate::timing::SimTime;
-
-/// Schema version stamped on every streamed `smi.*` line.
-pub const FLIGHT_SCHEMA_VERSION: u32 = 1;
 
 /// Completed records retained per machine (oldest dropped beyond this).
 pub const FLIGHT_RING_CAP: usize = 128;

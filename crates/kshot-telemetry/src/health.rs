@@ -2,11 +2,14 @@
 //! and an incremental shard tailer.
 //!
 //! A [`HealthMonitor`] follows the per-worker `worker-<N>.jsonl` shards
-//! *while a campaign is still running* — no completion barrier — via
-//! [`ShardData::tail_file`]. Lines are grouped into per-machine
-//! **parcels** (each worker flushes one machine's records, metrics
-//! block, and `"type":"machine"` outcome line contiguously), and
-//! parcels are folded into fixed-size **windows of machine indices**:
+//! *while a campaign is still running* — no completion barrier —
+//! reading each shard's newly committed bytes once per poll and
+//! decoding each line once ([`ShardLine::decode`]). Lines fold into
+//! per-machine **parcels** (each worker flushes one machine's records,
+//! metrics block, smi flight records and `machine` outcome line
+//! contiguously, so a worker's open parcel closes on the decoded
+//! machine line), and parcels are folded into fixed-size **windows of
+//! machine indices**:
 //! window `k` covers machines `[k·W, min((k+1)·W, machines))`. A window
 //! is emitted as soon as every machine in its range has reported,
 //! regardless of which worker ran it or when — which is what makes the
@@ -30,14 +33,18 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::json::Value;
-use crate::shard::{ShardData, ShardError};
+use crate::integrity::{IntegrityMonitor, IntegrityPolicy, IntegrityVerdict};
+use crate::shard::{read_committed, MachineLine, ShardError, ShardLine, SmiLine};
 use crate::sketch::QuantileSketch;
 use crate::stream::StreamSink;
 
 /// The sketch-backed SMM dwell signal consumed by the monitor; emitted
 /// by `kshot-machine` on every SMM exit via [`crate::observe`].
 pub const SMM_DWELL_METRIC: &str = "machine.smm_dwell_ns";
+
+/// The counter a fleet worker folds ring-eviction losses into before a
+/// machine's metrics block; the monitor reports it as `records_dropped`.
+pub const RECORDS_DROPPED_METRIC: &str = "fleet.records_dropped";
 
 /// Declarative health thresholds. All rates are per-mille (so 50 means
 /// 5%); the dwell check compares the window's sketch p99 against
@@ -366,12 +373,46 @@ impl Agg {
     }
 }
 
-/// Per-worker tail state: resume offset plus the lines of the machine
-/// parcel currently being assembled.
+/// Per-worker tail state: resume offset, lines decoded so far (error
+/// messages name the line), and the machine parcel being assembled.
 struct WorkerTail {
     path: PathBuf,
     offset: u64,
-    pending: String,
+    lines: u64,
+    open: Parcel,
+}
+
+/// One machine's parcel: the aggregate of its lines, the integrity
+/// reasons its smi lines raised (at most 16 — enough for a Halt to say
+/// why), and the machines those smi lines named: the first, and the
+/// first other one, which is all it takes to tell whether every smi
+/// line names the machine whose outcome line closes the parcel.
+#[derive(Default)]
+struct Parcel {
+    agg: Agg,
+    integrity: Vec<String>,
+    smi_machines: [Option<u64>; 2],
+}
+
+impl Parcel {
+    fn fold_smi(&mut self, smi: &SmiLine, integrity: Option<&mut IntegrityMonitor>) {
+        match self.smi_machines {
+            [None, _] => self.smi_machines[0] = Some(smi.machine),
+            [Some(first), None] if first != smi.machine => self.smi_machines[1] = Some(smi.machine),
+            _ => {}
+        }
+        if let Some(IntegrityVerdict::Violation { reasons }) = integrity.map(|m| m.check(smi)) {
+            let room = 16usize.saturating_sub(self.integrity.len());
+            self.integrity.extend(reasons.into_iter().take(room));
+        }
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        let reasons: usize = self.integrity.iter().map(|r| r.len() + 24).sum();
+        (std::mem::size_of::<Parcel>() + reasons) as u64
+            + self.agg.dwell.resident_bytes()
+            + self.agg.latency.resident_bytes()
+    }
 }
 
 /// Final monitor output, consumed by `CampaignReport`.
@@ -450,8 +491,9 @@ pub struct HealthMonitor {
     /// tagged with the wave its window falls in.
     wave_ends: Vec<u64>,
     tails: Vec<WorkerTail>,
-    /// Completed parcels not yet absorbed into a window, by machine.
-    parcels: std::collections::BTreeMap<u64, Agg>,
+    /// Closed parcels not yet absorbed into a window, by machine —
+    /// bounded by the in-flight machine count.
+    parcels: std::collections::BTreeMap<u64, Parcel>,
     /// First machine index of the next window to emit.
     next_window_start: u64,
     total: Agg,
@@ -459,13 +501,10 @@ pub struct HealthMonitor {
     sink: Option<StreamSink>,
     lines_consumed: u64,
     agg_wall: Duration,
-    /// Detached SMM integrity monitor fed with the parcels' `smi.*`
-    /// flight lines, when attached.
-    integrity: Option<crate::integrity::IntegrityMonitor>,
-    /// Integrity violations awaiting their machine's window, so the
-    /// window's verdict escalates to Halt. Drained at window emit —
-    /// bounded by the in-flight machine count, like `parcels`.
-    integrity_flags: std::collections::BTreeMap<u64, Vec<String>>,
+    /// Detached SMM integrity monitor fed with the parcels' `smi`
+    /// flight lines, when attached. A window holding a parcel with
+    /// integrity reasons escalates to Halt.
+    integrity: Option<IntegrityMonitor>,
 }
 
 impl HealthMonitor {
@@ -489,7 +528,8 @@ impl HealthMonitor {
                 .map(|path| WorkerTail {
                     path,
                     offset: 0,
-                    pending: String::new(),
+                    lines: 0,
+                    open: Parcel::default(),
                 })
                 .collect(),
             parcels: std::collections::BTreeMap::new(),
@@ -500,24 +540,18 @@ impl HealthMonitor {
             lines_consumed: 0,
             agg_wall: Duration::ZERO,
             integrity: None,
-            integrity_flags: std::collections::BTreeMap::new(),
         }
     }
 
-    /// Attach a detached SMM integrity monitor: every `smi.*` flight
-    /// line in the tailed parcels is replayed against `policy`, and a
+    /// Attach a detached SMM integrity monitor: every `smi` flight line
+    /// in the tailed parcels is replayed against `policy`, and a
     /// window containing a violating machine escalates its verdict to
     /// [`HealthVerdict::Halt`] carrying the violation reasons — which
     /// drives the rollout controller's auto-rollback exactly like a
     /// health Halt.
-    pub fn with_integrity(mut self, policy: crate::integrity::IntegrityPolicy) -> HealthMonitor {
-        self.integrity = Some(crate::integrity::IntegrityMonitor::new(policy));
+    pub fn with_integrity(mut self, policy: IntegrityPolicy) -> HealthMonitor {
+        self.integrity = Some(IntegrityMonitor::new(policy));
         self
-    }
-
-    /// The attached integrity monitor, if any.
-    pub fn integrity(&self) -> Option<&crate::integrity::IntegrityMonitor> {
-        self.integrity.as_ref()
     }
 
     /// Tag every emitted snapshot with the rollout wave its window
@@ -563,93 +597,105 @@ impl HealthMonitor {
         Ok(self)
     }
 
-    /// Tail every shard once, absorb completed machine parcels, emit
-    /// any windows that completed, and return how many new snapshots
-    /// were emitted.
+    /// Read every shard's newly committed lines once, fold each decoded
+    /// line into its worker's open parcel, emit any windows that
+    /// completed, and return how many new snapshots were emitted.
     ///
     /// # Errors
     ///
     /// A [`ShardError`] from any shard (truncation fails loudly), or a
-    /// snapshot-sink write failure (as `Io`).
+    /// [`ShardError::Parse`] naming the line when a line fails to
+    /// decode or its machine line closes a parcel that cannot be judged
+    /// (a machine out of range or reported twice, or an smi line naming
+    /// another machine).
     pub fn poll(&mut self) -> Result<usize, ShardError> {
         let t0 = Instant::now();
         let before = self.snapshots.len();
-        for i in 0..self.tails.len() {
+        for worker in 0..self.tails.len() {
             // A worker that hasn't started yet has no file — no data.
-            if !self.tails[i].path.exists() {
+            if !self.tails[worker].path.exists() {
                 continue;
             }
-            let mut fresh = ShardData::new();
-            let path = self.tails[i].path.clone();
-            let offset = self.tails[i].offset;
-            // Probe tail only for offset advance; the real parse happens
-            // per-parcel below, on line-accurate boundaries.
-            let new_offset = fresh.tail_file(&path, offset)?;
-            if new_offset == offset {
-                continue;
+            let (text, next) = read_committed(&self.tails[worker].path, self.tails[worker].offset)?;
+            self.tails[worker].offset = next;
+            let mut open = std::mem::take(&mut self.tails[worker].open);
+            for line in text.lines() {
+                self.tails[worker].lines += 1;
+                if line.trim().is_empty() {
+                    continue;
+                }
+                self.fold_line(&mut open, line)
+                    .map_err(|e| ShardError::Parse {
+                        path: self.tails[worker].path.clone(),
+                        error: format!("line {}: {e}", self.tails[worker].lines),
+                    })?;
             }
-            let chunk = read_span(&path, offset, new_offset)?;
-            self.tails[i].offset = new_offset;
-            let pending = std::mem::take(&mut self.tails[i].pending);
-            let mut buf = pending;
-            buf.push_str(&chunk);
-            self.absorb_worker_lines(i, buf)?;
+            self.tails[worker].open = open;
         }
         self.emit_ready_windows();
         self.agg_wall += t0.elapsed();
         Ok(self.snapshots.len() - before)
     }
 
-    /// Split a worker's committed lines into machine parcels: every
-    /// `"type":"machine"` line closes the parcel containing it. Lines
-    /// after the last machine line stay pending for the next poll.
-    fn absorb_worker_lines(&mut self, worker: usize, text: String) -> Result<(), ShardError> {
-        let path = self.tails[worker].path.clone();
-        let parse_err = |e: String| ShardError::Parse {
-            path: path.clone(),
-            error: e,
-        };
-        let mut parcel_lines = String::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
+    /// Decode one committed line and fold it into `open`. The parcel
+    /// needs the dwell sketch, the drop counter, and the smi lines; a
+    /// machine line closes it.
+    fn fold_line(&mut self, open: &mut Parcel, line: &str) -> Result<(), String> {
+        match ShardLine::decode(line)? {
+            ShardLine::Sketch { name, sketch } if name == SMM_DWELL_METRIC => {
+                open.agg.dwell.merge_from(&sketch);
             }
-            parcel_lines.push_str(line);
-            parcel_lines.push('\n');
-            if line.contains("\"type\":\"machine\"") {
-                let shard = ShardData::parse(&parcel_lines).map_err(&parse_err)?;
-                self.lines_consumed += parcel_lines.lines().count() as u64;
-                let (machine, agg) = parcel_from_shard(&shard).map_err(&parse_err)?;
-                // Each machine is judged once: a second parcel could
-                // overwrite a failure, and one past the fleet would sit
-                // outside every window.
-                if machine >= self.machines {
-                    return Err(parse_err(format!(
-                        "machine {machine} out of range: the campaign has {} machines",
-                        self.machines
-                    )));
-                }
-                if machine < self.next_window_start || self.parcels.contains_key(&machine) {
-                    return Err(parse_err(format!("machine {machine} reported twice")));
-                }
-                if let Some(integrity) = self.integrity.as_mut() {
-                    for smi in shard.other_of_type("smi") {
-                        if let crate::integrity::IntegrityVerdict::Violation { reasons } =
-                            integrity.check_value(smi)
-                        {
-                            let flags = self.integrity_flags.entry(machine).or_default();
-                            // Bounded: a machine's flagged reasons stop
-                            // accumulating past what a Halt needs.
-                            let room = 16usize.saturating_sub(flags.len());
-                            flags.extend(reasons.into_iter().take(room));
-                        }
-                    }
-                }
-                self.parcels.insert(machine, agg);
-                parcel_lines.clear();
+            ShardLine::Counter { name, value } if name == RECORDS_DROPPED_METRIC => {
+                open.agg.records_dropped = open.agg.records_dropped.saturating_add(value);
             }
+            ShardLine::Smi(smi) => open.fold_smi(&smi, self.integrity.as_mut()),
+            ShardLine::Machine(line) => self.close_parcel(std::mem::take(open), &line)?,
+            _ => {}
         }
-        self.tails[worker].pending = parcel_lines;
+        self.lines_consumed += 1;
+        Ok(())
+    }
+
+    /// Judge a parcel by its machine line: the line carries the
+    /// authoritative tallies, the metric lines the sketches and the drop
+    /// counter.
+    fn close_parcel(&mut self, mut parcel: Parcel, line: &MachineLine) -> Result<(), String> {
+        let machine = line.machine;
+        // Each machine is judged once: a second parcel could overwrite a
+        // failure, and one past the fleet would sit outside every window.
+        if machine >= self.machines {
+            return Err(format!(
+                "machine {machine} out of range: the campaign has {} machines",
+                self.machines
+            ));
+        }
+        if machine < self.next_window_start || self.parcels.contains_key(&machine) {
+            return Err(format!("machine {machine} reported twice"));
+        }
+        // A parcel's smi lines are its own machine's flight records; one
+        // naming another machine would pin its violations on the wrong
+        // window.
+        if let Some(other) = parcel
+            .smi_machines
+            .into_iter()
+            .flatten()
+            .find(|&m| m != machine)
+        {
+            return Err(format!(
+                "machine {machine}: parcel carries an smi line of machine {other}"
+            ));
+        }
+        let agg = &mut parcel.agg;
+        agg.machines = 1;
+        agg.ok = u64::from(line.ok);
+        agg.failed = u64::from(!line.ok);
+        agg.retries = line.retries;
+        agg.faults_injected = line.faults_injected;
+        agg.smm_overbudget = line.smm_overbudget;
+        if let Some(latency) = line.latency_ns {
+            agg.latency.observe(latency);
+        }
+        self.parcels.insert(machine, parcel);
         Ok(())
     }
 
@@ -665,9 +711,11 @@ impl HealthMonitor {
                 return;
             }
             let mut wagg = Agg::default();
+            let mut integrity_reasons = Vec::new();
             for m in start..end {
                 let parcel = self.parcels.remove(&m).expect("checked above");
-                wagg.merge_from(&parcel);
+                wagg.merge_from(&parcel.agg);
+                integrity_reasons.extend(parcel.integrity);
             }
             self.total.merge_from(&wagg);
             let window = wagg.stats();
@@ -675,12 +723,6 @@ impl HealthMonitor {
             // Integrity violations trump health thresholds: a window
             // containing a violating machine halts, carrying both the
             // health reasons (if any) and the violation reasons.
-            let mut integrity_reasons = Vec::new();
-            for m in start..end {
-                if let Some(flags) = self.integrity_flags.remove(&m) {
-                    integrity_reasons.extend(flags);
-                }
-            }
             if !integrity_reasons.is_empty() {
                 let mut reasons = verdict.reasons().to_vec();
                 reasons.extend(integrity_reasons);
@@ -725,27 +767,20 @@ impl HealthMonitor {
     }
 
     /// Approximate bytes of *per-machine* state currently resident:
-    /// parcels awaiting their window, pending integrity flags, and the
-    /// campaign-total sketches. This is the number the million-machine
-    /// scaling argument rests on — windows retire their machines'
-    /// parcels as they close, so the figure is bounded by (workers ×
-    /// window straggle + one window), not by the fleet size. The 10k
-    /// regression test pins it.
+    /// each worker's open parcel, closed parcels awaiting their window,
+    /// and the campaign-total sketches. This is the number the
+    /// million-machine scaling argument rests on — windows retire their
+    /// machines' parcels as they close, and a parcel holds sketches and
+    /// capped reasons, never its lines, so the figure is bounded by
+    /// (workers × window straggle + one window), not by the fleet size
+    /// or a shard's contents. The 10k regression tests pin it.
     pub fn resident_state_bytes(&self) -> u64 {
-        let agg_fixed = std::mem::size_of::<Agg>() as u64;
-        let parcel_bytes: u64 = self
-            .parcels
-            .values()
-            .map(|a| agg_fixed + a.dwell.resident_bytes() + a.latency.resident_bytes())
-            .sum();
-        let flag_bytes: u64 = self
-            .integrity_flags
-            .values()
-            .map(|flags| flags.iter().map(|f| f.len() as u64 + 24).sum::<u64>())
-            .sum();
-        parcel_bytes
-            + flag_bytes
-            + agg_fixed
+        let tails = self.tails.iter().map(|t| &t.open);
+        tails
+            .chain(self.parcels.values())
+            .map(Parcel::resident_bytes)
+            .sum::<u64>()
+            + std::mem::size_of::<Agg>() as u64
             + self.total.dwell.resident_bytes()
             + self.total.latency.resident_bytes()
     }
@@ -833,65 +868,11 @@ impl HealthMonitor {
     }
 }
 
-/// Read bytes `[from, to)` of `path` as UTF-8 (both offsets are known
-/// committed-line boundaries from a prior tail).
-fn read_span(path: &Path, from: u64, to: u64) -> Result<String, ShardError> {
-    use std::io::{Read, Seek, SeekFrom};
-    let io = |e: String| ShardError::Io {
-        path: path.to_path_buf(),
-        error: e,
-    };
-    let mut file = std::fs::File::open(path).map_err(|e| io(e.to_string()))?;
-    file.seek(SeekFrom::Start(from))
-        .map_err(|e| io(e.to_string()))?;
-    let mut bytes = vec![0u8; (to - from) as usize];
-    file.read_exact(&mut bytes).map_err(|e| io(e.to_string()))?;
-    String::from_utf8(bytes).map_err(|e| ShardError::Parse {
-        path: path.to_path_buf(),
-        error: format!("invalid UTF-8 in committed lines: {e}"),
-    })
-}
-
-/// Convert one machine parcel (records + metrics block + outcome line)
-/// into its aggregate. The outcome line carries the authoritative
-/// tallies; the metrics block carries the sketches and drop counter.
-fn parcel_from_shard(shard: &ShardData) -> Result<(u64, Agg), String> {
-    let outcome = shard
-        .other_of_type("machine")
-        .last()
-        .ok_or("machine parcel without outcome line")?;
-    let field = |key: &str| {
-        outcome
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("machine line missing {key:?}"))
-    };
-    let machine = field("machine")?;
-    let ok = outcome
-        .get("ok")
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("machine {machine}: machine line missing \"ok\""))?;
-    let mut agg = Agg {
-        machines: 1,
-        ok: u64::from(ok),
-        failed: u64::from(!ok),
-        retries: field("retries")?,
-        faults_injected: field("faults_injected")?,
-        smm_overbudget: field("smm_overbudget")?,
-        records_dropped: shard.counter("fleet.records_dropped"),
-        dwell: shard.sketch(SMM_DWELL_METRIC).cloned().unwrap_or_default(),
-        latency: QuantileSketch::default(),
-    };
-    if let Some(lat) = outcome.get("latency_ns").and_then(Value::as_u64) {
-        agg.latency.observe(lat);
-    }
-    Ok((machine, agg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::export::metrics_json_lines;
+    use crate::json::{self, Value};
     use crate::metrics::MetricsRegistry;
     use std::fs::OpenOptions;
     use std::io::Write as _;
@@ -903,16 +884,44 @@ mod tests {
         }
         reg.counter_add("machine.smi", dwell_ns.len() as u64);
         let mut out = metrics_json_lines(&reg.snapshot());
-        out.push_str(&format!(
-            "{{\"type\":\"machine\",\"v\":1,\"machine\":{machine},\"ok\":{ok},\
-             \"attempts\":{},\"retries\":{retries},\"faults_injected\":{retries},\
-             \"sim_clock_ns\":1000,\"smm_overbudget\":0,\"max_smm_dwell_ns\":{},\
-             \"latency_ns\":{}}}\n",
-            retries + 1,
-            dwell_ns.iter().copied().max().unwrap_or(0),
-            50_000 + machine * 1_000,
-        ));
+        let line = MachineLine {
+            machine,
+            worker: 0,
+            ok,
+            attempts: retries + 1,
+            retries,
+            faults_injected: retries,
+            sim_clock_ns: 1000,
+            smm_overbudget: 0,
+            max_smm_dwell_ns: dwell_ns.iter().copied().max().unwrap_or(0),
+            dwell_worst: None,
+            latency_ns: Some(50_000 + machine * 1_000),
+        };
+        out.push_str(&line.to_json_line());
+        out.push('\n');
         out
+    }
+
+    fn append(path: &Path, text: &str) {
+        OpenOptions::new()
+            .append(true)
+            .open(path)
+            .unwrap()
+            .write_all(text.as_bytes())
+            .unwrap();
+    }
+
+    /// An `smi` line of `machine` whose handler measurement is `0xbeef`,
+    /// which a policy expecting `0xabcd` flags.
+    fn tampered_smi_line(machine: u64) -> String {
+        format!(
+            concat!(
+                "{{\"type\":\"smi\",\"v\":1,\"machine\":{},\"smi\":2,\"cause\":\"patch\",",
+                "\"measurement\":\"0x000000000000beef\",\"writes\":[],\"writes_truncated\":0,",
+                "\"journal\":[],\"journal_truncated\":0,\"dwell_ns\":1,\"exit\":\"ok\"}}\n"
+            ),
+            machine
+        )
     }
 
     fn scratch(case: &str) -> PathBuf {
@@ -1188,16 +1197,20 @@ mod tests {
         assert!(report.resident_sketch_bytes > 0);
 
         // The streamed file carries exactly the emitted snapshots, and
-        // every line parses under the schema (as an `other` type).
+        // every line is valid JSON under the schema version.
         let streamed = std::fs::read_to_string(&health_path).unwrap();
         let lines: Vec<&str> = streamed.lines().collect();
         assert_eq!(lines.len(), 2);
         for (line, snap) in lines.iter().zip(&report.snapshots) {
             assert_eq!(*line, snap.to_json_line());
+            let v = json::parse(line).unwrap();
+            assert_eq!(v.get("type").and_then(Value::as_str), Some("health"));
+            assert_eq!(
+                v.get("v").and_then(Value::as_u64),
+                Some(u64::from(crate::SCHEMA_VERSION))
+            );
         }
-        let parsed = ShardData::parse(&streamed).unwrap();
-        assert_eq!(parsed.other_of_type("health").count(), 2);
-        let first = parsed.other_of_type("health").next().unwrap();
+        let first = json::parse(lines[0]).unwrap();
         assert_eq!(first.get("seq").and_then(Value::as_u64), Some(0));
         assert_eq!(
             first
@@ -1403,6 +1416,110 @@ mod tests {
             let judged = judge_two_machines(case, &text);
             assert_parse_error_names(&judged, "machine 1: machine line missing \"ok\"");
         }
+    }
+
+    /// A machine line is known by its decoded `"type"`, not by how it
+    /// is spelled: written `"type": "machine"` — valid JSON — it still
+    /// closes its parcel, so machine 1's failure is judged instead of
+    /// the campaign reading healthy with no snapshot at all.
+    #[test]
+    fn spaced_machine_line_closes_its_parcel() {
+        let spaced = machine_parcel(1, false, 0, &[40_000])
+            .replace("\"type\":\"machine\"", "\"type\": \"machine\"");
+        let report =
+            judge_two_machines("spaced", &(machine_parcel(0, true, 0, &[40_000]) + &spaced))
+                .unwrap();
+        assert_eq!(report.machines_seen, 2);
+        assert_eq!(report.snapshots.len(), 1);
+        assert_eq!((report.total.ok, report.total.failed), (1, 1));
+        assert_eq!(report.final_verdict().label(), "halt");
+    }
+
+    /// Every smi line of a parcel must name the machine whose outcome
+    /// line closes it; otherwise its violations would halt this
+    /// machine's window while blaming another machine.
+    #[test]
+    fn smi_line_of_another_machine_is_a_typed_parse_error() {
+        let dir = scratch("foreign-smi");
+        let shard = dir.join("worker-0.jsonl");
+        std::fs::write(
+            &shard,
+            tampered_smi_line(1) + &machine_parcel(0, true, 0, &[40_000]),
+        )
+        .unwrap();
+        let judged = HealthMonitor::new(HealthPolicy::new(), 1, 2, vec![shard])
+            .with_integrity(IntegrityPolicy::new().with_expected_measurement(0xabcd))
+            .finish();
+        assert_parse_error_names(
+            &judged,
+            "line 4: machine 0: parcel carries an smi line of machine 1",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A worker's open parcel — lines folded, machine line not yet
+    /// committed — is resident state: it raises the figure, and its
+    /// machine line releases it.
+    #[test]
+    fn open_parcel_counts_in_resident_state_until_its_machine_line() {
+        let dir = scratch("open-parcel");
+        let shard = dir.join("worker-0.jsonl");
+        std::fs::write(&shard, "").unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 1, 1, vec![shard.clone()])
+            .with_integrity(IntegrityPolicy::new().with_expected_measurement(0xabcd));
+        mon.poll().unwrap();
+        let idle = mon.resident_state_bytes();
+
+        let parcel = machine_parcel(0, true, 0, &[40_000, 80_000, 160_000]);
+        let (metrics, machine_line) =
+            parcel.split_at(parcel[..parcel.len() - 1].rfind('\n').unwrap() + 1);
+        append(&shard, &(tampered_smi_line(0) + metrics));
+        mon.poll().unwrap();
+        let open = mon.resident_state_bytes();
+        assert!(
+            open > idle,
+            "open parcel not counted: {open} vs idle {idle}"
+        );
+
+        append(&shard, machine_line);
+        mon.poll().unwrap();
+        assert_eq!(mon.snapshots().len(), 1);
+        assert_eq!(mon.snapshots()[0].verdict.label(), "halt");
+        let closed = mon.resident_state_bytes();
+        assert!(
+            closed < open,
+            "machine line kept the parcel: {closed} vs {open}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard that never writes a machine line keeps one parcel open
+    /// forever. What the monitor holds for it is the parcel's sketches
+    /// and capped reasons, never its lines: 10 000 metric blocks stay
+    /// under 8 KiB.
+    #[test]
+    fn ten_k_metric_blocks_without_a_machine_line_stay_bounded() {
+        let dir = scratch("no-machine-line");
+        let shard = dir.join("worker-0.jsonl");
+        std::fs::write(&shard, "").unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 8, 10_000, vec![shard.clone()]);
+        let mut peak = 0u64;
+        for chunk in 0..20u64 {
+            let mut text = String::new();
+            for m in chunk * 500..(chunk + 1) * 500 {
+                let reg = MetricsRegistry::new();
+                reg.observe(SMM_DWELL_METRIC, 40_000 + m % 64);
+                reg.counter_add(RECORDS_DROPPED_METRIC, 1);
+                text.push_str(&metrics_json_lines(&reg.snapshot()));
+            }
+            append(&shard, &text);
+            mon.poll().unwrap();
+            peak = peak.max(mon.resident_state_bytes());
+        }
+        assert_eq!(mon.lines_consumed(), 20_000);
+        assert_eq!(mon.machines_seen(), 0);
+        assert!(peak < 8 * 1024, "peak resident {peak} bytes");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

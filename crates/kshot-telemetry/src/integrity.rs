@@ -1,7 +1,8 @@
 //! Detached SMM integrity monitor.
 //!
-//! Replays the `smi.*` flight-record stream (one JSON line per SMI,
-//! emitted into the per-worker shards by the fleet) against declarative
+//! Replays the `smi` flight-record stream (one JSON line per SMI,
+//! emitted into the per-worker shards by the fleet and decoded into a
+//! [`SmiLine`] by the one shard-line decoder) against declarative
 //! per-SMI invariants, from *outside* the machine — the monitor trusts
 //! only the stream written by the simulated hardware, never the SMM
 //! handler itself. This reproduces the detection side of the SMM
@@ -33,7 +34,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::json::Value;
+use crate::shard::SmiLine;
 
 /// Declarative per-SMI invariants the monitor enforces. Checks whose
 /// policy field is unset are skipped.
@@ -143,62 +144,9 @@ impl IntegrityVerdict {
     }
 }
 
-/// One parsed `smi.*` line. All integer fields that may exceed 2^53
-/// (the measurement, segment-id hashes) travel as hex strings because
-/// the JSON layer parses numbers as `f64`.
-struct SmiRecordView {
-    machine: u64,
-    smi: u64,
-    cause: String,
-    measurement: u64,
-    writes: Vec<(u64, u64)>,
-    writes_truncated: u64,
-    journal: Vec<String>,
-    journal_truncated: u64,
-    dwell_ns: u64,
-}
-
-fn parse_hex_u64(v: &Value) -> Option<u64> {
-    let s = v.as_str()?.strip_prefix("0x")?;
-    u64::from_str_radix(s, 16).ok()
-}
-
-impl SmiRecordView {
-    fn parse(v: &Value) -> Option<Self> {
-        let writes = match v.get("writes")? {
-            Value::Array(items) => items
-                .iter()
-                .map(|pair| match pair {
-                    Value::Array(bl) if bl.len() == 2 => Some((bl[0].as_u64()?, bl[1].as_u64()?)),
-                    _ => None,
-                })
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        let journal = match v.get("journal")? {
-            Value::Array(items) => items
-                .iter()
-                .map(|op| op.as_str().map(str::to_owned))
-                .collect::<Option<Vec<_>>>()?,
-            _ => return None,
-        };
-        Some(Self {
-            machine: v.get("machine")?.as_u64()?,
-            smi: v.get("smi")?.as_u64()?,
-            cause: v.get("cause")?.as_str()?.to_owned(),
-            measurement: v.get("measurement").and_then(parse_hex_u64)?,
-            writes,
-            writes_truncated: v.get("writes_truncated")?.as_u64()?,
-            journal,
-            journal_truncated: v.get("journal_truncated")?.as_u64()?,
-            dwell_ns: v.get("dwell_ns")?.as_u64()?,
-        })
-    }
-}
-
-/// The detached monitor: feed it every `smi.*` line, read the verdicts
-/// and the end-of-run [`IntegrityReport`]. See the module docs for the
-/// invariants.
+/// The detached monitor: feed it every decoded `smi` line, read the
+/// verdicts and the end-of-run [`IntegrityReport`]. See the module docs
+/// for the invariants.
 #[derive(Debug, Clone)]
 pub struct IntegrityMonitor {
     policy: IntegrityPolicy,
@@ -243,13 +191,12 @@ impl IntegrityMonitor {
         &self.policy
     }
 
-    /// Check one parsed `smi.*` line against the policy, recording any
-    /// violation into the run totals and returning the verdict.
-    pub fn check_value(&mut self, v: &Value) -> IntegrityVerdict {
+    /// Check one decoded `smi` line against the policy, recording any
+    /// violation into the run totals and returning the verdict. A
+    /// malformed line never gets here: it fails to decode, as a typed
+    /// shard error naming the line.
+    pub fn check(&mut self, rec: &SmiLine) -> IntegrityVerdict {
         self.records_checked += 1;
-        let Some(rec) = SmiRecordView::parse(v) else {
-            return self.flag(None, vec!["malformed smi flight record".to_string()]);
-        };
         let mut reasons = Vec::new();
         let who = format!("machine {} smi {} ({})", rec.machine, rec.smi, rec.cause);
         if let Some(expected) = self.policy.expected_measurement {
@@ -280,7 +227,7 @@ impl IntegrityMonitor {
                 ));
             }
         }
-        self.check_journal(&who, &rec, &mut reasons);
+        self.check_journal(&who, rec, &mut reasons);
         if let Some(budget) = self.policy.dwell_budget_ns {
             if rec.dwell_ns > budget {
                 reasons.push(format!(
@@ -292,11 +239,11 @@ impl IntegrityMonitor {
         if reasons.is_empty() {
             IntegrityVerdict::Clean
         } else {
-            self.flag(Some(rec.machine), reasons)
+            self.flag(rec.machine, reasons)
         }
     }
 
-    fn check_journal(&self, who: &str, rec: &SmiRecordView, reasons: &mut Vec<String>) {
+    fn check_journal(&self, who: &str, rec: &SmiLine, reasons: &mut Vec<String>) {
         if rec.journal_truncated > 0 {
             reasons.push(format!(
                 "{who}: journal op stream truncated ({} ops dropped)",
@@ -352,11 +299,9 @@ impl IntegrityMonitor {
         }
     }
 
-    fn flag(&mut self, machine: Option<u64>, reasons: Vec<String>) -> IntegrityVerdict {
+    fn flag(&mut self, machine: u64, reasons: Vec<String>) -> IntegrityVerdict {
         self.violations += 1;
-        if let Some(m) = machine {
-            self.violating_machines.insert(m);
-        }
+        self.violating_machines.insert(machine);
         for r in &reasons {
             if self.reasons.len() < self.policy.max_reasons {
                 self.reasons.push(r.clone());
@@ -473,7 +418,7 @@ impl IntegrityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::shard::{ShardData, ShardLine};
 
     fn smi_line(
         machine: u64,
@@ -496,7 +441,10 @@ mod tests {
     }
 
     fn check(monitor: &mut IntegrityMonitor, line: &str) -> IntegrityVerdict {
-        monitor.check_value(&json::parse(line).unwrap())
+        match ShardLine::decode(line).unwrap() {
+            ShardLine::Smi(smi) => monitor.check(&smi),
+            other => panic!("not an smi line: {other:?}"),
+        }
     }
 
     fn policy() -> IntegrityPolicy {
@@ -622,13 +570,22 @@ mod tests {
         );
     }
 
+    /// A malformed smi line never reaches the monitor as if it were
+    /// clean: decoding it fails, naming the line and the bad field.
     #[test]
     fn malformed_record_is_flagged_not_ignored() {
-        let mut m = IntegrityMonitor::new(policy());
-        let v = m.check_value(&json::parse("{\"type\":\"smi\",\"v\":1}").unwrap());
-        assert_eq!(v.reasons(), ["malformed smi flight record"]);
-        assert_eq!(v.severity(), 2);
-        assert_eq!(v.label(), "violation");
+        assert_eq!(
+            ShardData::parse("{\"type\":\"smi\",\"v\":1}").unwrap_err(),
+            "line 1: missing/invalid \"machine\""
+        );
+        let unmeasured = smi_line(3, 2, "patch", 0xABCD, "", "", 1).replace(
+            "\"measurement\":\"0x000000000000abcd\"",
+            "\"measurement\":43981",
+        );
+        assert_eq!(
+            ShardLine::decode(&unmeasured).unwrap_err(),
+            "missing/invalid \"measurement\""
+        );
     }
 
     #[test]

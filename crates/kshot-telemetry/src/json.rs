@@ -1,9 +1,9 @@
 //! A minimal recursive-descent JSON parser — just enough to read back
 //! this crate's own exporter output (JSON-lines shards, Chrome traces)
 //! without pulling in serde. Numbers are parsed as `f64`; strings decode
-//! the standard escapes. Used by [`crate::phase`] and [`crate::shard`]
-//! to reconstruct profiles from streamed files, and by tests to validate
-//! that every emitted line is well-formed.
+//! the standard escapes. Used by the shard-line decoder
+//! ([`crate::ShardLine::decode`]) to read streamed files back, and by
+//! tests to validate that every emitted line is well-formed.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

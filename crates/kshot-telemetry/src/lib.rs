@@ -53,10 +53,11 @@
 #![forbid(unsafe_code)]
 
 /// Version stamped as `"v"` on every JSON-lines object this crate
-/// emits (records and metric lines alike). Bumped on any change that
-/// would make old parsers misread new lines; [`shard::ShardData`] and
-/// [`PhaseProfile::from_json_lines`] reject mismatched versions so
-/// format drift fails loudly instead of producing empty aggregates.
+/// emits (records, metric lines and the fleet's machine, smi and
+/// roll-up lines alike). Bumped on any change that would make old
+/// parsers misread new lines; [`ShardLine::decode`] rejects mismatched
+/// versions so format drift fails loudly instead of producing empty
+/// aggregates.
 pub const SCHEMA_VERSION: u32 = 1;
 
 pub mod export;
@@ -75,7 +76,7 @@ mod stream;
 
 pub use health::{
     HealthMonitor, HealthPolicy, HealthReport, HealthSnapshot, HealthVerdict, SignalStats,
-    SMM_DWELL_METRIC,
+    RECORDS_DROPPED_METRIC, SMM_DWELL_METRIC,
 };
 pub use integrity::{IntegrityMonitor, IntegrityPolicy, IntegrityReport, IntegrityVerdict};
 pub use merkle::{DigestTree, FrontierNode, FullDigestTree, MerkleError};
@@ -83,7 +84,7 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use phase::{PhaseProfile, PhaseStats, PHASES, PHASE_PREFIX};
 pub use record::{json_escape, EventRecord, Field, Record, SpanRecord, Value};
 pub use recorder::{Recorder, Sink, DEFAULT_CAPACITY};
-pub use shard::{DigestRollup, ShardData, ShardError};
+pub use shard::{DigestRollup, MachineLine, ShardData, ShardError, ShardLine, SmiLine};
 pub use sketch::QuantileSketch;
 pub use span::SpanGuard;
 pub use stream::{StreamSink, DEFAULT_FLUSH_EVERY};

@@ -54,18 +54,6 @@ pub struct FrontierNode {
     pub hash: Digest,
 }
 
-impl FrontierNode {
-    /// First leaf position covered by this node.
-    pub fn first_leaf(&self) -> u64 {
-        self.index << self.level
-    }
-
-    /// One past the last leaf position covered by this node.
-    pub fn end_leaf(&self) -> u64 {
-        (self.index + 1) << self.level
-    }
-}
-
 /// Errors from [`DigestTree::merge`] and [`DigestTree::from_frontier`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MerkleError {
@@ -264,21 +252,24 @@ impl DigestTree {
         len: u64,
         nodes: Vec<FrontierNode>,
     ) -> Result<DigestTree, MerkleError> {
-        let mut cursor = start;
-        for node in &nodes {
-            if node.first_leaf() != cursor {
-                return Err(MerkleError::BadFrontier { position: cursor });
-            }
-            cursor = node.end_leaf();
-        }
-        if cursor != start + len {
-            return Err(MerkleError::BadFrontier { position: cursor });
-        }
-        let mut tree = DigestTree {
-            start,
-            next: start + len,
-            nodes,
+        // Positions are checked in u128, so a hostile frontier fails the
+        // tiling check instead of overflowing one.
+        let bad = |position: u128| MerkleError::BadFrontier {
+            position: u64::try_from(position).unwrap_or(u64::MAX),
         };
+        let end = u128::from(start) + u128::from(len);
+        let mut cursor = u128::from(start);
+        for node in &nodes {
+            let index = u128::from(node.index);
+            if node.level >= 64 || index << node.level != cursor {
+                return Err(bad(cursor));
+            }
+            cursor = (index + 1) << node.level;
+        }
+        let (Ok(next), true) = (u64::try_from(end), cursor == end) else {
+            return Err(bad(cursor));
+        };
+        let mut tree = DigestTree { start, next, nodes };
         // A canonical producer never emits combinable siblings, but
         // coalescing an already-canonical forest is a no-op — cheap
         // insurance against a hand-built frontier.

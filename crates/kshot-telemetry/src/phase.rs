@@ -30,10 +30,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::export::fmt_ns;
-use crate::json::{self, Value};
 use crate::record::Record;
 use crate::recorder::Recorder;
-use crate::shard::{check_schema_version, field_str, field_u64};
+use crate::shard::ShardData;
 use crate::sketch::QuantileSketch;
 
 /// The canonical pipeline phase names, in execution order.
@@ -122,62 +121,21 @@ impl PhaseProfile {
     }
 
     /// Build from streamed JSON-lines text (e.g. a per-worker shard
-    /// file). Only `"type":"span"` lines with a `phase.`-prefixed name
-    /// contribute; other line types pass through untouched.
+    /// file): the phase profile of [`ShardData::parse`], which decodes
+    /// every line through the one shard-line decoder.
     ///
     /// # Errors
     ///
-    /// A line that is not valid JSON, a span line whose `"v"` does not
-    /// match [`crate::SCHEMA_VERSION`] (format drift must be loud, not a
-    /// silently empty profile), a span line without a string `"name"`,
-    /// or a phase span line without an integer `"wall_dur_ns"`.
+    /// Any line [`ShardData::parse`] rejects: invalid JSON, a `"v"`
+    /// other than [`crate::SCHEMA_VERSION`] (format drift must be loud,
+    /// not a silently empty profile), an unknown `"type"`, or a span
+    /// line without a string `"name"` or an integer `"wall_dur_ns"`.
     pub fn from_json_lines(text: &str) -> Result<PhaseProfile, String> {
-        let mut profile = PhaseProfile::new();
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let v = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-            if v.get("type").and_then(Value::as_str) != Some("span") {
-                continue;
-            }
-            check_schema_version(&v, lineno)?;
-            profile.add_span_line(&v, lineno)?;
-        }
-        Ok(profile)
-    }
-
-    /// Fold one parsed `"type":"span"` line in: a `phase.*` span adds
-    /// one sample — its wall duration, plus its simulated duration when
-    /// both simulated stamps are present — and any other span is
-    /// ignored. The one span decoder behind
-    /// [`from_json_lines`](Self::from_json_lines) and
-    /// [`crate::ShardData`].
-    ///
-    /// # Errors
-    ///
-    /// A span without a string `"name"`, or a phase span without an
-    /// integer `"wall_dur_ns"`.
-    pub(crate) fn add_span_line(&mut self, span: &Value, lineno: usize) -> Result<(), String> {
-        let Some(phase) = field_str(span, "name", lineno)?.strip_prefix(PHASE_PREFIX) else {
-            return Ok(());
-        };
-        let wall = field_u64(span, "wall_dur_ns", lineno)?;
-        let sim = match (
-            span.get("sim_start_ns").and_then(Value::as_u64),
-            span.get("sim_end_ns").and_then(Value::as_u64),
-        ) {
-            (Some(s), Some(e)) => Some(e.saturating_sub(s)),
-            _ => None,
-        };
-        self.add_sample(phase, wall, sim);
-        Ok(())
+        ShardData::parse(text).map(|shard| shard.phases)
     }
 
     /// Add one sample directly (phase name without the `phase.`
-    /// prefix). This is the primitive the record and span-line
+    /// prefix). This is the primitive the record and shard-line
     /// constructors build on.
     pub fn add_sample(&mut self, phase: &str, wall_ns: u64, sim_ns: Option<u64>) {
         self.phases

@@ -1,10 +1,17 @@
-//! Shard re-aggregation: read streamed JSON-lines files back into
-//! mergeable aggregates.
+//! Shard lines: the one typed decoder for streamed JSON-lines shards,
+//! and their re-aggregation into mergeable aggregates.
 //!
 //! A fleet campaign streams each worker's telemetry to its own
-//! `worker-<N>.jsonl` (see [`crate::StreamSink`]). A [`ShardData`]
-//! parses one such file — validating the per-line schema version — and
-//! accumulates:
+//! `worker-<N>.jsonl` (see [`crate::StreamSink`]). [`ShardLine::decode`]
+//! is the only reader of a line's fields: it parses the line once into
+//! a record, a metric, or one of the fleet's own lines — a machine's
+//! outcome ([`MachineLine`]), an SMI flight record ([`SmiLine`]), a
+//! block's Merkle roll-up ([`DigestRollup`]) — whose writers live here
+//! too. Schema drift, an unknown `"type"`, a missing or ill-typed field
+//! and a roll-up whose frontier misses its stated root are typed errors:
+//! the lines come from machines a monitor must assume compromised.
+//!
+//! A [`ShardData`] folds decoded lines into:
 //!
 //! - a [`PhaseProfile`] from `phase.*` spans,
 //! - counter totals (adding across repeated lines, e.g. one metrics
@@ -13,9 +20,7 @@
 //! - quantile-sketch totals ([`QuantileSketch::merge_from`], the same
 //!   arithmetic the live registry merge uses — merge-order-independent
 //!   by construction),
-//! - every other typed object (e.g. a fleet's `"type":"machine"`
-//!   outcome lines) verbatim in [`ShardData::other`], so higher layers
-//!   can extend the shard format without this crate knowing about it.
+//! - the typed machine, smi and roll-up lines, in stream order.
 //!
 //! Because the per-line arithmetic is identical to the in-memory merge
 //! path, parsing all shards and [`merging`](ShardData::merge_from) them
@@ -26,14 +31,16 @@
 //! sequential left fold.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::json::{self, Value};
 use crate::merkle::{self, DigestTree, FrontierNode};
 use crate::metrics::MetricsSnapshot;
-use crate::phase::PhaseProfile;
+use crate::phase::{PhaseProfile, PHASE_PREFIX};
+use crate::record::json_escape;
 use crate::sketch::QuantileSketch;
+use crate::SCHEMA_VERSION;
 
 /// Why a shard read failed. [`ShardData::tail_file`] distinguishes
 /// truncation/rotation from plain I/O and parse failures so a live
@@ -51,8 +58,9 @@ pub enum ShardError {
         offset: u64,
         len: u64,
     },
-    /// A committed line failed to parse (malformed JSON, schema drift,
-    /// or invalid UTF-8).
+    /// A committed line failed to decode (malformed JSON, schema drift,
+    /// an unknown type, a missing field, or invalid UTF-8), or a
+    /// monitor rejected what it said.
     Parse { path: PathBuf, error: String },
 }
 
@@ -72,21 +80,337 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// One worker's Merkle digest roll-up, parsed back from a
-/// `{"type":"rollup",...}` shard line. Because the line carries the
-/// tree's O(log n) *frontier* — not just the bagged root, which is not
-/// mergeable — an offline reader can re-merge adjacent worker roll-ups
-/// into the campaign root without any per-machine digests.
+/// One shard line, decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ShardLine {
+    /// A span record. `sim_dur_ns` is present when the span carries
+    /// both simulated stamps.
+    Span {
+        name: String,
+        wall_dur_ns: u64,
+        sim_dur_ns: Option<u64>,
+    },
+    /// An event record.
+    Event,
+    /// A counter total.
+    Counter { name: String, value: u64 },
+    /// A gauge value.
+    Gauge { name: String, value: i64 },
+    /// A quantile-sketch total.
+    Sketch {
+        name: String,
+        sketch: QuantileSketch,
+    },
+    /// A fleet machine's outcome, which closes the machine's parcel.
+    Machine(MachineLine),
+    /// One SMI flight record.
+    Smi(SmiLine),
+    /// A placement block's Merkle roll-up, validated against its root.
+    Rollup(DigestRollup),
+}
+
+/// Member `key` of `v`, read by `as_t` (`Value::as_u64`, ...).
+fn at<'a, T>(v: &'a Value, key: &str, as_t: fn(&'a Value) -> Option<T>) -> Result<T, String> {
+    v.get(key)
+        .and_then(as_t)
+        .ok_or_else(|| format!("missing/invalid {key:?}"))
+}
+
+/// An optional member: absent is `None`, present must read as a `T`.
+fn opt_at<'a, T>(
+    v: &'a Value,
+    key: &str,
+    as_t: fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|x| as_t(x).ok_or_else(|| format!("missing/invalid {key:?}")))
+        .transpose()
+}
+
+/// Array member `key` of `v`, each item read by `item`.
+fn items_at<'a, T>(
+    v: &'a Value,
+    key: &str,
+    item: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Vec<T>, String> {
+    match v.get(key) {
+        Some(Value::Array(items)) => items.iter().map(item).collect(),
+        _ => None,
+    }
+    .ok_or_else(|| format!("missing/invalid {key:?}"))
+}
+
+impl ShardLine {
+    /// Decode one shard line.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a `"v"` other than [`SCHEMA_VERSION`], a missing
+    /// or unknown `"type"`, a missing or ill-typed field, or a roll-up
+    /// whose frontier does not reproduce its stated root. The error
+    /// does not name the line; callers prefix its number.
+    pub fn decode(line: &str) -> Result<ShardLine, String> {
+        let v = json::parse(line)?;
+        let version = v.get("v").and_then(Value::as_u64);
+        if version != Some(u64::from(SCHEMA_VERSION)) {
+            return Err(format!(
+                "schema version {version:?}, expected {SCHEMA_VERSION}"
+            ));
+        }
+        let name = || at(&v, "name", Value::as_str).map(str::to_owned);
+        Ok(match at(&v, "type", Value::as_str)? {
+            "span" => ShardLine::Span {
+                name: name()?,
+                wall_dur_ns: at(&v, "wall_dur_ns", Value::as_u64)?,
+                sim_dur_ns: match (
+                    opt_at(&v, "sim_start_ns", Value::as_u64)?,
+                    opt_at(&v, "sim_end_ns", Value::as_u64)?,
+                ) {
+                    (Some(start), Some(end)) => Some(end.saturating_sub(start)),
+                    _ => None,
+                },
+            },
+            "event" => ShardLine::Event,
+            "counter" => ShardLine::Counter {
+                name: name()?,
+                value: at(&v, "value", Value::as_u64)?,
+            },
+            "gauge" => ShardLine::Gauge {
+                name: name()?,
+                value: at(&v, "value", Value::as_i64)?,
+            },
+            "sketch" => ShardLine::Sketch {
+                name: name()?,
+                sketch: QuantileSketch::from_json_value(&v)?,
+            },
+            "machine" => ShardLine::Machine(MachineLine::decode(&v)?),
+            "smi" => ShardLine::Smi(SmiLine::decode(&v)?),
+            "rollup" => {
+                ShardLine::Rollup(DigestRollup::decode(&v).map_err(|e| format!("rollup: {e}"))?)
+            }
+            other => return Err(format!("unknown line type {other:?}")),
+        })
+    }
+}
+
+/// A fleet machine's outcome line. Its fields mirror the campaign's
+/// `MachineOutcome`, with simulated times in ns; the error string,
+/// digest and injection write count stay in the in-memory report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MachineLine {
+    pub machine: u64,
+    pub worker: u64,
+    pub ok: bool,
+    pub attempts: u64,
+    pub retries: u64,
+    pub faults_injected: u64,
+    pub sim_clock_ns: u64,
+    pub smm_overbudget: u64,
+    pub max_smm_dwell_ns: u64,
+    /// The SMI behind `max_smm_dwell_ns`: its index and cause label.
+    pub dwell_worst: Option<(u64, String)>,
+    pub latency_ns: Option<u64>,
+}
+
+impl MachineLine {
+    /// The `{"type":"machine",...}` line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
+        let mut out = format!(
+            concat!(
+                "{{\"type\":\"machine\",\"v\":{},\"machine\":{},\"worker\":{},",
+                "\"ok\":{},\"attempts\":{},\"retries\":{},\"faults_injected\":{},",
+                "\"sim_clock_ns\":{},\"smm_overbudget\":{},\"max_smm_dwell_ns\":{}"
+            ),
+            SCHEMA_VERSION,
+            self.machine,
+            self.worker,
+            self.ok,
+            self.attempts,
+            self.retries,
+            self.faults_injected,
+            self.sim_clock_ns,
+            self.smm_overbudget,
+            self.max_smm_dwell_ns,
+        );
+        if let Some((smi, cause)) = &self.dwell_worst {
+            let _ = write!(
+                out,
+                ",\"dwell_worst_smi\":{smi},\"dwell_worst_cause\":{}",
+                json_escape(cause)
+            );
+        }
+        if let Some(latency) = self.latency_ns {
+            let _ = write!(out, ",\"latency_ns\":{latency}");
+        }
+        out.push('}');
+        out
+    }
+
+    fn decode(v: &Value) -> Result<MachineLine, String> {
+        let machine = at(v, "machine", Value::as_u64)?;
+        let missing = |key: &str| format!("machine {machine}: machine line missing {key:?}");
+        let num = |key: &str| at(v, key, Value::as_u64).map_err(|_| missing(key));
+        let opt = |key: &str| opt_at(v, key, Value::as_u64).map_err(|_| missing(key));
+        Ok(MachineLine {
+            machine,
+            worker: num("worker")?,
+            ok: at(v, "ok", Value::as_bool).map_err(|_| missing("ok"))?,
+            attempts: num("attempts")?,
+            retries: num("retries")?,
+            faults_injected: num("faults_injected")?,
+            sim_clock_ns: num("sim_clock_ns")?,
+            smm_overbudget: num("smm_overbudget")?,
+            max_smm_dwell_ns: num("max_smm_dwell_ns")?,
+            dwell_worst: match (opt("dwell_worst_smi")?, v.get("dwell_worst_cause")) {
+                (Some(smi), Some(Value::String(cause))) => Some((smi, cause.clone())),
+                (None, None) => None,
+                _ => return Err(missing("dwell_worst_smi\" or \"dwell_worst_cause")),
+            },
+            latency_ns: opt("latency_ns")?,
+        })
+    }
+}
+
+/// One SMI flight record of `machine` as a shard line: the input the
+/// detached [`crate::IntegrityMonitor`] replays. Its fields mirror the
+/// machine's `SmiFlightRecord`, with the cause and exit as their labels,
+/// write ranges as `(base, len)` and journal ops in their compact
+/// encoding (`B:a`, `B:r`, `S:<index>:<id hash>`, `E:<count>`, `C`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SmiLine {
+    pub machine: u64,
+    pub smi: u64,
+    pub cause: String,
+    pub measurement: u64,
+    pub writes: Vec<(u64, u64)>,
+    pub writes_truncated: u64,
+    pub journal: Vec<String>,
+    pub journal_truncated: u64,
+    pub dwell_ns: u64,
+    pub exit: String,
+}
+
+impl SmiLine {
+    /// The `{"type":"smi",...}` line (no trailing newline). The
+    /// measurement travels as a hex string: the JSON layer parses
+    /// numbers as `f64`, which is only integer-exact to 2^53. The line
+    /// carries no wall-clock field, so the smi stream is byte-identical
+    /// across schedules.
+    pub fn to_json_line(&self) -> String {
+        let writes: Vec<String> = self
+            .writes
+            .iter()
+            .map(|(base, len)| format!("[{base},{len}]"))
+            .collect();
+        let journal: Vec<String> = self.journal.iter().map(|op| json_escape(op)).collect();
+        format!(
+            concat!(
+                "{{\"type\":\"smi\",\"v\":{},\"machine\":{},\"smi\":{},\"cause\":{},",
+                "\"measurement\":\"{:#018x}\",\"writes\":[{}],\"writes_truncated\":{},",
+                "\"journal\":[{}],\"journal_truncated\":{},\"dwell_ns\":{},\"exit\":{}}}"
+            ),
+            SCHEMA_VERSION,
+            self.machine,
+            self.smi,
+            json_escape(&self.cause),
+            self.measurement,
+            writes.join(","),
+            self.writes_truncated,
+            journal.join(","),
+            self.journal_truncated,
+            self.dwell_ns,
+            json_escape(&self.exit),
+        )
+    }
+
+    fn decode(v: &Value) -> Result<SmiLine, String> {
+        let label = |key: &str| at(v, key, Value::as_str).map(str::to_owned);
+        let hex = |x: &Value| u64::from_str_radix(x.as_str()?.strip_prefix("0x")?, 16).ok();
+        Ok(SmiLine {
+            machine: at(v, "machine", Value::as_u64)?,
+            smi: at(v, "smi", Value::as_u64)?,
+            cause: label("cause")?,
+            measurement: at(v, "measurement", hex)?,
+            writes: items_at(v, "writes", |range| match range {
+                Value::Array(pair) if pair.len() == 2 => pair[0].as_u64().zip(pair[1].as_u64()),
+                _ => None,
+            })?,
+            writes_truncated: at(v, "writes_truncated", Value::as_u64)?,
+            journal: items_at(v, "journal", |op| op.as_str().map(str::to_owned))?,
+            journal_truncated: at(v, "journal_truncated", Value::as_u64)?,
+            dwell_ns: at(v, "dwell_ns", Value::as_u64)?,
+            exit: label("exit")?,
+        })
+    }
+}
+
+/// One placement block's Merkle digest roll-up, as its `rollup` shard
+/// line carries it: the block's range, its root, and the tree's O(log n)
+/// *frontier* — the bagged root alone is not mergeable — so an offline
+/// reader can re-merge adjacent roll-ups into the campaign root without
+/// any per-machine digests. The range and root a line states are the
+/// tree's own, so a roll-up cannot state a root its frontier lacks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DigestRollup {
-    /// First machine index the worker's contiguous range covers.
-    pub start: u64,
-    /// Machines in the range.
-    pub machines: u64,
-    /// The worker-range Merkle root (also recomputable from `tree`).
-    pub root: merkle::Digest,
-    /// The reconstructed accumulator, ready for [`DigestTree::merge`].
+    /// The block's accumulator, ready for [`DigestTree::merge`].
     pub tree: DigestTree,
+}
+
+impl DigestRollup {
+    /// The `{"type":"rollup",...}` line (no trailing newline): the
+    /// stated root and the frontier as `[level,index,hash]` nodes.
+    pub fn to_json_line(&self) -> String {
+        let frontier: Vec<String> = self
+            .tree
+            .frontier()
+            .iter()
+            .map(|n| {
+                format!(
+                    "[{},{},\"{}\"]",
+                    n.level,
+                    n.index,
+                    merkle::digest_hex(&n.hash)
+                )
+            })
+            .collect();
+        format!(
+            concat!(
+                "{{\"type\":\"rollup\",\"v\":{},\"start\":{},\"machines\":{},",
+                "\"root\":\"{}\",\"frontier\":[{}]}}"
+            ),
+            SCHEMA_VERSION,
+            self.tree.start(),
+            self.tree.len(),
+            merkle::digest_hex(&self.tree.root()),
+            frontier.join(","),
+        )
+    }
+
+    /// Rebuild a roll-up, validating that its frontier tiles the stated
+    /// range and reproduces the stated root, so a corrupt roll-up fails
+    /// here rather than producing a silently-wrong campaign root.
+    fn decode(v: &Value) -> Result<DigestRollup, String> {
+        let hash = |x: &Value| merkle::digest_from_hex(x.as_str()?);
+        let start = at(v, "start", Value::as_u64)?;
+        let machines = at(v, "machines", Value::as_u64)?;
+        let root = at(v, "root", hash)?;
+        let nodes = items_at(v, "frontier", |node| match node {
+            Value::Array(parts) if parts.len() == 3 => Some(FrontierNode {
+                level: parts[0].as_u64().filter(|&l| l <= 63)? as u32,
+                index: parts[1].as_u64()?,
+                hash: hash(&parts[2])?,
+            }),
+            _ => None,
+        })?;
+        let tree = DigestTree::from_frontier(start, machines, nodes).map_err(|e| e.to_string())?;
+        if tree.root() != root {
+            return Err(format!(
+                "stated root does not match its frontier (machines {start}..{})",
+                tree.end()
+            ));
+        }
+        Ok(DigestRollup { tree })
+    }
 }
 
 /// Aggregates parsed back from one or more JSON-lines shards.
@@ -104,34 +428,43 @@ pub struct ShardData {
     pub spans: u64,
     /// Event lines seen.
     pub events: u64,
-    /// Objects of any other `"type"` (e.g. fleet `machine` outcome
-    /// lines), in stream order.
-    pub other: Vec<Value>,
+    /// Machine outcome lines, in stream order.
+    pub machines: Vec<MachineLine>,
+    /// SMI flight-record lines, in stream order.
+    pub smis: Vec<SmiLine>,
+    /// Block roll-ups, in stream order.
+    pub rollups: Vec<DigestRollup>,
 }
 
-pub(crate) fn field_u64(v: &Value, key: &str, lineno: usize) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("line {lineno}: missing/invalid {key:?}"))
-}
-
-pub(crate) fn field_str<'a>(v: &'a Value, key: &str, lineno: usize) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("line {lineno}: missing/invalid {key:?}"))
-}
-
-/// Reject a line whose `"v"` is not [`crate::SCHEMA_VERSION`].
-pub(crate) fn check_schema_version(v: &Value, lineno: usize) -> Result<(), String> {
-    let ver = v.get("v").and_then(Value::as_u64);
-    if ver == Some(u64::from(crate::SCHEMA_VERSION)) {
-        Ok(())
-    } else {
-        Err(format!(
-            "line {lineno}: schema version {ver:?}, expected {}",
-            crate::SCHEMA_VERSION
-        ))
+/// The committed lines of the shard at `path` from byte `offset` (all
+/// bytes through the last `\n`: a record still being appended waits for
+/// the next read), and the offset after them, with the errors of
+/// [`ShardData::tail_file`]. Also the health monitor's one read.
+pub(crate) fn read_committed(path: &Path, offset: u64) -> Result<(String, u64), ShardError> {
+    use std::io::{Read, Seek, SeekFrom};
+    let io = |e: std::io::Error| ShardError::Io {
+        path: path.to_path_buf(),
+        error: e.to_string(),
+    };
+    let mut file = std::fs::File::open(path).map_err(io)?;
+    let len = file.metadata().map_err(io)?.len();
+    if offset > len {
+        return Err(ShardError::Truncated {
+            path: path.to_path_buf(),
+            offset,
+            len,
+        });
     }
+    file.seek(SeekFrom::Start(offset)).map_err(io)?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes).map_err(io)?;
+    bytes.truncate(bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1));
+    let next = offset + bytes.len() as u64;
+    let text = String::from_utf8(bytes).map_err(|e| ShardError::Parse {
+        path: path.to_path_buf(),
+        error: format!("invalid UTF-8 in committed lines: {e}"),
+    })?;
+    Ok((text, next))
 }
 
 impl ShardData {
@@ -146,51 +479,47 @@ impl ShardData {
     ///
     /// # Errors
     ///
-    /// Any line that is not a JSON object, lacks a `"type"`, or carries
-    /// a `"v"` different from [`crate::SCHEMA_VERSION`]. Format drift
-    /// must fail loudly — a silently-empty aggregate would make the
-    /// equivalence gate vacuous.
+    /// The first line [`ShardLine::decode`] rejects, prefixed with its
+    /// line number. Format drift must fail loudly — a silently-empty
+    /// aggregate would make the equivalence gate vacuous.
     pub fn parse_into(&mut self, text: &str) -> Result<(), String> {
         for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let line = line.trim();
-            if line.is_empty() {
+            if line.trim().is_empty() {
                 continue;
             }
-            let v = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-            check_schema_version(&v, lineno)?;
-            match field_str(&v, "type", lineno)? {
-                "span" => {
-                    self.spans += 1;
-                    self.phases.add_span_line(&v, lineno)?;
-                }
-                "event" => self.events += 1,
-                "counter" => {
-                    let name = field_str(&v, "name", lineno)?;
-                    let value = field_u64(&v, "value", lineno)?;
-                    let slot = self.counters.entry(name.to_string()).or_insert(0);
-                    *slot = slot.saturating_add(value);
-                }
-                "gauge" => {
-                    let name = field_str(&v, "name", lineno)?;
-                    let value = v
-                        .get("value")
-                        .and_then(Value::as_i64)
-                        .ok_or_else(|| format!("line {lineno}: missing/invalid \"value\""))?;
-                    self.gauges.insert(name.to_string(), value);
-                }
-                "sketch" => {
-                    let name = field_str(&v, "name", lineno)?;
-                    let sketch = QuantileSketch::from_json_value(&v, lineno)?;
-                    self.sketches
-                        .entry(name.to_string())
-                        .or_default()
-                        .merge_from(&sketch);
-                }
-                _ => self.other.push(v),
-            }
+            let decoded = ShardLine::decode(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
+            self.absorb(decoded);
         }
         Ok(())
+    }
+
+    fn absorb(&mut self, line: ShardLine) {
+        match line {
+            ShardLine::Span {
+                name,
+                wall_dur_ns,
+                sim_dur_ns,
+            } => {
+                self.spans += 1;
+                if let Some(phase) = name.strip_prefix(PHASE_PREFIX) {
+                    self.phases.add_sample(phase, wall_dur_ns, sim_dur_ns);
+                }
+            }
+            ShardLine::Event => self.events += 1,
+            ShardLine::Counter { name, value } => {
+                let slot = self.counters.entry(name).or_insert(0);
+                *slot = slot.saturating_add(value);
+            }
+            ShardLine::Gauge { name, value } => {
+                self.gauges.insert(name, value);
+            }
+            ShardLine::Sketch { name, sketch } => {
+                self.sketches.entry(name).or_default().merge_from(&sketch);
+            }
+            ShardLine::Machine(machine) => self.machines.push(machine),
+            ShardLine::Smi(smi) => self.smis.push(smi),
+            ShardLine::Rollup(rollup) => self.rollups.push(rollup),
+        }
     }
 
     /// Parse a shard from text into a fresh aggregate.
@@ -217,8 +546,7 @@ impl ShardData {
     ///
     /// Only lines terminated by `\n` are parsed; a torn final line (a
     /// record the writer is still appending) is left unconsumed, so the
-    /// caller re-reads it — whole — on the next call. This is the
-    /// building block for [`tail_file`](Self::tail_file).
+    /// caller re-reads it — whole — on the next call.
     ///
     /// # Errors
     ///
@@ -242,9 +570,9 @@ impl ShardData {
     /// it in a loop while a campaign is still streaming, folding each
     /// new batch of complete lines into a running aggregate. The final
     /// line is only consumed once its `\n` lands, so a record caught
-    /// mid-write (even mid-UTF-8-sequence) is skipped this round and
-    /// parsed whole on the next. When nothing new and complete has
-    /// appeared, the returned offset equals the one passed in.
+    /// mid-write is skipped this round and parsed whole on the next.
+    /// When nothing new and complete has appeared, the returned offset
+    /// equals the one passed in.
     ///
     /// # Errors
     ///
@@ -254,38 +582,18 @@ impl ShardData {
     /// so it fails loudly), [`ShardError::Parse`] for invalid UTF-8 in
     /// *committed* lines or any parse error from the committed lines.
     pub fn tail_file(&mut self, path: impl AsRef<Path>, offset: u64) -> Result<u64, ShardError> {
-        use std::io::{Read, Seek, SeekFrom};
         let path = path.as_ref();
-        let io = |e: std::io::Error| ShardError::Io {
+        let (text, next) = read_committed(path, offset)?;
+        self.parse_into(&text).map_err(|error| ShardError::Parse {
             path: path.to_path_buf(),
-            error: e.to_string(),
-        };
-        let mut file = std::fs::File::open(path).map_err(io)?;
-        let len = file.metadata().map_err(io)?.len();
-        if offset > len {
-            return Err(ShardError::Truncated {
-                path: path.to_path_buf(),
-                offset,
-                len,
-            });
-        }
-        file.seek(SeekFrom::Start(offset)).map_err(io)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(io)?;
-        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        let parse = |e: String| ShardError::Parse {
-            path: path.to_path_buf(),
-            error: e,
-        };
-        let text = std::str::from_utf8(&bytes[..complete])
-            .map_err(|e| parse(format!("invalid UTF-8 in committed lines: {e}")))?;
-        self.parse_into(text).map_err(parse)?;
-        Ok(offset + complete as u64)
+            error,
+        })?;
+        Ok(next)
     }
 
     /// Fold another aggregate into this one with the registry-merge
     /// semantics: counters add, gauges last-writer-wins, sketches and
-    /// phases merge bucket-wise, `other` lines append.
+    /// phases merge bucket-wise, machine, smi and roll-up lines append.
     pub fn merge_from(&mut self, other: &ShardData) {
         for (name, v) in &other.counters {
             let slot = self.counters.entry(name.clone()).or_insert(0);
@@ -300,17 +608,19 @@ impl ShardData {
         self.phases.merge_from(&other.phases);
         self.spans += other.spans;
         self.events += other.events;
-        self.other.extend(other.other.iter().cloned());
+        self.machines.extend_from_slice(&other.machines);
+        self.smis.extend_from_slice(&other.smis);
+        self.rollups.extend_from_slice(&other.rollups);
     }
 
     /// Hierarchically fold per-worker partial aggregates into one: a
     /// pairwise tree reduction (`⌈n/2⌉` aggregates per round) instead of
     /// a left-to-right fold over every line. Adjacent shards are merged
     /// each round, which preserves shard order for the order-*dependent*
-    /// pieces (gauge last-writer-wins, `other` line order), so the
-    /// result equals the sequential `merge_from` fold over `shards` in
-    /// the given order — while the merge *depth* drops from O(n) to
-    /// O(log n), the shape the million-machine roll-up needs.
+    /// pieces (gauge last-writer-wins, the order of the typed lines),
+    /// so the result equals the sequential `merge_from` fold over
+    /// `shards` in the given order — while the merge *depth* drops from
+    /// O(n) to O(log n), the shape the million-machine roll-up needs.
     pub fn merge_tree(shards: Vec<ShardData>) -> ShardData {
         let mut level = shards;
         while level.len() > 1 {
@@ -335,82 +645,6 @@ impl ShardData {
     /// Quantile-sketch total by name.
     pub fn sketch(&self, name: &str) -> Option<&QuantileSketch> {
         self.sketches.get(name)
-    }
-
-    /// Objects of the given non-telemetry `"type"` (e.g. `"machine"`).
-    pub fn other_of_type<'a>(&'a self, ty: &'a str) -> impl Iterator<Item = &'a Value> {
-        self.other
-            .iter()
-            .filter(move |v| v.get("type").and_then(Value::as_str) == Some(ty))
-    }
-
-    /// Parse every `"rollup"` line into a typed [`DigestRollup`], in
-    /// stream order. Each frontier is validated to tile its declared
-    /// range and to reproduce the line's stated root, so a corrupt
-    /// roll-up fails here rather than producing a silently-wrong merged
-    /// campaign root.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first malformed roll-up line.
-    pub fn digest_rollups(&self) -> Result<Vec<DigestRollup>, String> {
-        let mut out = Vec::new();
-        for v in self.other_of_type("rollup") {
-            let start = v
-                .get("start")
-                .and_then(Value::as_u64)
-                .ok_or("rollup: missing/invalid \"start\"")?;
-            let machines = v
-                .get("machines")
-                .and_then(Value::as_u64)
-                .ok_or("rollup: missing/invalid \"machines\"")?;
-            let root = v
-                .get("root")
-                .and_then(Value::as_str)
-                .and_then(merkle::digest_from_hex)
-                .ok_or("rollup: missing/invalid \"root\"")?;
-            let nodes = match v.get("frontier") {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .map(|item| match item {
-                        Value::Array(parts) if parts.len() == 3 => {
-                            let level = parts[0]
-                                .as_u64()
-                                .filter(|&l| l <= 63)
-                                .ok_or("rollup: invalid frontier level")?;
-                            let index =
-                                parts[1].as_u64().ok_or("rollup: invalid frontier index")?;
-                            let hash = parts[2]
-                                .as_str()
-                                .and_then(merkle::digest_from_hex)
-                                .ok_or("rollup: invalid frontier hash")?;
-                            Ok(FrontierNode {
-                                level: level as u32,
-                                index,
-                                hash,
-                            })
-                        }
-                        _ => Err("rollup: frontier node is not [level,index,hash]".to_string()),
-                    })
-                    .collect::<Result<Vec<FrontierNode>, String>>()?,
-                _ => return Err("rollup: missing/invalid \"frontier\"".to_string()),
-            };
-            let tree = DigestTree::from_frontier(start, machines, nodes)
-                .map_err(|e| format!("rollup: {e}"))?;
-            if tree.root() != root {
-                return Err(format!(
-                    "rollup: stated root does not match its frontier (machines {start}..{})",
-                    start + machines
-                ));
-            }
-            out.push(DigestRollup {
-                start,
-                machines,
-                root,
-                tree,
-            });
-        }
-        Ok(out)
     }
 
     /// Check this aggregate's metric totals against an in-memory
@@ -471,6 +705,22 @@ mod tests {
     use crate::export::metrics_json_lines;
     use crate::metrics::MetricsRegistry;
 
+    fn machine_line(machine: u64) -> MachineLine {
+        MachineLine {
+            machine,
+            worker: 0,
+            ok: true,
+            attempts: 1,
+            retries: 0,
+            faults_injected: 0,
+            sim_clock_ns: 1_000,
+            smm_overbudget: 0,
+            max_smm_dwell_ns: 45_000,
+            dwell_worst: Some((2, "patch".to_string())),
+            latency_ns: Some(50_000),
+        }
+    }
+
     #[test]
     fn parses_metric_lines_and_sums_across_blocks() {
         // Two machines' metrics blocks into one shard: counters add,
@@ -524,16 +774,17 @@ mod tests {
         assert_eq!((latency.count(), latency.sum()), (1, 5_000));
     }
 
+    /// An unknown `"type"` is a typed parse error naming the line: no
+    /// producer extends the format, so a line nobody decodes is drift
+    /// or hostile, not data to carry along.
     #[test]
-    fn preserves_unknown_typed_lines_for_higher_layers() {
-        let text = "{\"type\":\"machine\",\"v\":1,\"machine\":3,\"patched\":true}\n\
-                    {\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":1}\n";
-        let shard = ShardData::parse(text).unwrap();
-        assert_eq!(shard.other.len(), 1);
-        let m: Vec<_> = shard.other_of_type("machine").collect();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].get("machine").and_then(Value::as_u64), Some(3));
-        assert_eq!(shard.other_of_type("nothing").count(), 0);
+    fn unknown_line_type_is_a_typed_parse_error() {
+        let text = "{\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":1}\n\
+                    {\"type\":\"health\",\"v\":1,\"seq\":0}\n";
+        assert_eq!(
+            ShardData::parse(text).unwrap_err(),
+            "line 2: unknown line type \"health\""
+        );
     }
 
     #[test]
@@ -736,7 +987,7 @@ mod tests {
     }
 
     /// Tree-merging per-worker aggregates equals the sequential fold —
-    /// including the order-dependent pieces (gauges, `other` order).
+    /// including the order-dependent pieces (gauges, machine-line order).
     #[test]
     fn merge_tree_equals_sequential_fold() {
         let mut shards = Vec::new();
@@ -747,9 +998,8 @@ mod tests {
             reg.observe("t.lat", 10_000 * (w + 1));
             reg.observe("t.dwell", 40_000 + w);
             let mut text = metrics_json_lines(&reg.snapshot());
-            text.push_str(&format!(
-                "{{\"type\":\"machine\",\"v\":1,\"machine\":{w},\"ok\":true}}\n"
-            ));
+            text.push_str(&machine_line(w).to_json_line());
+            text.push('\n');
             shards.push(ShardData::parse(&text).unwrap());
         }
 
@@ -761,10 +1011,7 @@ mod tests {
         assert_eq!(tree, sequential);
         assert_eq!(tree.counter("t.machines"), 1 + 2 + 3 + 4 + 5);
         assert_eq!(tree.gauges.get("t.last_worker"), Some(&4));
-        let order: Vec<u64> = tree
-            .other_of_type("machine")
-            .map(|m| m.get("machine").and_then(Value::as_u64).unwrap())
-            .collect();
+        let order: Vec<u64> = tree.machines.iter().map(|m| m.machine).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4], "shard order preserved");
         // Degenerate shapes.
         assert_eq!(ShardData::merge_tree(Vec::new()), ShardData::new());
@@ -805,12 +1052,12 @@ mod tests {
             ));
         }
         let shard = ShardData::parse(&lines).unwrap();
-        let rollups = shard.digest_rollups().unwrap();
+        let rollups = &shard.rollups;
         assert_eq!(rollups.len(), 2);
         let mut merged = rollups[0].tree.clone();
         merged.merge(&rollups[1].tree).unwrap();
         assert_eq!(merged.root(), reference.root());
-        assert_eq!(rollups[0].root, rollups[0].tree.root());
+        assert_eq!(rollups[0].tree.start(), 0);
 
         // A corrupted stated root fails loudly, not silently.
         let mut tampered = lines.clone();
@@ -821,11 +1068,20 @@ mod tests {
             "0"
         };
         tampered.replace_range(first_root_at..first_root_at + 1, replacement);
-        let err = ShardData::parse(&tampered)
-            .unwrap()
-            .digest_rollups()
-            .unwrap_err();
-        assert!(err.contains("does not match"), "{err}");
+        let err = ShardData::parse(&tampered).unwrap_err();
+        assert!(
+            err.starts_with("line 1: rollup: stated root does not match"),
+            "{err}"
+        );
+        // So does a frontier whose positions would overflow a u64.
+        let overflowing = format!(
+            "{{\"type\":\"rollup\",\"v\":1,\"start\":{max},\"machines\":1,\
+             \"root\":\"{hex}\",\"frontier\":[[0,{max},\"{hex}\"]]}}",
+            max = u64::MAX,
+            hex = digest_hex(&digests[0]),
+        );
+        let err = ShardData::parse(&overflowing).unwrap_err();
+        assert!(err.contains("frontier does not tile its range"), "{err}");
     }
 
     #[test]

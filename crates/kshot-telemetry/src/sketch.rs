@@ -287,8 +287,8 @@ impl QuantileSketch {
     }
 
     /// Rebuild a sketch from a parsed `{"type":"sketch",...}` object
-    /// (schema version already checked by the caller, as with the other
-    /// shard line types).
+    /// (schema version already checked by the shard-line decoder, its
+    /// one caller, which prefixes the line number to any error).
     ///
     /// # Errors
     ///
@@ -296,35 +296,30 @@ impl QuantileSketch {
     /// an out-of-universe bucket index, or a non-empty sketch whose
     /// `min` exceeds its `max` — shard drift and hostile lines fail
     /// loudly here instead of panicking a later quantile query.
-    pub fn from_json_value(v: &Value, lineno: usize) -> Result<QuantileSketch, String> {
+    pub fn from_json_value(v: &Value) -> Result<QuantileSketch, String> {
         let field = |key: &str| {
             v.get(key)
                 .and_then(Value::as_u64)
-                .ok_or_else(|| format!("line {lineno}: missing/invalid {key:?}"))
+                .ok_or_else(|| format!("missing/invalid {key:?}"))
         };
         let array = |key: &str| -> Result<Vec<u64>, String> {
             match v.get(key) {
                 Some(Value::Array(items)) => items
                     .iter()
-                    .map(|x| {
-                        x.as_u64()
-                            .ok_or_else(|| format!("line {lineno}: non-integer in {key:?}"))
-                    })
+                    .map(|x| x.as_u64().ok_or_else(|| format!("non-integer in {key:?}")))
                     .collect(),
-                _ => Err(format!("line {lineno}: missing/invalid {key:?}")),
+                _ => Err(format!("missing/invalid {key:?}")),
             }
         };
         let idx = array("idx")?;
         let counts = array("counts")?;
         if idx.len() != counts.len() {
-            return Err(format!("line {lineno}: sketch bucket shape mismatch"));
+            return Err("sketch bucket shape mismatch".to_string());
         }
         let mut buckets = BTreeMap::new();
         for (&i, &n) in idx.iter().zip(&counts) {
             if i > MAX_INDEX {
-                return Err(format!(
-                    "line {lineno}: sketch bucket index {i} out of range"
-                ));
+                return Err(format!("sketch bucket index {i} out of range"));
             }
             if n == 0 {
                 continue; // canonical state never carries empty buckets
@@ -336,7 +331,7 @@ impl QuantileSketch {
         let min = if count == 0 { u64::MAX } else { field("min")? };
         let max = field("max")?;
         if count > 0 && min > max {
-            return Err(format!("line {lineno}: sketch min {min} > max {max}"));
+            return Err(format!("sketch min {min} > max {max}"));
         }
         Ok(QuantileSketch {
             buckets,
@@ -437,7 +432,7 @@ mod tests {
         assert_eq!(s.sum(), u64::MAX);
         let line = s.to_json_line("edge");
         let v = crate::json::parse(&line).unwrap();
-        let back = QuantileSketch::from_json_value(&v, 1).unwrap();
+        let back = QuantileSketch::from_json_value(&v).unwrap();
         assert_eq!(back, s);
     }
 
@@ -502,7 +497,7 @@ mod tests {
             v.get("v").and_then(Value::as_u64),
             Some(u64::from(crate::SCHEMA_VERSION))
         );
-        let back = QuantileSketch::from_json_value(&v, 1).unwrap();
+        let back = QuantileSketch::from_json_value(&v).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.to_json_line("machine.smm_dwell_ns"), line);
 
@@ -511,7 +506,7 @@ mod tests {
              \"zeros\":0,\"min\":1,\"max\":1,\"idx\":[1,2],\"counts\":[1]}",
         )
         .unwrap();
-        assert!(QuantileSketch::from_json_value(&bad, 4)
+        assert!(QuantileSketch::from_json_value(&bad)
             .unwrap_err()
             .contains("shape mismatch"));
         let oob = crate::json::parse(
@@ -519,19 +514,19 @@ mod tests {
              \"zeros\":0,\"min\":1,\"max\":1,\"idx\":[9999],\"counts\":[1]}",
         )
         .unwrap();
-        assert!(QuantileSketch::from_json_value(&oob, 4)
+        assert!(QuantileSketch::from_json_value(&oob)
             .unwrap_err()
             .contains("out of range"));
         // A non-empty sketch with min > max would panic the first
-        // quantile query's clamp; it is rejected, naming the line.
+        // quantile query's clamp; it is rejected.
         let inverted = crate::json::parse(
             "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
              \"zeros\":0,\"min\":100,\"max\":50,\"idx\":[200],\"counts\":[1]}",
         )
         .unwrap();
         assert_eq!(
-            QuantileSketch::from_json_value(&inverted, 4).unwrap_err(),
-            "line 4: sketch min 100 > max 50"
+            QuantileSketch::from_json_value(&inverted).unwrap_err(),
+            "sketch min 100 > max 50"
         );
     }
 

@@ -1,0 +1,254 @@
+//! The shard-line intake under random and hostile input. Every typed
+//! line the fleet writes decodes back to exactly what was written, and
+//! a shard whose lines are truncated, duplicated, or carry a `"type"`
+//! nested inside their `fields` yields a verdict or a typed error from
+//! `ShardData::parse` and from `HealthMonitor::poll`/`finish` — never a
+//! panic — with the monitor's resident state bounded.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use kshot_telemetry::export::metrics_json_lines;
+use kshot_telemetry::merkle::DigestTree;
+use kshot_telemetry::{
+    DigestRollup, HealthMonitor, HealthPolicy, IntegrityPolicy, MachineLine, MetricsRegistry,
+    ShardData, ShardError, ShardLine, SmiLine, SMM_DWELL_METRIC,
+};
+use proptest::prelude::*;
+
+/// Integers the JSON layer carries exactly: everything up to 2^53, and
+/// the `u64::MAX` sentinel, which saturates back to itself.
+fn exact_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..=(1 << 53), Just(0u64), Just(u64::MAX)]
+}
+
+/// Short strings over control characters, quotes, backslashes, ASCII
+/// and non-ASCII text: everything the line writers must escape.
+fn label() -> impl Strategy<Value = String> {
+    prop::collection::vec(0u32..0x3000, 0..12)
+        .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+}
+
+prop_compose! {
+    fn machine_line()(
+        (machine, worker, ok) in (exact_u64(), exact_u64(), any::<bool>()),
+        (attempts, retries, faults_injected) in (exact_u64(), exact_u64(), exact_u64()),
+        (sim_clock_ns, smm_overbudget, max_smm_dwell_ns) in (exact_u64(), exact_u64(), exact_u64()),
+        dwell_worst in prop::option::of((exact_u64(), label())),
+        latency_ns in prop::option::of(exact_u64()),
+    ) -> MachineLine {
+        MachineLine {
+            machine,
+            worker,
+            ok,
+            attempts,
+            retries,
+            faults_injected,
+            sim_clock_ns,
+            smm_overbudget,
+            max_smm_dwell_ns,
+            dwell_worst,
+            latency_ns,
+        }
+    }
+}
+
+prop_compose! {
+    fn smi_line()(
+        (machine, smi, measurement) in (exact_u64(), exact_u64(), any::<u64>()),
+        (cause, exit) in (label(), label()),
+        writes in prop::collection::vec((exact_u64(), exact_u64()), 0..6),
+        journal in prop::collection::vec(label(), 0..6),
+        (writes_truncated, journal_truncated, dwell_ns) in (exact_u64(), exact_u64(), exact_u64()),
+    ) -> SmiLine {
+        SmiLine {
+            machine,
+            smi,
+            cause,
+            measurement,
+            writes,
+            writes_truncated,
+            journal,
+            journal_truncated,
+            dwell_ns,
+            exit,
+        }
+    }
+}
+
+prop_compose! {
+    fn rollup()(
+        start in 0u64..(1 << 40),
+        leaves in prop::collection::vec(any::<[u8; 32]>(), 0..48),
+    ) -> DigestRollup {
+        let mut tree = DigestTree::starting_at(start);
+        for leaf in leaves {
+            tree.append(leaf);
+        }
+        DigestRollup { tree }
+    }
+}
+
+/// One machine's parcel as a worker writes it: a phase span, the
+/// metrics block, the SMI flight records, the outcome line, and the
+/// block's roll-up.
+fn parcel(machine: u64) -> Vec<String> {
+    let mut lines = vec![format!(
+        "{{\"type\":\"span\",\"v\":1,\"id\":1,\"parent\":null,\"name\":\"phase.decrypt\",\
+         \"thread\":0,\"wall_start_ns\":10,\"wall_dur_ns\":5,\"sim_start_ns\":100,\
+         \"sim_end_ns\":{},\"fields\":{{\"bytes\":4096}}}}",
+        200 + machine
+    )];
+    let reg = MetricsRegistry::new();
+    reg.observe(SMM_DWELL_METRIC, 45_000 + machine);
+    reg.counter_add("machine.smi", 2);
+    lines.extend(
+        metrics_json_lines(&reg.snapshot())
+            .lines()
+            .map(str::to_owned),
+    );
+    for smi in 1..=2 {
+        let rec = SmiLine {
+            machine,
+            smi,
+            cause: if smi == 1 { "install" } else { "patch" }.to_string(),
+            measurement: if smi == 1 { 0 } else { 0xabcd },
+            writes: vec![(0x1000, 16)],
+            writes_truncated: 0,
+            journal: vec!["B:a".into(), "E:2".into(), "C".into()],
+            journal_truncated: 0,
+            dwell_ns: 45_000,
+            exit: "ok".to_string(),
+        };
+        lines.push(rec.to_json_line());
+    }
+    let outcome = MachineLine {
+        machine,
+        worker: 0,
+        ok: true,
+        attempts: 1,
+        retries: 0,
+        faults_injected: 0,
+        sim_clock_ns: 1_000_000,
+        smm_overbudget: 0,
+        max_smm_dwell_ns: 45_000,
+        dwell_worst: Some((2, "patch".to_string())),
+        latency_ns: Some(7_000_000),
+    };
+    lines.push(outcome.to_json_line());
+    let mut tree = DigestTree::starting_at(machine);
+    tree.append([machine as u8; 32]);
+    lines.push(DigestRollup { tree }.to_json_line());
+    lines
+}
+
+const MACHINES: u64 = 3;
+
+/// How one line of the clean shard is damaged.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Cut the line to this fraction (per-mille) of its length.
+    Truncate(usize),
+    /// Write the line twice.
+    Duplicate,
+    /// Nest a `"type"` (and a machine index) inside a span's `fields`.
+    NestType,
+}
+
+fn damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        (0usize..1000).prop_map(Damage::Truncate),
+        Just(Damage::Duplicate),
+        Just(Damage::NestType),
+    ]
+}
+
+fn damaged_shard(hits: &[(usize, Damage)]) -> String {
+    let mut lines: Vec<String> = (0..MACHINES).flat_map(parcel).collect();
+    for &(at, damage) in hits {
+        let at = at % lines.len();
+        match damage {
+            Damage::Truncate(per_mille) => {
+                let keep = lines[at].len() * per_mille / 1000;
+                lines[at].truncate(keep);
+            }
+            Damage::Duplicate => lines.insert(at, lines[at].clone()),
+            Damage::NestType => {
+                lines[at] = lines[at].replace(
+                    "\"fields\":{\"bytes\":4096}",
+                    "\"fields\":{\"type\":\"machine\",\"machine\":1,\"ok\":false}",
+                )
+            }
+        }
+    }
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
+/// Judge `text` as worker 0's shard with integrity on.
+fn judge(text: &str) -> (Result<kshot_telemetry::HealthReport, ShardError>, u64) {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "kshot-intake-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shard = dir.join("worker-0.jsonl");
+    std::fs::write(&shard, text).unwrap();
+    let mut monitor = HealthMonitor::new(HealthPolicy::new(), 1, MACHINES as usize, vec![shard])
+        .with_integrity(IntegrityPolicy::new().with_expected_measurement(0xabcd));
+    let polled = monitor.poll();
+    let resident = monitor.resident_state_bytes();
+    let judged = polled.and_then(|_| monitor.finish());
+    let _ = std::fs::remove_dir_all(&dir);
+    (judged, resident)
+}
+
+#[test]
+fn the_clean_shard_judges_healthy() {
+    let text = damaged_shard(&[]);
+    let shard = ShardData::parse(&text).unwrap();
+    assert_eq!(
+        (shard.machines.len(), shard.smis.len(), shard.rollups.len()),
+        (3, 6, 3)
+    );
+    assert_eq!(shard.phases.total_samples(), 3);
+    let report = judge(&text).0.unwrap();
+    assert_eq!(report.snapshots.len(), MACHINES as usize);
+    assert_eq!(report.final_verdict().label(), "healthy");
+    assert_eq!(report.integrity.unwrap().records_checked, 6);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// `decode(to_json_line(x)) == x` for every line type the fleet
+    /// writes, including escaped labels and `u64::MAX` measurements.
+    #[test]
+    fn typed_lines_round_trip(m in machine_line(), s in smi_line(), r in rollup()) {
+        prop_assert_eq!(ShardLine::decode(&m.to_json_line()), Ok(ShardLine::Machine(m)));
+        prop_assert_eq!(ShardLine::decode(&s.to_json_line()), Ok(ShardLine::Smi(s)));
+        prop_assert_eq!(ShardLine::decode(&r.to_json_line()), Ok(ShardLine::Rollup(r)));
+    }
+
+    /// Damaged shards end in a verdict or a typed parse error, with the
+    /// monitor's resident state bounded; the test would fail on a panic.
+    #[test]
+    fn damaged_shards_yield_a_verdict_or_a_typed_error(
+        hits in prop::collection::vec((any::<usize>(), damage()), 1..4),
+    ) {
+        let text = damaged_shard(&hits);
+        let parsed = ShardData::parse(&text);
+        let (judged, resident) = judge(&text);
+        prop_assert!(
+            matches!(judged, Ok(_) | Err(ShardError::Parse { .. })),
+            "{:?}",
+            judged
+        );
+        prop_assert!(resident < 16 * 1024, "resident {} bytes", resident);
+        // A line the monitor rejected while decoding, the aggregate
+        // rejects too; the monitor additionally judges what lines say.
+        if let Err(e) = &parsed {
+            prop_assert!(judged.is_err(), "ShardData failed ({}) but the monitor did not", e);
+        }
+    }
+}

@@ -39,7 +39,6 @@ use kshot::fleet::{
     run_campaign, CampaignTarget, FleetConfig, HealthPolicy, IntegrityPolicy, PlannedAttack,
     PlannedSlowdown,
 };
-use kshot::telemetry::json::Value;
 use kshot::telemetry::{HealthMonitor, ShardData, SMM_DWELL_METRIC};
 use kshot_cve::{find, patch_for};
 use kshot_machine::{AttackKind, MemLayout, SimTime};
@@ -182,7 +181,7 @@ fn main() {
         report.phase_profile(),
         "streamed phase samples diverge from the in-memory merge"
     );
-    assert_eq!(shards.other_of_type("machine").count(), MACHINES);
+    assert_eq!(shards.machines.len(), MACHINES);
     println!(
         "\nshards are lossless: {} lines re-aggregate to the in-memory \
          totals ({} spans, {} events, {} phase samples)\n",
@@ -197,21 +196,14 @@ fn main() {
 
     // Dwell anomalies: machines whose SMIs overstayed the budget.
     println!("SMM dwell watchdog (budget {}):", DWELL_BUDGET);
-    for m in shards.other_of_type("machine") {
-        let over = m.get("smm_overbudget").and_then(Value::as_u64).unwrap_or(0);
-        if over == 0 {
-            continue;
-        }
-        let id = m.get("machine").and_then(Value::as_u64).unwrap_or(u64::MAX);
-        let max_dwell = m
-            .get("max_smm_dwell_ns")
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
+    for m in shards.machines.iter().filter(|m| m.smm_overbudget > 0) {
         println!(
-            "  machine {id:>3}: {over} over-budget SMI(s), max dwell {} \
+            "  machine {:>3}: {} over-budget SMI(s), max dwell {} \
              ({:.1}x budget)",
-            SimTime::from_ns(max_dwell),
-            max_dwell as f64 / DWELL_BUDGET.as_ns() as f64
+            m.machine,
+            m.smm_overbudget,
+            SimTime::from_ns(m.max_smm_dwell_ns),
+            m.max_smm_dwell_ns as f64 / DWELL_BUDGET.as_ns() as f64
         );
     }
     assert_eq!(

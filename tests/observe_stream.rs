@@ -10,7 +10,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use kshot::fleet::{run_campaign, CampaignTarget, FleetConfig, PlannedSlowdown};
-use kshot::telemetry::json::Value;
 use kshot::telemetry::{PhaseProfile, ShardData, PHASES};
 use kshot_cve::{find, patch_for};
 use kshot_machine::SimTime;
@@ -103,14 +102,7 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
     }
 
     // One outcome line per machine, each machine exactly once.
-    let mut machines_seen: Vec<u64> = merged
-        .other_of_type("machine")
-        .map(|m| {
-            m.get("machine")
-                .and_then(Value::as_u64)
-                .expect("machine id")
-        })
-        .collect();
+    let mut machines_seen: Vec<u64> = merged.machines.iter().map(|m| m.machine).collect();
     machines_seen.sort_unstable();
     let expected: Vec<u64> = (0..MACHINES as u64).collect();
     assert_eq!(machines_seen, expected);
@@ -128,13 +120,10 @@ fn streamed_shards_losslessly_reproduce_the_in_memory_aggregate() {
         }
     }
     let flagged: Vec<u64> = merged
-        .other_of_type("machine")
-        .filter(|m| m.get("smm_overbudget").and_then(Value::as_u64) > Some(0))
-        .map(|m| {
-            m.get("machine")
-                .and_then(Value::as_u64)
-                .expect("machine id")
-        })
+        .machines
+        .iter()
+        .filter(|m| m.smm_overbudget > 0)
+        .map(|m| m.machine)
         .collect();
     assert_eq!(flagged, vec![SLOW_MACHINE as u64]);
     assert!(merged.counter("machine.smm_overbudget") >= 1);
