@@ -36,9 +36,25 @@ cargo test -q -p kshot-patchserver --test prop_channel_orderings
 # dispatched SHA-256 equal to the portable compressor (FIPS 180-4
 # vectors, random lengths and three-way update splits). The log names
 # the SHA-256 compressor that ran: sha-ni or portable.
+#
+# The 2^512 - c field and the generator comb against BigUint::modpow:
+# bases 0, 1, p - 1, non-canonical and wide; exponents 0, 1, every width
+# from 1 to 512 bits and the 257-bit key; products whose fold carries
+# past 2^512; a comb for a generator >= p; MODP-2048 keygens through
+# the comb. Degenerate generators fail at construction, and HMAC over
+# parts equals HMAC over their concatenation. The log names the default
+# group's arithmetic.
 echo "== crypto fast paths vs reference =="
 cargo test -q -p kshot-crypto montgomery
 cargo test -q -p kshot-crypto golden_dh_values
+cargo test -q -p kshot-crypto pseudo_mersenne
+cargo test -q -p kshot-crypto comb_
+cargo test -q -p kshot-crypto new_picks_the_arithmetic_from_the_modulus_shape
+cargo test -q -p kshot-crypto new_rejects_degenerate_generator
+cargo test -q -p kshot-crypto --test prop_crypto hmac_parts_equal_the_concatenation
+cargo test -q -p kshot-crypto dh::tests::default_group_arithmetic_is_reported -- --nocapture \
+  | tee target/dh_path.log
+grep -Fq "dh default group: pseudo-mersenne 2^512-569, comb 8x64" target/dh_path.log
 cargo test -q -p kshot-crypto sha256::tests::fips_vectors_through_both_compressors
 cargo test -q -p kshot-crypto sha256::tests::dispatched_sha256_equals_portable_over_random_splits
 cargo test -q -p kshot-crypto sha256::tests::dispatched_compressor_is_reported -- --nocapture \

@@ -10,10 +10,23 @@
 //! Entropy is supplied by the caller as raw bytes so this crate stays
 //! dependency-free; the enclave/SMM components pass in RNG output.
 //!
-//! Every exponentiation runs through the group's precomputed
-//! [`Montgomery`] context: 8 limbs for moduli of up to 512 bits, 32 for
-//! up to 2048. [`BigUint::modpow`] is the reference it is tested
-//! against.
+//! [`DhParams::new`] picks the group's arithmetic from the modulus
+//! once. A modulus 2^512 − c with c < 2^32, such as the default
+//! 2^512 − 569, gets the [`PseudoMersenne`] fold. Every other modulus
+//! gets a [`Montgomery`] context: 8 limbs up to 512 bits, 32 up to
+//! 2048 (MODP-2048).
+//!
+//! The two exponentiations cost differently:
+//!
+//! * A keygen ([`DhKeyPair::from_entropy`]) raises the fixed generator.
+//!   It runs through the group's comb (8 teeth × 64 columns, a table of
+//!   256 elements built on the group's first keygen): 63 squarings and
+//!   at most 64 multiplies for any exponent below 2^512.
+//! * An agreement ([`DhKeyPair::agree`]) raises the peer's value. It
+//!   uses a 4-bit window: about 252 squarings and 64 multiplies for a
+//!   256-bit private key.
+//!
+//! [`BigUint::modpow`] is the reference both are tested against.
 //!
 //! The two shipped groups differ in strength. [`DhParams::modp_2048`]
 //! is a safe-prime group. [`DhParams::default_group`] is not: its
@@ -22,24 +35,85 @@
 //! on the group: the attacker it considers controls the kernel, not the
 //! DH exchange between the enclave and SMM.
 
+use std::sync::OnceLock;
+
 use crate::bignum::BigUint;
+use crate::field::{self, Comb, Field};
 use crate::montgomery::Montgomery;
+use crate::pseudo_mersenne::PseudoMersenne;
 use crate::sha256::Sha256;
 
 /// A Diffie–Hellman group (prime modulus and generator), with the
-/// modulus's Montgomery context built once at construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// modulus's arithmetic chosen once at construction and the
+/// generator's comb built on the group's first keygen.
+///
+/// Two groups are equal when their modulus and generator are: the
+/// arithmetic follows from the modulus, and the comb is a cache.
+#[derive(Clone)]
 pub struct DhParams {
     p: BigUint,
     g: BigUint,
-    ctx: Exponentiator,
+    exp: Exponentiator,
 }
 
-/// The Montgomery context at the narrowest width that holds the modulus.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The fastest arithmetic that serves the modulus: the pseudo-Mersenne
+/// fold for 2^512 − c, otherwise Montgomery at the narrowest width. The
+/// 32-limb context and its 64 KiB comb are boxed, so that every group
+/// stays the size of a 512-bit one.
+#[derive(Clone)]
 enum Exponentiator {
-    Limbs8(Montgomery<8>),
-    Limbs32(Box<Montgomery<32>>),
+    PseudoMersenne(Powers<PseudoMersenne>),
+    Limbs8(Powers<Montgomery<8>>),
+    Limbs32(Box<Powers<Montgomery<32>>>),
+}
+
+/// One arithmetic, and the comb for the group's generator. The comb
+/// lives inline, so a group in a `static` keeps its table there.
+#[derive(Clone)]
+struct Powers<F: Field> {
+    field: F,
+    comb: OnceLock<Comb<F::Elem>>,
+}
+
+impl<F: Field> Powers<F> {
+    fn new(field: F) -> Self {
+        Self {
+            field,
+            comb: OnceLock::new(),
+        }
+    }
+
+    /// `base^exp mod p` through the 4-bit window.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        field::pow(&self.field, base, exp)
+    }
+
+    /// `g^exp mod p` through the comb for `g`, which the first call
+    /// builds from `g mod p`. Exponents of 2^512 and above, which only
+    /// a group wider than 512 bits produces, take the window.
+    fn pow_generator(&self, p: &BigUint, g: &BigUint, exp: &BigUint) -> BigUint {
+        let comb = self.comb.get_or_init(|| Comb::new(&self.field, &g.rem(p)));
+        comb.pow(&self.field, exp)
+            .unwrap_or_else(|| self.pow(g, exp))
+    }
+}
+
+impl PartialEq for DhParams {
+    fn eq(&self, other: &Self) -> bool {
+        self.p == other.p && self.g == other.g
+    }
+}
+
+impl Eq for DhParams {}
+
+impl std::fmt::Debug for DhParams {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DhParams")
+            .field("p", &self.p)
+            .field("g", &self.g)
+            .field("arithmetic", &self.arithmetic())
+            .finish()
+    }
 }
 
 impl DhParams {
@@ -47,29 +121,36 @@ impl DhParams {
     ///
     /// # Panics
     ///
-    /// Panics if `p < 3` or `g < 2` — such groups are degenerate — or if
-    /// `p` is even or wider than 2048 bits, which the Montgomery
-    /// exponentiation cannot serve. Both shipped groups are odd and at
-    /// most 2048 bits.
+    /// Panics if `p < 3`, or if `g ≡ 0, 1 or p − 1 (mod p)`: such groups
+    /// are degenerate, and every public value would be 0, 1 or p − 1.
+    /// Panics as well if `p` is even or wider than 2048 bits, which the
+    /// Montgomery exponentiation cannot serve. Both shipped groups are
+    /// odd and at most 2048 bits.
     pub fn new(p: BigUint, g: BigUint) -> Self {
+        let one = BigUint::one();
         assert!(
             p.cmp_to(&BigUint::from_u64(3)) != std::cmp::Ordering::Less,
             "DH modulus too small"
         );
+        let g_mod_p = g.rem(&p);
         assert!(
-            g.cmp_to(&BigUint::from_u64(2)) != std::cmp::Ordering::Less,
-            "DH generator too small"
+            g_mod_p.cmp_to(&one) == std::cmp::Ordering::Greater && g_mod_p.add(&one) != p,
+            "DH generator is degenerate: g ≡ 0, 1 or p − 1 (mod p)"
         );
         assert!(!p.is_even(), "DH modulus must be odd");
         assert!(p.bit_len() <= 2048, "DH modulus wider than 2048 bits");
-        let ctx = if p.bit_len() <= 512 {
-            Exponentiator::Limbs8(Montgomery::new(&p).expect("odd, 3 ≤ p < 2^512"))
-        } else {
-            Exponentiator::Limbs32(Box::new(
-                Montgomery::new(&p).expect("odd, 2^512 ≤ p < 2^2048"),
+        let exp = if let Some(field) = PseudoMersenne::new(&p) {
+            Exponentiator::PseudoMersenne(Powers::new(field))
+        } else if p.bit_len() <= 512 {
+            Exponentiator::Limbs8(Powers::new(
+                Montgomery::new(&p).expect("odd, 3 ≤ p < 2^512"),
             ))
+        } else {
+            Exponentiator::Limbs32(Box::new(Powers::new(
+                Montgomery::new(&p).expect("odd, 2^512 ≤ p < 2^2048"),
+            )))
         };
-        Self { p, g, ctx }
+        Self { p, g, exp }
     }
 
     /// The default group used by the reproduction: the 512-bit prime
@@ -82,9 +163,11 @@ impl DhParams {
     /// §III) does not rely on the group's strength.
     ///
     /// Chosen so that per-patch key generation stays fast in debug builds
-    /// while still exercising full multi-limb bignum arithmetic; the
-    /// paper's 5.2 µs SMM key-generation figure is modelled separately by
-    /// the calibrated cost model in `kshot-machine`.
+    /// while still exercising full multi-limb bignum arithmetic. Its
+    /// shape, 2^512 − c with a small `c`, puts it on the
+    /// [`PseudoMersenne`] fold. The paper's 5.2 µs SMM key-generation
+    /// figure is modelled separately by the calibrated cost model in
+    /// `kshot-machine`.
     pub fn default_group() -> Self {
         let p = BigUint::from_u64(1)
             .shl(512)
@@ -123,11 +206,33 @@ impl DhParams {
         &self.g
     }
 
-    /// `base^exp mod p`, through the precomputed Montgomery context.
+    /// The group's arithmetic, for example
+    /// `pseudo-mersenne 2^512-569, comb 8x64`.
+    fn arithmetic(&self) -> String {
+        let field = match &self.exp {
+            Exponentiator::PseudoMersenne(f) => format!("pseudo-mersenne 2^512-{}", f.field.c()),
+            Exponentiator::Limbs8(_) => "montgomery 8 limbs".to_string(),
+            Exponentiator::Limbs32(_) => "montgomery 32 limbs".to_string(),
+        };
+        format!("{field}, comb 8x64")
+    }
+
+    /// `base^exp mod p`, through the 4-bit window.
     fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        match &self.ctx {
-            Exponentiator::Limbs8(m) => m.pow(base, exp),
-            Exponentiator::Limbs32(m) => m.pow(base, exp),
+        match &self.exp {
+            Exponentiator::PseudoMersenne(f) => f.pow(base, exp),
+            Exponentiator::Limbs8(f) => f.pow(base, exp),
+            Exponentiator::Limbs32(f) => f.pow(base, exp),
+        }
+    }
+
+    /// `g^exp mod p`, through the generator's comb.
+    fn pow_generator(&self, exp: &BigUint) -> BigUint {
+        let (p, g) = (&self.p, &self.g);
+        match &self.exp {
+            Exponentiator::PseudoMersenne(f) => f.pow_generator(p, g, exp),
+            Exponentiator::Limbs8(f) => f.pow_generator(p, g, exp),
+            Exponentiator::Limbs32(f) => f.pow_generator(p, g, exp),
         }
     }
 }
@@ -161,7 +266,7 @@ impl DhKeyPair {
             .checked_sub(&two)
             .expect("modulus ≥ 3 by construction");
         let private = BigUint::from_bytes_be(entropy).rem(&span).add(&two);
-        let public = params.pow(&params.g, &private);
+        let public = params.pow_generator(&private);
         Ok(Self { private, public })
     }
 
@@ -405,6 +510,145 @@ mod tests {
     fn new_rejects_modulus_wider_than_2048_bits() {
         let p = BigUint::one().shl(2048).add(&BigUint::one());
         let _ = DhParams::new(p, BigUint::from_u64(2));
+    }
+
+    #[test]
+    fn new_rejects_degenerate_generator() {
+        let p = DhParams::default_group().prime().clone();
+        let one = BigUint::one();
+        let pm1 = p.checked_sub(&one).unwrap();
+        for g in [
+            BigUint::zero(),
+            one.clone(),
+            pm1.clone(),
+            p.clone(),
+            p.add(&one),
+            p.add(&pm1),
+            p.mul(&BigUint::from_u64(7)),
+        ] {
+            let built = std::panic::catch_unwind(|| DhParams::new(p.clone(), g.clone()));
+            let msg = built.err().and_then(|e| e.downcast::<&str>().ok());
+            assert_eq!(
+                msg.as_deref(),
+                Some(&"DH generator is degenerate: g ≡ 0, 1 or p − 1 (mod p)"),
+                "g = {g}"
+            );
+        }
+    }
+
+    /// Every keygen runs through the comb (exponents below 2^512) or
+    /// the window (above): both equal `modpow` on both groups, for
+    /// short, 32-byte, 64-byte and long entropy, and for entropy of
+    /// 2^256 − 1, whose private key 2^256 + 1 has 257 bits.
+    #[test]
+    fn comb_keygens_match_modpow_on_both_groups() {
+        let near_2_256 = vec![0xFF; 32];
+        let entropies = [
+            entropy(1)[..16].to_vec(),
+            entropy(2),
+            near_2_256,
+            vec![0xA5; 64],
+            vec![0x5A; 100],
+        ];
+        for params in [DhParams::default_group(), DhParams::modp_2048()] {
+            for e in &entropies {
+                let pair = DhKeyPair::from_entropy(&params, e).unwrap();
+                let want = params.g.modpow(&pair.private, &params.p);
+                assert_eq!(pair.public, want, "{} entropy bytes", e.len());
+            }
+        }
+        let key = DhKeyPair::from_entropy(&DhParams::default_group(), &[0xFF; 32]).unwrap();
+        assert_eq!(key.private.bit_len(), 257);
+    }
+
+    /// A generator given as `g + k·p` builds its comb from `g mod p`,
+    /// so its keys and agreements equal those of `g`.
+    #[test]
+    fn comb_for_a_generator_at_or_above_p_agrees_with_its_residue() {
+        let base = DhParams::default_group();
+        let p = base.prime().clone();
+        let wide = DhParams::new(
+            p.clone(),
+            p.mul(&BigUint::from_u64(5)).add(&BigUint::from_u64(2)),
+        );
+        assert_ne!(wide, base);
+        let (a, b) = (entropy(1), entropy(2));
+        let a1 = DhKeyPair::from_entropy(&base, &a).unwrap();
+        let a2 = DhKeyPair::from_entropy(&wide, &a).unwrap();
+        assert_eq!(a1.public(), a2.public());
+        let b2 = DhKeyPair::from_entropy(&wide, &b).unwrap();
+        assert_eq!(
+            a1.agree(&base, b2.public()).unwrap(),
+            a2.agree(&wide, b2.public()).unwrap()
+        );
+    }
+
+    #[test]
+    fn new_picks_the_arithmetic_from_the_modulus_shape() {
+        let two = BigUint::from_u64(2);
+        let below = |c: u64| {
+            BigUint::one()
+                .shl(512)
+                .checked_sub(&BigUint::from_u64(c))
+                .unwrap()
+        };
+        let arithmetic = |p: BigUint| DhParams::new(p, two.clone()).arithmetic();
+        assert_eq!(
+            arithmetic(below(569)),
+            "pseudo-mersenne 2^512-569, comb 8x64"
+        );
+        assert_eq!(arithmetic(below(1)), "pseudo-mersenne 2^512-1, comb 8x64");
+        assert_eq!(
+            arithmetic(below((1 << 32) + 1)),
+            "montgomery 8 limbs, comb 8x64"
+        );
+        assert_eq!(
+            arithmetic(BigUint::one().shl(511).add(&BigUint::one())),
+            "montgomery 8 limbs, comb 8x64"
+        );
+        assert_eq!(
+            arithmetic(BigUint::from_u64(1_000_003)),
+            "montgomery 8 limbs, comb 8x64"
+        );
+        assert_eq!(
+            DhParams::modp_2048().arithmetic(),
+            "montgomery 32 limbs, comb 8x64"
+        );
+    }
+
+    /// Prints the default group's arithmetic and what one keygen and
+    /// one agreement cost on this build. No timing is asserted; run with
+    /// `--release -- --nocapture` for host numbers.
+    #[test]
+    fn default_group_arithmetic_is_reported() {
+        let params = DhParams::default_group();
+        println!("dh default group: {}", params.arithmetic());
+        let median_us = |f: &mut dyn FnMut()| {
+            let mut us: Vec<f64> = (0..21)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    f();
+                    start.elapsed().as_secs_f64() * 1e6
+                })
+                .collect();
+            us.sort_by(f64::total_cmp);
+            us[us.len() / 2]
+        };
+        let peer = DhKeyPair::from_entropy(&params, &entropy(2)).unwrap();
+        let mut tag = 0u8;
+        let keygen = median_us(&mut || {
+            tag = tag.wrapping_add(1);
+            std::hint::black_box(DhKeyPair::from_entropy(&params, &entropy(tag)).unwrap());
+        });
+        let agree = median_us(&mut || {
+            std::hint::black_box(peer.agree(&params, peer.public()).unwrap());
+        });
+        let build = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        println!("dh default group: keygen {keygen:.1} us, agree {agree:.1} us ({build} build, median of 21)");
     }
 
     #[test]

@@ -10,6 +10,12 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Compute `HMAC-SHA256(key, message)`.
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
+    hmac_sha256_parts(key, &[message])
+}
+
+/// `HMAC-SHA256(key, parts[0] || parts[1] || …)`, hashing each part in
+/// place instead of concatenating them first.
+pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
     let mut k = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         let d = crate::sha256(key);
@@ -25,7 +31,9 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; DIGEST_LEN] {
     }
     let mut inner = Sha256::new();
     inner.update(&ipad);
-    inner.update(message);
+    for part in parts {
+        inner.update(part);
+    }
     let inner_digest = inner.finalize();
     let mut outer = Sha256::new();
     outer.update(&opad);

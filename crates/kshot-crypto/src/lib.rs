@@ -20,20 +20,26 @@
 //! * [`chacha`] — a ChaCha20 stream cipher (RFC 8439 core), used as the
 //!   symmetric cipher for patch payloads.
 //! * [`dh`] — finite-field Diffie–Hellman over configurable groups, with
-//!   a SHA-256 KDF producing [`dh::SessionKey`]s.
-//! * [`montgomery`] — fixed-width Montgomery exponentiation on stack
-//!   limb arrays, which every DH exponentiation runs through.
+//!   a SHA-256 KDF producing [`dh::SessionKey`]s. Each group raises its
+//!   generator through a fixed-base comb and any other base through a
+//!   4-bit window, both written once over the two arithmetics below.
+//! * [`pseudo_mersenne`] — arithmetic modulo 2^512 − c (c < 2^32) that
+//!   reduces with one multiply by `c`; the default group runs on it.
+//! * [`montgomery`] — fixed-width Montgomery arithmetic on stack limb
+//!   arrays, for every other modulus (MODP-2048 among them).
 //! * [`bignum`] — the arbitrary-precision unsigned integer arithmetic
 //!   (including Knuth Algorithm D division and square-and-multiply
 //!   modular exponentiation) that parses groups, derives private
-//!   exponents and serves as the reference for [`montgomery`].
+//!   exponents and serves as the reference for both arithmetics.
 //! * [`sdbm`] — the cheap SDBM hash the paper mentions as a faster
 //!   alternative to SHA-2 for patch verification (§VI-C2).
 //!
 //! **Security note**: these implementations are written for correctness and
 //! clarity, not constant-time operation; the reproduction's threat-model
 //! experiments are about *architectural* isolation (SMRAM/EPC), not side
-//! channels, matching the paper's own scoping (§III). For the same reason
+//! channels, matching the paper's own scoping (§III). The DH comb and
+//! window both index their tables with bits of the secret exponent,
+//! and both skip the multiply for a zero index. For the same reason
 //! the default DH group is not a safe-prime group (see
 //! [`DhParams::default_group`]): peer values of small order pass
 //! [`DhKeyPair::agree`]. The threat model does not rely on this;
@@ -42,8 +48,10 @@
 pub mod bignum;
 pub mod chacha;
 pub mod dh;
+mod field;
 pub mod hmac;
 pub mod montgomery;
+pub mod pseudo_mersenne;
 pub mod sdbm;
 pub mod sha256;
 

@@ -1,16 +1,24 @@
-//! Fixed-width Montgomery modular exponentiation.
+//! Fixed-width Montgomery modular arithmetic.
 //!
-//! Every DH exponentiation runs here. [`Montgomery<N>`] works on
-//! `[u64; N]` stack arrays: coarsely integrated operand scanning (CIOS)
-//! multiplication and a fixed 4-bit window. The ladder allocates
+//! [`Montgomery<N>`] works on `[u64; N]` stack arrays with coarsely
+//! integrated operand scanning (CIOS) multiplication. It allocates
 //! nothing, and every limb loop has a compile-time trip count.
-//! [`crate::dh::DhParams`] instantiates it at `N = 8` for moduli of up
-//! to 512 bits and at `N = 32` for up to 2048 bits (MODP-2048).
+//! [`crate::dh::DhParams`] uses it for every modulus that is not of the
+//! form 2^512 − c (see [`crate::pseudo_mersenne`]): at `N = 8` up to 512
+//! bits and at `N = 32` up to 2048 bits (MODP-2048). The 4-bit window
+//! of [`Montgomery::pow`] and the DH generator's comb are written once
+//! for both arithmetics.
+//!
+//! A square is a CIOS product of an element with itself. A separate
+//! squaring (the half-size product, then a REDC) was tried and measured
+//! no faster: 65.7 µs against 64–68 µs per 512-bit exponentiation on a
+//! 2-vCPU Xeon.
 //!
 //! [`BigUint::modpow`] stays as the generic reference. It is the
 //! differential oracle for the tests below.
 
 use crate::bignum::BigUint;
+use crate::field::{self, mac, to_limbs, Field};
 
 /// A Montgomery context for one odd modulus `m < 2^(64·N)`, with
 /// `R = 2^(64·N)`.
@@ -67,46 +75,42 @@ impl<const N: usize> Montgomery<N> {
     /// [`BigUint::rem`]; narrower bases, `≥ m` or not, enter Montgomery
     /// form directly.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        let base = if base.limbs().len() > N {
-            to_limbs(&base.rem(&self.modulus()))
-        } else {
-            to_limbs(base)
-        };
-        // table[i] = base^i in Montgomery form.
-        let mut table = [[0u64; N]; 16];
-        table[0] = self.one;
-        table[1] = self.mul(&base, &self.r2);
-        for i in 2..16 {
-            table[i] = self.mul(&table[i - 1], &table[1]);
-        }
-        let e = exp.limbs();
-        let window = |k: usize| ((e[k / 16] >> (4 * (k % 16))) & 0xF) as usize;
-        let windows = exp.bit_len().div_ceil(4);
-        let mut acc = self.one;
-        for k in (0..windows).rev() {
-            if k + 1 < windows {
-                for _ in 0..4 {
-                    acc = self.mul(&acc, &acc);
-                }
-            }
-            let w = window(k);
-            if w != 0 {
-                acc = self.mul(&acc, &table[w]);
-            }
-        }
-        // Leaving Montgomery form is a multiplication by plain 1.
-        let mut plain_one = [0u64; N];
-        plain_one[0] = 1;
-        BigUint::from_limbs(self.mul(&acc, &plain_one).to_vec())
+        field::pow(self, base, exp)
     }
 
     /// The modulus as a `BigUint`.
     fn modulus(&self) -> BigUint {
         BigUint::from_limbs(self.m.to_vec())
     }
+}
+
+impl<const N: usize> Field for Montgomery<N> {
+    type Elem = [u64; N];
+
+    fn one(&self) -> [u64; N] {
+        self.one
+    }
+
+    fn enter(&self, x: &BigUint) -> [u64; N] {
+        let x = if x.limbs().len() > N {
+            to_limbs(&x.rem(&self.modulus()))
+        } else {
+            to_limbs(x)
+        };
+        self.mul(&x, &self.r2)
+    }
+
+    fn leave(&self, x: &[u64; N]) -> BigUint {
+        // Leaving Montgomery form is a multiplication by plain 1.
+        let mut plain_one = [0u64; N];
+        plain_one[0] = 1;
+        BigUint::from_limbs(self.mul(x, &plain_one).to_vec())
+    }
 
     /// CIOS Montgomery product `a·b·R⁻¹ mod m`. Needs `a < R` and
     /// `b < m`, which bounds the pre-subtraction result below `2m`.
+    /// Every `b` the exponentiations pass is below `m`: a product,
+    /// `R mod m`, `R² mod m` or plain 1.
     fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
         let mut t = [0u64; N];
         // Limb N of the running sum; limb N+1 (`t_top`) lives only
@@ -143,13 +147,6 @@ impl<const N: usize> Montgomery<N> {
     }
 }
 
-/// `acc + a·b + carry` as (low, high) limbs; never overflows 128 bits.
-#[inline(always)]
-fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
-    let t = u128::from(acc) + u128::from(a) * u128::from(b) + u128::from(carry);
-    (t as u64, (t >> 64) as u64)
-}
-
 fn less_than<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
     for i in (0..N).rev() {
         if a[i] != b[i] {
@@ -157,13 +154,6 @@ fn less_than<const N: usize>(a: &[u64; N], b: &[u64; N]) -> bool {
         }
     }
     false
-}
-
-/// `x`'s limbs, zero-extended to `N`. The caller guarantees the width.
-fn to_limbs<const N: usize>(x: &BigUint) -> [u64; N] {
-    let mut out = [0u64; N];
-    out[..x.limbs().len()].copy_from_slice(x.limbs());
-    out
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use kshot_crypto::bignum::BigUint;
 use kshot_crypto::chacha::ChaCha20;
 use kshot_crypto::dh::{DhKeyPair, DhParams};
-use kshot_crypto::hmac::hmac_sha256;
+use kshot_crypto::hmac::{hmac_sha256, hmac_sha256_parts};
 use kshot_crypto::sha256::{sha256, Sha256};
 use proptest::prelude::*;
 
@@ -87,6 +87,19 @@ proptest! {
                                             m in prop::collection::vec(any::<u8>(), 1..64)) {
         prop_assume!(k1 != k2);
         prop_assert_ne!(hmac_sha256(&k1, &m), hmac_sha256(&k2, &m));
+    }
+
+    #[test]
+    fn hmac_parts_equal_the_concatenation(key in prop::collection::vec(any::<u8>(), 0..100),
+                                          m in prop::collection::vec(any::<u8>(), 0..300),
+                                          i in any::<prop::sample::Index>(),
+                                          j in any::<prop::sample::Index>()) {
+        let (a, b) = (i.index(m.len() + 1), j.index(m.len() + 1));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let whole = hmac_sha256(&key, &m);
+        prop_assert_eq!(hmac_sha256_parts(&key, &[&m[..lo], &m[lo..]]), whole);
+        prop_assert_eq!(hmac_sha256_parts(&key, &[&m[..lo], &m[lo..hi], &m[hi..]]), whole);
+        prop_assert_eq!(hmac_sha256_parts(&key, &[&[], &m, &[]]), whole);
     }
 
     #[test]

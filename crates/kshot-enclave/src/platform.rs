@@ -1,6 +1,6 @@
 //! The SGX platform: enclave creation, measurement, and local attestation.
 
-use kshot_crypto::hmac::{hmac_sha256, verify};
+use kshot_crypto::hmac::{hmac_sha256_parts, verify};
 use kshot_crypto::sha256::sha256;
 
 use crate::enclave::Enclave;
@@ -39,31 +39,24 @@ impl SgxPlatform {
     /// Produce a local-attestation report binding `report_data` to the
     /// enclave's measurement under the platform key (EREPORT analogue).
     pub fn report<S>(&self, enclave: &Enclave<S>, report_data: &[u8]) -> Report {
-        let mut msg = Vec::new();
-        msg.extend_from_slice(&enclave.measurement());
-        msg.extend_from_slice(report_data);
+        let measurement = enclave.measurement();
         Report {
-            measurement: enclave.measurement(),
+            measurement,
             report_data: report_data.to_vec(),
-            mac: hmac_sha256(&self.key, &msg),
+            mac: hmac_sha256_parts(&self.key, &[&measurement, report_data]),
         }
     }
 
     /// Verify a report produced on *this* platform.
     pub fn verify_report(&self, report: &Report) -> bool {
-        let mut msg = Vec::new();
-        msg.extend_from_slice(&report.measurement);
-        msg.extend_from_slice(&report.report_data);
-        verify(&hmac_sha256(&self.key, &msg), &report.mac)
+        let mac = hmac_sha256_parts(&self.key, &[&report.measurement, &report.report_data]);
+        verify(&mac, &report.mac)
     }
 
     /// Platform sealing key material bound to a measurement
     /// (EGETKEY analogue — each enclave identity gets a distinct key).
     pub(crate) fn sealing_key(&self, measurement: &[u8; 32]) -> [u8; 32] {
-        let mut msg = Vec::with_capacity(64);
-        msg.extend_from_slice(b"kshot-sgx-seal-v1");
-        msg.extend_from_slice(measurement);
-        hmac_sha256(&self.key, &msg)
+        hmac_sha256_parts(&self.key, &[b"kshot-sgx-seal-v1", measurement])
     }
 }
 

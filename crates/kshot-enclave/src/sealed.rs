@@ -6,7 +6,7 @@
 //! restarts without trusting the OS filesystem.
 
 use kshot_crypto::chacha::ChaCha20;
-use kshot_crypto::hmac::{hmac_sha256, verify};
+use kshot_crypto::hmac::{hmac_sha256_parts, verify};
 
 use crate::enclave::Enclave;
 use crate::platform::SgxPlatform;
@@ -88,11 +88,7 @@ fn platform_sealing_key(platform: &SgxPlatform, measurement: &[u8; 32]) -> [u8; 
 }
 
 fn seal_mac(key: &[u8; 32], measurement: &[u8; 32], nonce: &[u8; 12], ct: &[u8]) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(32 + 12 + ct.len());
-    msg.extend_from_slice(measurement);
-    msg.extend_from_slice(nonce);
-    msg.extend_from_slice(ct);
-    hmac_sha256(key, &msg)
+    hmac_sha256_parts(key, &[measurement, nonce, ct])
 }
 
 #[cfg(test)]

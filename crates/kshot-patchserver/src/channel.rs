@@ -13,7 +13,7 @@ use std::fmt;
 
 use kshot_crypto::chacha::ChaCha20;
 use kshot_crypto::dh::{DhError, DhKeyPair, DhParams, SessionKey};
-use kshot_crypto::hmac::{hmac_sha256, verify};
+use kshot_crypto::hmac::{hmac_sha256_parts, verify};
 
 use crate::wire::{Reader, WireError, Writer};
 
@@ -297,17 +297,11 @@ fn resync_mac(key: &SessionKey, expected: u64) -> [u8; 32] {
     // Domain-separated from frame MACs (those cover seq || ciphertext;
     // this covers a tag || seq) so an ack can never be confused with an
     // empty frame.
-    let mut msg = Vec::with_capacity(6 + 8);
-    msg.extend_from_slice(b"RESYNC");
-    msg.extend_from_slice(&expected.to_le_bytes());
-    hmac_sha256(key.as_bytes(), &msg)
+    hmac_sha256_parts(key.as_bytes(), &[b"RESYNC", &expected.to_le_bytes()])
 }
 
 fn mac_for(key: &SessionKey, seq: u64, ciphertext: &[u8]) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(8 + ciphertext.len());
-    msg.extend_from_slice(&seq.to_le_bytes());
-    msg.extend_from_slice(ciphertext);
-    hmac_sha256(key.as_bytes(), &msg)
+    hmac_sha256_parts(key.as_bytes(), &[&seq.to_le_bytes(), ciphertext])
 }
 
 /// Man-in-the-middle mutations for the security experiments.
