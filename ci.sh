@@ -25,6 +25,9 @@ cargo test -q
 # (drop/reorder/duplicate/tamper/resync).
 echo "== fault sweep =="
 cargo test -q -p kshot --test fault_sweep
+# A fault after the journal commits surfaces as KShotError::Committed,
+# carrying the applied patch's report; recover() heals the key material.
+cargo test -q -p kshot-core fault_after_commit_surfaces_as_committed
 
 echo "== channel ordering fuzz =="
 cargo test -q -p kshot-patchserver --test prop_channel_orderings
@@ -81,6 +84,20 @@ cargo test -q -p kshot --test memory_footprint
 # sequential run, then writes the benchmark artefact this gate checks.
 echo "== fleet identical-state property =="
 cargo test -q -p kshot-fleet --test prop_fleet_identical
+
+# Committed-fault gates: a fault at every SMM write of the first patch
+# SMI, in four shapes (the bundle, a one-entry catalogue, a sequential
+# and a batched two-CVE catalogue), ends patched with the clean run's
+# digest, and no fault at or after the journal's commit costs a retry.
+# The same post-commit fault leaves digests and re-aggregated shard
+# metrics identical across workers {1,8} x depths {1,4}, and on a
+# canary machine it keeps a 32-machine rollout healthy in every wave.
+echo "== committed fault sweep =="
+cargo test -q -p kshot-fleet --test committed_fault_sweep
+cargo test -q -p kshot-fleet --test committed_fault_sweep committed_sweep_
+cargo test -q -p kshot-fleet --test committed_fault_sweep committed_fault_is_scheduler_invariant
+cargo test -q -p kshot-fleet --test committed_fault_sweep \
+  committed_fault_on_a_canary_keeps_the_rollout_healthy
 
 echo "== shard tail + injection accounting regressions =="
 cargo test -q -p kshot-telemetry tail_

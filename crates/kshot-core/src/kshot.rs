@@ -67,7 +67,10 @@ pub enum KShotError {
     Server(ServerError),
     /// SGX-side preparation failed.
     Sgx(SgxError),
-    /// SMM-side application failed (the OS was resumed unpatched).
+    /// SMM-side application failed; the OS was resumed. A fault inside
+    /// the journaled apply window leaves the journal open, and
+    /// [`KShot::recover`] unwinds the torn segment while keeping any
+    /// committed one.
     Smm(SmmError),
     /// Machine-level fault.
     Machine(MachineError),
@@ -105,6 +108,17 @@ pub enum KShotError {
         /// Sites restored before the failure.
         restored: Vec<u64>,
     },
+    /// The patch committed and is applied, but a later write of the same
+    /// SMI failed ([`SmmError::Committed`]). `report` describes the
+    /// applied patch (it is in [`KShot::history`] too); [`KShot::recover`]
+    /// heals the published key material. Retrying would re-apply a patch
+    /// that is already live.
+    Committed {
+        /// The applied patch.
+        report: Box<PatchReport>,
+        /// The failure after the commit point.
+        error: SmmError,
+    },
 }
 
 impl fmt::Display for KShotError {
@@ -133,6 +147,13 @@ impl fmt::Display for KShotError {
                     f,
                     "rollback incomplete after {} site(s): {error}; run recover()",
                     restored.len()
+                )
+            }
+            KShotError::Committed { report, error } => {
+                write!(
+                    f,
+                    "patch {} committed, then SMM failed: {error}; run recover()",
+                    report.id
                 )
             }
         }
@@ -274,8 +295,12 @@ impl KShot {
     ///
     /// # Errors
     ///
-    /// Any [`KShotError`]; on SMM-side failure the OS is resumed
-    /// unpatched.
+    /// Any [`KShotError`]; the OS is always resumed. After
+    /// [`KShotError::Committed`] the patch is applied and
+    /// [`KShot::recover`] heals the published key material. After any
+    /// other SMM-side failure, [`KShot::recover`] leaves the kernel as the
+    /// journal committed it: unpatched, or carrying a batch's committed
+    /// segments.
     pub fn live_patch(
         &mut self,
         server: &PatchServer,
@@ -375,7 +400,13 @@ impl KShot {
         resume_phase.end_at(machine.now().as_ns());
         smm_window.end_at(machine.now().as_ns());
         let end_sim_ns = machine.now().as_ns();
-        let outcome = outcome?;
+        // A failure after the journal committed leaves the patch
+        // applied: report it as applied, then surface the failure.
+        let (outcome, late) = match outcome {
+            Ok(outcome) => (outcome, None),
+            Err(SmmError::Committed { outcome, error }) => (*outcome, Some(*error)),
+            Err(e) => return Err(e.into()),
+        };
         kshot_telemetry::counter("kshot.patches_applied", 1);
         span.field("trampolines", outcome.trampolines as u64);
         span.field("global_writes", outcome.global_writes as u64);
@@ -397,7 +428,13 @@ impl KShot {
             segments: outcome.segments,
         };
         self.history.push(report.clone());
-        Ok(report)
+        match late {
+            None => Ok(report),
+            Some(error) => Err(KShotError::Committed {
+                report: Box::new(report),
+                error,
+            }),
+        }
     }
 
     /// Apply several CVE patches in **one** SMM round trip.
@@ -975,6 +1012,49 @@ mod tests {
             .live_patch_consistent(&server, &fixed_tree(), 0, 0)
             .unwrap();
         assert_eq!(report.trampolines, 1);
+    }
+
+    /// A fault after the journal commits leaves the patch applied: the
+    /// error says so and carries the report, `recover()` heals the
+    /// published key material, and the next patch goes through. Every
+    /// earlier fault is a plain error that records nothing.
+    #[test]
+    fn fault_after_commit_surfaces_as_committed() {
+        let mut committed = Vec::new();
+        let mut k = 0;
+        loop {
+            let (kernel, server) = boot();
+            let mut kshot = KShot::install(kernel, 8).unwrap();
+            kshot
+                .kernel_mut()
+                .machine_mut()
+                .arm_injection(kshot_machine::InjectionPlan::fail_nth_smm_write(k));
+            let result = kshot.live_patch(&server, &fixed_tree());
+            let stats = kshot.kernel_mut().machine_mut().disarm_injection();
+            if stats.unwrap().faults_injected == 0 {
+                result.unwrap();
+                break;
+            }
+            match result.unwrap_err() {
+                KShotError::Committed { report, .. } => {
+                    committed.push(k);
+                    assert_eq!(report.trampolines, 1, "step {k}");
+                    assert_eq!(kshot.history(), [*report]);
+                    assert_eq!(kshot.recover().unwrap(), Recovery::Clean, "step {k}");
+                    let rv = kshot.kernel_mut().call_function("lookup_store", &[2, 1]);
+                    assert_eq!(rv.unwrap(), u64::MAX, "step {k}: the patch is live");
+                    kshot.rollback_last().unwrap();
+                    let mut again = fixed_tree();
+                    again.id = "CVE-SIM-0002".into();
+                    kshot.live_patch(&server, &again).unwrap();
+                }
+                _ => assert!(kshot.history().is_empty(), "step {k}"),
+            }
+            k += 1;
+        }
+        // The committed faults are the SMI's last writes, contiguous.
+        assert!(!committed.is_empty());
+        assert_eq!(committed, (committed[0]..k).collect::<Vec<_>>());
     }
 
     #[test]

@@ -111,8 +111,11 @@ pub struct SmmPatchOutcome {
     pub segments: Vec<SegmentOutcome>,
 }
 
-/// SMM handler failures. Any `Err` leaves the target kernel unpatched
-/// (records are applied only after *all* verification passes).
+/// SMM handler failures. A verification failure touches no kernel
+/// byte. A fault inside the journaled apply window leaves the journal
+/// open: [`SmmHandler::recover`] unwinds the torn segment and keeps the
+/// committed ones. Once the journal reads idle the patch is applied, and
+/// a later failure of the same SMI is [`SmmError::Committed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SmmError {
     /// Handler invoked while the CPU is not in SMM.
@@ -186,6 +189,17 @@ pub enum SmmError {
         /// Index of the offending segment.
         segment: u32,
     },
+    /// The patch committed (the journal reads idle, so every protected
+    /// write landed), then a later write of the same SMI failed: the rest
+    /// of the commit, the key rotation, the cursor publication or the
+    /// staged-length clear. The kernel is patched; the published `mem_RW`
+    /// view may be stale until [`SmmHandler::recover`] heals it.
+    Committed {
+        /// What the committed apply installed.
+        outcome: Box<SmmPatchOutcome>,
+        /// The failure after the commit point.
+        error: Box<SmmError>,
+    },
 }
 
 impl fmt::Display for SmmError {
@@ -233,6 +247,7 @@ impl fmt::Display for SmmError {
             SmmError::BadSegmentTable { segment } => {
                 write!(f, "package segment table malformed at segment {segment}")
             }
+            SmmError::Committed { error, .. } => write!(f, "patch committed, then: {error}"),
         }
     }
 }
@@ -1258,26 +1273,42 @@ impl SmmHandler {
         apply_phase.end_at(machine.now().as_ns());
         apply_span.field("bytes", applied_bytes);
         apply_span.end_at(machine.now().as_ns());
-        // 5. Commit: every protected write has landed, so close the
-        // journal window. A fault from here on leaves a *fully applied*
-        // patch (the all-or-nothing invariant holds); only key rotation
-        // and cursor publication may need to be repeated.
-        self.journal_commit(machine)?;
-        // 6. Rotate the key for the next patch and publish the cursor.
-        self.rotate_key(machine, reserved, fresh_entropy)?;
-        self.publish_cursor(machine, reserved)?;
-        // Clear the staged length so a re-trigger cannot re-apply.
-        machine.write_u64(AccessCtx::Smm, reserved.rw_base + rw_offsets::STAGED_LEN, 0)?;
-        hp_span.field("trampolines", trampolines);
-        hp_span.field("global_writes", global_writes);
-        hp_span.end_at(machine.now().as_ns());
-        Ok(SmmPatchOutcome {
+        let outcome = SmmPatchOutcome {
             timings,
             payload_size: package.payload_size(),
             trampolines,
             global_writes,
             segments,
-        })
+        };
+        // 5. Commit: every protected write has landed, so close the
+        // journal window. 6. Rotate the key for the next patch, publish
+        // the cursor, and clear the staged length so a re-trigger cannot
+        // re-apply.
+        let finished = self
+            .journal_commit(machine)
+            .and_then(|()| self.rotate_key(machine, reserved, fresh_entropy))
+            .and_then(|()| self.publish_cursor(machine, reserved))
+            .and_then(|()| {
+                let staged = reserved.rw_base + rw_offsets::STAGED_LEN;
+                Ok(machine.write_u64(AccessCtx::Smm, staged, 0)?)
+            });
+        if let Err(error) = finished {
+            // Once the journal reads idle nothing can unwind the patch:
+            // say so, with what was applied, instead of a plain error
+            // that reads like a failed apply.
+            return Err(if self.journal_state(machine)? == JournalState::Idle {
+                SmmError::Committed {
+                    outcome: Box::new(outcome),
+                    error: Box::new(error),
+                }
+            } else {
+                error
+            });
+        }
+        hp_span.field("trampolines", trampolines);
+        hp_span.field("global_writes", global_writes);
+        hp_span.end_at(machine.now().as_ns());
+        Ok(outcome)
     }
 
     /// Roll back the most recent patch (all trampolines installed under

@@ -5,20 +5,19 @@
 //! Each worker is an event-driven scheduler over resumable
 //! [`MachineSession`](crate::session) state machines: CPU phases run
 //! from a ready queue, wall-clock waits (link RTT, retry backoff) park
-//! on a deadline min-heap, and the worker only sleeps when *no* session
-//! has CPU work ready. With [`FleetConfig::pipeline_depth`] > 1 that
-//! overlaps one machine's in-flight delivery with other machines'
+//! in a deadline-ordered map, and the worker only sleeps when *no*
+//! session has CPU work ready. With [`FleetConfig::pipeline_depth`] > 1
+//! that overlaps one machine's in-flight delivery with other machines'
 //! attest/decrypt/verify/apply phases on the same worker thread — the
 //! single-worker throughput unlock for latency-bound campaigns. Depth 1
 //! reproduces the old one-machine-at-a-time behaviour exactly.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::iter::Peekable;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -29,8 +28,8 @@ use kshot_machine::{JournalOp, MemLayout, SimTime, SmiCause, SmiFlightRecord};
 use kshot_patchserver::{BundleCache, PatchServer};
 use kshot_telemetry::export::record_json_line;
 use kshot_telemetry::{
-    DigestRollup, HealthMonitor, IntegrityPolicy, MachineLine, MetricsSnapshot, Record, Recorder,
-    RecorderScope, Sink, SmiLine, StreamSink, RECORDS_DROPPED_METRIC,
+    DigestRollup, HealthMonitor, IntegrityPolicy, MachineLine, MetricsSnapshot, Recorder,
+    RecorderScope, SmiLine, StreamSink, RECORDS_DROPPED_METRIC,
 };
 
 use crate::config::FleetConfig;
@@ -39,7 +38,7 @@ use crate::report::{CampaignHealth, CampaignReport, WorkerOccupancy};
 use crate::rollout::{
     RolloutController, RolloutGate, RolloutPlan, RolloutReport, RolloutTrail, Wave, WaveAction,
 };
-use crate::session::{MachineSession, StepStatus};
+use crate::session::{Campaign, MachineSession, StepStatus};
 
 /// What every machine in the fleet patches: one pre-linked kernel image
 /// (shared immutably — booting a machine copies its segments into
@@ -208,7 +207,8 @@ impl MachineOutcome {
 
 /// Run one campaign: patch `config.machines` machines, sharded over
 /// `config.workers` OS threads, all applying the bundle serialized in
-/// `bundle_bytes` (decoded once through a shared [`BundleCache`]).
+/// `bundle_bytes`, or [`FleetConfig::catalogue`] when one is armed
+/// (each blob decoded once through a shared [`BundleCache`]).
 ///
 /// Every campaign takes one path. [`placement`] cuts the fleet into
 /// consecutive blocks dealt round-robin to the workers; each worker
@@ -231,6 +231,17 @@ pub fn run_campaign(
     let cache = BundleCache::new();
     let workers = config.workers.max(1);
     let started = Instant::now();
+    let run = Campaign {
+        target,
+        cache: &cache,
+        config,
+        patches: if config.catalogue.is_empty() {
+            vec![bundle_bytes]
+        } else {
+            config.catalogue.iter().map(Vec::as_slice).collect()
+        },
+        batched: config.batched_smi && !config.catalogue.is_empty(),
+    };
 
     // The health monitor tails the worker shard files; arming it
     // without streaming would silently watch nothing, so fail loudly.
@@ -299,11 +310,9 @@ pub fn run_campaign(
             .iter()
             .enumerate()
             .map(|(worker, blocks)| {
-                let cache = &cache;
+                let run = &run;
                 let gate = rollout_cfg.as_ref().map(|(_, _, gate)| gate);
-                scope.spawn(move || {
-                    run_worker(target, cache, bundle_bytes, config, worker, blocks, gate)
-                })
+                scope.spawn(move || run_worker(run, worker, blocks, gate))
             })
             .collect();
         for handle in handles {
@@ -457,61 +466,11 @@ fn watch(
     })
 }
 
-/// A session parked until its wall-clock deadline. Heap order is
-/// earliest-deadline-first, ties broken by parking order so release
-/// order is deterministic even when deadlines collide.
-struct Parked {
-    key: Reverse<(Instant, u64)>,
-    session: MachineSession,
-}
-
-impl PartialEq for Parked {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Parked {}
-impl PartialOrd for Parked {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Parked {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
-
-/// Captures a session's records as pre-rendered shard lines, in emit
-/// order. Interleaved sessions can't share the worker's file sink live
-/// (their records would interleave mid-machine); instead each session
-/// buffers its lines and the worker replays them contiguously, in
-/// machine order, once the machine completes — so shard files carry
-/// exactly the per-machine blocks the sequential path wrote.
-struct BufferSink {
-    lines: Arc<Mutex<Vec<String>>>,
-}
-
-impl Sink for BufferSink {
-    fn on_record(&mut self, record: &Record) {
-        self.lines.lock().unwrap().push(record_json_line(record));
-    }
-}
-
-/// One live session plus its buffered shard lines (when streaming) and
-/// whether its shard parcel has already been written (the `Held` path
-/// flushes before the session finishes).
-struct Active {
-    session: MachineSession,
-    lines: Option<Arc<Mutex<Vec<String>>>>,
-    flushed: bool,
-}
-
 /// One machine's shard parcel, held back until its turn in the worker's
-/// canonical machine order: buffered record lines, the metrics block,
-/// and the pre-rendered outcome line. `None` marks a machine a stopped
-/// rollout never admitted — nothing to write, but the flush cursor must
-/// still pass it so later machines' parcels are not stranded.
+/// canonical machine order: record lines, the metrics block, and the
+/// outcome line. `None` marks a machine a stopped rollout never admitted
+/// — nothing to write, but the flush cursor must still pass it so later
+/// machines' parcels are not stranded.
 type Parcel = Option<(Vec<String>, MetricsSnapshot, String)>;
 
 /// Write every parcel that is next in canonical order to the shard, and
@@ -519,13 +478,13 @@ type Parcel = Option<(Vec<String>, MetricsSnapshot, String)>;
 /// health monitor) can see it — under a rollout that is what lets a
 /// wave be judged while its machines are still held.
 fn flush_parcels(
-    sink: &Option<StreamSink>,
+    sink: &StreamSink,
     parcels: &mut BTreeMap<usize, Parcel>,
     order: &mut Peekable<impl Iterator<Item = usize>>,
 ) {
     while let Some(parcel) = order.peek().and_then(|m| parcels.remove(m)) {
         order.next();
-        if let (Some(sink), Some((lines, metrics, outcome_line))) = (sink.as_ref(), parcel) {
+        if let Some((lines, metrics, outcome_line)) = parcel {
             for line in &lines {
                 sink.write_raw_line(line);
             }
@@ -540,44 +499,41 @@ fn flush_parcels(
     }
 }
 
-/// Build the shard parcel for a machine whose telemetry is final (for
-/// the shard's purposes): fold ring-eviction losses into a counter
-/// *before* the metrics block is rendered, so the health monitor (and
-/// any shard re-aggregation) sees the drop accounting a campaign that
-/// keeps no records would otherwise lose with the record stream.
-fn seal_parcel(active: &mut Active) -> Parcel {
-    let dropped = active.session.recorder.dropped();
+/// Seal a machine whose telemetry is final (for the shard's purposes):
+/// fold ring-eviction losses into a counter *before* the metrics block
+/// is rendered, so the health monitor (and any shard re-aggregation)
+/// sees the drop accounting a campaign that keeps no records would
+/// otherwise lose with the record stream.
+fn seal(session: &mut MachineSession) {
+    session.sealed = true;
+    let dropped = session.recorder.dropped();
     if dropped > 0 {
-        active
-            .session
+        session
             .recorder
             .metrics()
             .counter_add(RECORDS_DROPPED_METRIC, dropped);
     }
-    let mut buffered = active
-        .lines
-        .as_ref()
-        .map(|l| std::mem::take(&mut *l.lock().unwrap()))
-        .unwrap_or_default();
-    // The machine's SMI flight ring, one `smi` line per record, after
-    // the record stream and before the metrics block. Rendered straight
-    // from the ring (never through the Record pipeline, whose lines
-    // carry wall-clock timestamps), so the smi stream is byte-identical
-    // across worker counts, pipeline depths, and batching modes.
-    if active.lines.is_some() {
-        let outcome = &active.session.outcome;
-        buffered.extend(
-            outcome
-                .flight
-                .iter()
-                .map(|rec| smi_line(outcome.machine, rec).to_json_line()),
-        );
-    }
-    active.flushed = true;
+}
+
+/// A sealed machine's shard parcel, rendered from its own recorder: the
+/// retained records in emit order, then one `smi` line per record of
+/// its SMI flight ring. The `smi` lines come straight from the ring
+/// (never through the Record pipeline, whose lines carry wall-clock
+/// timestamps), so the smi stream is byte-identical across worker
+/// counts, pipeline depths, and batching modes.
+fn parcel(session: &MachineSession) -> Parcel {
+    let (outcome, recorder) = (&session.outcome, &session.recorder);
+    let mut lines: Vec<String> = recorder.records().iter().map(record_json_line).collect();
+    lines.extend(
+        outcome
+            .flight
+            .iter()
+            .map(|rec| smi_line(outcome.machine, rec).to_json_line()),
+    );
     Some((
-        buffered,
-        active.session.recorder.metrics_snapshot(),
-        active.session.outcome.shard_line().to_json_line(),
+        lines,
+        recorder.metrics_snapshot(),
+        outcome.shard_line().to_json_line(),
     ))
 }
 
@@ -708,14 +664,12 @@ impl<'a> BlockFolds<'a> {
 /// blocks, the metric totals of machines it did not keep, and the
 /// worker's busy/in-flight occupancy split.
 fn run_worker(
-    target: &CampaignTarget,
-    cache: &BundleCache,
-    bundle_bytes: &[u8],
-    config: &FleetConfig,
+    run: &Campaign,
     worker: usize,
     blocks: &[Range<usize>],
     gate: Option<&RolloutGate>,
 ) -> (Vec<Block>, Arc<Recorder>, WorkerOccupancy) {
+    let config = run.config;
     let workers = config.workers.max(1);
     let depth = config.pipeline_depth.max(1);
     // Stagger worker starts across one link RTT. Without this the
@@ -751,14 +705,14 @@ fn run_worker(
     let mut folds = BlockFolds::new(blocks, config.retain_outcomes, sink.as_ref());
     let mut live = 0usize;
     let mut park_seq = 0u64;
-    let mut ready: VecDeque<Active> = VecDeque::new();
-    let mut parked: BinaryHeap<Parked> = BinaryHeap::new();
-    // Parked sessions' buffers, keyed by machine (sessions in the heap
-    // can't carry the Active wrapper through the ordering impls).
-    let mut parked_lines: BTreeMap<usize, Arc<Mutex<Vec<String>>>> = BTreeMap::new();
+    let mut ready: VecDeque<MachineSession> = VecDeque::new();
+    // Sessions waiting out a wall-clock deadline, released earliest
+    // first; parking order breaks ties, so release order is
+    // deterministic even when deadlines collide.
+    let mut parked: BTreeMap<(Instant, u64), MachineSession> = BTreeMap::new();
     // Sessions held in AwaitVerdict (rollout only): patched, parcel
     // flushed, machine live, waiting for the gate to judge their wave.
-    let mut held: BTreeMap<usize, Active> = BTreeMap::new();
+    let mut held: BTreeMap<usize, MachineSession> = BTreeMap::new();
     // Shard parcels waiting for their turn in the shard file.
     let mut parcels: BTreeMap<usize, Parcel> = BTreeMap::new();
     let mut busy = Duration::ZERO;
@@ -774,10 +728,10 @@ fn run_worker(
                 .filter(|&m| gate.action_for(m).is_some())
                 .collect();
             for machine in judged {
-                let mut active = held.remove(&machine).expect("collected from held");
+                let mut session = held.remove(&machine).expect("collected from held");
                 let rollback = gate.action_for(machine) == Some(WaveAction::Rollback);
-                active.session.deliver_verdict(rollback);
-                ready.push_back(active);
+                session.deliver_verdict(rollback);
+                ready.push_back(session);
                 live += 1;
             }
         }
@@ -793,18 +747,7 @@ fn run_worker(
             } else {
                 Arc::clone(&shared_recorder)
             };
-            let lines = sink.as_ref().map(|_| {
-                let lines = Arc::new(Mutex::new(Vec::new()));
-                recorder.add_sink(Box::new(BufferSink {
-                    lines: Arc::clone(&lines),
-                }));
-                lines
-            });
-            ready.push_back(Active {
-                session: MachineSession::new(machine, worker, recorder),
-                lines,
-                flushed: false,
-            });
+            ready.push_back(MachineSession::new(machine, worker, recorder));
             live += 1;
         }
         // A stopped rollout never opens the remaining waves: report
@@ -818,76 +761,60 @@ fn run_worker(
                     Arc::clone(&shared_recorder),
                 );
             }
-            flush_parcels(&sink, &mut parcels, &mut flush);
+            if let Some(sink) = &sink {
+                flush_parcels(sink, &mut parcels, &mut flush);
+            }
         }
         // Release every parked session whose deadline has passed, in
         // deadline order.
         let now = Instant::now();
-        while parked.peek().is_some_and(|p| p.key.0 .0 <= now) {
-            let p = parked.pop().expect("peeked");
-            let machine = p.session.outcome.machine;
-            ready.push_back(Active {
-                session: p.session,
-                lines: parked_lines.remove(&machine),
-                flushed: false,
-            });
+        while let Some(entry) = parked.first_entry().filter(|e| e.key().0 <= now) {
+            ready.push_back(entry.remove());
         }
 
-        if let Some(mut active) = ready.pop_front() {
+        if let Some(mut session) = ready.pop_front() {
             let step_started = Instant::now();
             let status = if record_scope {
-                let _scope = RecorderScope::enter(Arc::clone(&active.session.recorder));
-                active.session.step(target, cache, bundle_bytes, config)
+                let _scope = RecorderScope::enter(Arc::clone(&session.recorder));
+                session.step(run)
             } else {
-                active.session.step(target, cache, bundle_bytes, config)
+                session.step(run)
             };
             busy += step_started.elapsed();
             match status {
-                StepStatus::Ready => ready.push_back(active),
+                StepStatus::Ready => ready.push_back(session),
                 StepStatus::Wait => {
-                    let deadline = active
-                        .session
+                    let deadline = session
                         .deadline()
                         .expect("a waiting session carries its deadline");
-                    if let Some(lines) = active.lines {
-                        parked_lines.insert(active.session.outcome.machine, lines);
-                    }
-                    parked.push(Parked {
-                        key: Reverse((deadline, park_seq)),
-                        session: active.session,
-                    });
+                    parked.insert((deadline, park_seq), session);
                     park_seq += 1;
                 }
-                StepStatus::Held => {
-                    // The patch applied; its wave's verdict decides
-                    // what happens next. Commit the machine's shard
-                    // parcel now — the health monitor judges the wave
-                    // from it — free the pipeline slot, and hold the
-                    // live session for `deliver_verdict`. Records the
-                    // session emits *after* this point (rollback
-                    // telemetry) stay in memory only.
+                StepStatus::Held | StepStatus::Done => {
                     live -= 1;
-                    let parcel = seal_parcel(&mut active);
-                    parcels.insert(active.session.outcome.machine, parcel);
-                    flush_parcels(&sink, &mut parcels, &mut flush);
-                    held.insert(active.session.outcome.machine, active);
-                }
-                StepStatus::Done => {
-                    live -= 1;
-                    if record_scope && !active.flushed {
-                        let parcel = seal_parcel(&mut active);
-                        parcels.insert(active.session.outcome.machine, parcel);
-                        flush_parcels(&sink, &mut parcels, &mut flush);
+                    // A held session's patch applied and its wave's
+                    // verdict decides what happens next: its parcel is
+                    // committed now, because the health monitor judges
+                    // the wave from it. Records the session emits after
+                    // this point (rollback telemetry) stay in memory
+                    // only.
+                    let machine = session.outcome.machine;
+                    if record_scope && !session.sealed {
+                        seal(&mut session);
+                        if let Some(sink) = &sink {
+                            parcels.insert(machine, parcel(&session));
+                            flush_parcels(sink, &mut parcels, &mut flush);
+                        }
                     }
-                    let MachineSession {
-                        outcome, recorder, ..
-                    } = active.session;
-                    folds.retire(outcome, recorder);
+                    if status == StepStatus::Held {
+                        held.insert(machine, session);
+                    } else {
+                        folds.retire(session.outcome, session.recorder);
+                    }
                 }
             }
-        } else if let Some(p) = parked.peek() {
+        } else if let Some((&(deadline, _), _)) = parked.first_key_value() {
             // No CPU work anywhere: this is genuine in-flight time.
-            let deadline = p.key.0 .0;
             let wait = deadline.saturating_duration_since(Instant::now());
             if !wait.is_zero() {
                 thread::sleep(wait);

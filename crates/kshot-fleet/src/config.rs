@@ -2,6 +2,7 @@
 //! planned faults, streaming export, the SMM dwell watchdog, and the
 //! live health monitor.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -51,6 +52,24 @@ pub struct PlannedAttack {
     pub kind: AttackKind,
 }
 
+/// Simulated backoff charged to a machine's clock after its first failed
+/// attempt on a patch; it doubles with each further failed attempt.
+pub(crate) const BACKOFF_BASE: SimTime = SimTime::from_ms(50);
+
+/// Everything a campaign plans for one machine: at most one plan of each
+/// kind. The builders keep the first plan of a kind they are given.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Perturbation {
+    /// SMM write index to fault, counted from the end of install.
+    pub(crate) fault: Option<u64>,
+    /// SMM write index to fault inside the machine's first `recover()`.
+    pub(crate) recovery_fault: Option<u64>,
+    /// Multiplier on the machine's SMM stage costs.
+    pub(crate) slowdown: Option<u32>,
+    /// Attack armed after install.
+    pub(crate) attack: Option<AttackKind>,
+}
+
 /// Configuration of one fleet campaign.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -62,32 +81,23 @@ pub struct FleetConfig {
     /// `splitmix64(seed + i)`, so campaigns are reproducible while
     /// machines stay distinguishable.
     pub seed: u64,
-    /// Maximum session attempts per machine (first try + retries).
+    /// Maximum session attempts per patch (first try + retries).
     pub max_attempts: u32,
-    /// Simulated backoff charged to a machine's clock after a failed
-    /// attempt; doubles per retry (`base << attempt`).
-    pub backoff_base: SimTime,
     /// Real (wall-clock) network round-trip charged per session attempt,
     /// modelling the orchestrator↔machine link. This is what makes fleet
     /// campaigns latency-bound and worker parallelism observable even on
     /// a single-core host: sleeps overlap across workers.
     pub link_rtt: Duration,
-    /// Faults to arm, at most one per machine (later entries for the
-    /// same machine are ignored).
-    pub faults: Vec<PlannedFault>,
     /// When set, each worker streams its machines' telemetry to
-    /// `<stream_dir>/worker-<N>.jsonl` as machines complete (records as
-    /// they are emitted, one metrics block plus one `machine` outcome
-    /// line per machine, and one `rollup` line per placement block).
-    /// See `kshot_telemetry::StreamSink`.
+    /// `<stream_dir>/worker-<N>.jsonl` as machines complete (per machine
+    /// its retained records in emit order, its `smi` lines, one metrics
+    /// block and one `machine` outcome line; one `rollup` line per
+    /// placement block). See `kshot_telemetry::StreamSink`.
     pub stream_dir: Option<PathBuf>,
     /// SMM dwell-time budget armed on every machine; SMIs dwelling
     /// longer are counted and reported in
     /// `CampaignReport::dwell_anomalies`.
     pub smm_dwell_budget: Option<SimTime>,
-    /// Machines to artificially slow down (SMM cost scaling), at most
-    /// one per machine.
-    pub slowdowns: Vec<PlannedSlowdown>,
     /// How many of one worker's machines may be in flight at once.
     ///
     /// `1` (the default) reproduces the classic behaviour: a worker
@@ -119,16 +129,10 @@ pub struct FleetConfig {
     /// verdicts come from the monitor) and therefore streaming;
     /// `run_campaign` panics loudly otherwise.
     pub rollout: Option<RolloutPlan>,
-    /// Faults armed *inside a machine's recovery window*: after a
-    /// failed attempt's injection stats fold, the plan is armed
-    /// immediately before `recover()`, so the fault fires during
-    /// recovery itself. This is how the recovery-error terminal path is
-    /// exercised end-to-end. At most one per machine.
-    pub recovery_faults: Vec<PlannedFault>,
     /// Multi-CVE campaign catalogue: encoded [`kshot_patchserver`]
     /// bundle blobs, applied to every machine in order. Empty (the
-    /// default) keeps the classic single-patch campaign, where the
-    /// session builds its own bundle from the machine's kernel.
+    /// default) applies the one bundle `run_campaign` is given; either
+    /// way the campaign resolves one patch list for every session.
     pub catalogue: Vec<Vec<u8>>,
     /// When a catalogue is armed: apply all its CVEs in one batched SMI
     /// per machine (`true`) instead of one SMI per CVE (`false`, the
@@ -136,11 +140,6 @@ pub struct FleetConfig {
     /// way; only the SMI count — and hence the fixed SMM entry/exit
     /// cost paid — differs.
     pub batched_smi: bool,
-    /// Attacks to arm, at most one per machine (later entries for the
-    /// same machine are ignored). Attacks are armed *after* install so
-    /// the sealed handler measurement predates the tamper — detection,
-    /// not prevention, is what the integrity plane proves.
-    pub attacks: Vec<PlannedAttack>,
     /// When set, the health monitor replays every `smi` flight-record
     /// line from the worker shards through a detached
     /// [`kshot_telemetry::IntegrityMonitor`] judging it against this
@@ -162,6 +161,9 @@ pub struct FleetConfig {
     /// grows with the fleet beyond the fold's logarithmic Merkle
     /// frontier.
     pub retain_outcomes: bool,
+    /// Per-machine faults, recovery faults, slowdowns and attacks, as
+    /// the `with_*` builders plan them.
+    pub(crate) perturbations: BTreeMap<usize, Perturbation>,
 }
 
 impl FleetConfig {
@@ -174,23 +176,31 @@ impl FleetConfig {
             workers: workers.max(1),
             seed: 0x5EED,
             max_attempts: 3,
-            backoff_base: SimTime::from_ms(50),
             link_rtt: Duration::ZERO,
-            faults: Vec::new(),
             stream_dir: None,
             smm_dwell_budget: None,
-            slowdowns: Vec::new(),
             pipeline_depth: 1,
             health_policy: None,
             health_window: 8,
             rollout: None,
-            recovery_faults: Vec::new(),
             catalogue: Vec::new(),
             batched_smi: false,
-            attacks: Vec::new(),
             integrity: None,
             retain_outcomes: true,
+            perturbations: BTreeMap::new(),
         }
+    }
+
+    /// What the campaign plans for `machine` (nothing, for most).
+    pub(crate) fn perturbation(&self, machine: usize) -> Perturbation {
+        self.perturbations
+            .get(&machine)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    fn plan(&mut self, machine: usize) -> &mut Perturbation {
+        self.perturbations.entry(machine).or_default()
     }
 
     /// Builder-style: keep up to `depth` machines in flight per worker
@@ -212,9 +222,12 @@ impl FleetConfig {
         self
     }
 
-    /// Builder-style: arm `fault` on its machine.
+    /// Builder-style: arm `fault` on its machine, unless it already has
+    /// one.
     pub fn with_fault(mut self, fault: PlannedFault) -> Self {
-        self.faults.push(fault);
+        self.plan(fault.machine)
+            .fault
+            .get_or_insert(fault.smm_write_index);
         self
     }
 
@@ -230,9 +243,12 @@ impl FleetConfig {
         self
     }
 
-    /// Builder-style: slow one machine's SMM stages down.
+    /// Builder-style: slow one machine's SMM stages down, unless it is
+    /// already slowed.
     pub fn with_slowdown(mut self, slowdown: PlannedSlowdown) -> Self {
-        self.slowdowns.push(slowdown);
+        self.plan(slowdown.machine)
+            .slowdown
+            .get_or_insert(slowdown.factor);
         self
     }
 
@@ -256,10 +272,14 @@ impl FleetConfig {
     }
 
     /// Builder-style: arm `fault` inside its machine's recovery window,
-    /// so `recover()` itself fails and the machine takes the terminal
-    /// recovery-error path.
+    /// unless it already has one. After a failed attempt's injection
+    /// stats fold, the plan is armed immediately before the machine's
+    /// first `recover()`, so `recover()` itself fails and the machine
+    /// takes the terminal recovery-error path.
     pub fn with_recovery_fault(mut self, fault: PlannedFault) -> Self {
-        self.recovery_faults.push(fault);
+        self.plan(fault.machine)
+            .recovery_fault
+            .get_or_insert(fault.smm_write_index);
         self
     }
 
@@ -279,11 +299,12 @@ impl FleetConfig {
         self
     }
 
-    /// Builder-style: arm `attack` on its machine (after install, so the
-    /// sealed measurement predates the tamper). See
-    /// [`FleetConfig::attacks`].
+    /// Builder-style: arm `attack` on its machine, unless it already has
+    /// one. Attacks are armed *after* install, so the sealed handler
+    /// measurement predates the tamper: detection, not prevention, is
+    /// what the integrity plane proves.
     pub fn with_attack(mut self, attack: PlannedAttack) -> Self {
-        self.attacks.push(attack);
+        self.plan(attack.machine).attack.get_or_insert(attack.kind);
         self
     }
 
@@ -323,7 +344,7 @@ mod tests {
         assert_eq!(c.machines, 64);
         assert_eq!(c.workers, 8);
         assert_eq!(c.max_attempts, 3);
-        assert!(c.faults.is_empty());
+        assert!(c.perturbations.is_empty());
         assert!(c.link_rtt.is_zero());
         // Depth 1 — the classic sequential drive — is the default.
         assert_eq!(c.pipeline_depth, 1);

@@ -29,7 +29,7 @@
 //!   Patch → Backoff → Done): with
 //!   [`FleetConfig::with_pipeline_depth`] > 1 it steps other machines'
 //!   CPU phases while one machine's delivery is in flight, parking
-//!   waits on a deadline min-heap instead of blocking in
+//!   waits in a deadline-ordered map instead of blocking in
 //!   `thread::sleep`. Every resumed step re-enters the machine's own
 //!   recorder scope, so simulated-domain results are byte-identical at
 //!   every depth; [`CampaignReport::worker_occupancy`] shows the
@@ -37,7 +37,11 @@
 //! * **Failure is expected.** A campaign can plan per-machine faults
 //!   (via `kshot-machine`'s injection engine); a failed session is
 //!   recovered with [`kshot_core::KShot::recover`] and retried under
-//!   simulated exponential backoff, up to a configurable attempt cap.
+//!   simulated exponential backoff, up to a configurable attempt cap
+//!   per patch. Only what did not land is retried: a fault after the
+//!   journal committed surfaces as [`kshot_core::KShotError::Committed`]
+//!   and counts the attempted patches as landed, and the segments a
+//!   recovery preserved count as landed too.
 //! * **One campaign path.** Each worker folds every block it owns, in
 //!   machine order, into an [`OutcomeFold`] (counters, a mergeable
 //!   latency sketch, capped dwell attribution, and a
@@ -86,7 +90,9 @@
 //!   journal abuse, dwell exhaustion) the plane must catch.
 //! * **Multi-CVE catalogues, batched SMIs.**
 //!   [`FleetConfig::with_catalogue`] drives every machine through a
-//!   catalogue of k encoded bundles instead of one, and
+//!   catalogue of k encoded bundles instead of one; `run_campaign`
+//!   resolves one patch list per campaign, so a single bundle is a
+//!   one-entry list on the same session path.
 //!   [`FleetConfig::with_batched_smi`] merges the whole catalogue into
 //!   a single SMI via [`kshot_core::KShot::live_patch_batch_bundles`],
 //!   paying the fixed SMM entry+exit cost once per machine instead of

@@ -8,10 +8,10 @@
 //! [`SessionState::Patch`], the backoff bookkeeping) run when the
 //! scheduler calls [`MachineSession::step`], and whose waiting phases
 //! ([`SessionState::InFlight`], [`SessionState::Backoff`]) are plain
-//! wall-clock deadlines the scheduler parks on a min-heap. While one
-//! machine's delivery is in flight, the same worker steps other
-//! machines' CPU phases — the latency-hiding that lifts single-worker
-//! throughput.
+//! wall-clock deadlines the scheduler parks in a deadline-ordered map.
+//! While one machine's delivery is in flight, the same worker steps
+//! other machines' CPU phases — the latency-hiding that lifts
+//! single-worker throughput.
 //!
 //! Determinism is untouched by the refactor: everything a machine
 //! computes (seed, simulated clock, telemetry, applied bytes) depends
@@ -28,6 +28,12 @@
 //! verdict arrives, then either finalizes patched
 //! ([`SessionState::Release`]) or reverts through
 //! [`SessionState::Rollback`] → [`KShot::rollback_last`].
+//!
+//! Every session walks one patch list ([`Campaign::patches`]): a single
+//! bundle is a one-entry list, so the bundle and the catalogue share one
+//! apply, recover and rollback path. A fault that errors an attempt
+//! after some of its patches committed counts those patches as landed
+//! instead of retrying them.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,7 +47,23 @@ use kshot_patchserver::BundleCache;
 use kshot_telemetry::Recorder;
 
 use crate::campaign::{CampaignTarget, MachineOutcome};
-use crate::config::{splitmix64, FleetConfig};
+use crate::config::{splitmix64, FleetConfig, BACKOFF_BASE};
+
+/// What every session of one campaign reads: the target, the shared
+/// decode-once cache, the configuration, and the campaign's patch list.
+pub(crate) struct Campaign<'a> {
+    pub(crate) target: &'a CampaignTarget,
+    pub(crate) cache: &'a BundleCache,
+    pub(crate) config: &'a FleetConfig,
+    /// Encoded bundles every machine applies, in order: the catalogue
+    /// when one is armed, else the one bundle. A single bundle is a
+    /// one-entry list.
+    pub(crate) patches: Vec<&'a [u8]>,
+    /// Whether one SMI applies every patch not yet applied. Only a
+    /// catalogue batches, so a one-entry batched catalogue keeps its
+    /// `BATCH(..)` envelope.
+    pub(crate) batched: bool,
+}
 
 /// Where a session is in its Boot → Install → InFlight → Patch →
 /// Backoff → Done lifecycle.
@@ -89,7 +111,7 @@ pub(crate) enum StepStatus {
     /// More CPU work is ready right now — requeue.
     Ready,
     /// Nothing to do until the session's [`MachineSession::deadline`]
-    /// passes — park on the deadline heap.
+    /// passes — park in the deadline map.
     Wait,
     /// Rollout mode only: the patch applied and the session now awaits
     /// its wave's verdict. The worker must flush the machine's shard
@@ -109,6 +131,10 @@ pub(crate) struct MachineSession {
     /// The machine's private telemetry recorder. The scheduler enters
     /// it (via `RecorderScope`) around every step.
     pub(crate) recorder: Arc<Recorder>,
+    /// Whether the worker has sealed this machine's telemetry (folded
+    /// its ring drops and, when streaming, rendered its shard parcel). A
+    /// held rollout session is sealed before it finishes.
+    pub(crate) sealed: bool,
     state: SessionState,
     /// Booted kernel, held between Boot and Install.
     kernel: Option<Kernel>,
@@ -116,21 +142,18 @@ pub(crate) struct MachineSession {
     /// (dropped at finalization to release the machine's memory while
     /// other sessions are still live).
     system: Option<KShot>,
-    /// Whether the config's recovery-window fault (if any) has been
-    /// armed; armed exactly once, immediately before the first
-    /// `recover()` call.
-    recovery_fault_armed: bool,
-    /// Catalogue campaigns: index of the next catalogue patch to apply
-    /// (equivalently, how many of its CVEs are applied on the machine).
-    /// Stays 0 in classic single-patch campaigns.
+    /// The campaign's recovery-window fault for this machine, until it
+    /// is armed immediately before the first `recover()` call.
+    recovery_fault: Option<u64>,
+    /// Index of the next patch to apply (equivalently, how many of the
+    /// campaign's patches are applied on the machine).
     next_patch: usize,
-    /// Attempts spent on the *current* catalogue patch (or batch
-    /// suffix); reset whenever a patch lands, so the retry budget is
-    /// per patch rather than per machine. Identical to
-    /// `outcome.attempts` in classic campaigns.
+    /// Attempts spent on the current patch (or batch suffix); reset
+    /// whenever patches land, so the retry budget is per patch rather
+    /// than per machine.
     patch_attempts: u32,
-    /// Accumulated simulated patch latency across catalogue patches;
-    /// becomes `outcome.latency` when the last patch lands.
+    /// Accumulated simulated latency of the landed patches; becomes
+    /// `outcome.latency` when the last one lands.
     latency_acc: SimTime,
 }
 
@@ -152,10 +175,11 @@ impl MachineSession {
         MachineSession {
             outcome: MachineOutcome::new(machine, worker),
             recorder,
+            sealed: false,
             state: SessionState::Boot,
             kernel: None,
             system: None,
-            recovery_fault_armed: false,
+            recovery_fault: None,
             next_patch: 0,
             patch_attempts: 0,
             latency_acc: SimTime::ZERO,
@@ -165,25 +189,17 @@ impl MachineSession {
     /// Advance the session by one phase. The scheduler must only call
     /// this once any pending deadline has passed, and must run it under
     /// this session's recorder scope.
-    pub(crate) fn step(
-        &mut self,
-        target: &CampaignTarget,
-        cache: &BundleCache,
-        bundle_bytes: &[u8],
-        config: &FleetConfig,
-    ) -> StepStatus {
+    pub(crate) fn step(&mut self, run: &Campaign) -> StepStatus {
         match self.state {
-            SessionState::Boot => self.step_boot(target),
-            SessionState::Install => self.step_install(config),
+            SessionState::Boot => self.step_boot(run.target),
+            SessionState::Install => self.step_install(run),
             // A released InFlight deadline means the delivery landed:
             // the patch attempt is the next CPU work.
-            SessionState::InFlight { .. } | SessionState::Patch => {
-                self.step_patch(cache, bundle_bytes, target, config)
-            }
-            SessionState::Backoff { .. } => self.step_backoff(config),
+            SessionState::InFlight { .. } | SessionState::Patch => self.step_patch(run),
+            SessionState::Backoff { .. } => self.step_backoff(run.config),
             SessionState::AwaitVerdict => StepStatus::Held,
-            SessionState::Rollback => self.step_rollback(target),
-            SessionState::Release => self.finalize(target),
+            SessionState::Rollback => self.step_rollback(run.target),
+            SessionState::Release => self.finalize(run.target),
             SessionState::Done => StepStatus::Done,
         }
     }
@@ -215,7 +231,8 @@ impl MachineSession {
         }
     }
 
-    fn step_install(&mut self, config: &FleetConfig) -> StepStatus {
+    fn step_install(&mut self, run: &Campaign) -> StepStatus {
+        let config = run.config;
         let machine = self.outcome.machine;
         let seed = splitmix64(config.seed.wrapping_add(machine as u64));
         let kernel = self.kernel.take().expect("Install follows Boot");
@@ -223,32 +240,29 @@ impl MachineSession {
             Ok(s) => s,
             Err(e) => return self.fail_early(format!("install: {e}")),
         };
-        {
-            let m = system.kernel_mut().machine_mut();
-            m.set_smm_dwell_budget(config.smm_dwell_budget);
-            if config.batched_smi && !config.catalogue.is_empty() {
-                // One batched SMI legitimately dwells ~k× a single
-                // patch's budget: it does all k CVEs inside one pause.
-                m.set_smm_dwell_budget_scale(config.catalogue.len() as u64);
-            }
-            if let Some(slow) = config.slowdowns.iter().find(|s| s.machine == machine) {
-                let scaled = slow_cost_model(m.cost(), slow.factor);
-                m.set_cost(scaled);
-            }
+        let plan = config.perturbation(machine);
+        let m = system.kernel_mut().machine_mut();
+        m.set_smm_dwell_budget(config.smm_dwell_budget);
+        if run.batched {
+            // One batched SMI legitimately dwells ~k× a single
+            // patch's budget: it does all k CVEs inside one pause.
+            m.set_smm_dwell_budget_scale(run.patches.len() as u64);
         }
-        if let Some(fault) = config.faults.iter().find(|f| f.machine == machine) {
-            system
-                .kernel_mut()
-                .machine_mut()
-                .arm_injection(InjectionPlan::fail_nth_smm_write(fault.smm_write_index));
+        if let Some(factor) = plan.slowdown {
+            let scaled = slow_cost_model(m.cost(), factor);
+            m.set_cost(scaled);
+        }
+        if let Some(index) = plan.fault {
+            m.arm_injection(InjectionPlan::fail_nth_smm_write(index));
         }
         // Attacks arm *after* install: the handler image is already
         // sealed and its clean measurement recorded, so a tamper fires
         // on the next (patch) SMI where the integrity plane must see
         // the measurement mismatch — detection, not prevention.
-        if let Some(attack) = config.attacks.iter().find(|a| a.machine == machine) {
-            system.kernel_mut().machine_mut().arm_attack(attack.kind);
+        if let Some(kind) = plan.attack {
+            m.arm_attack(kind);
         }
+        self.recovery_fault = plan.recovery_fault;
         self.system = Some(system);
         self.begin_attempt(config)
     }
@@ -268,139 +282,125 @@ impl MachineSession {
         StepStatus::Wait
     }
 
-    fn step_patch(
-        &mut self,
-        cache: &BundleCache,
-        bundle_bytes: &[u8],
-        target: &CampaignTarget,
-        config: &FleetConfig,
-    ) -> StepStatus {
-        // Decode this attempt's bundle(s) through the shared cache —
-        // decode-once across the whole fleet. Batched attempts route
-        // every catalogue blob through the cache too, so hit/miss
-        // accounting is identical to the sequential drive.
-        let sources: Vec<&[u8]> = if config.catalogue.is_empty() {
-            vec![bundle_bytes]
-        } else if config.batched_smi {
-            config.catalogue.iter().map(|b| b.as_slice()).collect()
+    fn step_patch(&mut self, run: &Campaign) -> StepStatus {
+        // This attempt's patches: the next one, or under batching every
+        // one not yet applied, in one SMI. Each decodes through the
+        // shared cache, once for the whole fleet.
+        let end = if run.batched {
+            run.patches.len()
         } else {
-            vec![config.catalogue[self.next_patch].as_slice()]
+            self.next_patch + 1
         };
-        let mut decoded = Vec::with_capacity(sources.len());
-        for bytes in sources {
-            match cache.get_or_decode(bytes) {
+        let mut decoded = Vec::with_capacity(end - self.next_patch);
+        for bytes in &run.patches[self.next_patch..end] {
+            match run.cache.get_or_decode(bytes) {
                 Ok(b) => decoded.push(b),
                 Err(e) => {
                     self.outcome.error = Some(format!("bundle: {e}"));
                     // This terminal path must fold too: an armed plan's
-                    // observed-write count would otherwise vanish exactly
-                    // like the success-path leak PR 5 fixed.
+                    // observed-write count would otherwise vanish with
+                    // the plan.
                     self.fold_injection_stats();
-                    return self.finalize(target);
+                    return self.finalize(run.target);
                 }
             }
         }
-        let system = self.system.as_mut().expect("Patch follows Install");
         // Borrow the fleet's decoded bundles: a copy per machine would
         // cost a megabyte on large patches.
-        let attempt = if config.batched_smi && !config.catalogue.is_empty() {
-            // One SMI for the whole not-yet-applied suffix.
-            system.live_patch_batch_bundles(decoded[self.next_patch..].iter().map(Arc::as_ref))
+        let attempt = if run.batched {
+            self.system()
+                .live_patch_batch_bundles(decoded.iter().map(Arc::as_ref))
         } else {
-            system.live_patch_bundle(decoded[0].as_ref())
+            self.system().live_patch_bundle(decoded[0].as_ref())
         };
-        match attempt {
+        // Fold injection stats on the success path too: an armed but
+        // unfired plan (write index never reached) would otherwise
+        // vanish without a trace.
+        self.fold_injection_stats();
+        let error = match attempt {
             Ok(report) => {
                 self.latency_acc += report.total();
-                // Fold injection stats on the success path too: an
-                // armed-but-unfired plan (write index never reached)
-                // would otherwise vanish without a trace.
-                self.fold_injection_stats();
-                if !config.catalogue.is_empty() {
-                    self.next_patch += if config.batched_smi {
-                        // One batched SMI landed the whole suffix.
-                        config.catalogue.len() - self.next_patch
-                    } else {
-                        1
-                    };
-                    self.patch_attempts = 0;
-                    if self.next_patch < config.catalogue.len() {
-                        // More CVEs to go: next delivery on the wire.
-                        return self.begin_attempt(config);
-                    }
-                }
-                self.patched(target, config)
+                return self.landed(decoded.len(), run);
             }
-            Err(e) => {
-                self.outcome.error = Some(e.to_string());
-                self.fold_injection_stats();
-                // Roll the machine back to its pre-session state. A
-                // recovery-window fault (if the campaign planned one)
-                // is armed here, after the attempt's stats folded, so
-                // it fires *inside* `recover()`.
-                self.arm_recovery_fault(config);
-                let recovered = self
-                    .system
-                    .as_mut()
-                    .expect("Patch follows Install")
-                    .recover();
-                match recovered {
-                    Ok(rec) => {
-                        // A faulted batch only unwinds its interrupted
-                        // segment: CVEs whose segments committed stay
-                        // applied, so the retry resumes from the first
-                        // unapplied CVE with a fresh per-patch budget.
-                        if let Recovery::UnwoundApply {
-                            segments_preserved, ..
-                        } = rec
-                        {
-                            if !config.catalogue.is_empty() && segments_preserved > 0 {
-                                self.next_patch = (self.next_patch + segments_preserved)
-                                    .min(config.catalogue.len());
-                                self.patch_attempts = 0;
-                            }
-                        }
-                        // Disarm a recovery-window plan that did not
-                        // fire, folding its observed writes, so it
-                        // cannot leak into the next attempt.
-                        self.fold_injection_stats();
-                        if !config.catalogue.is_empty() && self.next_patch >= config.catalogue.len()
-                        {
-                            // A late fault can error the attempt after
-                            // every segment already committed: the whole
-                            // catalogue is applied, nothing to retry.
-                            return self.patched(target, config);
-                        }
-                        if self.patch_attempts < config.max_attempts.max(1) {
-                            // Ready immediately: the backoff is
-                            // simulated-clock only, exactly as in the
-                            // sequential path.
-                            let deadline = Instant::now();
-                            self.state = SessionState::Backoff { deadline };
-                            StepStatus::Wait
-                        } else {
-                            self.finalize(target)
-                        }
-                    }
-                    Err(re) => {
-                        // Recovery itself failed: the machine may be
-                        // mid-unwind, so retrying on it would patch a
-                        // possibly-corrupt kernel. Fail terminally and
-                        // surface both errors.
-                        kshot_telemetry::counter("fleet.recovery_failed", 1);
-                        self.outcome.recovery_failed = true;
-                        self.outcome.error = Some(format!("{e}; recovery failed: {re}"));
-                        self.fold_injection_stats();
-                        self.finalize(target)
-                    }
-                }
+            Err(e) => e,
+        };
+        self.outcome.error = Some(error.to_string());
+        // A recovery-window fault (if the campaign planned one) is armed
+        // here, after the attempt's stats folded, so it fires *inside*
+        // `recover()`.
+        if let Some(index) = self.recovery_fault.take() {
+            self.system()
+                .kernel_mut()
+                .machine_mut()
+                .arm_injection(InjectionPlan::fail_nth_smm_write(index));
+        }
+        let recovered = self.system().recover();
+        // Disarm a recovery-window plan that did not fire, folding its
+        // observed writes, so it cannot leak into the next attempt.
+        self.fold_injection_stats();
+        let recovery = match recovered {
+            Ok(recovery) => recovery,
+            Err(re) => {
+                // Recovery itself failed: the machine may be mid-unwind,
+                // so retrying on it would patch a possibly-corrupt
+                // kernel. Fail terminally and surface both errors.
+                kshot_telemetry::counter("fleet.recovery_failed", 1);
+                self.outcome.recovery_failed = true;
+                self.outcome.error = Some(format!("{error}; recovery failed: {re}"));
+                return self.finalize(run.target);
             }
+        };
+        let landed = if let KShotError::Committed { report, .. } = &error {
+            // The attempt committed before a later write of its SMI
+            // failed: it is applied, and `recover()` has healed the
+            // published key material. A retry would only fail against
+            // the patched target.
+            self.latency_acc += report.total();
+            decoded.len()
+        } else if let Recovery::UnwoundApply {
+            segments_preserved, ..
+        } = recovery
+        {
+            // A fault after some journal segments committed: recovery
+            // unwound only the torn one, and the committed ones stay.
+            segments_preserved
+        } else {
+            0
+        };
+        if landed >= decoded.len() {
+            return self.landed(decoded.len(), run);
+        }
+        if landed > 0 {
+            // The retry resumes from the first unapplied patch with a
+            // fresh per-patch budget.
+            self.next_patch += landed;
+            self.patch_attempts = 0;
+        }
+        if self.patch_attempts < run.config.max_attempts.max(1) {
+            // Ready immediately: the backoff is simulated-clock only,
+            // exactly as in the sequential path.
+            let deadline = Instant::now();
+            self.state = SessionState::Backoff { deadline };
+            StepStatus::Wait
+        } else {
+            self.finalize(run.target)
         }
     }
 
-    /// The machine is fully patched (every catalogue CVE, or the classic
-    /// single bundle): record success and either park for the wave
-    /// verdict (rollout campaigns) or finalize.
+    /// `count` patches landed on the machine: start the next delivery,
+    /// or record the machine as patched once the list is done.
+    fn landed(&mut self, count: usize, run: &Campaign) -> StepStatus {
+        self.next_patch += count;
+        self.patch_attempts = 0;
+        if self.next_patch < run.patches.len() {
+            return self.begin_attempt(run.config);
+        }
+        self.patched(run.target, run.config)
+    }
+
+    /// The machine carries every patch of the campaign's list: record
+    /// success and either park for the wave verdict (rollout campaigns)
+    /// or finalize.
     fn patched(&mut self, target: &CampaignTarget, config: &FleetConfig) -> StepStatus {
         self.outcome.ok = true;
         self.outcome.error = None;
@@ -413,17 +413,7 @@ impl MachineSession {
             // monitor judges the wave from it), so snapshot the
             // observable fields at their patched-state values —
             // finalization re-reads them after the verdict.
-            let m = self
-                .system
-                .as_ref()
-                .expect("Patch follows Install")
-                .kernel()
-                .machine();
-            self.outcome.sim_clock = m.now();
-            self.outcome.smm_overbudget = m.smm_overbudget_count();
-            self.outcome.max_smm_dwell = m.max_smm_dwell();
-            self.outcome.dwell_worst = m.max_smm_dwell_smi();
-            self.outcome.flight = m.flight_snapshot();
+            self.observe_machine();
             self.state = SessionState::AwaitVerdict;
             StepStatus::Held
         } else {
@@ -431,34 +421,15 @@ impl MachineSession {
         }
     }
 
-    /// Arm the campaign's planned recovery-window fault for this
-    /// machine, once, just before the first `recover()` call.
-    fn arm_recovery_fault(&mut self, config: &FleetConfig) {
-        if self.recovery_fault_armed {
-            return;
-        }
-        let machine = self.outcome.machine;
-        if let Some(fault) = config.recovery_faults.iter().find(|f| f.machine == machine) {
-            self.system
-                .as_mut()
-                .expect("recovery fault armed with a live system")
-                .kernel_mut()
-                .machine_mut()
-                .arm_injection(InjectionPlan::fail_nth_smm_write(fault.smm_write_index));
-            self.recovery_fault_armed = true;
-        }
-    }
-
-    /// Revert this machine's applied patches after its wave halted. A
-    /// catalogue session pops once per applied CVE (batched applies
-    /// journal per CVE, so `rollback_last` reverts exactly one); the
-    /// classic single-patch session pops once. A partial rollback
+    /// Revert this machine's applied patches after its wave halted: one
+    /// pop per applied patch (batched applies journal per CVE, so
+    /// `rollback_last` reverts exactly one). A partial rollback
     /// ([`KShotError::RollbackIncomplete`]) is rolled forward through
     /// the SMRAM journal via `recover()`; only if that also fails is
     /// the machine reported as `rollback_failed`.
     fn step_rollback(&mut self, target: &CampaignTarget) -> StepStatus {
-        let pops = self.next_patch.max(1);
-        let system = self.system.as_mut().expect("Rollback follows AwaitVerdict");
+        let pops = self.next_patch;
+        let system = self.system();
         let mut skipped_total = 0u64;
         for _ in 0..pops {
             match system.rollback_last() {
@@ -490,28 +461,18 @@ impl MachineSession {
     fn step_backoff(&mut self, config: &FleetConfig) -> StepStatus {
         self.outcome.retries += 1;
         // The just-failed attempt's 0-based index decides the doubling
-        // (per catalogue patch, so a machine deep into its catalogue
-        // backs off like a fresh one — identical to `outcome.attempts`
-        // in classic campaigns).
+        // (per patch, so a machine deep into its list backs off like a
+        // fresh one).
         let shift = (self.patch_attempts.max(1) - 1).min(20);
-        let backoff = SimTime::from_ns(config.backoff_base.as_ns().saturating_mul(1u64 << shift));
-        self.system
-            .as_mut()
-            .expect("Backoff follows Patch")
-            .kernel_mut()
-            .machine_mut()
-            .charge(backoff);
+        let backoff = SimTime::from_ns(BACKOFF_BASE.as_ns().saturating_mul(1u64 << shift));
+        self.system().kernel_mut().machine_mut().charge(backoff);
         self.begin_attempt(config)
     }
 
     /// Record what the installed machine ended as and release it.
     fn finalize(&mut self, target: &CampaignTarget) -> StepStatus {
+        self.observe_machine();
         let system = self.system.as_ref().expect("finalize with a live system");
-        self.outcome.sim_clock = system.kernel().machine().now();
-        self.outcome.smm_overbudget = system.kernel().machine().smm_overbudget_count();
-        self.outcome.max_smm_dwell = system.kernel().machine().max_smm_dwell();
-        self.outcome.dwell_worst = system.kernel().machine().max_smm_dwell_smi();
-        self.outcome.flight = system.kernel().machine().flight_snapshot();
         self.outcome.state_digest = if self.outcome.rolled_back {
             // A completed rollback restored the kernel text and
             // deactivated every record, but SMM never rewinds the
@@ -543,17 +504,35 @@ impl MachineSession {
     }
 
     fn fold_injection_stats(&mut self) {
-        if let Some(stats) = self
-            .system
-            .as_mut()
-            .expect("injection stats read with a live system")
-            .kernel_mut()
-            .machine_mut()
-            .disarm_injection()
-        {
+        if let Some(stats) = self.system().kernel_mut().machine_mut().disarm_injection() {
             self.outcome.faults_injected += stats.faults_injected;
             self.outcome.injection_writes_seen += stats.smm_writes_seen;
         }
+    }
+
+    /// Copy the machine's clock, dwell accounting and SMI flight ring
+    /// into the outcome.
+    fn observe_machine(&mut self) {
+        let m = self
+            .system
+            .as_ref()
+            .expect("a live system")
+            .kernel()
+            .machine();
+        let o = &mut self.outcome;
+        o.sim_clock = m.now();
+        o.smm_overbudget = m.smm_overbudget_count();
+        o.max_smm_dwell = m.max_smm_dwell();
+        o.dwell_worst = m.max_smm_dwell_smi();
+        o.flight = m.flight_snapshot();
+    }
+
+    /// The installed system, which every phase from Install until
+    /// finalization holds.
+    fn system(&mut self) -> &mut KShot {
+        self.system
+            .as_mut()
+            .expect("a phase after Install holds the system")
     }
 }
 
@@ -646,11 +625,17 @@ mod tests {
             smm_write_index: u64::MAX, // armed, never fires
         });
         let cache = BundleCache::new();
-        let garbage: &[u8] = b"not a bundle";
+        let run = Campaign {
+            target: &target,
+            cache: &cache,
+            config: &config,
+            patches: vec![b"not a bundle"],
+            batched: false,
+        };
         let mut session = MachineSession::new(0, 0, Recorder::new());
-        let boot = session.step(&target, &cache, garbage, &config);
+        let boot = session.step(&run);
         assert_eq!(boot, StepStatus::Ready, "Boot");
-        let install = session.step(&target, &cache, garbage, &config);
+        let install = session.step(&run);
         assert_eq!(install, StepStatus::Ready, "Install, zero RTT");
         {
             let m = session
@@ -664,7 +649,7 @@ mod tests {
             m.write_bytes(AccessCtx::Smm, scratch, &[0]).unwrap();
             m.rsm().unwrap();
         }
-        let done = session.step(&target, &cache, garbage, &config);
+        let done = session.step(&run);
         assert_eq!(done, StepStatus::Done, "decode failure is terminal");
         let o = &session.outcome;
         assert!(!o.ok);
@@ -698,17 +683,21 @@ mod tests {
         let config = FleetConfig::new(2, 1);
         let cache = BundleCache::new();
         let drive = |target: &CampaignTarget, machine: usize| {
+            let run = Campaign {
+                target,
+                cache: &cache,
+                config: &config,
+                patches: vec![&bundle],
+                batched: false,
+            };
             let mut session = MachineSession::new(machine, 0, Recorder::new());
-            assert_eq!(
-                session.step(target, &cache, &bundle, &config),
-                StepStatus::Ready
-            );
+            assert_eq!(session.step(&run), StepStatus::Ready);
             assert_eq!(
                 Arc::strong_count(&target.image),
                 2,
                 "the booted machine shares the campaign image"
             );
-            while session.step(target, &cache, &bundle, &config) != StepStatus::Done {}
+            while session.step(&run) != StepStatus::Done {}
             assert_eq!(
                 Arc::strong_count(&target.image),
                 1,

@@ -48,14 +48,16 @@ impl Recorder {
         Recorder::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A recorder holding at most `capacity` records.
+    /// A recorder holding at most `capacity` records. The ring starts
+    /// empty and grows on demand: a fleet keeps one recorder per machine,
+    /// most of which hold a few dozen records.
     pub fn with_capacity(capacity: usize) -> Arc<Recorder> {
         assert!(capacity > 0, "recorder capacity must be non-zero");
         Arc::new(Recorder {
             epoch: Instant::now(),
             capacity,
             ring: Mutex::new(Ring {
-                records: VecDeque::with_capacity(capacity.min(1024)),
+                records: VecDeque::new(),
                 dropped: 0,
             }),
             sinks: Mutex::new(Vec::new()),
