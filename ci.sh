@@ -89,6 +89,8 @@ cargo test -q -p kshot-fleet --test prop_fleet_identical
 # SMI, in four shapes (the bundle, a one-entry catalogue, a sequential
 # and a batched two-CVE catalogue), ends patched with the clean run's
 # digest, and no fault at or after the journal's commit costs a retry.
+# From the commit write on (the commit write itself included), every
+# fault also reports the clean run's latency.
 # The same post-commit fault leaves digests and re-aggregated shard
 # metrics identical across workers {1,8} x depths {1,4}, and on a
 # canary machine it keeps a 32-machine rollout healthy in every wave.
@@ -101,6 +103,14 @@ cargo test -q -p kshot-fleet --test committed_fault_sweep \
 
 echo "== shard tail + injection accounting regressions =="
 cargo test -q -p kshot-telemetry tail_
+# The campaign's one live tailer, HealthMonitor::poll: a torn final
+# line waits for the next poll, polling a growing shard judges what one
+# poll of the whole file judges, and a shard truncated under the
+# monitor is a typed error naming its path.
+cargo test -q -p kshot-telemetry health::tests::tail_torn_final_line_waits_for_the_next_poll
+cargo test -q -p kshot-telemetry \
+  health::tests::tail_polls_across_snapshots_match_one_poll_of_the_whole_file
+cargo test -q -p kshot-telemetry health::tests::tail_truncated_shard_is_a_typed_error_naming_the_path
 cargo test -q -p kshot-fleet unfired_injection_plan_is_disarmed_and_accounted_on_success
 cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
 
@@ -140,8 +150,22 @@ cargo test -q -p kshot-telemetry smi_line_of_another_machine_is_a_typed_parse_er
 cargo test -q -p kshot-telemetry open_parcel_counts_in_resident_state_until_its_machine_line
 cargo test -q -p kshot-telemetry ten_k_metric_blocks_without_a_machine_line_stay_bounded
 cargo test -q -p kshot-telemetry --test prop_shard_intake
+# Long lines: the JSON string decoder is linear (256 KiB under 250 ms
+# and 4 MiB under 1 s in the debug profile), the fleet's longest line (a
+# full 2048-bucket sketch) decodes under the 256 KiB line cap, a longer
+# line is a typed error in ShardData::parse and HealthMonitor::poll, and
+# shards carrying one line at the cap's edge or 1-4 MiB over it end in a
+# verdict or a typed error within the property's time bound.
+cargo test -q -p kshot-telemetry json::tests::long_strings_parse_in_linear_time
+cargo test -q -p kshot-telemetry full_sketch_line_decodes_under_the_cap
+cargo test -q -p kshot-telemetry over_long_
+cargo test -q -p kshot-telemetry --test prop_shard_intake \
+  long_lines_yield_a_verdict_or_a_typed_error_in_time
 cargo test -q -p kshot-fleet --test health_stream respaced_campaign_shards_judge_like_the_compact_ones
 cargo test -q -p kshot-fleet --test health_stream monitor_failure_under_a_rollout_fails_closed
+# A worker panic ends a health-monitored campaign with the worker's own
+# panic instead of hanging it (the test times out after 60 s).
+cargo test -q -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_campaign
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
 # root/divergence/frontier round-trip), the fleet fold's merge-equals-

@@ -114,8 +114,9 @@ pub struct SmmPatchOutcome {
 /// SMM handler failures. A verification failure touches no kernel
 /// byte. A fault inside the journaled apply window leaves the journal
 /// open: [`SmmHandler::recover`] unwinds the torn segment and keeps the
-/// committed ones. Once the journal reads idle the patch is applied, and
-/// a later failure of the same SMI is [`SmmError::Committed`].
+/// committed ones. Once every segment has committed the patch is
+/// applied, and a later failure of the same SMI is
+/// [`SmmError::Committed`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SmmError {
     /// Handler invoked while the CPU is not in SMM.
@@ -189,11 +190,12 @@ pub enum SmmError {
         /// Index of the offending segment.
         segment: u32,
     },
-    /// The patch committed (the journal reads idle, so every protected
-    /// write landed), then a later write of the same SMI failed: the rest
-    /// of the commit, the key rotation, the cursor publication or the
-    /// staged-length clear. The kernel is patched; the published `mem_RW`
-    /// view may be stale until [`SmmHandler::recover`] heals it.
+    /// The patch committed (every segment's protected writes landed),
+    /// then a later write of the same SMI failed: the commit itself, the
+    /// key rotation, the cursor publication or the staged-length clear.
+    /// The kernel is patched; the published `mem_RW` view may be stale,
+    /// and the journal still open, until [`SmmHandler::recover`] heals
+    /// them without unwinding a segment.
     Committed {
         /// What the committed apply installed.
         outcome: Box<SmmPatchOutcome>,
@@ -990,11 +992,10 @@ impl SmmHandler {
         let mut hp_span = kshot_telemetry::span_at("smm.handle_patch", machine.now().as_ns());
         // 1. Key generation.
         let t0 = machine.now();
+        // The four stage spans are also the phase-breakdown profiler's
+        // key_exchange/decrypt/verify/apply samples
+        // (`kshot_telemetry::PhaseProfile`).
         let keygen_span = kshot_telemetry::span_at("smm.keygen", t0.as_ns());
-        // Each SMM stage also emits a `phase.*` span for the
-        // phase-breakdown profiler (`kshot_telemetry::PhaseProfile`),
-        // nested inside the stage's own span.
-        let kx_phase = kshot_telemetry::span_at("phase.key_exchange", t0.as_ns());
         let kp = self.current_keypair(machine)?;
         let helper_pub = read_public(machine, reserved.rw_base + rw_offsets::HELPER_PUB)?;
         let key = kp
@@ -1003,12 +1004,10 @@ impl SmmHandler {
         let keygen_cost = machine.cost().smm_keygen;
         machine.charge(keygen_cost);
         timings.keygen = machine.now() - t0;
-        kx_phase.end_at(machine.now().as_ns());
         keygen_span.end_at(machine.now().as_ns());
         // 2. Fetch + decrypt.
         let t1 = machine.now();
         let mut decrypt_span = kshot_telemetry::span_at("smm.decrypt", t1.as_ns());
-        let decrypt_phase = kshot_telemetry::span_at("phase.decrypt", t1.as_ns());
         let staged_len =
             machine.read_u64(AccessCtx::Smm, reserved.rw_base + rw_offsets::STAGED_LEN)?;
         if staged_len == 0 || staged_len > reserved.w_size {
@@ -1023,13 +1022,11 @@ impl SmmHandler {
         let plaintext = channel.open(&frame).map_err(SmmError::Channel)?;
         let package = PatchPackage::decode(&plaintext).map_err(SmmError::Package)?;
         timings.decrypt = machine.now() - t1;
-        decrypt_phase.end_at(machine.now().as_ns());
         decrypt_span.field("bytes", staged_len);
         decrypt_span.end_at(machine.now().as_ns());
         // 3. Verify everything before touching kernel state.
         let t2 = machine.now();
         let mut verify_span = kshot_telemetry::span_at("smm.verify", t2.as_ns());
-        let verify_phase = kshot_telemetry::span_at("phase.verify", t2.as_ns());
         let mut verify_bytes = 0usize;
         // Placement validation walks a virtual cursor so records within
         // one package cannot overlap each other either — the enclave's
@@ -1125,7 +1122,6 @@ impl SmmHandler {
         };
         machine.charge(verify_cost);
         timings.verify = machine.now() - t2;
-        verify_phase.end_at(machine.now().as_ns());
         verify_span.field("bytes", verify_bytes);
         verify_span.end_at(machine.now().as_ns());
         // 4. Apply, under an open undo-journal window. Record-store
@@ -1134,7 +1130,6 @@ impl SmmHandler {
         // count to INIT_RECORDS.
         let t3 = machine.now();
         let mut apply_span = kshot_telemetry::span_at("smm.apply", t3.as_ns());
-        let apply_phase = kshot_telemetry::span_at("phase.apply", t3.as_ns());
         self.ensure_record_capacity(machine, new_records)?;
         self.journal_begin(machine, JSTATE_APPLY, &package.id)?;
         let mut trampolines = 0usize;
@@ -1270,7 +1265,6 @@ impl SmmHandler {
         let apply_cost = machine.cost().smm_apply.for_bytes(applied_bytes);
         machine.charge(apply_cost);
         timings.apply = machine.now() - t3;
-        apply_phase.end_at(machine.now().as_ns());
         apply_span.field("bytes", applied_bytes);
         apply_span.end_at(machine.now().as_ns());
         let outcome = SmmPatchOutcome {
@@ -1293,10 +1287,15 @@ impl SmmHandler {
                 Ok(machine.write_u64(AccessCtx::Smm, staged, 0)?)
             });
         if let Err(error) = finished {
-            // Once the journal reads idle nothing can unwind the patch:
-            // say so, with what was applied, instead of a plain error
-            // that reads like a failed apply.
-            return Err(if self.journal_state(machine)? == JournalState::Idle {
+            // Nothing can unwind the patch once the journal reads idle,
+            // nor while it is still open with every started segment
+            // committed (SEG_COMMITTED == SEG_COUNT > 0, the window
+            // `recover()` keeps whole): say so, with what was applied,
+            // instead of a plain error that reads like a failed apply.
+            let started = self.read_u64(machine, JOFF_SEG_COUNT)?;
+            let kept = self.journal_state(machine)? == JournalState::Idle
+                || (started > 0 && self.read_u64(machine, JOFF_SEG_COMMITTED)? == started);
+            return Err(if kept {
                 SmmError::Committed {
                     outcome: Box::new(outcome),
                     error: Box::new(error),

@@ -222,7 +222,8 @@ impl MachineOutcome {
 /// once, stepping whichever has CPU work while the others wait out
 /// their link RTT or backoff deadlines; per-machine execution stays
 /// deterministic because scheduling only decides *when* a machine's
-/// next step runs, never what it computes.
+/// next step runs, never what it computes. A worker's panic is re-raised
+/// once every other worker and the health monitor have stopped.
 pub fn run_campaign(
     target: &CampaignTarget,
     bundle_bytes: &[u8],
@@ -315,19 +316,30 @@ pub fn run_campaign(
                 scope.spawn(move || run_worker(run, worker, blocks, gate))
             })
             .collect();
+        let mut panicked = None;
         for handle in handles {
-            let (closed, metrics, worker_occupancy) = handle.join().expect("fleet worker panicked");
-            recorder.metrics().merge_from(metrics.metrics());
-            worker_blocks.push(closed.into_iter());
-            occupancy.push(worker_occupancy);
+            match handle.join() {
+                Ok((closed, metrics, worker_occupancy)) => {
+                    recorder.metrics().merge_from(metrics.metrics());
+                    worker_blocks.push(closed.into_iter());
+                    occupancy.push(worker_occupancy);
+                }
+                Err(payload) => panicked = panicked.or(Some(payload)),
+            }
         }
-        // Every worker has flushed its shard; release the monitor for
-        // its final catch-up poll and collect the health report.
+        // Every worker has flushed its shard (or died); release the
+        // monitor for its final catch-up poll and collect the health
+        // report. The monitor polls until this flag is set, so a worker's
+        // panic is re-raised only after it: the scope waits for the
+        // monitor too.
         campaign_done.store(true, Ordering::Release);
         if let Some(h) = monitor_handle {
             let (campaign_health, rollout_trail) = h.join().expect("health monitor panicked");
             health = Some(campaign_health);
             trail = rollout_trail;
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
     });
     let health = health.transpose().unwrap_or_else(|e| panic!("{e}"));

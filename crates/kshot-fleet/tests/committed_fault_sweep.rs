@@ -2,7 +2,9 @@
 //! through the fleet session: the session must end patched with the
 //! clean run's digest at every write index, and a fault at or after the
 //! journal's commit (the write that closes the journal window) must not
-//! cost a retry, because the patch it interrupted is already applied.
+//! cost a retry, because the patch it interrupted is already applied,
+//! and must report the clean run's latency, because that patch's report
+//! is the machine's.
 //!
 //! Four shapes share one session path and are swept alike:
 //!
@@ -162,7 +164,8 @@ fn first_smi_writes(shape: Shape) -> (u64, u64) {
 }
 
 /// Fault every SMM write of `shape`'s first patch SMI in turn and check
-/// each faulted machine against the clean run.
+/// each faulted machine against the clean run: its digest always, and
+/// from the commit on its retries (none) and its latency.
 fn sweep(shape: Shape) {
     let (writes, commit) = first_smi_writes(shape);
     let (bundle, config) = shape.campaign(1);
@@ -173,8 +176,11 @@ fn sweep(shape: Shape) {
         let o = drive(bundle, &config.clone().with_fault(fault(0, k)));
         assert_eq!(o.faults_injected, 1, "{shape:?} write {k}");
         let late = k >= commit;
-        if !o.ok || o.state_digest != clean.state_digest || (late && o.retries != 0) {
-            misreported.push((k, o.ok, o.retries, o.error));
+        if !o.ok
+            || o.state_digest != clean.state_digest
+            || (late && (o.retries != 0 || o.latency != clean.latency))
+        {
+            misreported.push((k, o.ok, o.retries, o.latency, o.error));
         }
     }
     assert!(

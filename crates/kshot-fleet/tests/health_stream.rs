@@ -108,27 +108,27 @@ fn health_stream_is_byte_identical_across_schedulers() {
         assert_eq!(streamed, expected, "{label}: stream != snapshots");
 
         // The monitor's total dwell signal equals the merged shards' —
-        // and the merge is order-independent: a hierarchical tree merge
-        // of the worker shards serializes identically to a sequential
-        // fold.
-        let shard_texts: Vec<ShardData> = (0..workers)
+        // and the merge is order-independent: folding the worker shards
+        // in reverse serializes identically to the forward fold.
+        let shards: Vec<ShardData> = (0..workers)
             .map(|w| {
                 let path = dir.join(format!("worker-{w}.jsonl"));
                 ShardData::parse(&std::fs::read_to_string(&path).unwrap())
                     .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
             })
             .collect();
-        let mut sequential = ShardData::new();
-        for s in &shard_texts {
-            sequential.merge_from(s);
-        }
-        let tree = ShardData::merge_tree(shard_texts);
+        let fold = |order: &mut dyn Iterator<Item = &ShardData>| {
+            let mut merged = ShardData::new();
+            order.for_each(|s| merged.merge_from(s));
+            merged
+        };
+        let (sequential, reversed) = (fold(&mut shards.iter()), fold(&mut shards.iter().rev()));
         let seq_dwell = sequential.sketch(SMM_DWELL_METRIC).expect("dwell sketch");
-        let tree_dwell = tree.sketch(SMM_DWELL_METRIC).expect("dwell sketch");
+        let rev_dwell = reversed.sketch(SMM_DWELL_METRIC).expect("dwell sketch");
         assert_eq!(
             seq_dwell.to_json_line(SMM_DWELL_METRIC),
-            tree_dwell.to_json_line(SMM_DWELL_METRIC),
-            "{label}: tree merge diverged from sequential fold"
+            rev_dwell.to_json_line(SMM_DWELL_METRIC),
+            "{label}: reversed merge diverged from the forward fold"
         );
         assert_eq!(
             seq_dwell.count(),
@@ -202,6 +202,45 @@ fn arming_health_without_streaming_panics_loudly() {
 /// flight halts as a Halt verdict would halt it, the workers finish,
 /// and `run_campaign` panics naming the monitor's error, instead of the
 /// workers waiting forever on a gate nobody opens.
+/// A worker that panics ends a health-monitored campaign with its own
+/// panic instead of hanging it: the monitor polls until every worker
+/// has stopped, so the campaign releases it before re-raising. Worker
+/// 1's shard is a dangling symlink into a missing directory, so opening
+/// it panics. The campaign runs on its own thread, so a regression
+/// fails here after 60 s instead of hanging the suite.
+#[cfg(unix)]
+#[test]
+fn worker_panic_ends_a_monitored_campaign() {
+    let dir = std::env::temp_dir().join(format!("kshot-worker-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let dangling = dir.join("missing").join("worker-1.jsonl");
+    std::os::unix::fs::symlink(dangling, dir.join("worker-1.jsonl")).unwrap();
+    let config = FleetConfig::new(8, 2)
+        .with_seed(0x4EA1)
+        .with_stream_dir(&dir)
+        .with_health(HealthPolicy::new(), 4);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (target, bundle) = fixture();
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_campaign(target, bundle, &config)
+        }));
+        let _ = tx.send(ran.map(drop).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        }));
+    });
+    let ran = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the campaign returns instead of hanging");
+    let message = ran.expect_err("worker 1 cannot open its shard");
+    assert!(message.starts_with("open shard"), "{message}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn monitor_failure_under_a_rollout_fails_closed() {
     let dir = std::env::temp_dir().join(format!("kshot-health-failclosed-{}", std::process::id()));

@@ -23,8 +23,8 @@ fn fields_json(fields: &[Field]) -> String {
 /// Render one record as a single JSON-lines object (no trailing
 /// newline). Every line carries the [`SCHEMA_VERSION`] as `"v"` so
 /// downstream parsers can detect format drift. This is the unit of the
-/// streaming pipeline: [`crate::StreamSink`] writes exactly these lines
-/// as records arrive.
+/// streaming pipeline: a fleet worker writes exactly these lines into
+/// its shard through a [`crate::StreamSink`].
 pub fn record_json_line(rec: &Record) -> String {
     let mut out = String::new();
     match rec {

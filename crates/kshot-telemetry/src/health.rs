@@ -64,9 +64,6 @@ pub struct HealthPolicy {
     /// Allowed dwell p99 as per-mille of the budget (1000 = exactly the
     /// budget, 1500 = 1.5× headroom).
     pub dwell_margin_per_mille: u64,
-    /// Windows smaller than this many machines never degrade or halt —
-    /// rate estimates over one or two machines are too noisy to act on.
-    pub min_window_machines: u64,
 }
 
 impl Default for HealthPolicy {
@@ -77,7 +74,6 @@ impl Default for HealthPolicy {
             degrade_retry_per_mille: 250,
             dwell_budget_ns: None,
             dwell_margin_per_mille: 1000,
-            min_window_machines: 1,
         }
     }
 }
@@ -108,34 +104,26 @@ impl HealthPolicy {
         self
     }
 
-    /// Suppress verdict escalation for windows smaller than `machines`.
-    pub fn with_min_window_machines(mut self, machines: u64) -> Self {
-        self.min_window_machines = machines;
-        self
-    }
-
     /// Evaluate one window's signals against the policy.
     fn evaluate(&self, w: &SignalStats) -> HealthVerdict {
         let mut halt = Vec::new();
         let mut degraded = Vec::new();
-        if w.machines >= self.min_window_machines {
-            if w.failure_per_mille > self.halt_failure_per_mille {
-                halt.push(format!(
-                    "failure rate {} per-mille exceeds halt ceiling {}",
-                    w.failure_per_mille, self.halt_failure_per_mille
-                ));
-            } else if w.failure_per_mille > self.degrade_failure_per_mille {
-                degraded.push(format!(
-                    "failure rate {} per-mille exceeds degrade ceiling {}",
-                    w.failure_per_mille, self.degrade_failure_per_mille
-                ));
-            }
-            if w.retry_per_mille > self.degrade_retry_per_mille {
-                degraded.push(format!(
-                    "retry rate {} per-mille exceeds ceiling {}",
-                    w.retry_per_mille, self.degrade_retry_per_mille
-                ));
-            }
+        if w.failure_per_mille > self.halt_failure_per_mille {
+            halt.push(format!(
+                "failure rate {} per-mille exceeds halt ceiling {}",
+                w.failure_per_mille, self.halt_failure_per_mille
+            ));
+        } else if w.failure_per_mille > self.degrade_failure_per_mille {
+            degraded.push(format!(
+                "failure rate {} per-mille exceeds degrade ceiling {}",
+                w.failure_per_mille, self.degrade_failure_per_mille
+            ));
+        }
+        if w.retry_per_mille > self.degrade_retry_per_mille {
+            degraded.push(format!(
+                "retry rate {} per-mille exceeds ceiling {}",
+                w.retry_per_mille, self.degrade_retry_per_mille
+            ));
         }
         if let (Some(budget), true) = (self.dwell_budget_ns, w.dwell_samples > 0) {
             let allowed = (u128::from(budget) * u128::from(self.dwell_margin_per_mille)) / 1000;
@@ -1162,16 +1150,6 @@ mod tests {
         let v = policy.evaluate(&slow.stats());
         assert_eq!(v.label(), "degraded");
         assert!(v.reasons()[0].contains("dwell p99"), "{v:?}");
-        // Tiny windows never escalate when the policy demands mass.
-        let gated = HealthPolicy::new()
-            .with_failure_per_mille(50, 300)
-            .with_min_window_machines(4);
-        let tiny = Agg {
-            machines: 1,
-            failed: 1,
-            ..Agg::default()
-        };
-        assert_eq!(gated.evaluate(&tiny.stats()), HealthVerdict::Healthy);
     }
 
     #[test]
@@ -1519,6 +1497,125 @@ mod tests {
         assert_eq!(mon.lines_consumed(), 20_000);
         assert_eq!(mon.machines_seen(), 0);
         assert!(peak < 8 * 1024, "peak resident {peak} bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A line the writer is still appending is not read: the poll stops
+    /// at the last committed `\n`, and the line is read once, whole,
+    /// by the poll after its newline lands. A committed line that does
+    /// not decode still fails the poll.
+    #[test]
+    fn tail_torn_final_line_waits_for_the_next_poll() {
+        let dir = scratch("torn");
+        let shard = dir.join("worker-0.jsonl");
+        let first = machine_parcel(0, true, 0, &[40_000]);
+        let second = machine_parcel(1, false, 0, &[41_000]);
+        let torn = second.find('\n').unwrap() / 2;
+        std::fs::write(&shard, format!("{first}{}", &second[..torn])).unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 1, 2, vec![shard.clone()]);
+        assert_eq!(mon.poll().unwrap(), 1, "machine 0's parcel is whole");
+        let committed = first.lines().count() as u64;
+        assert_eq!(mon.lines_consumed(), committed, "the torn line waits");
+        assert_eq!(mon.poll().unwrap(), 0);
+        assert_eq!(mon.lines_consumed(), committed, "nothing new is committed");
+
+        append(&shard, &second[torn..]);
+        assert_eq!(mon.poll().unwrap(), 1);
+        assert_eq!(
+            mon.lines_consumed(),
+            committed + second.lines().count() as u64
+        );
+        assert_eq!(mon.snapshots()[1].window.failed, 1);
+
+        append(&shard, "garbage\n");
+        assert!(matches!(mon.poll(), Err(ShardError::Parse { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Polling a shard while it grows — cut anywhere, mid-line included —
+    /// judges exactly what one poll of the finished file judges: the
+    /// same snapshots and the same `lines_consumed`.
+    #[test]
+    fn tail_polls_across_snapshots_match_one_poll_of_the_whole_file() {
+        let dir = scratch("resume");
+        let text: String = (0..6)
+            .map(|m| machine_parcel(m, m != 3, u64::from(m == 4), &[40_000 + m * 1_000]))
+            .collect();
+        let whole = dir.join("whole.jsonl");
+        std::fs::write(&whole, &text).unwrap();
+        let once = HealthMonitor::new(HealthPolicy::new(), 2, 6, vec![whole])
+            .finish()
+            .unwrap();
+
+        let shard = dir.join("worker-0.jsonl");
+        std::fs::write(&shard, "").unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 2, 6, vec![shard.clone()]);
+        let mut at = 0;
+        for cut in [1, 97, text.len() / 3, text.len() / 2 + 5, text.len()] {
+            append(&shard, &text[at..cut]);
+            at = cut;
+            mon.poll().unwrap();
+        }
+        let polled = mon.finish().unwrap();
+        assert_eq!(polled.snapshots, once.snapshots);
+        assert_eq!(polled.lines_consumed, once.lines_consumed);
+        assert_eq!(polled.total, once.total);
+        assert_eq!(once.snapshots.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard rewritten shorter than the monitor's resume offset (a
+    /// truncation or rotation) fails the poll with a typed error naming
+    /// the shard, instead of reading from a stale offset into the new
+    /// file's bytes; nothing of the new file is judged.
+    #[test]
+    fn tail_truncated_shard_is_a_typed_error_naming_the_path() {
+        let dir = scratch("truncated");
+        let shard = dir.join("worker-0.jsonl");
+        let text: String = (0..3)
+            .map(|m| machine_parcel(m, true, 0, &[40_000]))
+            .collect();
+        std::fs::write(&shard, &text).unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 1, 4, vec![shard.clone()]);
+        assert_eq!(mon.poll().unwrap(), 3);
+
+        let rotated = machine_parcel(3, false, 0, &[40_000]);
+        std::fs::write(&shard, &rotated).unwrap();
+        let err = mon.poll().unwrap_err();
+        match &err {
+            ShardError::Truncated { path, offset, len } => {
+                assert_eq!(path, &shard);
+                assert_eq!(*offset, text.len() as u64);
+                assert_eq!(*len, rotated.len() as u64);
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        assert!(err.to_string().contains("truncated or rotated"), "{err}");
+        assert_eq!(mon.snapshots().len(), 3);
+        assert_eq!(mon.machines_seen(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A committed line longer than [`crate::shard::MAX_LINE_BYTES`]
+    /// fails the poll with a typed error naming the shard and the line,
+    /// without decoding any of it.
+    #[test]
+    fn over_long_shard_line_is_a_typed_parse_error() {
+        let dir = scratch("over-long");
+        let shard = dir.join("worker-0.jsonl");
+        let parcel = machine_parcel(0, true, 0, &[40_000]);
+        let long = format!(
+            "{{\"type\":\"event\",\"name\":\"{}\"}}",
+            "x".repeat(1 << 20)
+        );
+        std::fs::write(&shard, format!("{parcel}{long}\n")).unwrap();
+        let polled = HealthMonitor::new(HealthPolicy::new(), 1, 2, vec![shard.clone()]).poll();
+        let line = parcel.lines().count() + 1;
+        let want = format!("line {line}: line of {} bytes exceeds", long.len());
+        assert!(
+            matches!(&polled, Err(ShardError::Parse { path, error }) if path == &shard && error.starts_with(&want)),
+            "{polled:?}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,15 +29,24 @@
 //!
 //! Every violated invariant produces a specific, golden-tested reason
 //! string naming the machine, SMI index and cause. Resident memory is
-//! bounded: reasons are capped ([`IntegrityPolicy::max_reasons`]) and
-//! per-record state is dropped as soon as the record is checked.
+//! bounded: at most 64 reasons are retained (further violations are
+//! still counted, their text dropped) and per-record state is dropped
+//! as soon as the record is checked.
 
 use std::collections::BTreeSet;
 
 use crate::shard::SmiLine;
 
+/// Journal undo entries one SMI may log: the SMRAM journal's capacity
+/// (`JENTRY_CAP`).
+const JOURNAL_ENTRY_CAP: u64 = 256;
+
+/// Reason strings a monitor retains across the run.
+const MAX_REASONS: usize = 64;
+
 /// Declarative per-SMI invariants the monitor enforces. Checks whose
-/// policy field is unset are skipped.
+/// policy field is unset are skipped; the journal grammar and its
+/// capacity are always checked.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IntegrityPolicy {
     /// Expected handler-image measurement (FNV-1a). Records reporting
@@ -47,12 +56,6 @@ pub struct IntegrityPolicy {
     pub allowed_extents: Vec<(u64, u64)>,
     /// Per-SMI dwell ceiling in nanoseconds.
     pub dwell_budget_ns: Option<u64>,
-    /// Journal undo-entry capacity per SMI (the SMRAM journal's
-    /// `JENTRY_CAP`).
-    pub journal_entry_cap: u64,
-    /// Reason strings retained across the run (further violations are
-    /// still counted, their text dropped) — bounds resident memory.
-    pub max_reasons: usize,
 }
 
 impl Default for IntegrityPolicy {
@@ -62,15 +65,12 @@ impl Default for IntegrityPolicy {
 }
 
 impl IntegrityPolicy {
-    /// A policy with every optional check disabled and default bounds
-    /// (256 journal entries, 64 retained reasons).
+    /// A policy with every optional check disabled.
     pub fn new() -> Self {
         Self {
             expected_measurement: None,
             allowed_extents: Vec::new(),
             dwell_budget_ns: None,
-            journal_entry_cap: 256,
-            max_reasons: 64,
         }
     }
 
@@ -89,18 +89,6 @@ impl IntegrityPolicy {
     /// Set the per-SMI dwell ceiling.
     pub fn with_dwell_budget_ns(mut self, ns: u64) -> Self {
         self.dwell_budget_ns = Some(ns);
-        self
-    }
-
-    /// Set the journal undo-entry capacity.
-    pub fn with_journal_entry_cap(mut self, cap: u64) -> Self {
-        self.journal_entry_cap = cap;
-        self
-    }
-
-    /// Set the retained-reason cap.
-    pub fn with_max_reasons(mut self, cap: usize) -> Self {
-        self.max_reasons = cap;
         self
     }
 }
@@ -291,10 +279,9 @@ impl IntegrityMonitor {
                 _ => reasons.push(format!("{who}: unrecognized journal op {op:?}")),
             }
         }
-        if entries > self.policy.journal_entry_cap {
+        if entries > JOURNAL_ENTRY_CAP {
             reasons.push(format!(
-                "{who}: journal entries {entries} exceed capacity {}",
-                self.policy.journal_entry_cap
+                "{who}: journal entries {entries} exceed capacity {JOURNAL_ENTRY_CAP}"
             ));
         }
     }
@@ -303,7 +290,7 @@ impl IntegrityMonitor {
         self.violations += 1;
         self.violating_machines.insert(machine);
         for r in &reasons {
-            if self.reasons.len() < self.policy.max_reasons {
+            if self.reasons.len() < MAX_REASONS {
                 self.reasons.push(r.clone());
             } else {
                 self.reasons_dropped += 1;
@@ -590,27 +577,28 @@ mod tests {
 
     #[test]
     fn reason_retention_is_bounded() {
-        let mut m = IntegrityMonitor::new(policy().with_max_reasons(2));
-        for i in 0..5 {
+        let mut m = IntegrityMonitor::new(policy());
+        let first = MAX_REASONS as u64 + 3;
+        for i in 0..first {
             check(&mut m, &smi_line(i, 2, "patch", 0xBEEF, "", "", 1));
         }
         let report = m.report();
-        assert_eq!(report.violations, 5);
-        assert_eq!(report.reasons.len(), 2);
+        assert_eq!(report.violations, first);
+        assert_eq!(report.reasons.len(), MAX_REASONS);
         assert_eq!(report.reasons_dropped, 3);
         let baseline = m.resident_bytes();
-        for i in 5..50 {
+        for i in first..50 + first {
             check(&mut m, &smi_line(i % 8, 2, "patch", 0xBEEF, "", "", 1));
         }
         // Resident memory does not grow with violation count once the
         // reason cap is hit and the machine set saturates.
         assert!(m.resident_bytes() <= baseline + 8 * 8);
         let json = m.report().to_json();
-        assert!(json.contains("\"violations\":50"));
+        assert!(json.contains(&format!("\"violations\":{}", 50 + first)));
         assert!(json.contains("\"clean\":false"));
         assert!(json.contains("\"resident_bytes\":"));
         let table = m.report().render_table();
-        assert!(table.contains("violations        50"));
+        assert!(table.contains(&format!("violations        {}", 50 + first)));
         assert!(table.contains("reasons dropped"));
     }
 }

@@ -218,13 +218,17 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(format!("raw control byte {c:#04x} in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let s =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("empty")?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte as one slice. Those are
+                    // ASCII, so the run ends on a UTF-8 boundary of the
+                    // &str input, and each byte is validated once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -335,6 +339,27 @@ mod tests {
             .expect("the parser returns instead of overflowing the stack");
         assert!(outcome.0.unwrap_err().contains("nesting deeper than"));
         assert!(outcome.1.unwrap_err().contains("nesting deeper than"));
+    }
+
+    /// A string is decoded in one pass: each run of plain bytes is
+    /// copied whole, so a long line costs time linear in its length and
+    /// stays within these bounds even in the debug profile.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        for (len, bound_ms) in [(256 << 10, 250), (4 << 20, 1_000)] {
+            let line = format!("{{\"name\":\"{}é\\n\"}}", "a".repeat(len));
+            let started = std::time::Instant::now();
+            let v = parse(&line).unwrap();
+            let took = started.elapsed();
+            assert_eq!(
+                v.get("name").and_then(Value::as_str).map(str::len),
+                Some(len + 3)
+            );
+            assert!(
+                took < std::time::Duration::from_millis(bound_ms),
+                "{len}-byte string took {took:?}"
+            );
+        }
     }
 
     #[test]

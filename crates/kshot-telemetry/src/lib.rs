@@ -19,9 +19,10 @@
 //!   [`QuantileSketch`]es on a registry attached to the recorder. The
 //!   sketch is the crate's one distribution type: phase timings
 //!   ([`PhaseProfile`]) and the health plane summarize through it too.
-//! - The **recorder** is a bounded ring buffer with pluggable streaming
-//!   [`Sink`]s and three exporters: JSON lines, Chrome `trace_event`
-//!   (Perfetto-loadable), and a plain-text summary table.
+//! - The **recorder** is a bounded ring buffer with three exporters:
+//!   JSON lines, Chrome `trace_event` (Perfetto-loadable), and a
+//!   plain-text summary table. A fleet worker streams each machine's
+//!   records to its shard through one [`StreamSink`].
 //!
 //! ## Cost when disabled
 //!
@@ -81,13 +82,13 @@ pub use health::{
 pub use integrity::{IntegrityMonitor, IntegrityPolicy, IntegrityReport, IntegrityVerdict};
 pub use merkle::{DigestTree, FrontierNode, FullDigestTree, MerkleError};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use phase::{PhaseProfile, PhaseStats, PHASES, PHASE_PREFIX};
+pub use phase::{PhaseProfile, PhaseStats, PHASES};
 pub use record::{json_escape, EventRecord, Field, Record, SpanRecord, Value};
-pub use recorder::{Recorder, Sink, DEFAULT_CAPACITY};
+pub use recorder::{Recorder, DEFAULT_CAPACITY};
 pub use shard::{DigestRollup, MachineLine, ShardData, ShardError, ShardLine, SmiLine};
 pub use sketch::QuantileSketch;
 pub use span::SpanGuard;
-pub use stream::{StreamSink, DEFAULT_FLUSH_EVERY};
+pub use stream::StreamSink;
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -619,24 +620,5 @@ mod tests {
         let cramped = Recorder::with_capacity(1);
         cramped.merge_from(&tiny); // 2 records into capacity 1 -> 1 evicted
         assert_eq!(cramped.dropped(), 3 + 1);
-    }
-
-    struct CountingSink(std::sync::mpsc::Sender<&'static str>);
-    impl Sink for CountingSink {
-        fn on_record(&mut self, record: &Record) {
-            let _ = self.0.send(record.name());
-        }
-    }
-
-    #[test]
-    fn sinks_see_records_before_eviction() {
-        with_global(|rec| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            rec.add_sink(Box::new(CountingSink(tx)));
-            event("a");
-            event("b");
-            let seen: Vec<_> = rx.try_iter().collect();
-            assert_eq!(seen, vec!["a", "b"]);
-        });
     }
 }

@@ -1,17 +1,18 @@
 //! Phase-breakdown profiler: reconstructs per-phase timing for the
 //! live-patch pipeline from span records.
 //!
-//! The patch path emits one span per pipeline phase, named
-//! `phase.<name>` with `<name>` drawn from [`PHASES`]:
+//! Each of the six [`PHASES`] is timed by one span the patch path
+//! already emits. The four SMM stages are the paper's OS-pause
+//! breakdown (§V-C, Table III), timed by the handler's stage spans:
 //!
-//! | phase          | where it runs       | clocks    |
-//! |----------------|---------------------|-----------|
-//! | `attest`       | SGX session driver  | wall only |
-//! | `key_exchange` | SMM handler         | sim+wall  |
-//! | `decrypt`      | SMM handler         | sim+wall  |
-//! | `verify`       | SMM handler         | sim+wall  |
-//! | `apply`        | SMM handler         | sim+wall  |
-//! | `resume`       | session driver (RSM)| sim+wall  |
+//! | phase          | span           | where it runs        | clocks    |
+//! |----------------|----------------|----------------------|-----------|
+//! | `attest`       | `phase.attest` | SGX session driver   | wall only |
+//! | `key_exchange` | `smm.keygen`   | SMM handler          | sim+wall  |
+//! | `decrypt`      | `smm.decrypt`  | SMM handler          | sim+wall  |
+//! | `verify`       | `smm.verify`   | SMM handler          | sim+wall  |
+//! | `apply`        | `smm.apply`    | SMM handler          | sim+wall  |
+//! | `resume`       | `phase.resume` | session driver (RSM) | sim+wall  |
 //!
 //! A [`PhaseProfile`] aggregates those spans from any source — a live
 //! [`Recorder`](crate::Recorder), a record slice, or a streamed
@@ -26,7 +27,6 @@
 //! per-worker shard files must `==` the profile taken from the
 //! in-memory merged recorder.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::export::fmt_ns;
@@ -45,8 +45,15 @@ pub const PHASES: [&str; 6] = [
     "resume",
 ];
 
-/// Span-name prefix marking a phase span.
-pub const PHASE_PREFIX: &str = "phase.";
+/// The span that times each of [`PHASES`], index for index.
+const PHASE_SPANS: [&str; 6] = [
+    "phase.attest",
+    "smm.keygen",
+    "smm.decrypt",
+    "smm.verify",
+    "smm.apply",
+    "phase.resume",
+];
 
 /// Timing of one phase: a sketch of wall-clock durations (one sample
 /// per span) and one of simulated durations (spans that carry simulated
@@ -85,14 +92,14 @@ impl PhaseStats {
     }
 }
 
-/// Per-phase timing reconstructed from `phase.*` spans.
+/// Per-phase timing reconstructed from the spans that time each phase.
 ///
-/// Keys are the phase names with the `phase.` prefix stripped. Phases
-/// that never appeared have no entry. Equality is structural and
-/// order-independent (see [`PhaseStats`]).
+/// Phases that never appeared read as absent. Equality is structural
+/// and order-independent (see [`PhaseStats`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
-    phases: BTreeMap<String, PhaseStats>,
+    /// One entry per [`PHASES`] name, in order.
+    phases: [PhaseStats; 6],
 }
 
 impl PhaseProfile {
@@ -101,15 +108,13 @@ impl PhaseProfile {
         PhaseProfile::default()
     }
 
-    /// Build from a record slice: every span named `phase.*` contributes
-    /// one sample; everything else is ignored.
+    /// Build from a record slice: every span that times a phase
+    /// contributes one sample; everything else is ignored.
     pub fn from_records(records: &[Record]) -> PhaseProfile {
         let mut profile = PhaseProfile::new();
         for rec in records {
             if let Record::Span(s) = rec {
-                if let Some(name) = s.name.strip_prefix(PHASE_PREFIX) {
-                    profile.add_sample(name, s.wall_dur_ns, s.sim_dur_ns());
-                }
+                profile.observe(s.name, s.wall_dur_ns, s.sim_dur_ns());
             }
         }
         profile
@@ -134,55 +139,42 @@ impl PhaseProfile {
         ShardData::parse(text).map(|shard| shard.phases)
     }
 
-    /// Add one sample directly (phase name without the `phase.`
-    /// prefix). This is the primitive the record and shard-line
-    /// constructors build on.
-    pub fn add_sample(&mut self, phase: &str, wall_ns: u64, sim_ns: Option<u64>) {
-        self.phases
-            .entry(phase.to_string())
-            .or_default()
-            .add_sample(wall_ns, sim_ns);
+    /// Add one sample of the span named `span`, if it times a phase.
+    pub(crate) fn observe(&mut self, span: &str, wall_ns: u64, sim_ns: Option<u64>) {
+        if let Some(i) = PHASE_SPANS.iter().position(|&s| s == span) {
+            self.phases[i].add_sample(wall_ns, sim_ns);
+        }
     }
 
     /// Fold another profile's samples into this one.
     pub fn merge_from(&mut self, other: &PhaseProfile) {
-        for (name, stats) in &other.phases {
-            self.phases
-                .entry(name.clone())
-                .or_default()
-                .merge_from(stats);
+        for (mine, theirs) in self.phases.iter_mut().zip(&other.phases) {
+            mine.merge_from(theirs);
         }
     }
 
-    /// Stats for one phase (name without the `phase.` prefix).
+    /// Stats for one of [`PHASES`], if any of its spans was seen.
     pub fn get(&self, phase: &str) -> Option<&PhaseStats> {
-        self.phases.get(phase)
+        let i = PHASES.iter().position(|&p| p == phase)?;
+        Some(&self.phases[i]).filter(|s| !s.wall.is_empty())
     }
 
     /// True when no phase spans were seen.
     pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
+        self.total_samples() == 0
     }
 
     /// Total samples across all phases.
     pub fn total_samples(&self) -> u64 {
-        self.phases.values().map(|s| s.wall.count()).sum()
+        self.phases.iter().map(|s| s.wall.count()).sum()
     }
 
-    /// Phase names present, canonical phases first (pipeline order),
-    /// then any extras alphabetically.
-    pub fn phase_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = PHASES
-            .iter()
-            .copied()
-            .filter(|p| self.phases.contains_key(*p))
-            .collect();
-        for name in self.phases.keys() {
-            if !PHASES.contains(&name.as_str()) {
-                names.push(name);
-            }
-        }
-        names
+    /// Phase names present, in pipeline order.
+    pub fn phase_names(&self) -> Vec<&'static str> {
+        PHASES
+            .into_iter()
+            .filter(|p| self.get(p).is_some())
+            .collect()
     }
 
     /// Render a plain-text phase table: count, sim p50/p95/max, wall
@@ -195,8 +187,10 @@ impl PhaseProfile {
             "phase", "count", "sim p50", "sim p95", "sim max", "wall p50", "wall p95", "wall max"
         );
         let _ = writeln!(out, "{}", "-".repeat(94));
-        for name in self.phase_names() {
-            let PhaseStats { wall, sim } = &self.phases[name];
+        for (name, PhaseStats { wall, sim }) in PHASES.iter().zip(&self.phases) {
+            if wall.is_empty() {
+                continue;
+            }
             let sim_ns = |v: u64| {
                 if sim.is_empty() {
                     "-".to_string()
@@ -257,10 +251,12 @@ mod tests {
     #[test]
     fn builds_from_records_and_ignores_non_phase_spans() {
         let records = vec![
-            phase_span("phase.decrypt", 100, Some((0, 1_000))),
-            phase_span("phase.decrypt", 300, Some((0, 3_000))),
+            phase_span("smm.decrypt", 100, Some((0, 1_000))),
+            phase_span("smm.decrypt", 300, Some((0, 3_000))),
             phase_span("phase.attest", 50, None),
             phase_span("smm.window", 999, Some((0, 9_999))),
+            // Not a phase's span: smm.decrypt alone times decrypt.
+            phase_span("phase.decrypt", 100, Some((0, 1_000))),
         ];
         let p = PhaseProfile::from_records(&records);
         assert_eq!(p.total_samples(), 3);
@@ -278,9 +274,9 @@ mod tests {
     #[test]
     fn json_roundtrip_equals_in_memory_profile() {
         let records = vec![
-            phase_span("phase.verify", 10, Some((100, 600))),
-            phase_span("phase.verify", 30, Some((700, 2_200))),
-            phase_span("phase.apply", 5, Some((0, 50))),
+            phase_span("smm.verify", 10, Some((100, 600))),
+            phase_span("smm.verify", 30, Some((700, 2_200))),
+            phase_span("smm.apply", 5, Some((0, 50))),
         ];
         let direct = PhaseProfile::from_records(&records);
         let mut text = String::new();
@@ -296,13 +292,12 @@ mod tests {
 
     #[test]
     fn json_lines_reject_drifted_schema_and_garbage() {
-        let bad_version =
-            "{\"type\":\"span\",\"v\":999,\"name\":\"phase.apply\",\"wall_dur_ns\":1}";
+        let bad_version = "{\"type\":\"span\",\"v\":999,\"name\":\"smm.apply\",\"wall_dur_ns\":1}";
         assert!(PhaseProfile::from_json_lines(bad_version)
             .unwrap_err()
             .contains("schema version"));
         assert!(PhaseProfile::from_json_lines("not json").is_err());
-        let no_wall = "{\"type\":\"span\",\"v\":1,\"name\":\"phase.apply\"}";
+        let no_wall = "{\"type\":\"span\",\"v\":1,\"name\":\"smm.apply\"}";
         assert_eq!(
             PhaseProfile::from_json_lines(no_wall).unwrap_err(),
             "line 1: missing/invalid \"wall_dur_ns\""
@@ -312,10 +307,10 @@ mod tests {
     #[test]
     fn merge_is_order_independent() {
         let a = PhaseProfile::from_records(&[
-            phase_span("phase.decrypt", 10, Some((0, 10))),
+            phase_span("smm.decrypt", 10, Some((0, 10))),
             phase_span("phase.resume", 7, None),
         ]);
-        let b = PhaseProfile::from_records(&[phase_span("phase.decrypt", 20, Some((0, 20)))]);
+        let b = PhaseProfile::from_records(&[phase_span("smm.decrypt", 20, Some((0, 20)))]);
         let mut ab = a.clone();
         ab.merge_from(&b);
         let mut ba = b.clone();
@@ -328,10 +323,10 @@ mod tests {
     fn table_lists_phases_in_pipeline_order() {
         let p = PhaseProfile::from_records(&[
             phase_span("phase.resume", 5, None),
+            phase_span("smm.keygen", 5, Some((0, 5))),
             phase_span("phase.attest", 5, None),
-            phase_span("phase.custom_extra", 5, None),
         ]);
-        assert_eq!(p.phase_names(), vec!["attest", "resume", "custom_extra"]);
+        assert_eq!(p.phase_names(), vec!["attest", "key_exchange", "resume"]);
         let table = p.render_table();
         let attest_at = table.find("attest").unwrap();
         let resume_at = table.find("resume").unwrap();
@@ -371,7 +366,7 @@ mod tests {
         let build = |order: &mut dyn Iterator<Item = u64>| {
             let mut p = PhaseProfile::new();
             for v in order.map(value) {
-                p.add_sample("decrypt", v / 10, Some(v));
+                p.observe("smm.decrypt", v / 10, Some(v));
             }
             p
         };

@@ -1,4 +1,4 @@
-//! The bounded ring-buffer recorder and its pluggable sinks.
+//! The bounded ring-buffer recorder.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -11,18 +11,6 @@ use crate::record::Record;
 /// worth of spans without unbounded growth in long soak tests.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// Receives every record as it is appended, before ring eviction.
-/// Implementations must be cheap — they run inline on the emitting
-/// thread while the ring lock is held.
-pub trait Sink: Send {
-    fn on_record(&mut self, record: &Record);
-
-    /// Push any buffered output to its destination. Called by
-    /// [`Recorder::flush_sinks`]; the default is a no-op for sinks with
-    /// no buffer.
-    fn flush(&mut self) {}
-}
-
 struct Ring {
     records: VecDeque<Record>,
     dropped: u64,
@@ -31,14 +19,13 @@ struct Ring {
 /// Collects spans, events, and metrics for one observation session.
 ///
 /// Records land in a bounded ring (oldest evicted first, with a drop
-/// counter) and are simultaneously fanned out to any attached [`Sink`]s.
-/// Install one globally with [`crate::install`] to switch the
-/// instrumentation on.
+/// counter); a fleet worker renders a sealed machine's retained records
+/// into its shard (see [`crate::StreamSink`]). Install one globally with
+/// [`crate::install`] to switch the instrumentation on.
 pub struct Recorder {
     epoch: Instant,
     capacity: usize,
     ring: Mutex<Ring>,
-    sinks: Mutex<Vec<Box<dyn Sink>>>,
     metrics: MetricsRegistry,
 }
 
@@ -60,7 +47,6 @@ impl Recorder {
                 records: VecDeque::new(),
                 dropped: 0,
             }),
-            sinks: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
         })
     }
@@ -70,20 +56,8 @@ impl Recorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Attach a streaming sink.
-    pub fn add_sink(&self, sink: Box<dyn Sink>) {
-        self.sinks.lock().unwrap().push(sink);
-    }
-
-    /// Append one record: fan out to sinks, then retain in the ring,
-    /// evicting the oldest when full.
+    /// Append one record to the ring, evicting the oldest when full.
     pub fn append(&self, record: Record) {
-        {
-            let mut sinks = self.sinks.lock().unwrap();
-            for sink in sinks.iter_mut() {
-                sink.on_record(&record);
-            }
-        }
         let mut ring = self.ring.lock().unwrap();
         if ring.records.len() == self.capacity {
             ring.records.pop_front();
@@ -118,9 +92,8 @@ impl Recorder {
     }
 
     /// Fold another recorder's retained records and metrics into this
-    /// one. Records are appended in `other`'s retained order (fanned
-    /// out to this recorder's sinks and subject to this ring's
-    /// capacity); metrics merge per [`MetricsRegistry::merge_from`],
+    /// one. Records are appended in `other`'s retained order (subject
+    /// to this ring's capacity); metrics merge per [`MetricsRegistry::merge_from`],
     /// and `other`'s ring-overflow drop count accumulates into this
     /// recorder's, so loss that already happened on a shard is never
     /// silently erased by the merge. `other` is left untouched, so a
@@ -142,15 +115,6 @@ impl Recorder {
         ring.dropped = ring.dropped.saturating_add(other_dropped);
         drop(ring);
         self.metrics.merge_from(&other.metrics);
-    }
-
-    /// Flush every attached sink (buffered stream sinks push their
-    /// pending lines to disk).
-    pub fn flush_sinks(&self) {
-        let mut sinks = self.sinks.lock().unwrap();
-        for sink in sinks.iter_mut() {
-            sink.flush();
-        }
     }
 
     /// Snapshot of all metrics.

@@ -13,7 +13,7 @@
 //!
 //! A [`ShardData`] folds decoded lines into:
 //!
-//! - a [`PhaseProfile`] from `phase.*` spans,
+//! - a [`PhaseProfile`] from the spans that time each phase,
 //! - counter totals (adding across repeated lines, e.g. one metrics
 //!   block per machine),
 //! - gauges (last writer wins, matching the registry semantics),
@@ -25,10 +25,7 @@
 //! Because the per-line arithmetic is identical to the in-memory merge
 //! path, parsing all shards and [`merging`](ShardData::merge_from) them
 //! yields totals equal to the single merged recorder's — the lossless
-//! round-trip the observe report asserts. For fleet-scale aggregation,
-//! [`ShardData::merge_tree`] folds per-worker partial aggregates
-//! hierarchically (pairwise reduction) with results identical to a
-//! sequential left fold.
+//! round-trip the observe report asserts.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -37,14 +34,14 @@ use std::path::{Path, PathBuf};
 use crate::json::{self, Value};
 use crate::merkle::{self, DigestTree, FrontierNode};
 use crate::metrics::MetricsSnapshot;
-use crate::phase::{PhaseProfile, PHASE_PREFIX};
+use crate::phase::PhaseProfile;
 use crate::record::json_escape;
 use crate::sketch::QuantileSketch;
 use crate::SCHEMA_VERSION;
 
-/// Why a shard read failed. [`ShardData::tail_file`] distinguishes
-/// truncation/rotation from plain I/O and parse failures so a live
-/// monitor can halt loudly on the one case where resuming would
+/// Why a shard read failed. The live tail ([`crate::HealthMonitor::poll`])
+/// distinguishes truncation/rotation from plain I/O and parse failures
+/// so the monitor can halt loudly on the one case where resuming would
 /// misparse: the file shrank below the resume offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {
@@ -58,9 +55,10 @@ pub enum ShardError {
         offset: u64,
         len: u64,
     },
-    /// A committed line failed to decode (malformed JSON, schema drift,
-    /// an unknown type, a missing field, or invalid UTF-8), or a
-    /// monitor rejected what it said.
+    /// A committed line failed to decode (longer than
+    /// [`MAX_LINE_BYTES`], malformed JSON, schema drift, an unknown
+    /// type, a missing field, or invalid UTF-8), or a monitor rejected
+    /// what it said.
     Parse { path: PathBuf, error: String },
 }
 
@@ -140,16 +138,29 @@ fn items_at<'a, T>(
     .ok_or_else(|| format!("missing/invalid {key:?}"))
 }
 
+/// Longest line [`ShardLine::decode`] reads: 256 KiB. The longest line
+/// the fleet writes is a full 2 048-bucket sketch with `u64::MAX`
+/// counts, about 53 KB, so the cap only rejects corrupt or hostile
+/// input, before any of it is parsed.
+pub const MAX_LINE_BYTES: usize = 256 * 1024;
+
 impl ShardLine {
     /// Decode one shard line.
     ///
     /// # Errors
     ///
-    /// Malformed JSON, a `"v"` other than [`SCHEMA_VERSION`], a missing
-    /// or unknown `"type"`, a missing or ill-typed field, or a roll-up
-    /// whose frontier does not reproduce its stated root. The error
-    /// does not name the line; callers prefix its number.
+    /// A line longer than [`MAX_LINE_BYTES`], malformed JSON, a `"v"`
+    /// other than [`SCHEMA_VERSION`], a missing or unknown `"type"`, a
+    /// missing or ill-typed field, or a roll-up whose frontier does not
+    /// reproduce its stated root. The error does not name the line;
+    /// callers prefix its number.
     pub fn decode(line: &str) -> Result<ShardLine, String> {
+        if line.len() > MAX_LINE_BYTES {
+            return Err(format!(
+                "line of {} bytes exceeds the {MAX_LINE_BYTES}-byte cap",
+                line.len()
+            ));
+        }
         let v = json::parse(line)?;
         let version = v.get("v").and_then(Value::as_u64);
         if version != Some(u64::from(SCHEMA_VERSION)) {
@@ -422,7 +433,7 @@ pub struct ShardData {
     pub gauges: BTreeMap<String, i64>,
     /// Quantile-sketch totals, merged across all parsed lines.
     pub sketches: BTreeMap<String, QuantileSketch>,
-    /// Phase profile from `phase.*` span lines.
+    /// Phase profile from the span lines that time each phase.
     pub phases: PhaseProfile,
     /// Span lines seen (phase or otherwise).
     pub spans: u64,
@@ -438,8 +449,12 @@ pub struct ShardData {
 
 /// The committed lines of the shard at `path` from byte `offset` (all
 /// bytes through the last `\n`: a record still being appended waits for
-/// the next read), and the offset after them, with the errors of
-/// [`ShardData::tail_file`]. Also the health monitor's one read.
+/// the next read), and the offset after them: the health monitor's one
+/// read. Fails with [`ShardError::Io`] on I/O failures,
+/// [`ShardError::Truncated`] when `offset` is beyond the file's length
+/// (the file was truncated or rotated under the tailer, and resuming
+/// would misparse), and [`ShardError::Parse`] for invalid UTF-8 in the
+/// committed lines.
 pub(crate) fn read_committed(path: &Path, offset: u64) -> Result<(String, u64), ShardError> {
     use std::io::{Read, Seek, SeekFrom};
     let io = |e: std::io::Error| ShardError::Io {
@@ -501,9 +516,7 @@ impl ShardData {
                 sim_dur_ns,
             } => {
                 self.spans += 1;
-                if let Some(phase) = name.strip_prefix(PHASE_PREFIX) {
-                    self.phases.add_sample(phase, wall_dur_ns, sim_dur_ns);
-                }
+                self.phases.observe(&name, wall_dur_ns, sim_dur_ns);
             }
             ShardLine::Event => self.events += 1,
             ShardLine::Counter { name, value } => {
@@ -541,56 +554,6 @@ impl ShardData {
         ShardData::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Incrementally fold the *complete* lines of `text` into this
-    /// aggregate, returning how many bytes were consumed.
-    ///
-    /// Only lines terminated by `\n` are parsed; a torn final line (a
-    /// record the writer is still appending) is left unconsumed, so the
-    /// caller re-reads it — whole — on the next call.
-    ///
-    /// # Errors
-    ///
-    /// Any *complete* line that fails to parse (malformed JSON, missing
-    /// `"type"`, schema drift) — torn-line tolerance never excuses a
-    /// corrupt committed line.
-    pub fn tail_text(&mut self, text: &str) -> Result<usize, String> {
-        let complete = match text.rfind('\n') {
-            Some(i) => i + 1,
-            None => 0,
-        };
-        self.parse_into(&text[..complete])?;
-        Ok(complete)
-    }
-
-    /// Resume parsing a shard file from byte `offset`, tolerating a
-    /// torn final line, and return the new offset to resume from next
-    /// time.
-    ///
-    /// This is the live-tailing primitive: an operator dashboard calls
-    /// it in a loop while a campaign is still streaming, folding each
-    /// new batch of complete lines into a running aggregate. The final
-    /// line is only consumed once its `\n` lands, so a record caught
-    /// mid-write is skipped this round and parsed whole on the next.
-    /// When nothing new and complete has appeared, the returned offset
-    /// equals the one passed in.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::Io`] on I/O failures, [`ShardError::Truncated`]
-    /// when `offset` is beyond the current file length (the file was
-    /// truncated or rotated under the tailer — resuming would misparse,
-    /// so it fails loudly), [`ShardError::Parse`] for invalid UTF-8 in
-    /// *committed* lines or any parse error from the committed lines.
-    pub fn tail_file(&mut self, path: impl AsRef<Path>, offset: u64) -> Result<u64, ShardError> {
-        let path = path.as_ref();
-        let (text, next) = read_committed(path, offset)?;
-        self.parse_into(&text).map_err(|error| ShardError::Parse {
-            path: path.to_path_buf(),
-            error,
-        })?;
-        Ok(next)
-    }
-
     /// Fold another aggregate into this one with the registry-merge
     /// semantics: counters add, gauges last-writer-wins, sketches and
     /// phases merge bucket-wise, machine, smi and roll-up lines append.
@@ -611,30 +574,6 @@ impl ShardData {
         self.machines.extend_from_slice(&other.machines);
         self.smis.extend_from_slice(&other.smis);
         self.rollups.extend_from_slice(&other.rollups);
-    }
-
-    /// Hierarchically fold per-worker partial aggregates into one: a
-    /// pairwise tree reduction (`⌈n/2⌉` aggregates per round) instead of
-    /// a left-to-right fold over every line. Adjacent shards are merged
-    /// each round, which preserves shard order for the order-*dependent*
-    /// pieces (gauge last-writer-wins, the order of the typed lines),
-    /// so the result equals the sequential `merge_from` fold over
-    /// `shards` in the given order — while the merge *depth* drops from
-    /// O(n) to O(log n), the shape the million-machine roll-up needs.
-    pub fn merge_tree(shards: Vec<ShardData>) -> ShardData {
-        let mut level = shards;
-        while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(2));
-            let mut iter = level.into_iter();
-            while let Some(mut left) = iter.next() {
-                if let Some(right) = iter.next() {
-                    left.merge_from(&right);
-                }
-                next.push(left);
-            }
-            level = next;
-        }
-        level.into_iter().next().unwrap_or_default()
     }
 
     /// Counter total by name (0 when absent).
@@ -755,7 +694,7 @@ mod tests {
     fn full_recorder_roundtrip_matches_in_memory() {
         let rec = crate::Recorder::new();
         crate::with_recorder(rec.clone(), || {
-            let span = crate::span_at("phase.decrypt", 1_000);
+            let span = crate::span_at("smm.decrypt", 1_000);
             span.end_at(23_000);
             crate::event("machine.smi");
             crate::counter("kshot.patches", 1);
@@ -833,128 +772,6 @@ mod tests {
         assert_eq!(merged.counter("c"), 10);
     }
 
-    #[test]
-    fn tail_text_leaves_torn_final_line_unconsumed() {
-        let mut shard = ShardData::new();
-        let text = "{\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":1}\n\
-                    {\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"va";
-        let consumed = shard.tail_text(text).unwrap();
-        assert_eq!(consumed, text.rfind('\n').unwrap() + 1);
-        assert_eq!(shard.counter("c"), 1, "only the complete line parsed");
-        // No newline at all: nothing consumed, nothing parsed.
-        let mut empty = ShardData::new();
-        assert_eq!(empty.tail_text("{\"type\":\"coun").unwrap(), 0);
-        assert_eq!(empty, ShardData::new());
-        // A *committed* bad line still fails loudly.
-        assert!(ShardData::new().tail_text("garbage\n").is_err());
-    }
-
-    /// The live-tailing scenario: a writer appends a block, is caught
-    /// mid-record, then finishes the record and appends more. Tailing
-    /// across those snapshots must converge to exactly the full-file
-    /// parse, with the torn record parsed once (whole), never twice.
-    #[test]
-    fn tail_file_resumes_mid_record_and_matches_full_parse() {
-        use std::io::Write;
-        let reg1 = MetricsRegistry::new();
-        reg1.counter_add("tail.machines", 1);
-        reg1.observe("tail.latency", 40_000);
-        let block1 = metrics_json_lines(&reg1.snapshot());
-        let reg2 = MetricsRegistry::new();
-        reg2.counter_add("tail.machines", 1);
-        reg2.observe("tail.latency", 44_000);
-        let block2 = metrics_json_lines(&reg2.snapshot());
-
-        let dir = std::env::temp_dir().join(format!("kshot-tail-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("worker-0.jsonl");
-
-        // First snapshot: all of block1 plus a torn prefix of block2's
-        // first record (cut mid-line, no newline).
-        let torn = &block2[..block2.find('\n').unwrap() / 2];
-        std::fs::write(&path, format!("{block1}{torn}")).unwrap();
-
-        let mut tail = ShardData::new();
-        let off1 = tail.tail_file(&path, 0).unwrap();
-        assert_eq!(off1, block1.len() as u64, "torn record not consumed");
-        assert_eq!(tail.counter("tail.machines"), 1);
-
-        // Re-tailing with no new complete data is a no-op.
-        let again = tail.clone();
-        assert_eq!(tail.tail_file(&path, off1).unwrap(), off1);
-        assert_eq!(tail, again);
-
-        // Writer finishes the record and appends the rest of block2.
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(&block2.as_bytes()[torn.len()..]).unwrap();
-        drop(f);
-
-        let off2 = tail.tail_file(&path, off1).unwrap();
-        assert_eq!(off2, (block1.len() + block2.len()) as u64);
-        assert_eq!(tail.counter("tail.machines"), 2);
-        let s = tail.sketch("tail.latency").unwrap();
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.sum(), 84_000);
-        assert_eq!(s.min(), 40_000);
-        assert_eq!(s.max(), 44_000);
-
-        // The incremental aggregate equals the one-shot full parse.
-        assert_eq!(tail, ShardData::parse_file(&path).unwrap());
-
-        // An offset past EOF (rotation/truncation) fails loudly.
-        let err = ShardData::new().tail_file(&path, off2 + 1).unwrap_err();
-        assert!(err.to_string().contains("beyond file length"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Truncation guard: a tailer resumes from a saved offset, but the
-    /// file was rotated (recreated shorter) in between. The tail must
-    /// return a typed [`ShardError::Truncated`] — never silently read
-    /// from a stale offset into the new file's bytes.
-    #[test]
-    fn tail_file_flags_truncation_under_a_live_tailer() {
-        let reg = MetricsRegistry::new();
-        reg.counter_add("rot.machines", 1);
-        let block = metrics_json_lines(&reg.snapshot());
-
-        let dir = std::env::temp_dir().join(format!("kshot-rotate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("worker-0.jsonl");
-        std::fs::write(&path, format!("{block}{block}{block}")).unwrap();
-
-        let mut tail = ShardData::new();
-        let off = tail.tail_file(&path, 0).unwrap();
-        assert_eq!(off, 3 * block.len() as u64);
-
-        // Rotation: the writer recreates the file with fresh content
-        // shorter than the tailer's resume offset.
-        std::fs::write(&path, &block).unwrap();
-        let before = tail.clone();
-        let err = tail.tail_file(&path, off).unwrap_err();
-        match &err {
-            ShardError::Truncated {
-                path: p,
-                offset,
-                len,
-            } => {
-                assert_eq!(p, &path);
-                assert_eq!(*offset, off);
-                assert_eq!(*len, block.len() as u64);
-            }
-            other => panic!("expected Truncated, got {other:?}"),
-        }
-        // The error is loud and self-describing...
-        assert!(err.to_string().contains("truncated or rotated"), "{err}");
-        // ...and the aggregate is untouched: no garbage was folded in.
-        assert_eq!(tail, before);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Sketch lines round-trip through a shard and merge across blocks
     /// exactly like the in-memory registry merge.
     #[test]
@@ -986,37 +803,93 @@ mod tests {
         assert!(err.contains("sketch"), "{err}");
     }
 
-    /// Tree-merging per-worker aggregates equals the sequential fold —
-    /// including the order-dependent pieces (gauges, machine-line order).
+    /// Merging per-worker aggregates in shard order keeps the
+    /// order-dependent pieces in that order: the last shard's gauge
+    /// wins, and machine lines follow shard order — as one parse of the
+    /// shards concatenated would fold them.
     #[test]
-    fn merge_tree_equals_sequential_fold() {
-        let mut shards = Vec::new();
-        for w in 0..5u64 {
-            let reg = MetricsRegistry::new();
-            reg.counter_add("t.machines", w + 1);
-            reg.gauge_set("t.last_worker", w as i64);
-            reg.observe("t.lat", 10_000 * (w + 1));
-            reg.observe("t.dwell", 40_000 + w);
-            let mut text = metrics_json_lines(&reg.snapshot());
-            text.push_str(&machine_line(w).to_json_line());
-            text.push('\n');
-            shards.push(ShardData::parse(&text).unwrap());
-        }
-
-        let mut sequential = ShardData::new();
-        for s in &shards {
-            sequential.merge_from(s);
-        }
-        let tree = ShardData::merge_tree(shards);
-        assert_eq!(tree, sequential);
-        assert_eq!(tree.counter("t.machines"), 1 + 2 + 3 + 4 + 5);
-        assert_eq!(tree.gauges.get("t.last_worker"), Some(&4));
-        let order: Vec<u64> = tree.machines.iter().map(|m| m.machine).collect();
+    fn merge_from_keeps_gauge_and_machine_line_order() {
+        let shards: Vec<String> = (0..5u64)
+            .map(|w| {
+                let reg = MetricsRegistry::new();
+                reg.counter_add("t.machines", w + 1);
+                reg.gauge_set("t.last_worker", w as i64);
+                reg.observe("t.lat", 10_000 * (w + 1));
+                let mut text = metrics_json_lines(&reg.snapshot());
+                text.push_str(&machine_line(w).to_json_line());
+                text.push('\n');
+                text
+            })
+            .collect();
+        let fold = |order: &mut dyn Iterator<Item = &String>| {
+            let mut merged = ShardData::new();
+            for text in order {
+                merged.merge_from(&ShardData::parse(text).unwrap());
+            }
+            merged
+        };
+        let merged = fold(&mut shards.iter());
+        assert_eq!(merged, ShardData::parse(&shards.concat()).unwrap());
+        assert_eq!(merged.counter("t.machines"), 1 + 2 + 3 + 4 + 5);
+        assert_eq!(merged.gauges.get("t.last_worker"), Some(&4));
+        let order: Vec<u64> = merged.machines.iter().map(|m| m.machine).collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4], "shard order preserved");
-        // Degenerate shapes.
-        assert_eq!(ShardData::merge_tree(Vec::new()), ShardData::new());
-        let one = sequential.clone();
-        assert_eq!(ShardData::merge_tree(vec![one.clone()]), one);
+        // Reversed, the same shards merge to the same totals but the
+        // other gauge and the reverse machine order.
+        let reversed = fold(&mut shards.iter().rev());
+        assert_eq!(reversed.counters, merged.counters);
+        assert_eq!(reversed.sketches, merged.sketches);
+        assert_eq!(reversed.gauges.get("t.last_worker"), Some(&0));
+        let order: Vec<u64> = reversed.machines.iter().map(|m| m.machine).collect();
+        assert_eq!(order, vec![4, 3, 2, 1, 0]);
+    }
+
+    /// The longest line the fleet writes, a sketch holding all 2 048
+    /// buckets at `u64::MAX`, decodes under the cap and round-trips.
+    #[test]
+    fn full_sketch_line_decodes_under_the_cap() {
+        let max = u64::MAX;
+        let idx: Vec<String> = (0..2048).map(|i: u32| i.to_string()).collect();
+        let line = format!(
+            "{{\"type\":\"sketch\",\"v\":1,\"name\":\"machine.smm_dwell_ns\",\"count\":{max},\
+             \"sum\":{max},\"zeros\":0,\"min\":1,\"max\":{max},\"idx\":[{}],\"counts\":[{}]}}",
+            idx.join(","),
+            vec![max.to_string(); 2048].join(","),
+        );
+        assert!(
+            (50_000..MAX_LINE_BYTES).contains(&line.len()),
+            "{}",
+            line.len()
+        );
+        match ShardLine::decode(&line) {
+            Ok(ShardLine::Sketch { name, sketch }) => {
+                assert_eq!(sketch.bucket_len(), 2048);
+                assert_eq!(sketch.to_json_line(&name), line);
+            }
+            other => panic!("expected a sketch, got {other:?}"),
+        }
+    }
+
+    /// A line longer than the cap is a typed parse error naming the
+    /// line, before any of it is parsed; one at the cap still decodes.
+    #[test]
+    fn over_long_line_is_a_typed_parse_error() {
+        let event = |len: usize| {
+            let head = "{\"type\":\"event\",\"v\":1,\"name\":\"";
+            format!("{head}{}\"}}", "x".repeat(len - head.len() - 2))
+        };
+        assert_eq!(
+            ShardLine::decode(&event(MAX_LINE_BYTES)),
+            Ok(ShardLine::Event)
+        );
+        let text = format!("{}\n{}\n", event(64), event(MAX_LINE_BYTES + 1));
+        assert_eq!(
+            ShardData::parse(&text).unwrap_err(),
+            format!(
+                "line 2: line of {} bytes exceeds the {MAX_LINE_BYTES}-byte cap",
+                MAX_LINE_BYTES + 1
+            )
+        );
     }
 
     /// Worker roll-up lines reconstruct per-worker trees whose merge

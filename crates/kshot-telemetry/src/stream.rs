@@ -1,83 +1,61 @@
-//! Streaming JSON-lines sink: writes records to a file (or any writer)
-//! incrementally as they are emitted, instead of holding them in the
-//! ring until export.
+//! Streaming JSON-lines sink: writes lines to a file (or any writer)
+//! as they are produced, instead of holding them until export.
 //!
 //! This is the fleet-scale answer to the "one merged in-memory blob"
 //! problem: each campaign worker owns one [`StreamSink`] on its own
-//! `worker-<N>.jsonl` file, attaches a cheap clone of it to every
-//! per-machine recorder it drives, and the shard file accumulates the
-//! full trace while the merged campaign report keeps only summaries.
-//! [`crate::shard`] reads the files back and re-aggregates them
-//! losslessly.
+//! `worker-<N>.jsonl` file and writes every machine it drives into it
+//! as one parcel (the machine's records, rendered by
+//! [`crate::export::record_json_line`], its metrics block and its
+//! outcome lines), so the shard file accumulates the full trace while
+//! the merged campaign report keeps only summaries. [`crate::shard`]
+//! reads the files back and re-aggregates them losslessly. The health
+//! monitor owns the other sink, on `health.jsonl`.
 //!
 //! Properties:
 //!
-//! - **Incremental.** Every record becomes one line (see
-//!   [`crate::export::record_json_line`]) the moment it is emitted;
-//!   partial files from a crashed run are still line-by-line parseable.
-//! - **Buffered with a flush policy.** Lines land in an internal
-//!   `BufWriter`; the sink flushes every `flush_every` lines (default
-//!   [`DEFAULT_FLUSH_EVERY`]) and on [`StreamSink::flush`]/drop.
+//! - **One owner, explicit flushes.** The owner flushes when its lines
+//!   form a unit a reader may see: a worker after each parcel, the
+//!   health monitor after each snapshot. The sink itself flushes only
+//!   on drop.
+//! - **Incremental.** Every line is handed to the writer as it is
+//!   written; partial files from a crashed run are still line-by-line
+//!   parseable.
 //! - **Backpressure drops are counted, never blocking.** A write or
 //!   flush error (disk full, closed pipe) increments a drop counter and
-//!   the line is discarded; the emitting thread is never stalled and
+//!   the line is discarded; the writing thread is never stalled and
 //!   never panicked. [`StreamSink::dropped`] exposes the loss, exactly
 //!   like the ring's drop counter.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard};
 
-use crate::export::{metrics_json_lines, record_json_line};
+use crate::export::metrics_json_lines;
 use crate::metrics::MetricsSnapshot;
-use crate::record::Record;
-use crate::recorder::Sink;
 
-/// Default flush policy: push buffered lines to the OS every this many
-/// lines. Small enough that a watching process sees progress promptly,
-/// large enough to amortize the syscall.
-pub const DEFAULT_FLUSH_EVERY: u64 = 64;
-
-struct StreamShared {
-    writer: Mutex<Box<dyn Write + Send>>,
-    flush_every: u64,
-    /// Lines successfully handed to the writer.
-    lines: AtomicU64,
-    /// Lines discarded because the writer errored (backpressure /
-    /// broken destination).
-    dropped: AtomicU64,
-    /// Lines written since the last flush.
-    unflushed: AtomicU64,
+/// One streaming destination and its line counters.
+pub struct StreamSink {
+    out: Mutex<Out>,
 }
 
-/// A cloneable handle to one streaming destination. Clones share the
-/// writer, counters, and flush policy, so one file can receive records
-/// from a sequence of recorders (the per-worker fleet wiring) while the
-/// creator keeps a handle for [`flush`](StreamSink::flush) and the
-/// counters.
-#[derive(Clone)]
-pub struct StreamSink {
-    shared: Arc<StreamShared>,
+struct Out {
+    writer: Box<dyn Write + Send>,
+    /// Lines successfully handed to the writer.
+    lines: u64,
+    /// Lines discarded because the writer errored (backpressure /
+    /// broken destination), plus failed flushes.
+    dropped: u64,
 }
 
 impl StreamSink {
-    /// A sink over any writer with the default flush policy.
+    /// A sink over any writer.
     pub fn new(writer: Box<dyn Write + Send>) -> StreamSink {
-        StreamSink::with_flush_every(writer, DEFAULT_FLUSH_EVERY)
-    }
-
-    /// A sink over any writer, flushing every `flush_every` lines
-    /// (`0` means flush only explicitly / on drop).
-    pub fn with_flush_every(writer: Box<dyn Write + Send>, flush_every: u64) -> StreamSink {
         StreamSink {
-            shared: Arc::new(StreamShared {
-                writer: Mutex::new(writer),
-                flush_every,
-                lines: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                unflushed: AtomicU64::new(0),
+            out: Mutex::new(Out {
+                writer,
+                lines: 0,
+                dropped: 0,
             }),
         }
     }
@@ -101,12 +79,12 @@ impl StreamSink {
 
     /// Lines successfully written so far (records + metric/raw lines).
     pub fn lines_written(&self) -> u64 {
-        self.shared.lines.load(Ordering::Relaxed)
+        self.out().lines
     }
 
     /// Lines discarded because the destination errored.
     pub fn dropped(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.out().dropped
     }
 
     /// Write one pre-formatted JSON object as a line. The caller is
@@ -115,7 +93,7 @@ impl StreamSink {
     /// campaign's per-machine summary lines) extend the shard format.
     pub fn write_raw_line(&self, line: &str) {
         debug_assert!(!line.contains('\n'), "raw shard lines must be single-line");
-        self.write_all_lines(line);
+        self.out().write_line(line);
     }
 
     /// Serialize a metrics snapshot as mergeable JSON lines (see
@@ -124,8 +102,9 @@ impl StreamSink {
     /// totals as well as records.
     pub fn write_metrics(&self, metrics: &MetricsSnapshot) {
         let block = metrics_json_lines(metrics);
+        let mut out = self.out();
         for line in block.lines() {
-            self.write_all_lines(line);
+            out.write_line(line);
         }
     }
 
@@ -133,52 +112,40 @@ impl StreamSink {
     /// (the buffer content's fate is the writer's; we only promise the
     /// loss is observable).
     pub fn flush(&self) {
-        let mut writer = self.shared.writer.lock().unwrap();
-        self.shared.unflushed.store(0, Ordering::Relaxed);
-        if writer.flush().is_err() {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut out = self.out();
+        if out.writer.flush().is_err() {
+            out.dropped += 1;
         }
     }
 
-    fn write_all_lines(&self, line: &str) {
-        let mut writer = self.shared.writer.lock().unwrap();
-        let ok = writer
+    fn out(&self) -> MutexGuard<'_, Out> {
+        self.out
+            .lock()
+            .expect("no write panics while holding the destination")
+    }
+}
+
+impl Out {
+    fn write_line(&mut self, line: &str) {
+        let ok = self
+            .writer
             .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
+            .and_then(|()| self.writer.write_all(b"\n"))
             .is_ok();
-        if !ok {
-            self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.shared.lines.fetch_add(1, Ordering::Relaxed);
-        if self.shared.flush_every > 0 {
-            let pending = self.shared.unflushed.fetch_add(1, Ordering::Relaxed) + 1;
-            if pending >= self.shared.flush_every {
-                self.shared.unflushed.store(0, Ordering::Relaxed);
-                if writer.flush().is_err() {
-                    self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if ok {
+            self.lines += 1;
+        } else {
+            self.dropped += 1;
         }
     }
 }
 
-impl Sink for StreamSink {
-    fn on_record(&mut self, record: &Record) {
-        self.write_all_lines(&record_json_line(record));
-    }
-
-    fn flush(&mut self) {
-        StreamSink::flush(self);
-    }
-}
-
-impl Drop for StreamShared {
+impl Drop for StreamSink {
     fn drop(&mut self) {
-        // Last handle gone: push whatever is still buffered. Errors are
-        // unobservable here; the explicit flush path counts them.
-        if let Ok(mut writer) = self.writer.lock() {
-            let _ = writer.flush();
+        // Push whatever is still buffered. Errors are unobservable here;
+        // the explicit flush path counts them.
+        if let Ok(out) = self.out.get_mut() {
+            let _ = out.writer.flush();
         }
     }
 }
@@ -195,20 +162,23 @@ impl std::fmt::Debug for StreamSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::EventRecord;
+    use crate::export::record_json_line;
+    use crate::record::{EventRecord, Record};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// A writer that shares its bytes and can be told to start failing.
     #[derive(Clone)]
     struct SharedBuf {
         data: Arc<Mutex<Vec<u8>>>,
-        fail: Arc<std::sync::atomic::AtomicBool>,
+        fail: Arc<AtomicBool>,
     }
 
     impl SharedBuf {
         fn new() -> SharedBuf {
             SharedBuf {
                 data: Arc::new(Mutex::new(Vec::new())),
-                fail: Arc::new(std::sync::atomic::AtomicBool::new(false)),
+                fail: Arc::new(AtomicBool::new(false)),
             }
         }
 
@@ -231,23 +201,24 @@ mod tests {
         }
     }
 
-    fn event(name: &'static str) -> Record {
-        Record::Event(EventRecord {
+    /// An event record's line, as a worker renders it into its shard.
+    fn event(name: &'static str) -> String {
+        record_json_line(&Record::Event(EventRecord {
             parent: None,
             name,
             thread: 0,
             wall_ns: 5,
             sim_ns: Some(10),
             fields: Vec::new(),
-        })
+        }))
     }
 
     #[test]
     fn streams_records_as_parseable_lines() {
         let buf = SharedBuf::new();
-        let mut sink = StreamSink::new(Box::new(buf.clone()));
-        sink.on_record(&event("a"));
-        sink.on_record(&event("b"));
+        let sink = StreamSink::new(Box::new(buf.clone()));
+        sink.write_raw_line(&event("a"));
+        sink.write_raw_line(&event("b"));
         sink.write_raw_line(r#"{"type":"machine","v":1,"machine":0}"#);
         assert_eq!(sink.lines_written(), 3);
         assert_eq!(sink.dropped(), 0);
@@ -265,13 +236,13 @@ mod tests {
     #[test]
     fn backpressure_counts_drops_without_blocking() {
         let buf = SharedBuf::new();
-        let mut sink = StreamSink::new(Box::new(buf.clone()));
-        sink.on_record(&event("ok"));
+        let sink = StreamSink::new(Box::new(buf.clone()));
+        sink.write_raw_line(&event("ok"));
         buf.fail.store(true, Ordering::Relaxed);
-        sink.on_record(&event("lost1"));
-        sink.on_record(&event("lost2"));
+        sink.write_raw_line(&event("lost1"));
+        sink.write_raw_line(&event("lost2"));
         buf.fail.store(false, Ordering::Relaxed);
-        sink.on_record(&event("ok2"));
+        sink.write_raw_line(&event("ok2"));
         assert_eq!(sink.lines_written(), 2);
         assert_eq!(sink.dropped(), 2);
         let text = buf.contents();
@@ -280,35 +251,24 @@ mod tests {
         assert!(!text.contains("lost1"));
     }
 
+    /// The owner decides when a reader may see lines: through a
+    /// `BufWriter` nothing reaches the destination until the owner's
+    /// flush, however many lines are written, and dropping the sink
+    /// pushes what is left.
     #[test]
     fn flush_policy_pushes_buffered_lines() {
-        // Through a BufWriter the bytes only become visible on flush;
-        // flush_every=2 makes the second record force them out.
         let buf = SharedBuf::new();
-        let mut sink = StreamSink::with_flush_every(
-            Box::new(BufWriter::with_capacity(1 << 20, buf.clone())),
-            2,
-        );
-        sink.on_record(&event("a"));
-        assert_eq!(buf.contents(), "", "first line still buffered");
-        sink.on_record(&event("b"));
-        assert_eq!(buf.contents().lines().count(), 2, "policy flushed");
-        sink.on_record(&event("c"));
-        assert_eq!(buf.contents().lines().count(), 2, "third line buffered");
+        let sink = StreamSink::new(Box::new(BufWriter::with_capacity(1 << 20, buf.clone())));
+        for _ in 0..100 {
+            sink.write_raw_line(&event("a"));
+        }
+        assert_eq!(buf.contents(), "", "lines stay buffered until a flush");
         sink.flush();
-        assert_eq!(buf.contents().lines().count(), 3, "explicit flush");
-    }
-
-    #[test]
-    fn clones_share_one_destination_and_counters() {
-        let buf = SharedBuf::new();
-        let sink = StreamSink::new(Box::new(buf.clone()));
-        let mut h1 = sink.clone();
-        let mut h2 = sink.clone();
-        h1.on_record(&event("one"));
-        h2.on_record(&event("two"));
-        assert_eq!(sink.lines_written(), 2);
-        assert_eq!(buf.contents().lines().count(), 2);
+        assert_eq!(buf.contents().lines().count(), 100, "explicit flush");
+        sink.write_raw_line(&event("b"));
+        assert_eq!(buf.contents().lines().count(), 100, "next line buffered");
+        drop(sink);
+        assert_eq!(buf.contents().lines().count(), 101, "drop flushes");
     }
 
     #[test]
@@ -317,32 +277,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("nested/worker-0.jsonl");
         {
-            let mut sink = StreamSink::to_path(&path).expect("create stream file");
-            sink.on_record(&event("x"));
+            let sink = StreamSink::to_path(&path).expect("create stream file");
+            sink.write_raw_line(&event("x"));
             sink.flush();
         }
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recorder_fans_out_to_attached_stream_sink() {
-        let buf = SharedBuf::new();
-        let sink = StreamSink::new(Box::new(buf.clone()));
-        let rec = crate::Recorder::with_capacity(2);
-        rec.add_sink(Box::new(sink.clone()));
-        crate::with_recorder(rec.clone(), || {
-            for _ in 0..5 {
-                crate::event("tick");
-            }
-        });
-        rec.flush_sinks();
-        // The ring kept 2 and dropped 3; the stream saw all 5 before
-        // eviction.
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 3);
-        assert_eq!(sink.lines_written(), 5);
-        assert_eq!(buf.contents().lines().count(), 5);
     }
 }

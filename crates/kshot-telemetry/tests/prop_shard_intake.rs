@@ -3,12 +3,16 @@
 //! a shard whose lines are truncated, duplicated, or carry a `"type"`
 //! nested inside their `fields` yields a verdict or a typed error from
 //! `ShardData::parse` and from `HealthMonitor::poll`/`finish` — never a
-//! panic — with the monitor's resident state bounded.
+//! panic — with the monitor's resident state bounded. So does a shard
+//! carrying one line just under the line cap or far over it (1–4 MiB),
+//! within a stated time bound.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use kshot_telemetry::export::metrics_json_lines;
 use kshot_telemetry::merkle::DigestTree;
+use kshot_telemetry::shard::MAX_LINE_BYTES;
 use kshot_telemetry::{
     DigestRollup, HealthMonitor, HealthPolicy, IntegrityPolicy, MachineLine, MetricsRegistry,
     ShardData, ShardError, ShardLine, SmiLine, SMM_DWELL_METRIC,
@@ -88,12 +92,12 @@ prop_compose! {
     }
 }
 
-/// One machine's parcel as a worker writes it: a phase span, the
+/// One machine's parcel as a worker writes it: a stage span, the
 /// metrics block, the SMI flight records, the outcome line, and the
 /// block's roll-up.
 fn parcel(machine: u64) -> Vec<String> {
     let mut lines = vec![format!(
-        "{{\"type\":\"span\",\"v\":1,\"id\":1,\"parent\":null,\"name\":\"phase.decrypt\",\
+        "{{\"type\":\"span\",\"v\":1,\"id\":1,\"parent\":null,\"name\":\"smm.decrypt\",\
          \"thread\":0,\"wall_start_ns\":10,\"wall_dur_ns\":5,\"sim_start_ns\":100,\
          \"sim_end_ns\":{},\"fields\":{{\"bytes\":4096}}}}",
         200 + machine
@@ -218,6 +222,32 @@ fn the_clean_shard_judges_healthy() {
     assert_eq!(report.integrity.unwrap().records_checked, 6);
 }
 
+/// What one shard carrying a single long line may cost to parse and to
+/// judge, in the debug profile: decoding stays linear in the line's
+/// length, and a line over the cap is rejected before it is parsed.
+const LONG_LINE_BOUND: Duration = Duration::from_secs(2);
+
+/// Line lengths at the cap's edge: just under or at it, and far over it.
+fn long_line_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        (MAX_LINE_BYTES - 4096)..=MAX_LINE_BYTES,
+        (1usize << 20)..=(4 << 20),
+    ]
+}
+
+/// An event line of exactly `len` bytes whose name pads it out, with
+/// plain bytes or with an escaped quote in every three.
+fn long_event(len: usize, escaped: bool) -> String {
+    let head = "{\"type\":\"event\",\"v\":1,\"parent\":null,\"name\":\"";
+    let room = len - head.len() - 2;
+    let pad = if escaped {
+        "\\\"n".repeat(room / 3) + &"n".repeat(room % 3)
+    } else {
+        "n".repeat(room)
+    };
+    format!("{head}{pad}\"}}")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
@@ -249,6 +279,49 @@ proptest! {
         // rejects too; the monitor additionally judges what lines say.
         if let Err(e) = &parsed {
             prop_assert!(judged.is_err(), "ShardData failed ({}) but the monitor did not", e);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// One long line anywhere in the clean shard: at or under the cap it
+    /// is read as the event it is and the shard judges healthy; over it,
+    /// parsing and the monitor both fail typed, naming the line. Either
+    /// way within [`LONG_LINE_BOUND`], with the monitor's resident
+    /// state bounded.
+    #[test]
+    fn long_lines_yield_a_verdict_or_a_typed_error_in_time(
+        (len, escaped, at) in (long_line_len(), any::<bool>(), any::<usize>()),
+    ) {
+        let mut lines: Vec<String> = (0..MACHINES).flat_map(parcel).collect();
+        let at = at % (lines.len() + 1);
+        lines.insert(at, long_event(len, escaped));
+        prop_assert_eq!(lines[at].len(), len);
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let started = Instant::now();
+        let parsed = ShardData::parse(&text);
+        let (judged, resident) = judge(&text);
+        let took = started.elapsed();
+        prop_assert!(took < LONG_LINE_BOUND, "{} bytes took {:?}", len, took);
+        prop_assert!(resident < 16 * 1024, "resident {} bytes", resident);
+        if len <= MAX_LINE_BYTES {
+            prop_assert_eq!(parsed.map(|shard| shard.events), Ok(1));
+            let report = judged.expect("a shard under the cap is judged");
+            prop_assert_eq!(report.final_verdict().label(), "healthy");
+        } else {
+            let want = format!("line {}: line of {len} bytes exceeds", at + 1);
+            prop_assert!(
+                matches!(&parsed, Err(e) if e.starts_with(&want)),
+                "{:?}",
+                parsed.map(drop)
+            );
+            prop_assert!(
+                matches!(&judged, Err(ShardError::Parse { error, .. }) if error.starts_with(&want)),
+                "{:?}",
+                judged.map(drop)
+            );
         }
     }
 }
