@@ -65,6 +65,20 @@ cargo test -q -p kshot-crypto sha256::tests::dispatched_compressor_is_reported -
 grep -Eq "sha256 compressor: (sha-ni|portable)" target/sha256_path.log
 cargo test -q -p kshot-core dh_group_params_are_built_once_per_process
 
+# ChaCha20's AVX2 eight-block keystream against the portable block
+# function: the RFC 8439 block and encryption vectors through both
+# paths, and the dispatched apply equal to the portable path over
+# random lengths up to 4 KiB and 1 MiB, counters that wrap inside an
+# eight-block group, slices at byte offsets 0-31 and calls split at
+# multiples of 64 that are not multiples of 512. The log names the
+# keystream path that ran: avx2 or portable.
+echo "== ChaCha20 fast path vs reference =="
+cargo test -q -p kshot-crypto chacha::tests::rfc8439_vectors_through_both_paths
+cargo test -q -p kshot-crypto chacha::tests::dispatched_keystream_equals_portable
+cargo test -q -p kshot-crypto chacha::tests::dispatched_keystream_is_reported -- --nocapture \
+  | tee target/chacha_path.log
+grep -Eq "chacha20 keystream: (avx2|portable)" target/chacha_path.log
+
 # Sparse physical memory gates: random writes, reads, slices, attribute
 # changes and clone-then-diverge sequences against a dense model (reads
 # always match, slices match or fail typed, clones stay isolated), and
@@ -111,6 +125,10 @@ cargo test -q -p kshot-telemetry health::tests::tail_torn_final_line_waits_for_t
 cargo test -q -p kshot-telemetry \
   health::tests::tail_polls_across_snapshots_match_one_poll_of_the_whole_file
 cargo test -q -p kshot-telemetry health::tests::tail_truncated_shard_is_a_typed_error_naming_the_path
+# An unterminated final line over the line cap fails the poll typed,
+# naming the byte it starts at, instead of being re-read every poll.
+cargo test -q -p kshot-telemetry \
+  health::tests::tail_unterminated_line_over_the_cap_is_a_typed_error
 cargo test -q -p kshot-fleet unfired_injection_plan_is_disarmed_and_accounted_on_success
 cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
 
@@ -166,6 +184,9 @@ cargo test -q -p kshot-fleet --test health_stream monitor_failure_under_a_rollou
 # A worker panic ends a health-monitored campaign with the worker's own
 # panic instead of hanging it (the test times out after 60 s).
 cargo test -q -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_campaign
+# Under a rollout, the panic also fails the rollout closed, so the
+# surviving workers stop waiting on the dead worker's wave.
+cargo test -q -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_rollout
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
 # root/divergence/frontier round-trip), the fleet fold's merge-equals-

@@ -15,6 +15,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::iter::Peekable;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -223,7 +224,9 @@ impl MachineOutcome {
 /// their link RTT or backoff deadlines; per-machine execution stays
 /// deterministic because scheduling only decides *when* a machine's
 /// next step runs, never what it computes. A worker's panic is re-raised
-/// once every other worker and the health monitor have stopped.
+/// once every other worker and the health monitor have stopped; under a
+/// rollout it first fails the rollout closed, since the wave in flight
+/// waits on the dead worker's machines.
 pub fn run_campaign(
     target: &CampaignTarget,
     bundle_bytes: &[u8],
@@ -277,6 +280,7 @@ pub fn run_campaign(
             (plan, waves, gate)
         });
     let campaign_done = AtomicBool::new(false);
+    let worker_panicked = AtomicBool::new(false);
     let shards = placement(config.machines, workers);
     let blocks: usize = shards.iter().map(Vec::len).sum();
 
@@ -290,6 +294,7 @@ pub fn run_campaign(
         // can be judged while later machines are still in flight.
         let monitor_handle = health_cfg.map(|(policy, dir)| {
             let done = &campaign_done;
+            let worker_panicked = &worker_panicked;
             let machines = config.machines;
             // Rollouts size the window to the canary cohort so wave
             // boundaries always fall on window boundaries.
@@ -303,7 +308,15 @@ pub fn run_campaign(
             let integrity = config.integrity.clone();
             scope.spawn(move || {
                 run_health_monitor(
-                    policy, window, machines, workers, dir, done, rollout, integrity,
+                    policy,
+                    window,
+                    machines,
+                    workers,
+                    dir,
+                    done,
+                    worker_panicked,
+                    rollout,
+                    integrity,
                 )
             })
         });
@@ -313,7 +326,16 @@ pub fn run_campaign(
             .map(|(worker, blocks)| {
                 let run = &run;
                 let gate = rollout_cfg.as_ref().map(|(_, _, gate)| gate);
-                scope.spawn(move || run_worker(run, worker, blocks, gate))
+                let worker_panicked = &worker_panicked;
+                scope.spawn(move || {
+                    panic::catch_unwind(AssertUnwindSafe(|| run_worker(run, worker, blocks, gate)))
+                        .unwrap_or_else(|payload| {
+                            // Tell the monitor, then let the unwind go
+                            // on so the join still carries the payload.
+                            worker_panicked.store(true, Ordering::Release);
+                            panic::resume_unwind(payload)
+                        })
+                })
             })
             .collect();
         let mut panicked = None;
@@ -390,7 +412,8 @@ pub fn run_campaign(
 /// fails — can judge nothing more, so it fails closed: the wave in
 /// flight is halted as a Halt verdict would halt it, and the workers
 /// finish instead of waiting on a gate nobody opens. The error goes
-/// back to `run_campaign`, which panics with it.
+/// back to `run_campaign`, which panics with it. A worker that panicked
+/// fails the rollout closed the same way, from [`watch`].
 #[allow(clippy::too_many_arguments)]
 fn run_health_monitor(
     policy: kshot_telemetry::HealthPolicy,
@@ -399,6 +422,7 @@ fn run_health_monitor(
     workers: usize,
     dir: PathBuf,
     done: &AtomicBool,
+    worker_panicked: &AtomicBool,
     rollout: Option<(&RolloutPlan, &[Wave], &RolloutGate)>,
     integrity: Option<IntegrityPolicy>,
 ) -> (Result<CampaignHealth, String>, Option<RolloutTrail>) {
@@ -417,7 +441,7 @@ fn run_health_monitor(
     let health = monitor
         .with_snapshot_path(dir.join("health.jsonl"))
         .map_err(|e| format!("open health snapshot sink: {e}"))
-        .and_then(|monitor| watch(monitor, done, controller.as_mut()));
+        .and_then(|monitor| watch(monitor, done, worker_panicked, controller.as_mut()));
     if let (Err(_), Some(controller)) = (&health, controller.as_mut()) {
         controller.fail_closed();
     }
@@ -428,10 +452,12 @@ fn run_health_monitor(
 /// completion, tracking how many snapshots were emitted *while workers
 /// were still running* (the mid-campaign detection the health plane
 /// exists for), then run one final catch-up poll and fold everything
-/// into a [`CampaignHealth`].
+/// into a [`CampaignHealth`]. Once a worker has panicked, its machines
+/// will never be judged, so the rollout fails closed.
 fn watch(
     mut monitor: HealthMonitor,
     done: &AtomicBool,
+    worker_panicked: &AtomicBool,
     mut controller: Option<&mut RolloutController<'_>>,
 ) -> Result<CampaignHealth, String> {
     let mut live_snapshots = 0u64;
@@ -447,6 +473,9 @@ fn watch(
             .map_err(|e| format!("health monitor poll: {e}"))?;
         if let Some(controller) = controller.as_deref_mut() {
             controller.observe(&mut monitor);
+            if worker_panicked.load(Ordering::Acquire) {
+                controller.fail_closed();
+            }
         }
         if !finished && emitted > 0 {
             let snaps = monitor.snapshots();

@@ -197,11 +197,6 @@ fn arming_health_without_streaming_panics_loudly() {
     let _ = run_campaign(target, bytes, &config);
 }
 
-/// A monitor that fails under a rollout fails closed. Here its snapshot
-/// sink cannot open, because `health.jsonl` is a directory. The wave in
-/// flight halts as a Halt verdict would halt it, the workers finish,
-/// and `run_campaign` panics naming the monitor's error, instead of the
-/// workers waiting forever on a gate nobody opens.
 /// A worker that panics ends a health-monitored campaign with its own
 /// panic instead of hanging it: the monitor polls until every worker
 /// has stopped, so the campaign releases it before re-raising. Worker
@@ -241,6 +236,50 @@ fn worker_panic_ends_a_monitored_campaign() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker that panics under a rollout fails the rollout closed: the
+/// wave in flight needs the dead worker's machines, so the surviving
+/// worker would otherwise wait forever on the gate. Its held sessions
+/// roll back, admission stops, and `run_campaign` re-raises the dead
+/// worker's panic. Worker 1's shard is a dangling symlink, as above.
+#[cfg(unix)]
+#[test]
+fn worker_panic_ends_a_monitored_rollout() {
+    let dir = std::env::temp_dir().join(format!("kshot-rollout-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let dangling = dir.join("missing").join("worker-1.jsonl");
+    std::os::unix::fs::symlink(dangling, dir.join("worker-1.jsonl")).unwrap();
+    let config = FleetConfig::new(16, 2)
+        .with_seed(0x4EA1)
+        .with_stream_dir(&dir)
+        .with_health(HealthPolicy::new(), 4)
+        .with_rollout(RolloutPlan::canary_machines(4));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (target, bundle) = fixture();
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_campaign(target, bundle, &config)
+        }));
+        let _ = tx.send(ran.map(drop).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        }));
+    });
+    let ran = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the rollout returns instead of hanging");
+    let message = ran.expect_err("worker 1 cannot open its shard");
+    assert!(message.starts_with("open shard"), "{message}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A monitor that fails under a rollout fails closed. Here its snapshot
+/// sink cannot open, because `health.jsonl` is a directory. The wave in
+/// flight halts as a Halt verdict would halt it, the workers finish,
+/// and `run_campaign` panics naming the monitor's error, instead of the
+/// workers waiting forever on a gate nobody opens.
 #[test]
 fn monitor_failure_under_a_rollout_fails_closed() {
     let dir = std::env::temp_dir().join(format!("kshot-health-failclosed-{}", std::process::id()));

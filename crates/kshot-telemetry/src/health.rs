@@ -1619,6 +1619,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An unterminated final line longer than
+    /// [`crate::shard::MAX_LINE_BYTES`] fails the poll with a typed
+    /// error naming the shard, the byte the line starts at and the cap,
+    /// instead of being read whole again by every poll. A shorter one
+    /// still waits for its newline.
+    #[test]
+    fn tail_unterminated_line_over_the_cap_is_a_typed_error() {
+        let dir = scratch("unterminated");
+        let shard = dir.join("worker-0.jsonl");
+        let parcel = machine_parcel(0, true, 0, &[40_000]);
+        std::fs::write(&shard, format!("{parcel}{}", "x".repeat(1 << 20))).unwrap();
+        let polled = HealthMonitor::new(HealthPolicy::new(), 1, 2, vec![shard.clone()]).poll();
+        let want = format!(
+            "unterminated line at byte {} exceeds the {}-byte cap",
+            parcel.len(),
+            crate::shard::MAX_LINE_BYTES
+        );
+        assert!(
+            matches!(&polled, Err(ShardError::Parse { path, error }) if path == &shard && error == &want),
+            "{polled:?}"
+        );
+
+        let head = "{\"type\":\"event\",\"v\":1,\"name\":\"";
+        let line = format!("{head}{}\"}}", "x".repeat((64 << 10) - head.len() - 2));
+        std::fs::write(&shard, &line).unwrap();
+        let mut mon = HealthMonitor::new(HealthPolicy::new(), 1, 2, vec![shard.clone()]);
+        assert_eq!(mon.poll(), Ok(0));
+        assert_eq!(mon.lines_consumed(), 0, "the line waits for its newline");
+        append(&shard, "\n");
+        assert_eq!(mon.poll(), Ok(0));
+        assert_eq!(mon.lines_consumed(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn missing_shard_files_mean_no_data_not_errors() {
         let dir = scratch("missing");

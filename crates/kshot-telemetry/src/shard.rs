@@ -454,7 +454,9 @@ pub struct ShardData {
 /// [`ShardError::Truncated`] when `offset` is beyond the file's length
 /// (the file was truncated or rotated under the tailer, and resuming
 /// would misparse), and [`ShardError::Parse`] for invalid UTF-8 in the
-/// committed lines.
+/// committed lines or for an unterminated final line already longer
+/// than [`MAX_LINE_BYTES`], which no newline could make decodable and
+/// which every later read would otherwise read whole again.
 pub(crate) fn read_committed(path: &Path, offset: u64) -> Result<(String, u64), ShardError> {
     use std::io::{Read, Seek, SeekFrom};
     let io = |e: std::io::Error| ShardError::Io {
@@ -473,7 +475,17 @@ pub(crate) fn read_committed(path: &Path, offset: u64) -> Result<(String, u64), 
     file.seek(SeekFrom::Start(offset)).map_err(io)?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes).map_err(io)?;
-    bytes.truncate(bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1));
+    let committed = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    if bytes.len() - committed > MAX_LINE_BYTES {
+        return Err(ShardError::Parse {
+            path: path.to_path_buf(),
+            error: format!(
+                "unterminated line at byte {} exceeds the {MAX_LINE_BYTES}-byte cap",
+                offset + committed as u64
+            ),
+        });
+    }
+    bytes.truncate(committed);
     let next = offset + bytes.len() as u64;
     let text = String::from_utf8(bytes).map_err(|e| ShardError::Parse {
         path: path.to_path_buf(),
