@@ -79,6 +79,32 @@ cargo test -q -p kshot-crypto chacha::tests::dispatched_keystream_is_reported --
   | tee target/chacha_path.log
 grep -Eq "chacha20 keystream: (avx2|portable)" target/chacha_path.log
 
+# The pass budget, counted by kshot-crypto's per-thread byte counters:
+# SHA-256 makes 7 passes over each bundle byte through live_patch_wire,
+# 8 through live_patch_bundle (its encode hashes the trailer) and none on
+# a BundleCache hit; ChaCha20 makes exactly 4; a Patch record adds no
+# pass, since its trampoline record's memx_hash is the payload hash SMM
+# verified. Under SHA-256 and SDBM alike, memx_hash is the SHA-256 of the
+# placed body, so introspection reads it clean and flags a flipped byte.
+# The in-place primitives: seal_owned equals seal and leaves the same
+# channel state, a failed open_in_place leaves its buffer and receive
+# sequence untouched, the in-place frame parse agrees with Frame::decode
+# on every input, and a blob carrying a cached blob's trailer with one
+# differing byte is decoded and rejected, never served from the cache.
+echo "== pass budget =="
+cargo test -q -p kshot-crypto counters::tests::every_update_and_apply_is_counted_on_its_own_thread
+cargo test -q -p kshot-core pass_budget_per_bundle_byte
+cargo test -q -p kshot-core memx_hash_is_the_sha256_of_the_placed_body_under_both_algorithms
+cargo test -q -p kshot-patchserver channel::tests::seal_owned_equals_seal_and_leaves_the_same_state
+cargo test -q -p kshot-patchserver \
+  channel::tests::open_in_place_failures_leave_buffer_and_sequence_untouched
+cargo test -q -p kshot-patchserver --test prop_decode_robustness \
+  in_place_frame_parse_agrees_with_frame_decode
+cargo test -q -p kshot-patchserver \
+  cache::tests::a_cached_trailer_with_one_differing_byte_is_decoded_and_rejected
+cargo test -q -p kshot-patchserver cache::tests::a_blob_shorter_than_a_trailer_is_decoded_and_rejected
+cargo test -q -p kshot-patchserver cache::tests::other_bytes_under_a_stored_trailer_get_their_own_decode
+
 # Sparse physical memory gates: random writes, reads, slices, attribute
 # changes and clone-then-diverge sequences against a dense model (reads
 # always match, slices match or fail typed, clones stay isolated), and
@@ -98,6 +124,10 @@ cargo test -q -p kshot --test memory_footprint
 # sequential run, then writes the benchmark artefact this gate checks.
 echo "== fleet identical-state property =="
 cargo test -q -p kshot-fleet --test prop_fleet_identical
+# The campaign decodes each blob once before its workers start, so no
+# machine's shard parcel carries the cache miss, whichever worker is
+# first: every parcel carries one hit.
+cargo test -q -p kshot-fleet cache_miss_is_never_charged_to_a_machine
 
 # Committed-fault gates: a fault at every SMM write of the first patch
 # SMI, in four shapes (the bundle, a one-entry catalogue, a sequential

@@ -318,9 +318,9 @@ impl KShot {
     }
 
     /// Lower-level entry: apply a pre-built bundle (benchmarks drive
-    /// this with synthetic bundles). The bundle is only read, so a fleet
-    /// passes a borrow of its decoded-once copy; an owned bundle works
-    /// too.
+    /// this with synthetic bundles). Encodes it, then runs
+    /// [`KShot::live_patch_wire`] on the encoding. The bundle is only
+    /// read, so a borrow works as well as an owned bundle.
     ///
     /// # Errors
     ///
@@ -329,16 +329,31 @@ impl KShot {
         &mut self,
         bundle: impl Borrow<PatchBundle>,
     ) -> Result<PatchReport, KShotError> {
-        let bundle = bundle.borrow();
+        let wire = bundle
+            .borrow()
+            .try_encode()
+            .map_err(|e| KShotError::Sgx(SgxError::Wire(e)))?;
+        self.live_patch_wire(&wire)
+    }
+
+    /// Apply an encoded bundle: Fig. 2 from the server's seal onward.
+    /// The server seals `wire` as it is, so a fleet that holds a bundle
+    /// encoded pays no per-machine re-encode. The report's id, types and
+    /// patched functions come from the enclave's own checked decode of
+    /// what it received.
+    ///
+    /// # Errors
+    ///
+    /// As [`KShot::live_patch`]; bytes that do not decode to a bundle
+    /// fail in the enclave with [`SgxError::Wire`].
+    pub fn live_patch_wire(&mut self, wire: &[u8]) -> Result<PatchReport, KShotError> {
         let mut span = kshot_telemetry::span_at(
             "kshot.live_patch_bundle",
             self.kernel.machine().now().as_ns(),
         );
-        span.field("patch", bundle.id.as_str());
-        let id = bundle.id.clone();
-        let types = (bundle.types.t1, bundle.types.t2, bundle.types.t3);
-        let patched_functions: Vec<String> =
-            bundle.entries.iter().map(|e| e.name.clone()).collect();
+        // The server labels the span with the id its bundle names; the
+        // report takes the id from the enclave's checked decode.
+        span.field("patch", PatchBundle::peek_id(wire).unwrap_or_default());
         // 2. Secure session: enclave ↔ server, with attestation. Runs on
         // server/enclave hardware, so the simulated machine clock does
         // not advance — the session span is wall-clock only.
@@ -373,12 +388,9 @@ impl KShot {
             .finish_server_session(self.params, server_kp.public())?;
         session_span.end();
         // 3. Server seals the bundle; enclave fetches it.
-        let encoded = bundle
-            .try_encode()
-            .map_err(|e| KShotError::Sgx(SgxError::Wire(e)))?;
-        let frame = server_channel.seal(&encoded);
+        let frame = server_channel.seal(wire);
         let machine = self.kernel.machine_mut();
-        let (_, fetch_time) = self.helper.fetch_bundle(machine, &frame)?;
+        let fetched = self.helper.fetch_bundle(machine, frame)?;
         // 4. Preprocess + stage.
         let smm_entropy: [u8; 32] = self.rng.gen();
         let stage = self.helper.prepare_and_stage(
@@ -412,9 +424,9 @@ impl KShot {
         span.field("global_writes", outcome.global_writes as u64);
         span.end_at(end_sim_ns);
         let report = PatchReport {
-            id,
+            id: fetched.id,
             sgx: SgxTimings {
-                fetch: fetch_time,
+                fetch: fetched.fetch,
                 preprocess: stage.preprocess,
                 pass: stage.pass,
             },
@@ -423,8 +435,8 @@ impl KShot {
             staged_size: stage.staged_size,
             trampolines: outcome.trampolines,
             global_writes: outcome.global_writes,
-            patched_functions,
-            types,
+            patched_functions: fetched.patched_functions,
+            types: fetched.types,
             segments: outcome.segments,
         };
         self.history.push(report.clone());
@@ -1074,6 +1086,132 @@ mod tests {
         // The committed faults are the SMI's last writes, contiguous.
         assert!(!committed.is_empty());
         assert_eq!(committed, (committed[0]..k).collect::<Vec<_>>());
+    }
+
+    /// A bundle of one `size`-byte body: the vulnerable function's fix
+    /// padded with NOPs (a `Patch` record: trampoline, target pre-hash
+    /// check, `memx_hash`), or a new function placed without a
+    /// trampoline (a `PlaceOnly` record).
+    fn large_bundle(kshot: &KShot, server: &PatchServer, size: usize, patch: bool) -> PatchBundle {
+        let mut bundle = server
+            .build_patch(&kshot.kernel().info(), &fixed_tree())
+            .unwrap()
+            .bundle;
+        let mut entry = bundle.entries.pop().unwrap();
+        entry.body.resize(size, kshot_isa::opcodes::NOP);
+        if patch {
+            bundle.entries.push(entry);
+        } else {
+            entry.name = "blob".into();
+            entry.relocs.clear();
+            bundle.new_functions.push(entry);
+        }
+        bundle
+    }
+
+    /// The pass budget: how many times SHA-256 and ChaCha20 run over each
+    /// byte of a bundle on its way from the server to `mem_X`. Through
+    /// `live_patch_wire`, SHA-256 makes seven passes: the server's seal
+    /// MAC, the enclave's open MAC and integrity check, the package's
+    /// payload hashes, the enclave's seal MAC, SMM's open MAC and SMM's
+    /// verify. `live_patch_bundle` adds its encode's trailer hash, and a
+    /// cache hit makes none. ChaCha20 makes exactly four: seal and open
+    /// on each channel hop. A `Patch` record costs no extra pass: its
+    /// trampoline record's `memx_hash` is the payload hash SMM verified.
+    #[test]
+    fn pass_budget_per_bundle_byte() {
+        use kshot_crypto::counters::ByteCounts;
+        const SIZE: usize = 256 * 1024;
+        for patch in [false, true] {
+            for (entry, sha_passes) in [("live_patch_wire", 7.0), ("live_patch_bundle", 8.0)] {
+                let (kernel, server) = boot();
+                let mut kshot = KShot::install(kernel, 11).unwrap();
+                let bundle = large_bundle(&kshot, &server, SIZE, patch);
+                let wire = bundle.encode();
+                let start = ByteCounts::current();
+                let report = match entry {
+                    "live_patch_wire" => kshot.live_patch_wire(&wire),
+                    _ => kshot.live_patch_bundle(&bundle),
+                }
+                .unwrap();
+                let used = ByteCounts::current().since(start);
+                assert_eq!(report.trampolines, usize::from(patch));
+                let per_byte = used.sha256 as f64 / wire.len() as f64;
+                assert!(
+                    (per_byte - sha_passes).abs() < 0.02,
+                    "{entry}, patch records {patch}: {per_byte:.4} SHA-256 passes"
+                );
+                // Each hop ciphers its whole plaintext once each way: the
+                // encoded bundle, then the package inside the staged
+                // frame (seq 8 B, length 4 B, MAC 32 B around it).
+                let package = report.staged_size as u64 - 44;
+                assert_eq!(
+                    used.chacha20,
+                    2 * wire.len() as u64 + 2 * package,
+                    "{entry}, patch records {patch}"
+                );
+                assert!(package >= SIZE as u64);
+            }
+        }
+        let (kernel, server) = boot();
+        let kshot = KShot::install(kernel, 12).unwrap();
+        let wire = large_bundle(&kshot, &server, SIZE, false).encode();
+        let cache = kshot_patchserver::BundleCache::new();
+        cache.get_or_decode(&wire).unwrap();
+        let start = ByteCounts::current();
+        cache.get_or_decode(&wire).unwrap();
+        assert_eq!(ByteCounts::current().since(start), ByteCounts::default());
+        assert_eq!(cache.hits(), 1);
+    }
+
+    /// SMM verify and the trampoline record's `memx_hash` cover the same
+    /// body. Under either verification algorithm every active trampoline
+    /// record holds the SHA-256 of the bytes placed for it (under SHA-256
+    /// it is the payload hash SMM verified; under SDBM SMM computes it),
+    /// so introspection reads the clean `mem_X` as clean and flags one
+    /// flipped placed byte.
+    #[test]
+    fn memx_hash_is_the_sha256_of_the_placed_body_under_both_algorithms() {
+        use crate::smm::RecordKind;
+        use kshot_machine::AccessCtx;
+        for algorithm in [VerificationAlgorithm::Sha256, VerificationAlgorithm::Sdbm] {
+            let (kernel, server) = boot();
+            let mut kshot = KShot::with_options(kernel, 10, DhGroup::Default, algorithm).unwrap();
+            kshot.live_patch(&server, &fixed_tree()).unwrap();
+            let machine = kshot.kernel.machine_mut();
+            machine.raise_smi().unwrap();
+            let mut placed = Vec::new();
+            for i in 0..kshot.smm.record_count(machine).unwrap() {
+                let rec = kshot.smm.read_record(machine, i).unwrap();
+                if rec.active && rec.kind == RecordKind::Trampoline {
+                    let mut body = vec![0u8; rec.size as usize];
+                    machine
+                        .read_bytes(AccessCtx::Smm, rec.paddr, &mut body)
+                        .unwrap();
+                    assert_eq!(rec.memx_hash, kshot_crypto::sha256(&body), "{algorithm:?}");
+                    placed.push((rec.paddr, rec.size));
+                }
+            }
+            machine.rsm().unwrap();
+            assert_eq!(placed.len(), 1, "{algorithm:?}");
+            assert!(kshot.introspect().unwrap().is_empty(), "{algorithm:?}");
+            // Flip one placed byte in the middle of the body.
+            let (paddr, size) = placed[0];
+            let at = paddr + u64::from(size) / 2;
+            let machine = kshot.kernel.machine_mut();
+            machine.raise_smi().unwrap();
+            let mut byte = [0u8];
+            machine.read_bytes(AccessCtx::Smm, at, &mut byte).unwrap();
+            machine
+                .write_bytes(AccessCtx::Smm, at, &[byte[0] ^ 0x01])
+                .unwrap();
+            machine.rsm().unwrap();
+            assert_eq!(
+                kshot.introspect().unwrap(),
+                vec![Violation::MemXCorrupted { paddr, size }],
+                "{algorithm:?}"
+            );
+        }
     }
 
     #[test]

@@ -128,6 +128,20 @@ impl fmt::Debug for Helper {
     }
 }
 
+/// What [`Helper::fetch_bundle`] reports back: the fetch time, and the
+/// bundle as the enclave's checked decode describes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FetchOutcome {
+    /// Fetching time (Table II).
+    pub fetch: SimTime,
+    /// Patch identifier.
+    pub id: String,
+    /// Patch type flags (t1, t2, t3).
+    pub types: (bool, bool, bool),
+    /// Names of the patched functions, in bundle order.
+    pub patched_functions: Vec<String>,
+}
+
 /// What `prepare_and_stage` reports back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageOutcome {
@@ -216,8 +230,10 @@ impl Helper {
 
     /// Stage 1 — receive the encrypted bundle frame from the server.
     ///
-    /// Returns the bundle's payload size. Charges Table II "Fetching"
-    /// time against the machine clock.
+    /// The enclave decrypts the frame in its own buffer, then decodes
+    /// and verifies the bundle. Returns what that checked decode says
+    /// the bundle is. Charges Table II "Fetching" time against the
+    /// machine clock.
     ///
     /// # Errors
     ///
@@ -226,23 +242,39 @@ impl Helper {
     pub fn fetch_bundle(
         &mut self,
         machine: &mut Machine,
-        frame: &Frame,
-    ) -> Result<(usize, SimTime), SgxError> {
+        frame: Frame,
+    ) -> Result<FetchOutcome, SgxError> {
         let t0 = machine.now();
         let mut span = kshot_telemetry::span_at("sgx.fetch", t0.as_ns());
-        let cost = machine.cost().sgx_fetch.for_bytes(frame.ciphertext.len());
+        let Frame {
+            seq,
+            mut ciphertext,
+            mac,
+        } = frame;
+        let cost = machine.cost().sgx_fetch.for_bytes(ciphertext.len());
         machine.charge(cost);
-        let result = self.enclave.ecall(|s| {
+        let (id, types, patched_functions) = self.enclave.ecall(|s| {
             let channel = s.server_channel.as_mut().ok_or(SgxError::NoSession)?;
-            let plaintext = channel.open(frame).map_err(SgxError::Channel)?;
-            let bundle = PatchBundle::decode(&plaintext).map_err(SgxError::Wire)?;
-            let size = bundle.payload_size();
+            channel
+                .open_in_place(seq, &mut ciphertext, &mac)
+                .map_err(SgxError::Channel)?;
+            let bundle = PatchBundle::decode(&ciphertext).map_err(SgxError::Wire)?;
+            let described = (
+                bundle.id.clone(),
+                (bundle.types.t1, bundle.types.t2, bundle.types.t3),
+                bundle.entries.iter().map(|e| e.name.clone()).collect(),
+            );
             s.bundle = Some(bundle);
-            Ok::<usize, SgxError>(size)
+            Ok::<_, SgxError>(described)
         })?;
-        span.field("bytes", frame.ciphertext.len());
+        span.field("bytes", ciphertext.len());
         span.end_at(machine.now().as_ns());
-        Ok((result, machine.now() - t0))
+        Ok(FetchOutcome {
+            fetch: machine.now() - t0,
+            id,
+            types,
+            patched_functions,
+        })
     }
 
     /// Stages 2+3 — preprocess the fetched bundle and stage the
@@ -299,7 +331,8 @@ impl Helper {
                 .agree(params, &smm_public)
                 .map_err(SgxError::BadSmmPublic)?;
             let mut channel = SecureChannel::new(key);
-            let frame = channel.seal(&package.try_encode().map_err(SgxError::Wire)?);
+            let encoded = package.try_encode().map_err(SgxError::Wire)?;
+            let frame = channel.seal_owned(encoded);
             Ok::<_, SgxError>((frame.encode(), package.records.len()))
         })?;
         if frame_bytes.len() as u64 > reserved.w_size {

@@ -49,7 +49,7 @@ use std::sync::OnceLock;
 use kshot_crypto::dh::{DhKeyPair, DhParams};
 use kshot_machine::flight::{fnv1a, JournalOp};
 use kshot_machine::{AccessCtx, CpuMode, Machine, MachineError, SimTime};
-use kshot_patchserver::channel::{ChannelError, Frame, SecureChannel};
+use kshot_patchserver::channel::{ChannelError, FrameLayout, SecureChannel};
 use kshot_patchserver::wire::WireError;
 
 use crate::package::{PackageOp, PatchPackage, VerificationAlgorithm};
@@ -1013,14 +1013,20 @@ impl SmmHandler {
         if staged_len == 0 || staged_len > reserved.w_size {
             return Err(SmmError::BadStagedLength(staged_len));
         }
-        let mut ciphertext = vec![0u8; staged_len as usize];
-        machine.read_bytes(AccessCtx::Smm, reserved.w_base, &mut ciphertext)?;
-        let decrypt_cost = machine.cost().smm_decrypt.for_bytes(ciphertext.len());
+        // Copy the staged frame out of mem_W first: the OS can rewrite
+        // mem_W at any time, so SMM verifies and decrypts only its own
+        // copy, and does both in that copy.
+        let mut staged = vec![0u8; staged_len as usize];
+        machine.read_bytes(AccessCtx::Smm, reserved.w_base, &mut staged)?;
+        let decrypt_cost = machine.cost().smm_decrypt.for_bytes(staged.len());
         machine.charge(decrypt_cost);
-        let frame = Frame::decode(&ciphertext).map_err(SmmError::Package)?;
+        let frame = FrameLayout::parse(&staged).map_err(SmmError::Package)?;
         let mut channel = SecureChannel::new(key);
-        let plaintext = channel.open(&frame).map_err(SmmError::Channel)?;
-        let package = PatchPackage::decode(&plaintext).map_err(SmmError::Package)?;
+        let plaintext = &mut staged[frame.ciphertext];
+        channel
+            .open_in_place(frame.seq, plaintext, &frame.mac)
+            .map_err(SmmError::Channel)?;
+        let package = PatchPackage::decode(plaintext).map_err(SmmError::Package)?;
         timings.decrypt = machine.now() - t1;
         decrypt_span.field("bytes", staged_len);
         decrypt_span.end_at(machine.now().as_ns());
@@ -1243,7 +1249,7 @@ impl SmmHandler {
                                     orig: orig16,
                                     paddr: rec.paddr,
                                     size: rec.payload.len() as u32,
-                                    memx_hash: kshot_crypto::sha256(&rec.payload),
+                                    memx_hash: rec.memx_hash(package.algorithm),
                                     id: seg.id.clone(),
                                 },
                             )?;
@@ -1562,6 +1568,17 @@ impl SmmHandler {
 impl crate::package::PackageRecord {
     fn skip_u64(&self) -> u64 {
         self.ftrace_skip as u64
+    }
+
+    /// The SHA-256 of the placed body, which introspection checks
+    /// `mem_X` against. Under SHA-256 verification it is the payload
+    /// hash [`verify_payload`](Self::verify_payload) has just checked
+    /// against these very bytes; under SDBM it is computed here.
+    fn memx_hash(&self, algorithm: VerificationAlgorithm) -> [u8; 32] {
+        match algorithm {
+            VerificationAlgorithm::Sha256 => self.payload_hash,
+            VerificationAlgorithm::Sdbm => kshot_crypto::sha256(&self.payload),
+        }
     }
 }
 

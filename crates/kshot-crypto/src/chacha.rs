@@ -106,6 +106,7 @@ impl ChaCha20 {
     /// Calling `apply` twice on the same instance continues the keystream;
     /// to decrypt, construct a fresh instance with the same key/nonce.
     pub fn apply(&mut self, data: &mut [u8]) {
+        crate::counters::add_chacha20(data.len());
         #[cfg(target_arch = "x86_64")]
         let data = if avx2_available() {
             let (groups, rest) = data.as_chunks_mut::<{ 8 * 64 }>();

@@ -36,6 +36,8 @@
 //!   exponents and serves as the reference for both arithmetics.
 //! * [`sdbm`] — the cheap SDBM hash the paper mentions as a faster
 //!   alternative to SHA-2 for patch verification (§VI-C2).
+//! * [`counters`] — per-thread counts of the bytes SHA-256 and ChaCha20
+//!   have processed, for tests that pin the passes a patch makes.
 //!
 //! **Security note**: these implementations are written for correctness and
 //! clarity, not constant-time operation; the reproduction's threat-model
@@ -50,6 +52,7 @@
 
 pub mod bignum;
 pub mod chacha;
+pub mod counters;
 pub mod dh;
 mod field;
 pub mod hmac;

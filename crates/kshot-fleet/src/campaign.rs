@@ -246,6 +246,16 @@ pub fn run_campaign(
         },
         batched: config.batched_smi && !config.catalogue.is_empty(),
     };
+    // Decode each distinct blob once, here on the campaign thread and
+    // outside every machine's recorder scope. Every machine's lookup is
+    // then a hit, so no machine's parcel depends on which worker reached
+    // the empty cache first. A blob that fails to decode is not cached,
+    // and each machine reports the failure itself.
+    for (i, bytes) in run.patches.iter().enumerate() {
+        if !run.patches[..i].contains(bytes) {
+            let _ = cache.get_or_decode(bytes);
+        }
+    }
 
     // The health monitor tails the worker shard files; arming it
     // without streaming would silently watch nothing, so fail loudly.
@@ -947,11 +957,9 @@ mod tests {
         assert_eq!(report.failed, 0);
         assert_eq!(report.retries, 0);
         assert!(report.all_identical_digests());
-        // The bundle is decoded once and shared; with two concurrent
-        // workers both may miss the empty cache, but every lookup is
-        // accounted for.
-        assert!(report.cache_misses >= 1);
-        assert_eq!(report.cache_hits + report.cache_misses, 4);
+        // The campaign decodes the bundle once before the workers start;
+        // every machine's lookup is a hit.
+        assert_eq!((report.cache_hits, report.cache_misses), (4, 1));
         assert!(report.latency_max.as_ns() > 0);
         // Occupancy is reported per worker, in worker order.
         assert_eq!(report.worker_occupancy.len(), 2);
@@ -1178,7 +1186,7 @@ mod tests {
         let report = run_campaign(&target, &[], &config);
         assert_eq!(report.succeeded, 4);
         assert_eq!(report.cache_misses, 2, "each catalogue blob decodes once");
-        assert_eq!(report.cache_hits, 6, "4 machines x 2 blobs = 8 lookups");
+        assert_eq!(report.cache_hits, 8, "4 machines x 2 blobs = 8 lookups");
     }
 
     /// A fault inside a batched apply unwinds only the interrupted
@@ -1344,6 +1352,39 @@ mod tests {
         assert_eq!(a.retries, b.retries);
         assert_eq!(seq.latency_p50, piped.latency_p50);
         assert_eq!(seq.latency_max, piped.latency_max);
+    }
+
+    /// The first decode of the bundle is the campaign's, not a
+    /// machine's: no shard parcel carries the miss, whichever worker
+    /// reaches the cache first, and every machine's parcel carries one
+    /// hit.
+    #[test]
+    fn cache_miss_is_never_charged_to_a_machine() {
+        let (target, bytes) = campaign_fixture();
+        let dir = std::env::temp_dir().join(format!("kshot-cache-miss-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        const WORKERS: usize = 2;
+        let config = FleetConfig::new(8, WORKERS)
+            .with_seed(5)
+            .with_stream_dir(&dir);
+        let report = run_campaign(&target, &bytes, &config);
+        assert_eq!(report.succeeded, 8);
+        let mut hit_lines = 0;
+        for worker in 0..WORKERS {
+            let text = std::fs::read_to_string(dir.join(format!("worker-{worker}.jsonl")))
+                .expect("worker shard");
+            assert!(
+                !text.contains("cache.bundle_miss"),
+                "worker {worker}'s shard charges the miss to a machine"
+            );
+            hit_lines += text
+                .lines()
+                .filter(|l| l.contains("\"cache.bundle_hit\""))
+                .count();
+        }
+        assert_eq!(hit_lines, 8, "one hit line per machine");
+        assert_eq!((report.cache_hits, report.cache_misses), (8, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Fold + streaming: every worker seals the same parcels as a

@@ -79,7 +79,8 @@ pub(crate) enum SessionState {
         /// Wall-clock instant the delivery completes.
         deadline: Instant,
     },
-    /// CPU: decode the bundle (shared cache) and run the patch session.
+    /// CPU: look the bundles up in the shared cache and run the patch
+    /// session.
     Patch,
     /// Waiting-then-CPU: a failed attempt's retry backoff. The backoff
     /// itself is charged to the machine's *simulated* clock (identical
@@ -305,13 +306,17 @@ impl MachineSession {
                 }
             }
         }
-        // Borrow the fleet's decoded bundles: a copy per machine would
-        // cost a megabyte on large patches.
+        // Borrow the fleet's decoded bundles for a batch: a copy per
+        // machine would cost a megabyte on large patches. A single patch
+        // needs no decode at all: the server seals the bytes the
+        // campaign holds, which the lookup just matched to a verified
+        // entry.
         let attempt = if run.batched {
             self.system()
                 .live_patch_batch_bundles(decoded.iter().map(Arc::as_ref))
         } else {
-            self.system().live_patch_bundle(decoded[0].as_ref())
+            let wire = run.patches[self.next_patch];
+            self.system().live_patch_wire(wire)
         };
         // Fold injection stats on the success path too: an armed but
         // unfired plan (write index never reached) would otherwise

@@ -228,8 +228,8 @@ type OutcomeRow = (usize, bool, u32, u64, u64, Option<u64>, [u8; 32]);
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     outcomes: Vec<OutcomeRow>,
-    /// Shard counter totals, the cache hit/miss split (which depends on
-    /// which workers race the first decode) folded into one total.
+    /// Shard counter totals, matching exactly (every machine's bundle
+    /// lookup is a hit).
     counters: BTreeMap<String, u64>,
     /// Shard sketch totals, each rendered as its line.
     sketches: BTreeMap<String, String>,
@@ -247,10 +247,6 @@ fn fingerprint(report: &CampaignReport, dir: &Path, workers: usize) -> Fingerpri
             .parse_into(&std::fs::read_to_string(&path).unwrap())
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
-    let mut counters = shards.counters.clone();
-    let lookups = counters.remove("cache.bundle_hit").unwrap_or(0)
-        + counters.remove("cache.bundle_miss").unwrap_or(0);
-    counters.insert("cache.bundle_lookups".to_string(), lookups);
     Fingerprint {
         outcomes: report
             .outcomes
@@ -267,7 +263,7 @@ fn fingerprint(report: &CampaignReport, dir: &Path, workers: usize) -> Fingerpri
                 )
             })
             .collect(),
-        counters,
+        counters: shards.counters.clone(),
         sketches: shards
             .sketches
             .iter()

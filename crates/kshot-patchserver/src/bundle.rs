@@ -208,6 +208,13 @@ impl PatchBundle {
         Ok(out)
     }
 
+    /// The id an encoded bundle names in its first field, read without
+    /// verifying anything else: a label for telemetry ahead of the
+    /// checked [`PatchBundle::decode`].
+    pub fn peek_id(bytes: &[u8]) -> Option<String> {
+        Reader::new(bytes).get_str("id").ok()
+    }
+
     /// Deserialize from wire bytes, verifying the integrity hash.
     ///
     /// # Errors
@@ -450,6 +457,16 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn peek_id_reads_the_first_field() {
+        let bytes = sample_bundle().encode();
+        assert_eq!(
+            PatchBundle::peek_id(&bytes).as_deref(),
+            Some("CVE-2017-17806")
+        );
+        assert_eq!(PatchBundle::peek_id(&bytes[..6]), None);
     }
 
     #[test]

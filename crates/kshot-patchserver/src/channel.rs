@@ -10,6 +10,7 @@
 //! mechanical counterpart, and [`Tamper`] provides the attackers.
 
 use std::fmt;
+use std::ops::Range;
 
 use kshot_crypto::chacha::ChaCha20;
 use kshot_crypto::dh::{DhError, DhKeyPair, DhParams, SessionKey};
@@ -40,19 +41,51 @@ impl Frame {
         w.into_bytes().expect("ciphertext fits the wire format")
     }
 
-    /// Deserialize.
+    /// Deserialize: [`FrameLayout::parse`], then a copy of the
+    /// ciphertext.
     ///
     /// # Errors
     ///
     /// [`WireError`] on malformed bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let layout = FrameLayout::parse(bytes)?;
+        Ok(Self {
+            seq: layout.seq,
+            ciphertext: bytes[layout.ciphertext].to_vec(),
+            mac: layout.mac,
+        })
+    }
+}
+
+/// Where an encoded frame's fields lie in its bytes. This is the one
+/// frame parser: [`Frame::decode`] copies the ciphertext out, and a
+/// receiver that owns the encoded bytes decrypts the ciphertext where
+/// it lies with [`SecureChannel::open_in_place`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameLayout {
+    /// Sequence number.
+    pub seq: u64,
+    /// Where the ciphertext lies in the encoded bytes.
+    pub ciphertext: Range<usize>,
+    /// HMAC-SHA256 over `seq || ciphertext`.
+    pub mac: [u8; 32],
+}
+
+impl FrameLayout {
+    /// Locate the fields of the encoded frame `bytes`.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] on malformed bytes: truncated, a ciphertext length
+    /// past the end, or trailing bytes.
+    pub fn parse(bytes: &[u8]) -> Result<FrameLayout, WireError> {
         let mut r = Reader::new(bytes);
         let seq = r.get_u64("seq")?;
-        let ciphertext = r.get_bytes("ciphertext")?;
+        let ciphertext = r.get_bytes_range("ciphertext")?;
         let mut mac = [0u8; 32];
         mac.copy_from_slice(r.get_raw(32, "mac")?);
         r.finish()?;
-        Ok(Self {
+        Ok(FrameLayout {
             seq,
             ciphertext,
             mac,
@@ -161,51 +194,78 @@ impl SecureChannel {
         Ok((SecureChannel::new(ka), SecureChannel::new(kb)))
     }
 
-    /// Encrypt and authenticate `plaintext` into the next frame.
+    /// Encrypt and authenticate a copy of `plaintext` into the next
+    /// frame ([`SecureChannel::seal_owned`] on the copy).
     pub fn seal(&mut self, plaintext: &[u8]) -> Frame {
+        self.seal_owned(plaintext.to_vec())
+    }
+
+    /// Encrypt and authenticate the plaintext `data` into the next
+    /// frame. The buffer is encrypted where it lies and becomes the
+    /// frame's ciphertext.
+    pub fn seal_owned(&mut self, mut data: Vec<u8>) -> Frame {
         kshot_telemetry::counter("channel.frames_sealed", 1);
         let seq = self.send_seq;
         self.send_seq += 1;
         self.sent_high = self.sent_high.max(self.send_seq);
         let nonce = self.key.nonce_for(seq);
-        let mut ciphertext = plaintext.to_vec();
-        ChaCha20::new(self.key.as_bytes(), &nonce).apply(&mut ciphertext);
-        let mac = mac_for(&self.key, seq, &ciphertext);
+        ChaCha20::new(self.key.as_bytes(), &nonce).apply(&mut data);
+        let mac = mac_for(&self.key, seq, &data);
         Frame {
             seq,
-            ciphertext,
+            ciphertext: data,
             mac,
         }
     }
 
-    /// Verify and decrypt a frame.
+    /// Verify and decrypt a copy of a frame's ciphertext
+    /// ([`SecureChannel::open_in_place`] on the copy).
+    ///
+    /// # Errors
+    ///
+    /// As [`SecureChannel::open_in_place`].
+    pub fn open(&mut self, frame: &Frame) -> Result<Vec<u8>, ChannelError> {
+        let mut plaintext = frame.ciphertext.clone();
+        self.open_in_place(frame.seq, &mut plaintext, &frame.mac)?;
+        Ok(plaintext)
+    }
+
+    /// Verify the frame (`seq`, `data`, `mac`) and decrypt `data` where
+    /// it lies. The MAC and the sequence are checked before any byte is
+    /// decrypted, so on every error `data` and the channel state are
+    /// left as they were.
     ///
     /// # Errors
     ///
     /// [`ChannelError::BadMac`] on tampering, [`ChannelError::Replay`]
     /// on repeated/regressed sequence numbers,
-    /// [`ChannelError::Desync`] on a sequence gap (dropped frames; the
-    /// channel state is untouched and a resend recovers).
-    pub fn open(&mut self, frame: &Frame) -> Result<Vec<u8>, ChannelError> {
-        let expected_mac = mac_for(&self.key, frame.seq, &frame.ciphertext);
-        if !verify(&expected_mac, &frame.mac) {
+    /// [`ChannelError::Desync`] on a sequence gap (dropped frames; a
+    /// resend recovers).
+    pub fn open_in_place(
+        &mut self,
+        seq: u64,
+        data: &mut [u8],
+        mac: &[u8; 32],
+    ) -> Result<(), ChannelError> {
+        let expected_mac = mac_for(&self.key, seq, data);
+        if !verify(&expected_mac, mac) {
             kshot_telemetry::counter("channel.bad_mac", 1);
             kshot_telemetry::event_with("channel.bad_mac", None, |f| {
-                f.push(("seq", frame.seq.into()));
+                f.push(("seq", seq.into()));
             });
             return Err(ChannelError::BadMac);
         }
-        match frame.seq.cmp(&self.recv_seq) {
+        match seq.cmp(&self.recv_seq) {
             std::cmp::Ordering::Less => {
                 // A frame we already consumed: replay.
                 kshot_telemetry::counter("channel.replay", 1);
                 kshot_telemetry::event_with("channel.replay", None, |f| {
                     f.push(("expected", self.recv_seq.into()));
-                    f.push(("got", frame.seq.into()));
+                    f.push(("got", seq.into()));
                 });
                 return Err(ChannelError::Replay {
                     expected: self.recv_seq,
-                    got: frame.seq,
+                    got: seq,
                 });
             }
             std::cmp::Ordering::Greater => {
@@ -215,21 +275,20 @@ impl SecureChannel {
                 kshot_telemetry::counter("channel.desync", 1);
                 kshot_telemetry::event_with("channel.desync", None, |f| {
                     f.push(("expected", self.recv_seq.into()));
-                    f.push(("got", frame.seq.into()));
+                    f.push(("got", seq.into()));
                 });
                 return Err(ChannelError::Desync {
                     expected: self.recv_seq,
-                    got: frame.seq,
+                    got: seq,
                 });
             }
             std::cmp::Ordering::Equal => {}
         }
         kshot_telemetry::counter("channel.frames_opened", 1);
         self.recv_seq += 1;
-        let nonce = self.key.nonce_for(frame.seq);
-        let mut plaintext = frame.ciphertext.clone();
-        ChaCha20::new(self.key.as_bytes(), &nonce).apply(&mut plaintext);
-        Ok(plaintext)
+        let nonce = self.key.nonce_for(seq);
+        ChaCha20::new(self.key.as_bytes(), &nonce).apply(data);
+        Ok(())
     }
 
     /// Produce an authenticated acknowledgement of the next sequence
@@ -523,6 +582,58 @@ mod tests {
         let frame = tx.seal(b"secret");
         let mut eve = SecureChannel::new(SessionKey([0xEE; 32]));
         assert_eq!(eve.open(&frame).unwrap_err(), ChannelError::BadMac);
+    }
+
+    #[test]
+    fn seal_owned_equals_seal_and_leaves_the_same_state() {
+        let (tx, _) = pair();
+        let (mut by_ref, mut owned) = (tx.clone(), tx);
+        for m in [&b"first"[..], b"", &[0xA5; 1500]] {
+            assert_eq!(owned.seal_owned(m.to_vec()), by_ref.seal(m));
+            assert_eq!(
+                (owned.send_seq, owned.recv_seq, owned.sent_high),
+                (by_ref.send_seq, by_ref.recv_seq, by_ref.sent_high)
+            );
+        }
+    }
+
+    #[test]
+    fn open_in_place_failures_leave_buffer_and_sequence_untouched() {
+        let (mut tx, mut rx) = pair();
+        let f0 = tx.seal(b"zero");
+        let f1 = tx.seal(b"one");
+        let f2 = tx.seal(b"two");
+        rx.open(&f0).unwrap();
+        let tampered = Tamper::FlipCiphertextBit { index: 1 }.apply(&f1);
+        let cases = [
+            (&tampered, ChannelError::BadMac),
+            (
+                &f0,
+                ChannelError::Replay {
+                    expected: 1,
+                    got: 0,
+                },
+            ),
+            (
+                &f2,
+                ChannelError::Desync {
+                    expected: 1,
+                    got: 2,
+                },
+            ),
+        ];
+        for (frame, want) in cases {
+            let mut buf = frame.ciphertext.clone();
+            let err = rx.open_in_place(frame.seq, &mut buf, &frame.mac);
+            assert_eq!(err, Err(want));
+            assert_eq!(buf, frame.ciphertext, "buffer untouched");
+            assert_eq!(rx.recv_seq, 1, "receive sequence untouched");
+        }
+        // The in-order frame opens in place afterwards.
+        let mut buf = f1.ciphertext.clone();
+        rx.open_in_place(f1.seq, &mut buf, &f1.mac).unwrap();
+        assert_eq!(buf, b"one");
+        assert_eq!(rx.recv_seq, 2);
     }
 
     #[test]

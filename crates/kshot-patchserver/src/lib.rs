@@ -35,6 +35,6 @@ pub mod wire;
 
 pub use bundle::{GlobalOp, PatchBundle, PatchEntry, RelocTarget};
 pub use cache::BundleCache;
-pub use channel::{ChannelError, Frame, SecureChannel, Tamper};
+pub use channel::{ChannelError, Frame, FrameLayout, SecureChannel, Tamper};
 pub use patch::SourcePatch;
 pub use server::{PatchServer, ServerError};

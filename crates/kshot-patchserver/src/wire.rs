@@ -2,6 +2,7 @@
 //! the SGX→SMM patch package (paper Fig. 3).
 
 use std::fmt;
+use std::ops::Range;
 
 /// Bytes a [`Writer`] grows by beyond what a field needs. Without them,
 /// a megabyte payload followed by a four-byte count reallocates to
@@ -224,6 +225,14 @@ impl<'a> Reader<'a> {
     /// checked against the remaining buffer *before* any allocation,
     /// so a corrupt prefix cannot drive an outsized `Vec`.
     pub fn get_bytes(&mut self, what: &'static str) -> Result<Vec<u8>, WireError> {
+        let range = self.get_bytes_range(what)?;
+        Ok(self.buf[range].to_vec())
+    }
+
+    /// Read a length-prefixed byte string and return where it lies in
+    /// the buffer instead of a copy, for callers that work on the bytes
+    /// in place. Fails exactly as [`Reader::get_bytes`] does.
+    pub fn get_bytes_range(&mut self, what: &'static str) -> Result<Range<usize>, WireError> {
         let len = self.get_u32(what)? as usize;
         if len > self.remaining() {
             return Err(WireError::BadLength {
@@ -232,7 +241,9 @@ impl<'a> Reader<'a> {
                 remaining: self.remaining(),
             });
         }
-        Ok(self.take(len, what)?.to_vec())
+        let start = self.pos;
+        self.take(len, what)?;
+        Ok(start..self.pos)
     }
 
     /// Read a `u32` element count and validate it against the
