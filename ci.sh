@@ -42,14 +42,17 @@ cargo test -q -p kshot-patchserver --test prop_channel_orderings
 #
 # The 2^512 - c field and the generator comb against BigUint::modpow:
 # bases 0, 1, p - 1, non-canonical and wide; exponents 0, 1, every width
-# from 1 to 512 bits and the 257-bit key; products whose fold carries
-# past 2^512; a comb for a generator >= p; MODP-2048 keygens through
-# the comb. Degenerate generators fail at construction, and HMAC over
-# parts equals HMAC over their concatenation. The log names the default
-# group's arithmetic.
+# from 1 to 264 bits, the 257-bit key and 2^264 - 1, with 2^264 and
+# 2^512 refused by the comb; products whose fold carries past 2^512; a
+# comb for a generator >= p; MODP-2048 keygens through the comb. Keys
+# from 32 to 64 bytes of entropy, through the comb or past it through
+# the window, equal modpow and agree on both groups. Degenerate
+# generators fail at construction, and HMAC over parts equals HMAC over
+# their concatenation. The log names the default group's arithmetic.
 echo "== crypto fast paths vs reference =="
 cargo test -q -p kshot-crypto montgomery
 cargo test -q -p kshot-crypto golden_dh_values
+cargo test -q -p kshot-crypto keygens_at_and_past_the_comb_width_match_modpow_and_agree
 cargo test -q -p kshot-crypto pseudo_mersenne
 cargo test -q -p kshot-crypto comb_
 cargo test -q -p kshot-crypto new_picks_the_arithmetic_from_the_modulus_shape
@@ -57,7 +60,7 @@ cargo test -q -p kshot-crypto new_rejects_degenerate_generator
 cargo test -q -p kshot-crypto --test prop_crypto hmac_parts_equal_the_concatenation
 cargo test -q -p kshot-crypto dh::tests::default_group_arithmetic_is_reported -- --nocapture \
   | tee target/dh_path.log
-grep -Fq "dh default group: pseudo-mersenne 2^512-569, comb 8x64" target/dh_path.log
+grep -Fq "dh default group: pseudo-mersenne 2^512-569, comb 8x33" target/dh_path.log
 cargo test -q -p kshot-crypto sha256::tests::fips_vectors_through_both_compressors
 cargo test -q -p kshot-crypto sha256::tests::dispatched_sha256_equals_portable_over_random_splits
 cargo test -q -p kshot-crypto sha256::tests::dispatched_compressor_is_reported -- --nocapture \
@@ -128,6 +131,12 @@ cargo test -q -p kshot-fleet --test prop_fleet_identical
 # machine's shard parcel carries the cache miss, whichever worker is
 # first: every parcel carries one hit.
 cargo test -q -p kshot-fleet cache_miss_is_never_charged_to_a_machine
+# The campaign hashes a kernel text once while its machines carry that
+# text: a repeated text adds exactly its length fewer SHA-256 bytes, a
+# text differing in its first, last or one middle byte (or alternating
+# with another) digests to its own SHA-256, and a rolled-back machine
+# still digests equal to a never-patched one.
+cargo test -q -p kshot-fleet text_memo_
 
 # Committed-fault gates: a fault at every SMM write of the first patch
 # SMI, in four shapes (the bundle, a one-entry catalogue, a sequential

@@ -19,9 +19,11 @@
 //! The two exponentiations cost differently:
 //!
 //! * A keygen ([`DhKeyPair::from_entropy`]) raises the fixed generator.
-//!   It runs through the group's comb (8 teeth × 64 columns, a table of
-//!   256 elements built on the group's first keygen): 63 squarings and
-//!   at most 64 multiplies for any exponent below 2^512.
+//!   It runs through the group's comb (8 teeth × 33 columns, a table of
+//!   256 elements built on the group's first keygen): 32 squarings and
+//!   at most 33 multiplies for any exponent below 2^264, which holds
+//!   every key drawn from at most 32 bytes of entropy. A wider key
+//!   takes the 4-bit window.
 //! * An agreement ([`DhKeyPair::agree`]) raises the peer's value. It
 //!   uses a 4-bit window: about 252 squarings and 64 multiplies for a
 //!   256-bit private key.
@@ -38,7 +40,7 @@
 use std::sync::OnceLock;
 
 use crate::bignum::BigUint;
-use crate::field::{self, Comb, Field};
+use crate::field::{self, Comb, Field, COLUMNS, TEETH};
 use crate::montgomery::Montgomery;
 use crate::pseudo_mersenne::PseudoMersenne;
 use crate::sha256::Sha256;
@@ -89,8 +91,8 @@ impl<F: Field> Powers<F> {
     }
 
     /// `g^exp mod p` through the comb for `g`, which the first call
-    /// builds from `g mod p`. Exponents of 2^512 and above, which only
-    /// a group wider than 512 bits produces, take the window.
+    /// builds from `g mod p`. Exponents of 2^264 and above, which only
+    /// entropy wider than 32 bytes produces, take the window.
     fn pow_generator(&self, p: &BigUint, g: &BigUint, exp: &BigUint) -> BigUint {
         let comb = self.comb.get_or_init(|| Comb::new(&self.field, &g.rem(p)));
         comb.pow(&self.field, exp)
@@ -207,14 +209,14 @@ impl DhParams {
     }
 
     /// The group's arithmetic, for example
-    /// `pseudo-mersenne 2^512-569, comb 8x64`.
+    /// `pseudo-mersenne 2^512-569, comb 8x33`.
     fn arithmetic(&self) -> String {
         let field = match &self.exp {
             Exponentiator::PseudoMersenne(f) => format!("pseudo-mersenne 2^512-{}", f.field.c()),
             Exponentiator::Limbs8(_) => "montgomery 8 limbs".to_string(),
             Exponentiator::Limbs32(_) => "montgomery 32 limbs".to_string(),
         };
-        format!("{field}, comb 8x64")
+        format!("{field}, comb {TEETH}x{COLUMNS}")
     }
 
     /// `base^exp mod p`, through the 4-bit window.
@@ -536,7 +538,7 @@ mod tests {
         }
     }
 
-    /// Every keygen runs through the comb (exponents below 2^512) or
+    /// Every keygen runs through the comb (exponents below 2^264) or
     /// the window (above): both equal `modpow` on both groups, for
     /// short, 32-byte, 64-byte and long entropy, and for entropy of
     /// 2^256 − 1, whose private key 2^256 + 1 has 257 bits.
@@ -559,6 +561,35 @@ mod tests {
         }
         let key = DhKeyPair::from_entropy(&DhParams::default_group(), &[0xFF; 32]).unwrap();
         assert_eq!(key.private.bit_len(), 257);
+    }
+
+    /// Keys from 32 and 33 bytes of entropy fit the comb's 264 bits;
+    /// keys from 34 and 64 bytes do not and take the window. On both
+    /// groups every public value equals `modpow`, and the two keys of
+    /// each width agree on one session key.
+    #[test]
+    fn keygens_at_and_past_the_comb_width_match_modpow_and_agree() {
+        let wide = |len: usize, tag: u8| {
+            let mut e: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(67) ^ tag).collect();
+            e[0] |= 0x80;
+            e
+        };
+        for params in [DhParams::default_group(), DhParams::modp_2048()] {
+            for len in [32, 33, 34, 64] {
+                let alice = DhKeyPair::from_entropy(&params, &wide(len, 1)).unwrap();
+                let bob = DhKeyPair::from_entropy(&params, &wide(len, 2)).unwrap();
+                for pair in [&alice, &bob] {
+                    assert_eq!(pair.private.bit_len(), 8 * len, "{len} entropy bytes");
+                    let want = params.g.modpow(&pair.private, &params.p);
+                    assert_eq!(pair.public, want, "{len} entropy bytes");
+                }
+                assert_eq!(
+                    alice.agree(&params, bob.public()).unwrap(),
+                    bob.agree(&params, alice.public()).unwrap(),
+                    "{len} entropy bytes"
+                );
+            }
+        }
     }
 
     /// A generator given as `g + k·p` builds its comb from `g mod p`,
@@ -595,24 +626,24 @@ mod tests {
         let arithmetic = |p: BigUint| DhParams::new(p, two.clone()).arithmetic();
         assert_eq!(
             arithmetic(below(569)),
-            "pseudo-mersenne 2^512-569, comb 8x64"
+            "pseudo-mersenne 2^512-569, comb 8x33"
         );
-        assert_eq!(arithmetic(below(1)), "pseudo-mersenne 2^512-1, comb 8x64");
+        assert_eq!(arithmetic(below(1)), "pseudo-mersenne 2^512-1, comb 8x33");
         assert_eq!(
             arithmetic(below((1 << 32) + 1)),
-            "montgomery 8 limbs, comb 8x64"
+            "montgomery 8 limbs, comb 8x33"
         );
         assert_eq!(
             arithmetic(BigUint::one().shl(511).add(&BigUint::one())),
-            "montgomery 8 limbs, comb 8x64"
+            "montgomery 8 limbs, comb 8x33"
         );
         assert_eq!(
             arithmetic(BigUint::from_u64(1_000_003)),
-            "montgomery 8 limbs, comb 8x64"
+            "montgomery 8 limbs, comb 8x33"
         );
         assert_eq!(
             DhParams::modp_2048().arithmetic(),
-            "montgomery 32 limbs, comb 8x64"
+            "montgomery 32 limbs, comb 8x33"
         );
     }
 

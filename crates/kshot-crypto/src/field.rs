@@ -9,8 +9,8 @@
 //!   squarings and at most `⌈k/4⌉` multiplies for a `k`-bit exponent,
 //!   after 14 multiplies that fill the window table.
 //! * [`Comb`] serves one fixed base, the DH generator. It is a comb of
-//!   8 teeth by 64 columns over a 256-entry table. Any exponent below
-//!   2^512 costs 63 squarings and at most 64 multiplies.
+//!   8 teeth by 33 columns over a 256-entry table. Any exponent below
+//!   2^264 costs 32 squarings and at most 33 multiplies.
 //!
 //! [`BigUint::modpow`] is the reference both are tested against.
 //!
@@ -85,19 +85,25 @@ pub(crate) fn pow<F: Field>(field: &F, base: &BigUint, exp: &BigUint) -> BigUint
     field.leave(&acc)
 }
 
-/// Teeth of the comb: one per 64-bit limb of a 512-bit exponent.
-const TEETH: usize = 8;
+/// Teeth of the comb.
+pub(crate) const TEETH: usize = 8;
 
-/// Columns of the comb: the bit positions within one limb.
-const COLUMNS: usize = 64;
+/// Columns of the comb: the distance, in exponent bits, between two
+/// adjacent teeth. Eight teeth 33 bits apart reach 264 bits, which
+/// holds every private key drawn from at most 32 bytes of entropy
+/// (those keys stay below 2^256 + 2).
+pub(crate) const COLUMNS: usize = 33;
+
+/// Limbs that hold every exponent the comb reaches.
+const LIMBS: usize = (TEETH * COLUMNS).div_ceil(64);
 
 /// A fixed-base comb for one generator `g`.
 ///
-/// Tooth `j` reads exponent bit `64·j + col`, that is bit `col` of limb
-/// `j`. Column `col` of the exponent therefore selects the table entry
-/// whose bit `j` is that bit, and `table[i]` holds the product of
-/// `g^(2^(64·j))` over the set bits `j` of `i`. Walking the columns from
-/// 63 down to 0 with one squaring between them computes `g^exp`.
+/// Tooth `j` reads exponent bit `33·j + col`. Column `col` of the
+/// exponent therefore selects the table entry whose bit `j` is that
+/// bit, and `table[i]` holds the product of `g^(2^(33·j))` over the set
+/// bits `j` of `i`. Walking the columns from 32 down to 0 with one
+/// squaring between them computes `g^exp`.
 ///
 /// The table is 256 elements: 16 KiB at 512 bits, 64 KiB at 2048.
 #[derive(Clone)]
@@ -106,10 +112,10 @@ pub(crate) struct Comb<E> {
 }
 
 impl<E: Copy> Comb<E> {
-    /// The comb for generator `g`: 448 squarings and 247 multiplies.
+    /// The comb for generator `g`: 231 squarings and 247 multiplies.
     pub(crate) fn new<F: Field<Elem = E>>(field: &F, g: &BigUint) -> Self {
         let mut table = [field.one(); 1 << TEETH];
-        // g^(2^(64·j)) for the tooth j being filled.
+        // g^(2^(33·j)) for the tooth j being filled.
         let mut tooth = field.enter(g);
         for j in 0..TEETH {
             let bit = 1 << j;
@@ -126,22 +132,28 @@ impl<E: Copy> Comb<E> {
         Self { table }
     }
 
-    /// `g^exp mod m`, or `None` when `exp ≥ 2^512`, which is wider than
+    /// `g^exp mod m`, or `None` when `exp ≥ 2^264`, which is wider than
     /// the comb's eight teeth reach.
     pub(crate) fn pow<F: Field<Elem = E>>(&self, field: &F, exp: &BigUint) -> Option<BigUint> {
-        if exp.limbs().len() > TEETH {
+        if exp.bit_len() > TEETH * COLUMNS {
             return None;
         }
-        let limbs = to_limbs::<TEETH>(exp);
+        let e = to_limbs::<LIMBS>(exp);
+        // teeth[j] holds exponent bits 33·j up to 33·j + 32.
+        let teeth: [u64; TEETH] = std::array::from_fn(|j| {
+            let (limb, shift) = (COLUMNS * j / 64, COLUMNS * j % 64);
+            let pair = u128::from(e[limb]) | u128::from(e[limb + 1]) << 64;
+            (pair >> shift) as u64 & ((1 << COLUMNS) - 1)
+        });
         let mut acc = field.one();
         for col in (0..COLUMNS).rev() {
             if col + 1 < COLUMNS {
                 acc = field.sqr(&acc);
             }
-            let idx = limbs
+            let idx = teeth
                 .iter()
                 .enumerate()
-                .fold(0, |idx, (j, &l)| idx | (((l >> col) & 1) as usize) << j);
+                .fold(0, |idx, (j, &t)| idx | (((t >> col) & 1) as usize) << j);
             if idx != 0 {
                 acc = field.mul(&acc, &self.table[idx]);
             }
@@ -172,8 +184,9 @@ pub(crate) mod tests {
     }
 
     /// The comb for `g` against `BigUint::modpow` at exponents 0, 1,
-    /// the 257-bit key 2^256 + 1, 2^512 − 1, and every width in
-    /// `widths`; exponents of 2^512 and above are refused.
+    /// the 257-bit key 2^256 + 1, 2^264 − 1, and every width in
+    /// `widths`; exponents of 2^264 and 2^512, past its reach, are
+    /// refused.
     fn check_comb<F: Field>(field: &F, m: &BigUint, g: &BigUint, widths: &[usize]) {
         let comb = Comb::new(field, g);
         let mut rng = TestRng::seed_from_u64(m.bit_len() as u64);
@@ -182,19 +195,20 @@ pub(crate) mod tests {
             BigUint::zero(),
             one.clone(),
             one.shl(256).add(&one),
-            one.shl(512).checked_sub(&one).unwrap(),
+            one.shl(264).checked_sub(&one).unwrap(),
         ];
         exps.extend(widths.iter().map(|&w| of_width(&mut rng, w)));
         for e in &exps {
             assert_eq!(comb.pow(field, e), Some(g.modpow(e, m)), "{g} ^ {e}");
         }
+        assert_eq!(comb.pow(field, &one.shl(264)), None);
         assert_eq!(comb.pow(field, &one.shl(512)), None);
     }
 
     #[test]
     fn comb_matches_modpow_at_every_exponent_width() {
         let p = default_prime();
-        let all: Vec<usize> = (1..=512).collect();
+        let all: Vec<usize> = (1..=264).collect();
         check_comb(
             &PseudoMersenne::new(&p).unwrap(),
             &p,
@@ -215,7 +229,7 @@ pub(crate) mod tests {
     fn comb_for_a_generator_at_or_above_p_matches_modpow() {
         let p = default_prime();
         let field = PseudoMersenne::new(&p).unwrap();
-        let widths = [1, 63, 64, 65, 255, 256, 257, 448, 511, 512];
+        let widths = [1, 32, 33, 34, 63, 64, 65, 231, 232, 255, 256, 257, 263, 264];
         for g in [
             p.add(&BigUint::from_u64(2)),
             BigUint::one()

@@ -39,7 +39,7 @@ use crate::report::{CampaignHealth, CampaignReport, WorkerOccupancy};
 use crate::rollout::{
     RolloutController, RolloutGate, RolloutPlan, RolloutReport, RolloutTrail, Wave, WaveAction,
 };
-use crate::session::{Campaign, MachineSession, StepStatus};
+use crate::session::{Campaign, MachineSession, StepStatus, TextHash};
 
 /// What every machine in the fleet patches: one pre-linked kernel image
 /// (shared immutably — booting a machine copies its segments into
@@ -245,6 +245,7 @@ pub fn run_campaign(
             config.catalogue.iter().map(Vec::as_slice).collect()
         },
         batched: config.batched_smi && !config.catalogue.is_empty(),
+        text_hash: TextHash::default(),
     };
     // Decode each distinct blob once, here on the campaign thread and
     // outside every machine's recorder scope. Every machine's lookup is

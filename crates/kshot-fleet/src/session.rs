@@ -35,7 +35,7 @@
 //! after some of its patches committed counts those patches as landed
 //! instead of retrying them.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use kshot_core::reserved::rw_offsets;
@@ -50,7 +50,8 @@ use crate::campaign::{CampaignTarget, MachineOutcome};
 use crate::config::{splitmix64, FleetConfig, BACKOFF_BASE};
 
 /// What every session of one campaign reads: the target, the shared
-/// decode-once cache, the configuration, and the campaign's patch list.
+/// decode-once cache, the configuration, the campaign's patch list, and
+/// the hash of the last kernel text a session digested.
 pub(crate) struct Campaign<'a> {
     pub(crate) target: &'a CampaignTarget,
     pub(crate) cache: &'a BundleCache,
@@ -63,6 +64,44 @@ pub(crate) struct Campaign<'a> {
     /// catalogue batches, so a one-entry batched catalogue keeps its
     /// `BATCH(..)` envelope.
     pub(crate) batched: bool,
+    /// The SHA-256 of the last kernel text a session digested.
+    pub(crate) text_hash: TextHash,
+}
+
+/// The last kernel text a session of the campaign digested, and its
+/// SHA-256. Every patched machine of a campaign carries the same text,
+/// so a machine whose text equals it byte for byte reuses the hash;
+/// any other text is hashed and replaces it.
+#[derive(Default)]
+pub(crate) struct TextHash(Mutex<Option<Arc<HashedText>>>);
+
+struct HashedText {
+    text: Box<[u8]>,
+    sha256: [u8; 32],
+}
+
+impl TextHash {
+    /// `sha256(text)`. The lock is held only to take or replace the
+    /// memo, never while comparing or hashing. The memo is replaced
+    /// whole, so a lock poisoned by a panicking worker still holds a
+    /// valid one.
+    fn sha256(&self, text: &[u8]) -> [u8; 32] {
+        let last = self
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        if let Some(last) = last.filter(|last| *last.text == *text) {
+            return last.sha256;
+        }
+        let sha256 = sha256(text);
+        let memo = Arc::new(HashedText {
+            text: text.into(),
+            sha256,
+        });
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(memo);
+        sha256
+    }
 }
 
 /// Where a session is in its Boot → Install → InFlight → Patch →
@@ -199,8 +238,8 @@ impl MachineSession {
             SessionState::InFlight { .. } | SessionState::Patch => self.step_patch(run),
             SessionState::Backoff { .. } => self.step_backoff(run.config),
             SessionState::AwaitVerdict => StepStatus::Held,
-            SessionState::Rollback => self.step_rollback(run.target),
-            SessionState::Release => self.finalize(run.target),
+            SessionState::Rollback => self.step_rollback(run),
+            SessionState::Release => self.finalize(run),
             SessionState::Done => StepStatus::Done,
         }
     }
@@ -302,7 +341,7 @@ impl MachineSession {
                     // observed-write count would otherwise vanish with
                     // the plan.
                     self.fold_injection_stats();
-                    return self.finalize(run.target);
+                    return self.finalize(run);
                 }
             }
         }
@@ -352,7 +391,7 @@ impl MachineSession {
                 kshot_telemetry::counter("fleet.recovery_failed", 1);
                 self.outcome.recovery_failed = true;
                 self.outcome.error = Some(format!("{error}; recovery failed: {re}"));
-                return self.finalize(run.target);
+                return self.finalize(run);
             }
         };
         let landed = if let KShotError::Committed { report, .. } = &error {
@@ -388,7 +427,7 @@ impl MachineSession {
             self.state = SessionState::Backoff { deadline };
             StepStatus::Wait
         } else {
-            self.finalize(run.target)
+            self.finalize(run)
         }
     }
 
@@ -400,17 +439,17 @@ impl MachineSession {
         if self.next_patch < run.patches.len() {
             return self.begin_attempt(run.config);
         }
-        self.patched(run.target, run.config)
+        self.patched(run)
     }
 
     /// The machine carries every patch of the campaign's list: record
     /// success and either park for the wave verdict (rollout campaigns)
     /// or finalize.
-    fn patched(&mut self, target: &CampaignTarget, config: &FleetConfig) -> StepStatus {
+    fn patched(&mut self, run: &Campaign) -> StepStatus {
         self.outcome.ok = true;
         self.outcome.error = None;
         self.outcome.latency = Some(self.latency_acc);
-        if config.rollout.is_some() {
+        if run.config.rollout.is_some() {
             // Rollout campaigns keep the patched machine live
             // until its wave's verdict: a Halt must still be
             // able to drive `rollback_last` on it. The worker
@@ -422,7 +461,7 @@ impl MachineSession {
             self.state = SessionState::AwaitVerdict;
             StepStatus::Held
         } else {
-            self.finalize(target)
+            self.finalize(run)
         }
     }
 
@@ -432,7 +471,7 @@ impl MachineSession {
     /// ([`KShotError::RollbackIncomplete`]) is rolled forward through
     /// the SMRAM journal via `recover()`; only if that also fails is
     /// the machine reported as `rollback_failed`.
-    fn step_rollback(&mut self, target: &CampaignTarget) -> StepStatus {
+    fn step_rollback(&mut self, run: &Campaign) -> StepStatus {
         let pops = self.next_patch;
         let system = self.system();
         let mut skipped_total = 0u64;
@@ -452,7 +491,7 @@ impl MachineSession {
                         self.outcome.rollback_failed = true;
                         self.outcome.ok = false;
                         self.outcome.error = Some(format!("rollback: {e}"));
-                        return self.finalize(target);
+                        return self.finalize(run);
                     }
                 }
             }
@@ -460,7 +499,7 @@ impl MachineSession {
         self.outcome.rolled_back = true;
         self.outcome.rollback_skipped = skipped_total;
         kshot_telemetry::counter("fleet.rolled_back", 1);
-        self.finalize(target)
+        self.finalize(run)
     }
 
     fn step_backoff(&mut self, config: &FleetConfig) -> StepStatus {
@@ -475,7 +514,7 @@ impl MachineSession {
     }
 
     /// Record what the installed machine ended as and release it.
-    fn finalize(&mut self, target: &CampaignTarget) -> StepStatus {
+    fn finalize(&mut self, run: &Campaign) -> StepStatus {
         self.observe_machine();
         let system = self.system.as_ref().expect("finalize with a live system");
         self.outcome.state_digest = if self.outcome.rolled_back {
@@ -488,9 +527,9 @@ impl MachineSession {
             // compares equal to one that never patched (whose cursor
             // is still at `x_base`) and to one whose failed apply was
             // unwound (whose cursor `recover()` reset).
-            state_digest(system, target, false)
+            state_digest(system, run, false)
         } else {
-            applied_state_digest(system, target)
+            applied_state_digest(system, run)
         };
         // Drop the machine now: at pipeline depth k a worker holds k
         // live machines, so releasing each one's memory at completion
@@ -573,9 +612,11 @@ fn slow_cost_model(base: &CostModel, factor: u32) -> CostModel {
 /// byte-identical-fleet property: any divergence in trampolines, placed
 /// bodies, or placement extent changes the digest. Each region is
 /// hashed separately, then the concatenation, so the digest is
-/// independent of region adjacency.
-fn applied_state_digest(system: &KShot, target: &CampaignTarget) -> [u8; 32] {
-    state_digest(system, target, true)
+/// independent of region adjacency. The text's hash comes from the
+/// campaign's [`TextHash`], so a campaign whose machines carry one
+/// text hashes it once.
+fn applied_state_digest(system: &KShot, run: &Campaign) -> [u8; 32] {
+    state_digest(system, run, true)
 }
 
 /// The digest body shared by the applied and rolled-back cases. With
@@ -583,7 +624,8 @@ fn applied_state_digest(system: &KShot, target: &CampaignTarget) -> [u8; 32] {
 /// to the published placement cursor; without it the component is empty
 /// — used after a completed rollback, where the cursor still points
 /// past the (now dead, deactivated) reverted bodies.
-fn state_digest(system: &KShot, target: &CampaignTarget, include_placed: bool) -> [u8; 32] {
+fn state_digest(system: &KShot, run: &Campaign, include_placed: bool) -> [u8; 32] {
+    let target = run.target;
     let phys = system.kernel().machine().phys();
     let text = phys
         .slice(target.layout.kernel_text_base, target.image.text.len())
@@ -601,7 +643,7 @@ fn state_digest(system: &KShot, target: &CampaignTarget, include_placed: bool) -
         &[]
     };
     let mut acc = [0u8; 64];
-    acc[..32].copy_from_slice(&sha256(text));
+    acc[..32].copy_from_slice(&run.text_hash.sha256(text));
     acc[32..].copy_from_slice(&sha256(placed));
     sha256(&acc)
 }
@@ -611,6 +653,7 @@ mod tests {
     use super::*;
     use crate::campaign::CampaignTarget;
     use crate::config::PlannedFault;
+    use kshot_crypto::counters::ByteCounts;
     use kshot_cve::find;
     use kshot_machine::AccessCtx;
 
@@ -636,6 +679,7 @@ mod tests {
             config: &config,
             patches: vec![b"not a bundle"],
             batched: false,
+            text_hash: TextHash::default(),
         };
         let mut session = MachineSession::new(0, 0, Recorder::new());
         let boot = session.step(&run);
@@ -694,6 +738,7 @@ mod tests {
                 config: &config,
                 patches: vec![&bundle],
                 batched: false,
+                text_hash: TextHash::default(),
             };
             let mut session = MachineSession::new(machine, 0, Recorder::new());
             assert_eq!(session.step(&run), StepStatus::Ready);
@@ -721,5 +766,115 @@ mod tests {
             b.latency.map(|t| t.as_ns()),
             b_fresh.latency.map(|t| t.as_ns())
         );
+    }
+
+    /// The benchmark target and its encoded CVE bundle.
+    fn target_and_bundle() -> (CampaignTarget, Vec<u8>) {
+        let spec = find("CVE-2017-17806").expect("benchmark CVE exists");
+        let (target, server) = CampaignTarget::benchmark(spec.version);
+        let info = target.boot_one().info();
+        let bundle = server
+            .build_patch(&info, &kshot_cve::patch_for(spec))
+            .expect("server builds the CVE patch")
+            .bundle
+            .encode();
+        (target, bundle)
+    }
+
+    /// A machine of `target` with KShot installed.
+    fn installed(target: &CampaignTarget, seed: u64) -> KShot {
+        KShot::install(target.boot_one(), seed).expect("install")
+    }
+
+    #[test]
+    fn text_memo_hashes_a_repeated_text_once() {
+        let (target, bundle) = target_and_bundle();
+        let config = FleetConfig::new(1, 1);
+        let cache = BundleCache::new();
+        let run = Campaign {
+            target: &target,
+            cache: &cache,
+            config: &config,
+            patches: vec![&bundle],
+            batched: false,
+            text_hash: TextHash::default(),
+        };
+        let mut system = installed(&target, 1);
+        system.live_patch_wire(&bundle).expect("patch applies");
+        let start = ByteCounts::current();
+        let first = applied_state_digest(&system, &run);
+        let mid = ByteCounts::current();
+        let second = applied_state_digest(&system, &run);
+        let end = ByteCounts::current();
+        assert_eq!(first, second);
+        let (cold, warm) = (mid.since(start).sha256, end.since(mid).sha256);
+        assert_eq!(cold - warm, target.image.text.len() as u64);
+    }
+
+    #[test]
+    fn text_memo_misses_on_a_first_last_or_middle_byte() {
+        let (target, _) = target_and_bundle();
+        let text = &target.image.text;
+        let memo = TextHash::default();
+        for i in [0, text.len() / 2, text.len() - 1] {
+            assert_eq!(memo.sha256(text), sha256(text));
+            let mut other = text.clone();
+            other[i] ^= 1;
+            assert_eq!(memo.sha256(&other), sha256(&other), "byte {i}");
+        }
+        let prefix = &text[..text.len() - 1];
+        assert_eq!(memo.sha256(prefix), sha256(prefix));
+    }
+
+    /// Each text that differs from the previous one is hashed and
+    /// becomes the memo; a repeat of the previous one is not hashed.
+    #[test]
+    fn text_memo_follows_alternating_texts() {
+        let (target, _) = target_and_bundle();
+        let a = target.image.text.clone();
+        let mut b = a.clone();
+        b[a.len() / 3] ^= 0x80;
+        let memo = TextHash::default();
+        let mut previous: Option<&Vec<u8>> = None;
+        for text in [&a, &b, &a, &a, &b, &b, &a] {
+            let start = ByteCounts::current();
+            assert_eq!(memo.sha256(text), sha256(text));
+            let hashed = ByteCounts::current().since(start).sha256 - text.len() as u64;
+            let want = if previous == Some(text) {
+                0
+            } else {
+                text.len()
+            };
+            assert_eq!(hashed, want as u64);
+            previous = Some(text);
+        }
+    }
+
+    /// Rolling back a patched machine restores the clean text, which
+    /// differs from the patched text the memo holds: its digest still
+    /// equals a never-patched machine's, with a shared or a fresh memo.
+    #[test]
+    fn text_memo_keeps_a_rolled_back_digest_equal_to_a_never_patched_one() {
+        let (target, bundle) = target_and_bundle();
+        let config = FleetConfig::new(2, 1);
+        let cache = BundleCache::new();
+        let campaign = || Campaign {
+            target: &target,
+            cache: &cache,
+            config: &config,
+            patches: vec![&bundle],
+            batched: false,
+            text_hash: TextHash::default(),
+        };
+        let run = campaign();
+        let mut patched = installed(&target, 1);
+        patched.live_patch_wire(&bundle).expect("patch applies");
+        let applied = applied_state_digest(&patched, &run);
+        patched.rollback_last().expect("rollback");
+        let rolled_back = state_digest(&patched, &run, false);
+        let never = applied_state_digest(&installed(&target, 2), &run);
+        assert_ne!(applied, never);
+        assert_eq!(rolled_back, never);
+        assert_eq!(state_digest(&patched, &campaign(), false), never);
     }
 }

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 use kshot_core::expected_handler_measurement;
 use kshot_cve::{find, patch_for};
@@ -118,9 +119,13 @@ fn four_attacks_are_detected_with_typed_reasons() {
 
     let rogue_base = 0x40u64; // below kernel text, outside every extent
     let dwell_budget = probe_dwell_ns() * 4;
+    // A 10 ms link keeps the campaign running long enough for the
+    // monitor's 1 ms poll to see a Halt before the last machine ends,
+    // which the `halt_live` assertion below needs.
     let config = FleetConfig::new(MACHINES, 2)
         .with_seed(0x1A7E)
         .with_pipeline_depth(2)
+        .with_link_rtt(Duration::from_millis(10))
         .with_stream_dir(&dir)
         .with_health(lenient_health(), 2)
         .with_integrity(integrity_policy(&target.layout, 4))
