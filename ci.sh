@@ -207,6 +207,26 @@ cargo test -q -p kshot-telemetry smi_line_of_another_machine_is_a_typed_parse_er
 cargo test -q -p kshot-telemetry open_parcel_counts_in_resident_state_until_its_machine_line
 cargo test -q -p kshot-telemetry ten_k_metric_blocks_without_a_machine_line_stay_bounded
 cargo test -q -p kshot-telemetry --test prop_shard_intake
+# The shard writer and reader. A small observed campaign's worker-0.jsonl
+# and health.jsonl equal their goldens byte for byte (wall-clock fields
+# and process-global span numbers masked), and so do hand-built lines
+# through every line writer. The reader reads integers exactly, rejects
+# a fraction, an exponent or an overflow, and names an unknown or a
+# duplicated key. Each typed line round-trips over every u64, and on
+# respelled lines of every type the reader agrees with the json::parse
+# oracle. The log prints the reader's rate over the golden shard; no
+# timing is asserted.
+echo "== shard writer and reader =="
+cargo test -q -p kshot-fleet --test shard_golden
+cargo test -q -p kshot-telemetry shard::tests::decode_reads_integers_exactly
+cargo test -q -p kshot-telemetry shard::tests::decode_rejects_fractions_exponents_and_overflow
+cargo test -q -p kshot-telemetry shard::tests::decode_rejects_duplicate_keys
+cargo test -q -p kshot-telemetry shard::tests::decode_rejects_unknown_keys
+cargo test -q -p kshot-telemetry --test prop_shard_intake typed_lines_round_trip
+cargo test -q -p kshot-telemetry --test prop_shard_intake reader_agrees_with_the_json_oracle
+cargo test -q --release -p kshot-fleet --test shard_golden golden_shard_decode_rate_is_printed \
+  -- --nocapture | tee target/shard_decode_rate.log
+grep -Eq "golden shard \([0-9]+ bytes\): ShardData::parse [0-9]+ MB/s" target/shard_decode_rate.log
 # Long lines: the JSON string decoder is linear (256 KiB under 250 ms
 # and 4 MiB under 1 s in the debug profile), the fleet's longest line (a
 # full 2048-bucket sketch) decodes under the 256 KiB line cap, a longer

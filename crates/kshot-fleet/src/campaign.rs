@@ -27,10 +27,9 @@ use kshot_kcc::KernelImage;
 use kshot_kernel::Kernel;
 use kshot_machine::{JournalOp, MemLayout, SimTime, SmiCause, SmiFlightRecord};
 use kshot_patchserver::{BundleCache, PatchServer};
-use kshot_telemetry::export::record_json_line;
 use kshot_telemetry::{
-    DigestRollup, HealthMonitor, IntegrityPolicy, MachineLine, MetricsSnapshot, Recorder,
-    RecorderScope, SmiLine, StreamSink, RECORDS_DROPPED_METRIC,
+    DigestRollup, HealthMonitor, IntegrityPolicy, MachineLine, Recorder, RecorderScope, SmiLine,
+    StreamSink, RECORDS_DROPPED_METRIC,
 };
 
 use crate::config::FleetConfig;
@@ -519,16 +518,16 @@ fn watch(
 }
 
 /// One machine's shard parcel, held back until its turn in the worker's
-/// canonical machine order: record lines, the metrics block, and the
-/// outcome line. `None` marks a machine a stopped rollout never admitted
-/// — nothing to write, but the flush cursor must still pass it so later
-/// machines' parcels are not stranded.
-type Parcel = Option<(Vec<String>, MetricsSnapshot, String)>;
+/// canonical machine order: its lines, rendered into one buffer. `None`
+/// marks a machine a stopped rollout never admitted — nothing to write,
+/// but the flush cursor must still pass it so later machines' parcels
+/// are not stranded.
+type Parcel = Option<String>;
 
 /// Write every parcel that is next in canonical order to the shard, and
-/// advance the cursor. Committing a parcel means a live tailer (the
-/// health monitor) can see it — under a rollout that is what lets a
-/// wave be judged while its machines are still held.
+/// advance the cursor. Committing a parcel (one write, one flush) means
+/// a live tailer (the health monitor) can see it — under a rollout that
+/// is what lets a wave be judged while its machines are still held.
 fn flush_parcels(
     sink: &StreamSink,
     parcels: &mut BTreeMap<usize, Parcel>,
@@ -536,16 +535,8 @@ fn flush_parcels(
 ) {
     while let Some(parcel) = order.peek().and_then(|m| parcels.remove(m)) {
         order.next();
-        if let Some((lines, metrics, outcome_line)) = parcel {
-            for line in &lines {
-                sink.write_raw_line(line);
-            }
-            // Close the machine's section of the shard: its metric
-            // totals (counters saturate, sketches merge bucket-wise
-            // on re-aggregation) and one outcome line carrying what
-            // the in-memory MachineOutcome carries.
-            sink.write_metrics(&metrics);
-            sink.write_raw_line(&outcome_line);
+        if let Some(block) = parcel {
+            sink.write_block(&block);
             sink.flush();
         }
     }
@@ -567,27 +558,30 @@ fn seal(session: &mut MachineSession) {
     }
 }
 
-/// A sealed machine's shard parcel, rendered from its own recorder: the
-/// retained records in emit order, then one `smi` line per record of
-/// its SMI flight ring. The `smi` lines come straight from the ring
+/// A sealed machine's shard parcel, rendered from its own recorder into
+/// one buffer: the retained records in emit order, one `smi` line per
+/// record of its SMI flight ring, then the machine's section closes with
+/// its metric totals (counters saturate, sketches merge bucket-wise on
+/// re-aggregation) and one outcome line carrying what the in-memory
+/// MachineOutcome carries. The `smi` lines come straight from the ring
 /// (never through the Record pipeline, whose lines carry wall-clock
 /// timestamps), so the smi stream is byte-identical across worker
 /// counts, pipeline depths, and batching modes.
 fn parcel(session: &MachineSession) -> Parcel {
     let (outcome, recorder) = (&session.outcome, &session.recorder);
-    let mut lines: Vec<String> = recorder.records().iter().map(record_json_line).collect();
-    lines.extend(
-        outcome
-            .flight
-            .iter()
-            .map(|rec| smi_line(outcome.machine, rec).to_json_line()),
-    );
-    Some((
-        lines,
-        recorder.metrics_snapshot(),
-        outcome.shard_line().to_json_line(),
-    ))
+    let mut block = String::with_capacity(PARCEL_CAPACITY);
+    recorder.append_record_lines(&mut block);
+    for rec in &outcome.flight {
+        smi_line(outcome.machine, rec).append_line(&mut block);
+    }
+    recorder.metrics().append_json_lines(&mut block);
+    outcome.shard_line().append_line(&mut block);
+    Some(block)
 }
+
+/// Bytes reserved for a parcel up front: a patched machine's parcel is
+/// about 5 KB, so most parcels never grow their buffer.
+const PARCEL_CAPACITY: usize = 8 << 10;
 
 /// The outcome reported for a machine a stopped rollout never admitted:
 /// never booted, zero attempts, counted as failed with `admitted:

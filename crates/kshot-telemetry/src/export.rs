@@ -6,98 +6,116 @@ use std::fmt::Write as _;
 
 use crate::metrics::MetricsSnapshot;
 use crate::record::{json_escape, Field, Record};
-use crate::SCHEMA_VERSION;
+use crate::schema::{one_line, push_escaped, Appender, CounterKey, EventKey, GaugeKey, SpanKey};
+use crate::sketch::QuantileSketch;
 
-fn fields_json(fields: &[Field]) -> String {
-    let mut out = String::from("{");
+/// Append `fields` as one JSON object.
+fn push_fields(out: &mut String, fields: &[Field]) {
+    out.push('{');
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{}", json_escape(k), v.to_json());
+        push_escaped(out, k);
+        out.push(':');
+        v.append_json(out);
     }
     out.push('}');
-    out
 }
 
-/// Render one record as a single JSON-lines object (no trailing
-/// newline). Every line carries the [`SCHEMA_VERSION`] as `"v"` so
+/// Append one record's JSON line, and its newline, to `out`. Every line
+/// carries the [`SCHEMA_VERSION`](crate::SCHEMA_VERSION) as `"v"` so
 /// downstream parsers can detect format drift. This is the unit of the
-/// streaming pipeline: a fleet worker writes exactly these lines into
-/// its shard through a [`crate::StreamSink`].
-pub fn record_json_line(rec: &Record) -> String {
-    let mut out = String::new();
+/// streaming pipeline: a fleet worker renders a machine's records
+/// straight into its parcel (see [`crate::Recorder::append_record_lines`]).
+pub fn append_record_line(out: &mut String, rec: &Record) {
     match rec {
         Record::Span(s) => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"span\",\"v\":{SCHEMA_VERSION},\"id\":{},\"parent\":{},\"name\":{},\
-                 \"thread\":{},\"wall_start_ns\":{},\"wall_dur_ns\":{}",
-                s.id,
-                s.parent.map_or("null".to_string(), |p| p.to_string()),
-                json_escape(s.name),
-                s.thread,
-                s.wall_start_ns,
-                s.wall_dur_ns,
-            );
+            use SpanKey as K;
+            let mut w = Appender::<K>::open(out);
+            w.u64(K::Id, s.id);
+            w.u64_or_null(K::Parent, s.parent);
+            w.str(K::Name, s.name);
+            w.u64(K::Thread, s.thread);
+            w.u64(K::WallStartNs, s.wall_start_ns);
+            w.u64(K::WallDurNs, s.wall_dur_ns);
             if let Some(sim) = s.sim_start_ns {
-                let _ = write!(out, ",\"sim_start_ns\":{sim}");
+                w.u64(K::SimStartNs, sim);
             }
             if let Some(sim) = s.sim_end_ns {
-                let _ = write!(out, ",\"sim_end_ns\":{sim}");
+                w.u64(K::SimEndNs, sim);
             }
             if !s.fields.is_empty() {
-                let _ = write!(out, ",\"fields\":{}", fields_json(&s.fields));
+                push_fields(w.key(K::Fields), &s.fields);
             }
-            out.push('}');
+            w.close();
         }
         Record::Event(e) => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"event\",\"v\":{SCHEMA_VERSION},\"parent\":{},\"name\":{},\
-                 \"thread\":{},\"wall_ns\":{}",
-                e.parent.map_or("null".to_string(), |p| p.to_string()),
-                json_escape(e.name),
-                e.thread,
-                e.wall_ns,
-            );
+            use EventKey as K;
+            let mut w = Appender::<K>::open(out);
+            w.u64_or_null(K::Parent, e.parent);
+            w.str(K::Name, e.name);
+            w.u64(K::Thread, e.thread);
+            w.u64(K::WallNs, e.wall_ns);
             if let Some(sim) = e.sim_ns {
-                let _ = write!(out, ",\"sim_ns\":{sim}");
+                w.u64(K::SimNs, sim);
             }
             if !e.fields.is_empty() {
-                let _ = write!(out, ",\"fields\":{}", fields_json(&e.fields));
+                push_fields(w.key(K::Fields), &e.fields);
             }
-            out.push('}');
+            w.close();
         }
     }
-    out
 }
 
-/// Render a metrics snapshot as JSON lines: one `counter`, `gauge`, or
-/// `sketch` object per line, each stamped with `"v"`. Counter and
-/// sketch lines are *mergeable* across shards (add counters,
+/// One record as a single JSON-lines object (no trailing newline); see
+/// [`append_record_line`].
+pub fn record_json_line(rec: &Record) -> String {
+    one_line(|out| append_record_line(out, rec))
+}
+
+/// Append metric lines to `out`: one `counter`, `gauge`, or `sketch`
+/// line per metric, each stamped with `"v"`, counters first. Counter
+/// and sketch lines are *mergeable* across shards (add counters,
 /// bucket-merge sketches); gauges are last-writer-wins.
+pub(crate) fn append_metric_lines<'m>(
+    out: &mut String,
+    counters: impl IntoIterator<Item = (&'m str, u64)>,
+    gauges: impl IntoIterator<Item = (&'m str, i64)>,
+    sketches: impl IntoIterator<Item = (&'m str, &'m QuantileSketch)>,
+) {
+    for (name, value) in counters {
+        let mut w = Appender::<CounterKey>::open(out);
+        w.str(CounterKey::Name, name);
+        w.u64(CounterKey::Value, value);
+        w.close();
+    }
+    for (name, value) in gauges {
+        let mut w = Appender::<GaugeKey>::open(out);
+        w.str(GaugeKey::Name, name);
+        w.i64(GaugeKey::Value, value);
+        w.close();
+    }
+    for (name, sketch) in sketches {
+        sketch.append_line(out, name);
+    }
+}
+
+/// A metrics snapshot's lines, appended to `out`.
+fn append_snapshot_lines(out: &mut String, metrics: &MetricsSnapshot) {
+    append_metric_lines(
+        out,
+        metrics.counters.iter().copied(),
+        metrics.gauges.iter().copied(),
+        metrics.sketches.iter().map(|(name, s)| (*name, s)),
+    );
+}
+
+/// A metrics snapshot as JSON lines: one `counter`, `gauge`, or
+/// `sketch` line per metric, counters first, each stamped with `"v"`.
 pub fn metrics_json_lines(metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    for (name, value) in &metrics.counters {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"counter\",\"v\":{SCHEMA_VERSION},\"name\":{},\"value\":{}}}",
-            json_escape(name),
-            value
-        );
-    }
-    for (name, value) in &metrics.gauges {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"gauge\",\"v\":{SCHEMA_VERSION},\"name\":{},\"value\":{}}}",
-            json_escape(name),
-            value
-        );
-    }
-    for (name, s) in &metrics.sketches {
-        let _ = writeln!(out, "{}", s.to_json_line(name));
-    }
+    append_snapshot_lines(&mut out, metrics);
     out
 }
 
@@ -107,10 +125,9 @@ pub fn metrics_json_lines(metrics: &MetricsSnapshot) -> String {
 pub fn json_lines(records: &[Record], metrics: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for rec in records {
-        out.push_str(&record_json_line(rec));
-        out.push('\n');
+        append_record_line(&mut out, rec);
     }
-    out.push_str(&metrics_json_lines(metrics));
+    append_snapshot_lines(&mut out, metrics);
     out
 }
 
@@ -156,7 +173,10 @@ pub fn chrome_trace(records: &[Record]) -> String {
                     let _ = write!(out, ",\"parent\":{p}");
                 }
                 for (k, v) in &s.fields {
-                    let _ = write!(out, ",{}:{}", json_escape(k), v.to_json());
+                    out.push(',');
+                    push_escaped(&mut out, k);
+                    out.push(':');
+                    v.append_json(&mut out);
                 }
                 out.push_str("}}");
             }
@@ -165,19 +185,14 @@ pub fn chrome_trace(records: &[Record]) -> String {
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"cat\":\"kshot\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{}.{:03},\"pid\":1,\"tid\":{},\"args\":{{",
+                     \"ts\":{}.{:03},\"pid\":1,\"tid\":{},\"args\":",
                     json_escape(e.name),
                     ts_ns / 1_000,
                     ts_ns % 1_000,
                     e.thread,
                 );
-                for (i, (k, v)) in e.fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}:{}", json_escape(k), v.to_json());
-                }
-                out.push_str("}}");
+                push_fields(&mut out, &e.fields);
+                out.push('}');
             }
         }
     }

@@ -1,9 +1,11 @@
-//! A minimal recursive-descent JSON parser — just enough to read back
-//! this crate's own exporter output (JSON-lines shards, Chrome traces)
-//! without pulling in serde. Numbers are parsed as `f64`; strings decode
-//! the standard escapes. Used by the shard-line decoder
-//! ([`crate::ShardLine::decode`]) to read streamed files back, and by
-//! tests to validate that every emitted line is well-formed.
+//! A minimal recursive-descent JSON parser that builds a [`Value`] tree —
+//! enough to read back this crate's own exporter output (JSON-lines
+//! shards, Chrome traces, `BENCH_*.json`) without pulling in serde.
+//! Numbers are parsed as `f64`; strings decode the standard escapes.
+//! Shard lines are not read through it: [`crate::ShardLine::decode`]
+//! scans a line without a tree and reads integers exactly. This parser
+//! is kept apart from that reader as the reference the tests compare it
+//! against, and it serves the BENCH and Chrome-trace checks.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,10 +14,7 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (as `f64`; exporter output stays within the
-    /// 2^53 integer-exact range for everything a parser re-aggregates,
-    /// except saturated `u64::MAX` sentinels, which survive comparisons
-    /// because both sides round identically).
+    /// Any JSON number, as `f64`: integer-exact only up to 2^53.
     Number(f64),
     /// A string with escapes decoded.
     String(String),

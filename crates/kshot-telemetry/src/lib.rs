@@ -70,6 +70,7 @@ mod metrics;
 mod phase;
 mod record;
 mod recorder;
+mod schema;
 pub mod shard;
 mod sketch;
 mod span;

@@ -112,6 +112,20 @@ impl MetricsRegistry {
         }
     }
 
+    /// Append every metric's JSON line to `out`, name-sorted, counters
+    /// first: the lines [`crate::export::metrics_json_lines`] renders
+    /// from a snapshot, rendered here under the registry's lock instead
+    /// of from a copy.
+    pub fn append_json_lines(&self, out: &mut String) {
+        let inner = self.inner.lock().unwrap();
+        crate::export::append_metric_lines(
+            out,
+            inner.counters.iter().map(|(&name, &v)| (name, v)),
+            inner.gauges.iter().map(|(&name, &v)| (name, v)),
+            inner.sketches.iter().map(|(&name, s)| (name, s)),
+        );
+    }
+
     /// Copy out every metric, name-sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap();

@@ -1,5 +1,9 @@
 //! The record types captured by the recorder.
 
+use std::fmt::Write as _;
+
+use crate::schema::{push_escaped, push_i64, push_u64};
+
 /// A structured field value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -11,20 +15,17 @@ pub enum Value {
 }
 
 impl Value {
-    /// Render as a JSON value fragment.
-    pub fn to_json(&self) -> String {
+    /// Append as a JSON value fragment: a non-finite float is `null`.
+    pub fn append_json(&self, out: &mut String) {
         match self {
-            Value::U64(v) => v.to_string(),
-            Value::I64(v) => v.to_string(),
-            Value::F64(v) => {
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".to_string()
-                }
+            Value::U64(v) => push_u64(out, *v),
+            Value::I64(v) => push_i64(out, *v),
+            Value::F64(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
             }
-            Value::Bool(v) => v.to_string(),
-            Value::Str(s) => json_escape(s),
+            Value::F64(_) => out.push_str("null"),
+            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+            Value::Str(s) => push_escaped(out, s),
         }
     }
 }
@@ -149,21 +150,7 @@ impl Record {
 /// Escape `s` as a JSON string literal, including the quotes.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_escaped(&mut out, s);
     out
 }
 

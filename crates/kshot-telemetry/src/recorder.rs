@@ -71,6 +71,16 @@ impl Recorder {
         self.ring.lock().unwrap().records.iter().cloned().collect()
     }
 
+    /// Append every retained record's JSON line to `out`, oldest first
+    /// (see [`crate::export::append_record_line`]). The lines are
+    /// rendered under the ring's lock, so no record is copied out.
+    pub fn append_record_lines(&self, out: &mut String) {
+        let ring = self.ring.lock().unwrap();
+        for record in &ring.records {
+            crate::export::append_record_line(out, record);
+        }
+    }
+
     /// How many records the ring has evicted so far.
     pub fn dropped(&self) -> u64 {
         self.ring.lock().unwrap().dropped

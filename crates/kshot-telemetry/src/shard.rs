@@ -3,13 +3,18 @@
 //!
 //! A fleet campaign streams each worker's telemetry to its own
 //! `worker-<N>.jsonl` (see [`crate::StreamSink`]). [`ShardLine::decode`]
-//! is the only reader of a line's fields: it parses the line once into
-//! a record, a metric, or one of the fleet's own lines — a machine's
-//! outcome ([`MachineLine`]), an SMI flight record ([`SmiLine`]), a
-//! block's Merkle roll-up ([`DigestRollup`]) — whose writers live here
-//! too. Schema drift, an unknown `"type"`, a missing or ill-typed field
-//! and a roll-up whose frontier misses its stated root are typed errors:
-//! the lines come from machines a monitor must assume compromised.
+//! is the only reader of a line's fields: it scans the line once, with
+//! no tree, into a record, a metric, or one of the fleet's own lines — a
+//! machine's outcome ([`MachineLine`]), an SMI flight record
+//! ([`SmiLine`]), a block's Merkle roll-up ([`DigestRollup`]) — whose
+//! appenders live here too. Each line type's keys are declared once
+//! (`schema.rs`), and both the appenders and the reader derive from that
+//! declaration. Schema drift, an unknown `"type"`, a key the type does
+//! not declare or a key given twice, a missing or ill-typed field (an
+//! integer is read exactly, so a fraction, an exponent or an overflow is
+//! ill-typed) and a roll-up whose frontier misses its stated root are
+//! typed errors: the lines come from machines a monitor must assume
+//! compromised.
 //!
 //! A [`ShardData`] folds decoded lines into:
 //!
@@ -27,17 +32,19 @@
 //! yields totals equal to the single merged recorder's — the lossless
 //! round-trip the observe report asserts.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::path::{Path, PathBuf};
 
-use crate::json::{self, Value};
 use crate::merkle::{self, DigestTree, FrontierNode};
 use crate::metrics::MetricsSnapshot;
 use crate::phase::PhaseProfile;
-use crate::record::json_escape;
+use crate::schema::{
+    one_line, push_escaped, push_hex, push_u64, push_u64_list, Appender, CounterKey, EventKey,
+    Fields, GaugeKey, Line, LineKeys, MachineKey, Raw, RollupKey, SmiKey, SpanKey,
+};
 use crate::sketch::QuantileSketch;
-use crate::SCHEMA_VERSION;
 
 /// Why a shard read failed. The live tail ([`crate::HealthMonitor::poll`])
 /// distinguishes truncation/rotation from plain I/O and parse failures
@@ -57,8 +64,8 @@ pub enum ShardError {
     },
     /// A committed line failed to decode (longer than
     /// [`MAX_LINE_BYTES`], malformed JSON, schema drift, an unknown
-    /// type, a missing field, or invalid UTF-8), or a monitor rejected
-    /// what it said.
+    /// type, an unknown, duplicated, missing or ill-typed key, or
+    /// invalid UTF-8), or a monitor rejected what it said.
     Parse { path: PathBuf, error: String },
 }
 
@@ -78,25 +85,26 @@ impl fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// One shard line, decoded.
+/// One shard line, decoded. Names borrow from the line unless they
+/// carried escapes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ShardLine {
+pub enum ShardLine<'a> {
     /// A span record. `sim_dur_ns` is present when the span carries
     /// both simulated stamps.
     Span {
-        name: String,
+        name: Cow<'a, str>,
         wall_dur_ns: u64,
         sim_dur_ns: Option<u64>,
     },
     /// An event record.
     Event,
     /// A counter total.
-    Counter { name: String, value: u64 },
+    Counter { name: Cow<'a, str>, value: u64 },
     /// A gauge value.
-    Gauge { name: String, value: i64 },
+    Gauge { name: Cow<'a, str>, value: i64 },
     /// A quantile-sketch total.
     Sketch {
-        name: String,
+        name: Cow<'a, str>,
         sketch: QuantileSketch,
     },
     /// A fleet machine's outcome, which closes the machine's parcel.
@@ -107,98 +115,93 @@ pub enum ShardLine {
     Rollup(DigestRollup),
 }
 
-/// Member `key` of `v`, read by `as_t` (`Value::as_u64`, ...).
-fn at<'a, T>(v: &'a Value, key: &str, as_t: fn(&'a Value) -> Option<T>) -> Result<T, String> {
-    v.get(key)
-        .and_then(as_t)
-        .ok_or_else(|| format!("missing/invalid {key:?}"))
-}
-
-/// An optional member: absent is `None`, present must read as a `T`.
-fn opt_at<'a, T>(
-    v: &'a Value,
-    key: &str,
-    as_t: fn(&'a Value) -> Option<T>,
-) -> Result<Option<T>, String> {
-    v.get(key)
-        .map(|x| as_t(x).ok_or_else(|| format!("missing/invalid {key:?}")))
-        .transpose()
-}
-
-/// Array member `key` of `v`, each item read by `item`.
-fn items_at<'a, T>(
-    v: &'a Value,
-    key: &str,
-    item: impl Fn(&'a Value) -> Option<T>,
-) -> Result<Vec<T>, String> {
-    match v.get(key) {
-        Some(Value::Array(items)) => items.iter().map(item).collect(),
-        _ => None,
-    }
-    .ok_or_else(|| format!("missing/invalid {key:?}"))
-}
-
 /// Longest line [`ShardLine::decode`] reads: 256 KiB. The longest line
 /// the fleet writes is a full 2 048-bucket sketch with `u64::MAX`
 /// counts, about 53 KB, so the cap only rejects corrupt or hostile
 /// input, before any of it is parsed.
 pub const MAX_LINE_BYTES: usize = 256 * 1024;
 
-impl ShardLine {
-    /// Decode one shard line.
+impl<'a> ShardLine<'a> {
+    /// Decode one shard line with the borrowed reader that each line
+    /// type's key declaration derives (`schema.rs`): no tree is built, and
+    /// every integer is read exactly.
     ///
     /// # Errors
     ///
-    /// A line longer than [`MAX_LINE_BYTES`], malformed JSON, a `"v"`
-    /// other than [`SCHEMA_VERSION`], a missing or unknown `"type"`, a
-    /// missing or ill-typed field, or a roll-up whose frontier does not
-    /// reproduce its stated root. The error does not name the line;
-    /// callers prefix its number.
-    pub fn decode(line: &str) -> Result<ShardLine, String> {
+    /// A line longer than [`MAX_LINE_BYTES`], malformed JSON, nesting
+    /// deeper than [`crate::json::MAX_DEPTH`], a `"v"` other than
+    /// [`crate::SCHEMA_VERSION`], a missing or unknown `"type"`, a key
+    /// the line's type does not declare or a key given twice, a missing
+    /// or ill-typed field (an integer with a fraction or an exponent, or
+    /// beyond its type's range, is ill-typed), a malformed sketch, or a
+    /// roll-up whose frontier does not reproduce its stated root. The
+    /// error does not name the line; callers prefix its number.
+    pub fn decode(line: &'a str) -> Result<ShardLine<'a>, String> {
         if line.len() > MAX_LINE_BYTES {
             return Err(format!(
                 "line of {} bytes exceeds the {MAX_LINE_BYTES}-byte cap",
                 line.len()
             ));
         }
-        let v = json::parse(line)?;
-        let version = v.get("v").and_then(Value::as_u64);
-        if version != Some(u64::from(SCHEMA_VERSION)) {
-            return Err(format!(
-                "schema version {version:?}, expected {SCHEMA_VERSION}"
-            ));
-        }
-        let name = || at(&v, "name", Value::as_str).map(str::to_owned);
-        Ok(match at(&v, "type", Value::as_str)? {
-            "span" => ShardLine::Span {
-                name: name()?,
-                wall_dur_ns: at(&v, "wall_dur_ns", Value::as_u64)?,
-                sim_dur_ns: match (
-                    opt_at(&v, "sim_start_ns", Value::as_u64)?,
-                    opt_at(&v, "sim_end_ns", Value::as_u64)?,
-                ) {
-                    (Some(start), Some(end)) => Some(end.saturating_sub(start)),
-                    _ => None,
-                },
-            },
-            "event" => ShardLine::Event,
-            "counter" => ShardLine::Counter {
-                name: name()?,
-                value: at(&v, "value", Value::as_u64)?,
-            },
-            "gauge" => ShardLine::Gauge {
-                name: name()?,
-                value: at(&v, "value", Value::as_i64)?,
-            },
-            "sketch" => ShardLine::Sketch {
-                name: name()?,
-                sketch: QuantileSketch::from_json_value(&v)?,
-            },
-            "machine" => ShardLine::Machine(MachineLine::decode(&v)?),
-            "smi" => ShardLine::Smi(SmiLine::decode(&v)?),
-            "rollup" => {
-                ShardLine::Rollup(DigestRollup::decode(&v).map_err(|e| format!("rollup: {e}"))?)
+        let scanned = Line::scan(line)?;
+        Ok(match &*scanned.ty {
+            "span" => {
+                use SpanKey as K;
+                let f = scanned.fields::<K>()?;
+                f.opt(K::Id, Raw::u64)?;
+                f.opt(K::Parent, Raw::u64_or_null)?;
+                let name = f.req(K::Name, Raw::str)?;
+                f.opt(K::Thread, Raw::u64)?;
+                f.opt(K::WallStartNs, Raw::u64)?;
+                let wall_dur_ns = f.req(K::WallDurNs, Raw::u64)?;
+                let sim = (
+                    f.opt(K::SimStartNs, Raw::u64)?,
+                    f.opt(K::SimEndNs, Raw::u64)?,
+                );
+                f.opt(K::Fields, Raw::object)?;
+                ShardLine::Span {
+                    name,
+                    wall_dur_ns,
+                    sim_dur_ns: match sim {
+                        (Some(start), Some(end)) => Some(end.saturating_sub(start)),
+                        _ => None,
+                    },
+                }
             }
+            "event" => {
+                use EventKey as K;
+                let f = scanned.fields::<K>()?;
+                f.opt(K::Parent, Raw::u64_or_null)?;
+                f.opt(K::Name, Raw::str)?;
+                f.opt(K::Thread, Raw::u64)?;
+                f.opt(K::WallNs, Raw::u64)?;
+                f.opt(K::SimNs, Raw::u64)?;
+                f.opt(K::Fields, Raw::object)?;
+                ShardLine::Event
+            }
+            "counter" => {
+                let f = scanned.fields::<CounterKey>()?;
+                ShardLine::Counter {
+                    name: f.req(CounterKey::Name, Raw::str)?,
+                    value: f.req(CounterKey::Value, Raw::u64)?,
+                }
+            }
+            "gauge" => {
+                let f = scanned.fields::<GaugeKey>()?;
+                ShardLine::Gauge {
+                    name: f.req(GaugeKey::Name, Raw::str)?,
+                    value: f.req(GaugeKey::Value, Raw::i64)?,
+                }
+            }
+            "sketch" => {
+                let (name, sketch) = QuantileSketch::decode(&scanned.fields()?)?;
+                ShardLine::Sketch { name, sketch }
+            }
+            "machine" => ShardLine::Machine(MachineLine::decode(&scanned.fields()?)?),
+            "smi" => ShardLine::Smi(SmiLine::decode(&scanned.fields()?)?),
+            "rollup" => ShardLine::Rollup(
+                DigestRollup::decode(&scanned.fields()?).map_err(|e| format!("rollup: {e}"))?,
+            ),
             other => return Err(format!("unknown line type {other:?}")),
         })
     }
@@ -224,60 +227,64 @@ pub struct MachineLine {
 }
 
 impl MachineLine {
-    /// The `{"type":"machine",...}` line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let mut out = format!(
-            concat!(
-                "{{\"type\":\"machine\",\"v\":{},\"machine\":{},\"worker\":{},",
-                "\"ok\":{},\"attempts\":{},\"retries\":{},\"faults_injected\":{},",
-                "\"sim_clock_ns\":{},\"smm_overbudget\":{},\"max_smm_dwell_ns\":{}"
-            ),
-            SCHEMA_VERSION,
-            self.machine,
-            self.worker,
-            self.ok,
-            self.attempts,
-            self.retries,
-            self.faults_injected,
-            self.sim_clock_ns,
-            self.smm_overbudget,
-            self.max_smm_dwell_ns,
-        );
+    /// Append the `{"type":"machine",...}` line and its newline to `out`.
+    pub fn append_line(&self, out: &mut String) {
+        use MachineKey as K;
+        let mut w = Appender::<K>::open(out);
+        w.u64(K::Machine, self.machine);
+        w.u64(K::Worker, self.worker);
+        w.bool(K::Ok, self.ok);
+        w.u64(K::Attempts, self.attempts);
+        w.u64(K::Retries, self.retries);
+        w.u64(K::FaultsInjected, self.faults_injected);
+        w.u64(K::SimClockNs, self.sim_clock_ns);
+        w.u64(K::SmmOverbudget, self.smm_overbudget);
+        w.u64(K::MaxSmmDwellNs, self.max_smm_dwell_ns);
         if let Some((smi, cause)) = &self.dwell_worst {
-            let _ = write!(
-                out,
-                ",\"dwell_worst_smi\":{smi},\"dwell_worst_cause\":{}",
-                json_escape(cause)
-            );
+            w.u64(K::DwellWorstSmi, *smi);
+            w.str(K::DwellWorstCause, cause);
         }
         if let Some(latency) = self.latency_ns {
-            let _ = write!(out, ",\"latency_ns\":{latency}");
+            w.u64(K::LatencyNs, latency);
         }
-        out.push('}');
-        out
+        w.close();
     }
 
-    fn decode(v: &Value) -> Result<MachineLine, String> {
-        let machine = at(v, "machine", Value::as_u64)?;
-        let missing = |key: &str| format!("machine {machine}: machine line missing {key:?}");
-        let num = |key: &str| at(v, key, Value::as_u64).map_err(|_| missing(key));
-        let opt = |key: &str| opt_at(v, key, Value::as_u64).map_err(|_| missing(key));
+    /// The `{"type":"machine",...}` line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
+        one_line(|out| self.append_line(out))
+    }
+
+    fn decode(f: &Fields<'_, MachineKey>) -> Result<MachineLine, String> {
+        use MachineKey as K;
+        let machine = f.req(K::Machine, Raw::u64)?;
+        let missing = |key: K| format!("machine {machine}: machine line missing {:?}", key.name());
+        let num = |key| f.req(key, Raw::u64).map_err(|_| missing(key));
         Ok(MachineLine {
             machine,
-            worker: num("worker")?,
-            ok: at(v, "ok", Value::as_bool).map_err(|_| missing("ok"))?,
-            attempts: num("attempts")?,
-            retries: num("retries")?,
-            faults_injected: num("faults_injected")?,
-            sim_clock_ns: num("sim_clock_ns")?,
-            smm_overbudget: num("smm_overbudget")?,
-            max_smm_dwell_ns: num("max_smm_dwell_ns")?,
-            dwell_worst: match (opt("dwell_worst_smi")?, v.get("dwell_worst_cause")) {
-                (Some(smi), Some(Value::String(cause))) => Some((smi, cause.clone())),
-                (None, None) => None,
-                _ => return Err(missing("dwell_worst_smi\" or \"dwell_worst_cause")),
+            worker: num(K::Worker)?,
+            ok: f.req(K::Ok, Raw::bool).map_err(|_| missing(K::Ok))?,
+            attempts: num(K::Attempts)?,
+            retries: num(K::Retries)?,
+            faults_injected: num(K::FaultsInjected)?,
+            sim_clock_ns: num(K::SimClockNs)?,
+            smm_overbudget: num(K::SmmOverbudget)?,
+            max_smm_dwell_ns: num(K::MaxSmmDwellNs)?,
+            dwell_worst: match (
+                f.opt(K::DwellWorstSmi, Raw::u64),
+                f.opt(K::DwellWorstCause, Raw::str),
+            ) {
+                (Ok(Some(smi)), Ok(Some(cause))) => Some((smi, cause.into_owned())),
+                (Ok(None), Ok(None)) => None,
+                _ => {
+                    return Err(format!(
+                        "machine {machine}: machine line missing \"dwell_worst_smi\" or \"dwell_worst_cause\""
+                    ))
+                }
             },
-            latency_ns: opt("latency_ns")?,
+            latency_ns: f
+                .opt(K::LatencyNs, Raw::u64)
+                .map_err(|_| missing(K::LatencyNs))?,
         })
     }
 }
@@ -302,55 +309,78 @@ pub struct SmiLine {
 }
 
 impl SmiLine {
-    /// The `{"type":"smi",...}` line (no trailing newline). The
-    /// measurement travels as a hex string: the JSON layer parses
-    /// numbers as `f64`, which is only integer-exact to 2^53. The line
-    /// carries no wall-clock field, so the smi stream is byte-identical
-    /// across schedules.
-    pub fn to_json_line(&self) -> String {
-        let writes: Vec<String> = self
-            .writes
-            .iter()
-            .map(|(base, len)| format!("[{base},{len}]"))
-            .collect();
-        let journal: Vec<String> = self.journal.iter().map(|op| json_escape(op)).collect();
-        format!(
-            concat!(
-                "{{\"type\":\"smi\",\"v\":{},\"machine\":{},\"smi\":{},\"cause\":{},",
-                "\"measurement\":\"{:#018x}\",\"writes\":[{}],\"writes_truncated\":{},",
-                "\"journal\":[{}],\"journal_truncated\":{},\"dwell_ns\":{},\"exit\":{}}}"
-            ),
-            SCHEMA_VERSION,
-            self.machine,
-            self.smi,
-            json_escape(&self.cause),
-            self.measurement,
-            writes.join(","),
-            self.writes_truncated,
-            journal.join(","),
-            self.journal_truncated,
-            self.dwell_ns,
-            json_escape(&self.exit),
-        )
+    /// Append the `{"type":"smi",...}` line and its newline to `out`. The
+    /// measurement travels as a `0x`-prefixed 16-digit hex string. The
+    /// line carries no wall-clock field, so the smi stream is
+    /// byte-identical across schedules.
+    pub fn append_line(&self, out: &mut String) {
+        use SmiKey as K;
+        let mut w = Appender::<K>::open(out);
+        w.u64(K::Machine, self.machine);
+        w.u64(K::Smi, self.smi);
+        w.str(K::Cause, &self.cause);
+        let hex = w.key(K::Measurement);
+        hex.push_str("\"0x");
+        push_hex(hex, &self.measurement.to_be_bytes());
+        hex.push('"');
+        let writes = w.key(K::Writes);
+        writes.push('[');
+        for (i, &(base, len)) in self.writes.iter().enumerate() {
+            if i > 0 {
+                writes.push(',');
+            }
+            push_u64_list(writes, [base, len]);
+        }
+        writes.push(']');
+        w.u64(K::WritesTruncated, self.writes_truncated);
+        let journal = w.key(K::Journal);
+        journal.push('[');
+        for (i, op) in self.journal.iter().enumerate() {
+            if i > 0 {
+                journal.push(',');
+            }
+            push_escaped(journal, op);
+        }
+        journal.push(']');
+        w.u64(K::JournalTruncated, self.journal_truncated);
+        w.u64(K::DwellNs, self.dwell_ns);
+        w.str(K::Exit, &self.exit);
+        w.close();
     }
 
-    fn decode(v: &Value) -> Result<SmiLine, String> {
-        let label = |key: &str| at(v, key, Value::as_str).map(str::to_owned);
-        let hex = |x: &Value| u64::from_str_radix(x.as_str()?.strip_prefix("0x")?, 16).ok();
+    /// The `{"type":"smi",...}` line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
+        one_line(|out| self.append_line(out))
+    }
+
+    fn decode(f: &Fields<'_, SmiKey>) -> Result<SmiLine, String> {
+        use SmiKey as K;
+        let label = |key| f.req(key, Raw::str).map(Cow::into_owned);
+        let hex = |raw: Raw<'_>| u64::from_str_radix(raw.str()?.strip_prefix("0x")?, 16).ok();
         Ok(SmiLine {
-            machine: at(v, "machine", Value::as_u64)?,
-            smi: at(v, "smi", Value::as_u64)?,
-            cause: label("cause")?,
-            measurement: at(v, "measurement", hex)?,
-            writes: items_at(v, "writes", |range| match range {
-                Value::Array(pair) if pair.len() == 2 => pair[0].as_u64().zip(pair[1].as_u64()),
-                _ => None,
+            machine: f.req(K::Machine, Raw::u64)?,
+            smi: f.req(K::Smi, Raw::u64)?,
+            cause: label(K::Cause)?,
+            measurement: f.req(K::Measurement, hex)?,
+            writes: f.req(K::Writes, |raw| {
+                raw.items()?
+                    .map(|range| {
+                        let mut pair = range.items()?;
+                        let base = pair.next()?.u64()?;
+                        let len = pair.next()?.u64()?;
+                        pair.next().is_none().then_some((base, len))
+                    })
+                    .collect()
             })?,
-            writes_truncated: at(v, "writes_truncated", Value::as_u64)?,
-            journal: items_at(v, "journal", |op| op.as_str().map(str::to_owned))?,
-            journal_truncated: at(v, "journal_truncated", Value::as_u64)?,
-            dwell_ns: at(v, "dwell_ns", Value::as_u64)?,
-            exit: label("exit")?,
+            writes_truncated: f.req(K::WritesTruncated, Raw::u64)?,
+            journal: f.req(K::Journal, |raw| {
+                raw.items()?
+                    .map(|op| op.str().map(Cow::into_owned))
+                    .collect()
+            })?,
+            journal_truncated: f.req(K::JournalTruncated, Raw::u64)?,
+            dwell_ns: f.req(K::DwellNs, Raw::u64)?,
+            exit: label(K::Exit)?,
         })
     }
 }
@@ -368,50 +398,61 @@ pub struct DigestRollup {
 }
 
 impl DigestRollup {
-    /// The `{"type":"rollup",...}` line (no trailing newline): the
-    /// stated root and the frontier as `[level,index,hash]` nodes.
+    /// Append the `{"type":"rollup",...}` line and its newline to `out`:
+    /// the stated root and the frontier as `[level,index,hash]` nodes.
+    pub fn append_line(&self, out: &mut String) {
+        use RollupKey as K;
+        let mut w = Appender::<K>::open(out);
+        w.u64(K::Start, self.tree.start());
+        w.u64(K::Machines, self.tree.len());
+        let root = w.key(K::Root);
+        root.push('"');
+        push_hex(root, &self.tree.root());
+        root.push('"');
+        let frontier = w.key(K::Frontier);
+        frontier.push('[');
+        for (i, node) in self.tree.frontier().iter().enumerate() {
+            if i > 0 {
+                frontier.push(',');
+            }
+            frontier.push('[');
+            push_u64(frontier, u64::from(node.level));
+            frontier.push(',');
+            push_u64(frontier, node.index);
+            frontier.push_str(",\"");
+            push_hex(frontier, &node.hash);
+            frontier.push_str("\"]");
+        }
+        frontier.push(']');
+        w.close();
+    }
+
+    /// The `{"type":"rollup",...}` line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let frontier: Vec<String> = self
-            .tree
-            .frontier()
-            .iter()
-            .map(|n| {
-                format!(
-                    "[{},{},\"{}\"]",
-                    n.level,
-                    n.index,
-                    merkle::digest_hex(&n.hash)
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"type\":\"rollup\",\"v\":{},\"start\":{},\"machines\":{},",
-                "\"root\":\"{}\",\"frontier\":[{}]}}"
-            ),
-            SCHEMA_VERSION,
-            self.tree.start(),
-            self.tree.len(),
-            merkle::digest_hex(&self.tree.root()),
-            frontier.join(","),
-        )
+        one_line(|out| self.append_line(out))
     }
 
     /// Rebuild a roll-up, validating that its frontier tiles the stated
     /// range and reproduces the stated root, so a corrupt roll-up fails
     /// here rather than producing a silently-wrong campaign root.
-    fn decode(v: &Value) -> Result<DigestRollup, String> {
-        let hash = |x: &Value| merkle::digest_from_hex(x.as_str()?);
-        let start = at(v, "start", Value::as_u64)?;
-        let machines = at(v, "machines", Value::as_u64)?;
-        let root = at(v, "root", hash)?;
-        let nodes = items_at(v, "frontier", |node| match node {
-            Value::Array(parts) if parts.len() == 3 => Some(FrontierNode {
-                level: parts[0].as_u64().filter(|&l| l <= 63)? as u32,
-                index: parts[1].as_u64()?,
-                hash: hash(&parts[2])?,
-            }),
-            _ => None,
+    fn decode(f: &Fields<'_, RollupKey>) -> Result<DigestRollup, String> {
+        use RollupKey as K;
+        let hash = |raw: Raw<'_>| merkle::digest_from_hex(&raw.str()?);
+        let start = f.req(K::Start, Raw::u64)?;
+        let machines = f.req(K::Machines, Raw::u64)?;
+        let root = f.req(K::Root, hash)?;
+        let nodes = f.req(K::Frontier, |raw| {
+            raw.items()?
+                .map(|node| {
+                    let mut parts = node.items()?;
+                    let node = FrontierNode {
+                        level: parts.next()?.u64().filter(|&l| l <= 63)? as u32,
+                        index: parts.next()?.u64()?,
+                        hash: hash(parts.next()?)?,
+                    };
+                    parts.next().is_none().then_some(node)
+                })
+                .collect()
         })?;
         let tree = DigestTree::from_frontier(start, machines, nodes).map_err(|e| e.to_string())?;
         if tree.root() != root {
@@ -520,7 +561,7 @@ impl ShardData {
         Ok(())
     }
 
-    fn absorb(&mut self, line: ShardLine) {
+    fn absorb(&mut self, line: ShardLine<'_>) {
         match line {
             ShardLine::Span {
                 name,
@@ -532,14 +573,17 @@ impl ShardData {
             }
             ShardLine::Event => self.events += 1,
             ShardLine::Counter { name, value } => {
-                let slot = self.counters.entry(name).or_insert(0);
+                let slot = self.counters.entry(name.into_owned()).or_insert(0);
                 *slot = slot.saturating_add(value);
             }
             ShardLine::Gauge { name, value } => {
-                self.gauges.insert(name, value);
+                self.gauges.insert(name.into_owned(), value);
             }
             ShardLine::Sketch { name, sketch } => {
-                self.sketches.entry(name).or_default().merge_from(&sketch);
+                self.sketches
+                    .entry(name.into_owned())
+                    .or_default()
+                    .merge_from(&sketch);
             }
             ShardLine::Machine(machine) => self.machines.push(machine),
             ShardLine::Smi(smi) => self.smis.push(smi),
@@ -967,6 +1011,148 @@ mod tests {
         );
         let err = ShardData::parse(&overflowing).unwrap_err();
         assert!(err.contains("frontier does not tile its range"), "{err}");
+    }
+
+    /// Integers are read exactly: values an `f64` cannot hold come back
+    /// as written, at both ends of `u64` and of `i64`.
+    #[test]
+    fn decode_reads_integers_exactly() {
+        let line = MachineLine {
+            sim_clock_ns: (1 << 53) + 1,
+            latency_ns: Some(u64::MAX - 1),
+            ..machine_line(3)
+        };
+        assert_eq!(
+            ShardLine::decode(&line.to_json_line()),
+            Ok(ShardLine::Machine(line))
+        );
+        let counter =
+            "{\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":18446744073709551615}";
+        assert_eq!(
+            ShardLine::decode(counter),
+            Ok(ShardLine::Counter {
+                name: "c".into(),
+                value: u64::MAX
+            })
+        );
+        for value in [i64::MIN, i64::MAX, -((1 << 53) + 1)] {
+            let gauge = format!("{{\"type\":\"gauge\",\"v\":1,\"name\":\"g\",\"value\":{value}}}");
+            assert_eq!(
+                ShardLine::decode(&gauge),
+                Ok(ShardLine::Gauge {
+                    name: "g".into(),
+                    value
+                })
+            );
+        }
+    }
+
+    /// A fraction, an exponent, a sign on a `u64` or a value beyond the
+    /// field's range is not an integer: the field is ill-typed.
+    #[test]
+    fn decode_rejects_fractions_exponents_and_overflow() {
+        for value in ["1.0", "1e3", "1E+3", "-1", "18446744073709551616"] {
+            let counter =
+                format!("{{\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":{value}}}");
+            assert_eq!(
+                ShardLine::decode(&counter),
+                Err("missing/invalid \"value\"".to_string()),
+                "{value}"
+            );
+        }
+        for value in ["-9223372036854775809", "9223372036854775808", "-1.5"] {
+            let gauge = format!("{{\"type\":\"gauge\",\"v\":1,\"name\":\"g\",\"value\":{value}}}");
+            assert_eq!(
+                ShardLine::decode(&gauge),
+                Err("missing/invalid \"value\"".to_string()),
+                "{value}"
+            );
+        }
+        let fraction = machine_line(4)
+            .to_json_line()
+            .replace("\"sim_clock_ns\":1000", "\"sim_clock_ns\":1000.0");
+        assert_eq!(
+            ShardLine::decode(&fraction),
+            Err("machine 4: machine line missing \"sim_clock_ns\"".to_string())
+        );
+    }
+
+    /// A key given twice is an error naming the key, wherever it is:
+    /// no reading silently wins.
+    #[test]
+    fn decode_rejects_duplicate_keys() {
+        let text = "{\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":1}\n\
+                    {\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":1,\"value\":2}\n";
+        assert_eq!(
+            ShardData::parse(text).unwrap_err(),
+            "line 2: duplicate key \"value\" in a counter line"
+        );
+        for (line, key) in [
+            (
+                "{\"type\":\"counter\",\"v\":1,\"v\":1,\"name\":\"c\",\"value\":1}",
+                "v",
+            ),
+            (
+                "{\"v\":1,\"name\":\"c\",\"type\":\"counter\",\"type\":\"counter\"}",
+                "type",
+            ),
+            (
+                "{\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":1,\"type\":\"gauge\"}",
+                "type",
+            ),
+        ] {
+            assert_eq!(
+                ShardLine::decode(line),
+                Err(format!("duplicate key {key:?}")),
+                "{line}"
+            );
+        }
+        let twice = machine_line(5)
+            .to_json_line()
+            .replace("\"ok\":true", "\"ok\":false,\"ok\":true");
+        assert_eq!(
+            ShardLine::decode(&twice),
+            Err("duplicate key \"ok\" in a machine line".to_string())
+        );
+    }
+
+    /// A key the line's type does not declare is an error naming it, on
+    /// every line type: no producer extends a line, so an extra key is
+    /// drift or hostile, not data to skip.
+    #[test]
+    fn decode_rejects_unknown_keys() {
+        let text = "{\"type\":\"counter\",\"v\":1,\"name\":\"c\",\"value\":1,\"note\":\"x\"}\n";
+        assert_eq!(
+            ShardData::parse(text).unwrap_err(),
+            "line 1: unknown key \"note\" in a counter line"
+        );
+        let mut tree = DigestTree::starting_at(0);
+        tree.append([7; 32]);
+        let sketch = {
+            let mut s = QuantileSketch::new();
+            s.observe(45_000);
+            s.to_json_line("d")
+        };
+        for (ty, line) in [
+            ("machine", machine_line(0).to_json_line()),
+            ("rollup", DigestRollup { tree }.to_json_line()),
+            ("sketch", sketch),
+            (
+                "event",
+                "{\"type\":\"event\",\"v\":1,\"name\":\"e\"}".to_string(),
+            ),
+            (
+                "span",
+                "{\"type\":\"span\",\"v\":1,\"name\":\"s\",\"wall_dur_ns\":1}".to_string(),
+            ),
+        ] {
+            let extra = format!("{},\"extra\":0}}", &line[..line.len() - 1]);
+            assert_eq!(
+                ShardLine::decode(&extra),
+                Err(format!("unknown key \"extra\" in a {ty} line")),
+                "{extra}"
+            );
+        }
     }
 
     #[test]

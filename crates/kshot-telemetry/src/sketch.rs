@@ -39,11 +39,10 @@
 //! existing [`crate::SCHEMA_VERSION`]; [`crate::ShardData`] parses it
 //! back and merges sketches across shards exactly like counters.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::json::Value;
-use crate::record::json_escape;
+use crate::schema::{one_line, push_u64_list, Appender, Fields, LineKeys, Raw, SketchKey};
 
 /// Sub-buckets per power-of-two octave. γ = 2^(1/RESOLUTION).
 const RESOLUTION: u64 = 32;
@@ -253,42 +252,34 @@ impl QuantileSketch {
         self.max
     }
 
-    /// Serialize as one JSON line under the crate schema version:
-    /// `{"type":"sketch","v":1,"name":...,"count":...,"sum":...,
-    /// "zeros":...,"min":...,"max":...,"idx":[...],"counts":[...]}`.
-    /// Bucket arrays are index-ascending, so equal sketches serialize
-    /// byte-identically. No trailing newline.
-    pub fn to_json_line(&self, name: &str) -> String {
-        let mut idx = String::new();
-        let mut counts = String::new();
-        for (i, (&k, &n)) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                idx.push(',');
-                counts.push(',');
-            }
-            let _ = write!(idx, "{k}");
-            let _ = write!(counts, "{n}");
-        }
-        format!(
-            concat!(
-                "{{\"type\":\"sketch\",\"v\":{},\"name\":{},\"count\":{},\"sum\":{},",
-                "\"zeros\":{},\"min\":{},\"max\":{},\"idx\":[{}],\"counts\":[{}]}}"
-            ),
-            crate::SCHEMA_VERSION,
-            json_escape(name),
-            self.count,
-            self.sum,
-            self.zeros,
-            self.min(),
-            self.max,
-            idx,
-            counts,
-        )
+    /// Append this sketch's line, and its newline, to `out`, under the
+    /// crate schema version: `{"type":"sketch","v":1,"name":...,
+    /// "count":...,"sum":...,"zeros":...,"min":...,"max":...,
+    /// "idx":[...],"counts":[...]}`. Bucket arrays are index-ascending,
+    /// so equal sketches serialize byte-identically.
+    pub fn append_line(&self, out: &mut String, name: &str) {
+        use SketchKey as K;
+        let mut w = Appender::<K>::open(out);
+        w.str(K::Name, name);
+        w.u64(K::Count, self.count);
+        w.u64(K::Sum, self.sum);
+        w.u64(K::Zeros, self.zeros);
+        w.u64(K::Min, self.min());
+        w.u64(K::Max, self.max);
+        push_u64_list(w.key(K::Idx), self.buckets.keys().map(|&i| u64::from(i)));
+        push_u64_list(w.key(K::Counts), self.buckets.values().copied());
+        w.close();
     }
 
-    /// Rebuild a sketch from a parsed `{"type":"sketch",...}` object
-    /// (schema version already checked by the shard-line decoder, its
-    /// one caller, which prefixes the line number to any error).
+    /// The sketch's line (no trailing newline); see
+    /// [`append_line`](Self::append_line).
+    pub fn to_json_line(&self, name: &str) -> String {
+        one_line(|out| self.append_line(out, name))
+    }
+
+    /// Rebuild a named sketch from a `sketch` line's fields (the
+    /// shard-line decoder, its one caller, has checked the version and
+    /// prefixes the line number to any error).
     ///
     /// # Errors
     ///
@@ -296,28 +287,26 @@ impl QuantileSketch {
     /// an out-of-universe bucket index, or a non-empty sketch whose
     /// `min` exceeds its `max` — shard drift and hostile lines fail
     /// loudly here instead of panicking a later quantile query.
-    pub fn from_json_value(v: &Value) -> Result<QuantileSketch, String> {
-        let field = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing/invalid {key:?}"))
+    pub(crate) fn decode<'a>(
+        f: &Fields<'a, SketchKey>,
+    ) -> Result<(Cow<'a, str>, QuantileSketch), String> {
+        use SketchKey as K;
+        let name = f.req(K::Name, Raw::str)?;
+        let array = |key: K| {
+            f.get(key)
+                .and_then(Raw::items)
+                .ok_or_else(|| format!("missing/invalid {:?}", key.name()))
         };
-        let array = |key: &str| -> Result<Vec<u64>, String> {
-            match v.get(key) {
-                Some(Value::Array(items)) => items
-                    .iter()
-                    .map(|x| x.as_u64().ok_or_else(|| format!("non-integer in {key:?}")))
-                    .collect(),
-                _ => Err(format!("missing/invalid {key:?}")),
-            }
-        };
-        let idx = array("idx")?;
-        let counts = array("counts")?;
-        if idx.len() != counts.len() {
-            return Err("sketch bucket shape mismatch".to_string());
-        }
+        let (mut idx, mut counts) = (array(K::Idx)?, array(K::Counts)?);
         let mut buckets = BTreeMap::new();
-        for (&i, &n) in idx.iter().zip(&counts) {
+        loop {
+            let (i, n) = match (idx.next(), counts.next()) {
+                (None, None) => break,
+                (Some(i), Some(n)) => (i, n),
+                _ => return Err("sketch bucket shape mismatch".to_string()),
+            };
+            let i = i.u64().ok_or("non-integer in \"idx\"")?;
+            let n = n.u64().ok_or("non-integer in \"counts\"")?;
             if i > MAX_INDEX {
                 return Err(format!("sketch bucket index {i} out of range"));
             }
@@ -327,20 +316,21 @@ impl QuantileSketch {
             let slot: &mut u64 = buckets.entry(i as u16).or_insert(0);
             *slot = slot.saturating_add(n);
         }
-        let count = field("count")?;
-        let min = if count == 0 { u64::MAX } else { field("min")? };
-        let max = field("max")?;
+        let count = f.req(K::Count, Raw::u64)?;
+        let min = f.req(K::Min, Raw::u64)?;
+        let max = f.req(K::Max, Raw::u64)?;
         if count > 0 && min > max {
             return Err(format!("sketch min {min} > max {max}"));
         }
-        Ok(QuantileSketch {
+        let sketch = QuantileSketch {
             buckets,
-            zeros: field("zeros")?,
+            zeros: f.req(K::Zeros, Raw::u64)?,
             count,
-            sum: field("sum")?,
-            min,
+            sum: f.req(K::Sum, Raw::u64)?,
+            min: if count == 0 { u64::MAX } else { min },
             max,
-        })
+        };
+        Ok((name, sketch))
     }
 }
 
@@ -431,9 +421,7 @@ mod tests {
         s.observe(u64::MAX);
         assert_eq!(s.sum(), u64::MAX);
         let line = s.to_json_line("edge");
-        let v = crate::json::parse(&line).unwrap();
-        let back = QuantileSketch::from_json_value(&v).unwrap();
-        assert_eq!(back, s);
+        assert_eq!(decode(&line), Ok(s));
     }
 
     #[test]
@@ -484,6 +472,14 @@ mod tests {
         assert_eq!(seq, all);
     }
 
+    /// The sketch a `sketch` line decodes to.
+    fn decode(line: &str) -> Result<QuantileSketch, String> {
+        match crate::ShardLine::decode(line)? {
+            crate::ShardLine::Sketch { sketch, .. } => Ok(sketch),
+            other => panic!("not a sketch line: {other:?}"),
+        }
+    }
+
     #[test]
     fn json_roundtrip_is_lossless_and_rejects_drift() {
         let mut s = QuantileSketch::new();
@@ -492,42 +488,29 @@ mod tests {
         }
         let line = s.to_json_line("machine.smm_dwell_ns");
         let v = crate::json::parse(&line).unwrap();
-        assert_eq!(v.get("type").and_then(Value::as_str), Some("sketch"));
         assert_eq!(
-            v.get("v").and_then(Value::as_u64),
+            v.get("type").and_then(crate::json::Value::as_str),
+            Some("sketch")
+        );
+        assert_eq!(
+            v.get("v").and_then(crate::json::Value::as_u64),
             Some(u64::from(crate::SCHEMA_VERSION))
         );
-        let back = QuantileSketch::from_json_value(&v).unwrap();
+        let back = decode(&line).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.to_json_line("machine.smm_dwell_ns"), line);
 
-        let bad = crate::json::parse(
-            "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
-             \"zeros\":0,\"min\":1,\"max\":1,\"idx\":[1,2],\"counts\":[1]}",
-        )
-        .unwrap();
-        assert!(QuantileSketch::from_json_value(&bad)
-            .unwrap_err()
-            .contains("shape mismatch"));
-        let oob = crate::json::parse(
-            "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
-             \"zeros\":0,\"min\":1,\"max\":1,\"idx\":[9999],\"counts\":[1]}",
-        )
-        .unwrap();
-        assert!(QuantileSketch::from_json_value(&oob)
-            .unwrap_err()
-            .contains("out of range"));
+        let bad = "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
+                   \"zeros\":0,\"min\":1,\"max\":1,\"idx\":[1,2],\"counts\":[1]}";
+        assert!(decode(bad).unwrap_err().contains("shape mismatch"));
+        let oob = "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
+                   \"zeros\":0,\"min\":1,\"max\":1,\"idx\":[9999],\"counts\":[1]}";
+        assert!(decode(oob).unwrap_err().contains("out of range"));
         // A non-empty sketch with min > max would panic the first
         // quantile query's clamp; it is rejected.
-        let inverted = crate::json::parse(
-            "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
-             \"zeros\":0,\"min\":100,\"max\":50,\"idx\":[200],\"counts\":[1]}",
-        )
-        .unwrap();
-        assert_eq!(
-            QuantileSketch::from_json_value(&inverted).unwrap_err(),
-            "sketch min 100 > max 50"
-        );
+        let inverted = "{\"type\":\"sketch\",\"v\":1,\"name\":\"x\",\"count\":1,\"sum\":1,\
+                        \"zeros\":0,\"min\":100,\"max\":50,\"idx\":[200],\"counts\":[1]}";
+        assert_eq!(decode(inverted).unwrap_err(), "sketch min 100 > max 50");
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! problem: each campaign worker owns one [`StreamSink`] on its own
 //! `worker-<N>.jsonl` file and writes every machine it drives into it
 //! as one parcel (the machine's records, rendered by
-//! [`crate::export::record_json_line`], its metrics block and its
-//! outcome lines), so the shard file accumulates the full trace while
+//! [`crate::export::append_record_line`], its SMI flight records, its
+//! metrics block and its outcome line, appended into one buffer and
+//! handed over by [`StreamSink::write_block`]), so the shard file
+//! accumulates the full trace while
 //! the merged campaign report keeps only summaries. [`crate::shard`]
 //! reads the files back and re-aggregates them losslessly. The health
 //! monitor owns the other sink, on `health.jsonl`.
@@ -30,9 +32,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
-
-use crate::export::metrics_json_lines;
-use crate::metrics::MetricsSnapshot;
 
 /// One streaming destination and its line counters.
 pub struct StreamSink {
@@ -96,15 +95,27 @@ impl StreamSink {
         self.out().write_line(line);
     }
 
-    /// Serialize a metrics snapshot as mergeable JSON lines (see
-    /// [`crate::export::metrics_json_lines`]) into the stream. The fleet
-    /// campaign calls this once per machine so shard files carry metric
-    /// totals as well as records.
-    pub fn write_metrics(&self, metrics: &MetricsSnapshot) {
-        let block = metrics_json_lines(metrics);
+    /// Write a block of whole lines, each ending in a newline, with one
+    /// write: how a fleet worker hands over a machine's parcel. Every
+    /// line of the block counts as written, or on a write error as
+    /// dropped.
+    pub fn write_block(&self, block: &str) {
+        debug_assert!(
+            block.is_empty() || block.ends_with('\n'),
+            "a block holds whole lines"
+        );
+        // Counted in chunks with byte-wide sums, which vectorise: a
+        // parcel's newlines cost a tenth of a byte-at-a-time count.
+        let lines: u64 = block
+            .as_bytes()
+            .chunks(255)
+            .map(|chunk| u64::from(chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+            .sum();
         let mut out = self.out();
-        for line in block.lines() {
-            out.write_line(line);
+        if out.writer.write_all(block.as_bytes()).is_ok() {
+            out.lines += lines;
+        } else {
+            out.dropped += lines;
         }
     }
 
@@ -249,6 +260,21 @@ mod tests {
         assert!(text.contains("\"ok\""));
         assert!(text.contains("\"ok2\""));
         assert!(!text.contains("lost1"));
+    }
+
+    /// A block of whole lines goes out in one write: each of its lines
+    /// counts as written, or on a write error as dropped.
+    #[test]
+    fn write_block_counts_each_of_its_lines() {
+        let buf = SharedBuf::new();
+        let sink = StreamSink::new(Box::new(buf.clone()));
+        let block = format!("{}\n{}\n", event("a"), event("b"));
+        sink.write_block(&block);
+        assert_eq!((sink.lines_written(), sink.dropped()), (2, 0));
+        buf.fail.store(true, Ordering::Relaxed);
+        sink.write_block(&block);
+        assert_eq!((sink.lines_written(), sink.dropped()), (2, 2));
+        assert_eq!(buf.contents(), block);
     }
 
     /// The owner decides when a reader may see lines: through a
