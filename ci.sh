@@ -7,6 +7,22 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every named `cargo test` below runs through this: it prints the run's
+# output and fails unless the run's `passed` counts add up to at least
+# one, so a stale test name cannot drop its gate by matching nothing.
+cargo_test() {
+  local out passed
+  out=$(cargo test -q "$@") || { printf '%s\n' "$out"; return 1; }
+  printf '%s\n' "$out"
+  passed=$(printf '%s\n' "$out" \
+    | sed -n 's/^test result: [a-zA-Z]*\. \([0-9]*\) passed;.*/\1/p' \
+    | awk '{ n += $1 } END { print n + 0 }')
+  if [ "$passed" -lt 1 ]; then
+    echo "no test ran: cargo test -q $*" >&2
+    return 1
+  fi
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -24,13 +40,13 @@ cargo test -q
 # sweep, and the deterministic fuzz of Channel::open frame orderings
 # (drop/reorder/duplicate/tamper/resync).
 echo "== fault sweep =="
-cargo test -q -p kshot --test fault_sweep
+cargo_test -p kshot --test fault_sweep
 # A fault after the journal commits surfaces as KShotError::Committed,
 # carrying the applied patch's report; recover() heals the key material.
-cargo test -q -p kshot-core fault_after_commit_surfaces_as_committed
+cargo_test -p kshot-core fault_after_commit_surfaces_as_committed
 
 echo "== channel ordering fuzz =="
-cargo test -q -p kshot-patchserver --test prop_channel_orderings
+cargo_test -p kshot-patchserver --test prop_channel_orderings
 
 # Crypto fast paths against their references: Montgomery exponentiation
 # equals BigUint::modpow at 8 and 32 limbs (random odd moduli, the
@@ -50,23 +66,23 @@ cargo test -q -p kshot-patchserver --test prop_channel_orderings
 # generators fail at construction, and HMAC over parts equals HMAC over
 # their concatenation. The log names the default group's arithmetic.
 echo "== crypto fast paths vs reference =="
-cargo test -q -p kshot-crypto montgomery
-cargo test -q -p kshot-crypto golden_dh_values
-cargo test -q -p kshot-crypto keygens_at_and_past_the_comb_width_match_modpow_and_agree
-cargo test -q -p kshot-crypto pseudo_mersenne
-cargo test -q -p kshot-crypto comb_
-cargo test -q -p kshot-crypto new_picks_the_arithmetic_from_the_modulus_shape
-cargo test -q -p kshot-crypto new_rejects_degenerate_generator
-cargo test -q -p kshot-crypto --test prop_crypto hmac_parts_equal_the_concatenation
-cargo test -q -p kshot-crypto dh::tests::default_group_arithmetic_is_reported -- --nocapture \
+cargo_test -p kshot-crypto montgomery
+cargo_test -p kshot-crypto golden_dh_values
+cargo_test -p kshot-crypto keygens_at_and_past_the_comb_width_match_modpow_and_agree
+cargo_test -p kshot-crypto pseudo_mersenne
+cargo_test -p kshot-crypto comb_
+cargo_test -p kshot-crypto new_picks_the_arithmetic_from_the_modulus_shape
+cargo_test -p kshot-crypto new_rejects_degenerate_generator
+cargo_test -p kshot-crypto --test prop_crypto hmac_parts_equal_the_concatenation
+cargo_test -p kshot-crypto dh::tests::default_group_arithmetic_is_reported -- --nocapture \
   | tee target/dh_path.log
 grep -Fq "dh default group: pseudo-mersenne 2^512-569, comb 8x33" target/dh_path.log
-cargo test -q -p kshot-crypto sha256::tests::fips_vectors_through_both_compressors
-cargo test -q -p kshot-crypto sha256::tests::dispatched_sha256_equals_portable_over_random_splits
-cargo test -q -p kshot-crypto sha256::tests::dispatched_compressor_is_reported -- --nocapture \
+cargo_test -p kshot-crypto sha256::tests::fips_vectors_through_both_compressors
+cargo_test -p kshot-crypto sha256::tests::dispatched_sha256_equals_portable_over_random_splits
+cargo_test -p kshot-crypto sha256::tests::dispatched_compressor_is_reported -- --nocapture \
   | tee target/sha256_path.log
 grep -Eq "sha256 compressor: (sha-ni|portable)" target/sha256_path.log
-cargo test -q -p kshot-core dh_group_params_are_built_once_per_process
+cargo_test -p kshot-core dh_group_params_are_built_once_per_process
 
 # ChaCha20's AVX2 eight-block keystream against the portable block
 # function: the RFC 8439 block and encryption vectors through both
@@ -76,9 +92,9 @@ cargo test -q -p kshot-core dh_group_params_are_built_once_per_process
 # multiples of 64 that are not multiples of 512. The log names the
 # keystream path that ran: avx2 or portable.
 echo "== ChaCha20 fast path vs reference =="
-cargo test -q -p kshot-crypto chacha::tests::rfc8439_vectors_through_both_paths
-cargo test -q -p kshot-crypto chacha::tests::dispatched_keystream_equals_portable
-cargo test -q -p kshot-crypto chacha::tests::dispatched_keystream_is_reported -- --nocapture \
+cargo_test -p kshot-crypto chacha::tests::rfc8439_vectors_through_both_paths
+cargo_test -p kshot-crypto chacha::tests::dispatched_keystream_equals_portable
+cargo_test -p kshot-crypto chacha::tests::dispatched_keystream_is_reported -- --nocapture \
   | tee target/chacha_path.log
 grep -Eq "chacha20 keystream: (avx2|portable)" target/chacha_path.log
 
@@ -95,18 +111,17 @@ grep -Eq "chacha20 keystream: (avx2|portable)" target/chacha_path.log
 # on every input, and a blob carrying a cached blob's trailer with one
 # differing byte is decoded and rejected, never served from the cache.
 echo "== pass budget =="
-cargo test -q -p kshot-crypto counters::tests::every_update_and_apply_is_counted_on_its_own_thread
-cargo test -q -p kshot-core pass_budget_per_bundle_byte
-cargo test -q -p kshot-core memx_hash_is_the_sha256_of_the_placed_body_under_both_algorithms
-cargo test -q -p kshot-patchserver channel::tests::seal_owned_equals_seal_and_leaves_the_same_state
-cargo test -q -p kshot-patchserver \
+cargo_test -p kshot-crypto counters::tests::every_update_and_apply_is_counted_on_its_own_thread
+cargo_test -p kshot-core pass_budget_per_bundle_byte
+cargo_test -p kshot-core memx_hash_is_the_sha256_of_the_placed_body_under_both_algorithms
+cargo_test -p kshot-patchserver channel::tests::seal_owned_equals_seal_and_leaves_the_same_state
+cargo_test -p kshot-patchserver \
   channel::tests::open_in_place_failures_leave_buffer_and_sequence_untouched
-cargo test -q -p kshot-patchserver --test prop_decode_robustness \
+cargo_test -p kshot-patchserver --test prop_decode_robustness \
   in_place_frame_parse_agrees_with_frame_decode
-cargo test -q -p kshot-patchserver \
+cargo_test -p kshot-patchserver \
   cache::tests::a_cached_trailer_with_one_differing_byte_is_decoded_and_rejected
-cargo test -q -p kshot-patchserver cache::tests::a_blob_shorter_than_a_trailer_is_decoded_and_rejected
-cargo test -q -p kshot-patchserver cache::tests::other_bytes_under_a_stored_trailer_get_their_own_decode
+cargo_test -p kshot-patchserver cache::tests::a_blob_shorter_than_a_trailer_is_decoded_and_rejected
 
 # Sparse physical memory gates: random writes, reads, slices, attribute
 # changes and clone-then-diverge sequences against a dense model (reads
@@ -115,8 +130,8 @@ cargo test -q -p kshot-patchserver cache::tests::other_bytes_under_a_stored_trai
 # patched fleet machine owns at most 32 pages; a snapshot shares every
 # run until the next write).
 echo "== sparse memory model + footprint =="
-cargo test -q -p kshot-machine --test prop_phys_model
-cargo test -q -p kshot --test memory_footprint
+cargo_test -p kshot-machine --test prop_phys_model
+cargo_test -p kshot --test memory_footprint
 
 # Fleet gates: the byte-identical-applied-state property (including
 # under an injected fault + retry, across pipeline depths and worker
@@ -126,17 +141,17 @@ cargo test -q -p kshot --test memory_footprint
 # pipeline depth 16 on a single worker with digests identical to the
 # sequential run, then writes the benchmark artefact this gate checks.
 echo "== fleet identical-state property =="
-cargo test -q -p kshot-fleet --test prop_fleet_identical
-# The campaign decodes each blob once before its workers start, so no
-# machine's shard parcel carries the cache miss, whichever worker is
-# first: every parcel carries one hit.
-cargo test -q -p kshot-fleet cache_miss_is_never_charged_to_a_machine
+cargo_test -p kshot-fleet --test prop_fleet_identical
+# The campaign decodes each blob once before its workers start, and no
+# machine looks a blob up, so no machine's shard parcel carries a cache
+# line, whichever worker is first.
+cargo_test -p kshot-fleet cache_miss_is_never_charged_to_a_machine
 # The campaign hashes a kernel text once while its machines carry that
 # text: a repeated text adds exactly its length fewer SHA-256 bytes, a
 # text differing in its first, last or one middle byte (or alternating
 # with another) digests to its own SHA-256, and a rolled-back machine
 # still digests equal to a never-patched one.
-cargo test -q -p kshot-fleet text_memo_
+cargo_test -p kshot-fleet text_memo_
 
 # Committed-fault gates: a fault at every SMM write of the first patch
 # SMI, in four shapes (the bundle, a one-entry catalogue, a sequential
@@ -148,28 +163,28 @@ cargo test -q -p kshot-fleet text_memo_
 # metrics identical across workers {1,8} x depths {1,4}, and on a
 # canary machine it keeps a 32-machine rollout healthy in every wave.
 echo "== committed fault sweep =="
-cargo test -q -p kshot-fleet --test committed_fault_sweep
-cargo test -q -p kshot-fleet --test committed_fault_sweep committed_sweep_
-cargo test -q -p kshot-fleet --test committed_fault_sweep committed_fault_is_scheduler_invariant
-cargo test -q -p kshot-fleet --test committed_fault_sweep \
+cargo_test -p kshot-fleet --test committed_fault_sweep
+cargo_test -p kshot-fleet --test committed_fault_sweep committed_sweep_
+cargo_test -p kshot-fleet --test committed_fault_sweep committed_fault_is_scheduler_invariant
+cargo_test -p kshot-fleet --test committed_fault_sweep \
   committed_fault_on_a_canary_keeps_the_rollout_healthy
 
 echo "== shard tail + injection accounting regressions =="
-cargo test -q -p kshot-telemetry tail_
+cargo_test -p kshot-telemetry tail_
 # The campaign's one live tailer, HealthMonitor::poll: a torn final
 # line waits for the next poll, polling a growing shard judges what one
 # poll of the whole file judges, and a shard truncated under the
 # monitor is a typed error naming its path.
-cargo test -q -p kshot-telemetry health::tests::tail_torn_final_line_waits_for_the_next_poll
-cargo test -q -p kshot-telemetry \
+cargo_test -p kshot-telemetry health::tests::tail_torn_final_line_waits_for_the_next_poll
+cargo_test -p kshot-telemetry \
   health::tests::tail_polls_across_snapshots_match_one_poll_of_the_whole_file
-cargo test -q -p kshot-telemetry health::tests::tail_truncated_shard_is_a_typed_error_naming_the_path
+cargo_test -p kshot-telemetry health::tests::tail_truncated_shard_is_a_typed_error_naming_the_path
 # An unterminated final line over the line cap fails the poll typed,
 # naming the byte it starts at, instead of being re-read every poll.
-cargo test -q -p kshot-telemetry \
+cargo_test -p kshot-telemetry \
   health::tests::tail_unterminated_line_over_the_cap_is_a_typed_error
-cargo test -q -p kshot-fleet unfired_injection_plan_is_disarmed_and_accounted_on_success
-cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
+cargo_test -p kshot-fleet unfired_injection_plan_is_disarmed_and_accounted_on_success
+cargo_test -p kshot-fleet pipelined_worker_matches_sequential_results
 
 # Health-plane gates: the quantile sketch's documented error bound and
 # merge-order independence over randomized distributions, its u64
@@ -192,21 +207,21 @@ cargo test -q -p kshot-fleet pipelined_worker_matches_sequential_results
 # a real campaign's re-spaced shards judge like the compact ones; and a
 # monitor that fails under a rollout fails closed instead of hanging.
 echo "== sketch error-bound property =="
-cargo test -q -p kshot-telemetry --test prop_sketch
-cargo test -q -p kshot-telemetry sketch_merge_saturates_at_u64_boundaries
-cargo test -q -p kshot-telemetry rejects_version_drift_and_malformed_lines
-cargo test -q -p kshot-telemetry hostile_sketch_line_is_a_typed_parse_error
-cargo test -q -p kshot-telemetry duplicate_machine_line_is_a_typed_parse_error
-cargo test -q -p kshot-telemetry out_of_range_machine_line_is_a_typed_parse_error
-cargo test -q -p kshot-telemetry machine_line_without_ok_is_a_typed_parse_error
-cargo test -q -p kshot-telemetry profile_size_tracks_distinct_values_not_samples
-cargo test -q -p kshot-telemetry unknown_line_type_is_a_typed_parse_error
-cargo test -q -p kshot-telemetry malformed_record_is_flagged_not_ignored
-cargo test -q -p kshot-telemetry spaced_machine_line_closes_its_parcel
-cargo test -q -p kshot-telemetry smi_line_of_another_machine_is_a_typed_parse_error
-cargo test -q -p kshot-telemetry open_parcel_counts_in_resident_state_until_its_machine_line
-cargo test -q -p kshot-telemetry ten_k_metric_blocks_without_a_machine_line_stay_bounded
-cargo test -q -p kshot-telemetry --test prop_shard_intake
+cargo_test -p kshot-telemetry --test prop_sketch
+cargo_test -p kshot-telemetry sketch_merge_saturates_at_u64_boundaries
+cargo_test -p kshot-telemetry rejects_version_drift_and_malformed_lines
+cargo_test -p kshot-telemetry hostile_sketch_line_is_a_typed_parse_error
+cargo_test -p kshot-telemetry duplicate_machine_line_is_a_typed_parse_error
+cargo_test -p kshot-telemetry out_of_range_machine_line_is_a_typed_parse_error
+cargo_test -p kshot-telemetry machine_line_without_ok_is_a_typed_parse_error
+cargo_test -p kshot-telemetry profile_size_tracks_distinct_values_not_samples
+cargo_test -p kshot-telemetry unknown_line_type_is_a_typed_parse_error
+cargo_test -p kshot-telemetry malformed_record_is_flagged_not_ignored
+cargo_test -p kshot-telemetry spaced_machine_line_closes_its_parcel
+cargo_test -p kshot-telemetry smi_line_of_another_machine_is_a_typed_parse_error
+cargo_test -p kshot-telemetry open_parcel_counts_in_resident_state_until_its_machine_line
+cargo_test -p kshot-telemetry ten_k_metric_blocks_without_a_machine_line_stay_bounded
+cargo_test -p kshot-telemetry --test prop_shard_intake
 # The shard writer and reader. A small observed campaign's worker-0.jsonl
 # and health.jsonl equal their goldens byte for byte (wall-clock fields
 # and process-global span numbers masked), and so do hand-built lines
@@ -217,14 +232,14 @@ cargo test -q -p kshot-telemetry --test prop_shard_intake
 # oracle. The log prints the reader's rate over the golden shard; no
 # timing is asserted.
 echo "== shard writer and reader =="
-cargo test -q -p kshot-fleet --test shard_golden
-cargo test -q -p kshot-telemetry shard::tests::decode_reads_integers_exactly
-cargo test -q -p kshot-telemetry shard::tests::decode_rejects_fractions_exponents_and_overflow
-cargo test -q -p kshot-telemetry shard::tests::decode_rejects_duplicate_keys
-cargo test -q -p kshot-telemetry shard::tests::decode_rejects_unknown_keys
-cargo test -q -p kshot-telemetry --test prop_shard_intake typed_lines_round_trip
-cargo test -q -p kshot-telemetry --test prop_shard_intake reader_agrees_with_the_json_oracle
-cargo test -q --release -p kshot-fleet --test shard_golden golden_shard_decode_rate_is_printed \
+cargo_test -p kshot-fleet --test shard_golden
+cargo_test -p kshot-telemetry shard::tests::decode_reads_integers_exactly
+cargo_test -p kshot-telemetry shard::tests::decode_rejects_fractions_exponents_and_overflow
+cargo_test -p kshot-telemetry shard::tests::decode_rejects_duplicate_keys
+cargo_test -p kshot-telemetry shard::tests::decode_rejects_unknown_keys
+cargo_test -p kshot-telemetry --test prop_shard_intake typed_lines_round_trip
+cargo_test -p kshot-telemetry --test prop_shard_intake reader_agrees_with_the_json_oracle
+cargo_test --release -p kshot-fleet --test shard_golden golden_shard_decode_rate_is_printed \
   -- --nocapture | tee target/shard_decode_rate.log
 grep -Eq "golden shard \([0-9]+ bytes\): ShardData::parse [0-9]+ MB/s" target/shard_decode_rate.log
 # Long lines: the JSON string decoder is linear (256 KiB under 250 ms
@@ -233,19 +248,19 @@ grep -Eq "golden shard \([0-9]+ bytes\): ShardData::parse [0-9]+ MB/s" target/sh
 # line is a typed error in ShardData::parse and HealthMonitor::poll, and
 # shards carrying one line at the cap's edge or 1-4 MiB over it end in a
 # verdict or a typed error within the property's time bound.
-cargo test -q -p kshot-telemetry json::tests::long_strings_parse_in_linear_time
-cargo test -q -p kshot-telemetry full_sketch_line_decodes_under_the_cap
-cargo test -q -p kshot-telemetry over_long_
-cargo test -q -p kshot-telemetry --test prop_shard_intake \
+cargo_test -p kshot-telemetry json::tests::long_strings_parse_in_linear_time
+cargo_test -p kshot-telemetry full_sketch_line_decodes_under_the_cap
+cargo_test -p kshot-telemetry over_long_
+cargo_test -p kshot-telemetry --test prop_shard_intake \
   long_lines_yield_a_verdict_or_a_typed_error_in_time
-cargo test -q -p kshot-fleet --test health_stream respaced_campaign_shards_judge_like_the_compact_ones
-cargo test -q -p kshot-fleet --test health_stream monitor_failure_under_a_rollout_fails_closed
+cargo_test -p kshot-fleet --test health_stream respaced_campaign_shards_judge_like_the_compact_ones
+cargo_test -p kshot-fleet --test health_stream monitor_failure_under_a_rollout_fails_closed
 # A worker panic ends a health-monitored campaign with the worker's own
 # panic instead of hanging it (the test times out after 60 s).
-cargo test -q -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_campaign
+cargo_test -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_campaign
 # Under a rollout, the panic also fails the rollout closed, so the
 # surviving workers stop waiting on the dead worker's wave.
-cargo test -q -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_rollout
+cargo_test -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_rollout
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
 # root/divergence/frontier round-trip), the fleet fold's merge-equals-
@@ -255,14 +270,14 @@ cargo test -q -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_
 # every campaign's folds rest on, and the cross-scheduler
 # root-vs-digest-vector property with the exact divergence locator.
 echo "== merkle roll-up + outcome folding =="
-cargo test -q -p kshot-telemetry merkle
-cargo test -q -p kshot-telemetry rollup
-cargo test -q -p kshot-fleet fold
-cargo test -q -p kshot-fleet placement_deals_adjacent_blocks_round_robin
-cargo test -q -p kshot --test merkle_rollup
+cargo_test -p kshot-telemetry merkle
+cargo_test -p kshot-telemetry rollup
+cargo_test -p kshot-fleet fold
+cargo_test -p kshot-fleet placement_deals_adjacent_blocks_round_robin
+cargo_test -p kshot --test merkle_rollup
 
 echo "== health stream determinism =="
-cargo test -q -p kshot-fleet --test health_stream
+cargo_test -p kshot-fleet --test health_stream
 
 # Rollout gate: canary→ramp admission order, a mid-campaign Halt that
 # stops admission, auto-rollback restoring the never-patched digest
@@ -272,22 +287,32 @@ cargo test -q -p kshot-fleet --test health_stream
 # pipeline depths, and rollouts that keep no outcomes reporting the
 # same rollout, health stream and root as their retained twins.
 echo "== rollout: staged waves, auto-halt, rollback determinism =="
-cargo test -q -p kshot --test rollout
-cargo test -q -p kshot --test rollout folded_rollouts_match_their_retained_twins
-cargo test -q -p kshot-fleet decode_failure_terminal_path_folds_injection_stats
-cargo test -q -p kshot-fleet failed_recovery_is_terminal_and_counted
+cargo_test -p kshot --test rollout
+cargo_test -p kshot --test rollout folded_rollouts_match_their_retained_twins
+cargo_test -p kshot-fleet decode_failure_terminal_path_folds_injection_stats
+cargo_test -p kshot-fleet failed_recovery_is_terminal_and_counted
 
 # Batched-SMI gates: the per-CVE journal-segmentation fault sweep
 # (fail-write and power-loss at every SMM write index of a 3-CVE batch;
 # recovery preserves exactly the committed CVE prefix and the machine
 # matches a prefix-patched reference byte-for-byte), and the fleet
 # catalogue tests (batched == sequential digests, decode-once cache
-# accounting, faulted-batch resume).
+# accounting, a batch that cannot merge failing each machine once,
+# faulted-batch resume).
 echo "== batched-SMI fault sweep + fleet catalogue =="
-cargo test -q -p kshot --test fault_sweep batched
-cargo test -q -p kshot-fleet catalogue_campaign_batched_matches_sequential
-cargo test -q -p kshot-fleet batched_catalogue_decodes_once_per_blob
-cargo test -q -p kshot-fleet faulted_batched_machine_retries_and_matches
+cargo_test -p kshot --test fault_sweep batched
+cargo_test -p kshot-fleet catalogue_campaign_batched_matches_sequential
+cargo_test -p kshot-fleet batched_catalogue_decodes_once_per_blob
+cargo_test -p kshot-fleet unmergeable_batch_fails_each_machine_once
+cargo_test -p kshot-fleet faulted_batched_machine_retries_and_matches
+
+# The campaign contract by value: the CVE-2017-17806 campaign roots of
+# BENCH_fleet.json and perfbench/pinned.json with their simulated p50
+# and longest SMM dwell, the 1 MiB bundle's figures and 24-machine root,
+# the batched stage's simulated p50s at k = 1, 2, 4, and both rollout
+# roots.
+echo "== campaign contract =="
+cargo_test -p kshot --test campaign_contract
 
 echo "== fleet campaign smoke (incl. pipelined + rollout gates) =="
 rm -f BENCH_fleet.json
@@ -317,6 +342,8 @@ grep -q '"rollback_pops_last_cve":true' BENCH_fleet.json
 grep -q '"scale":{' BENCH_fleet.json
 grep -Eq '"scale":\{"machines":[1-9][0-9]{5}' BENCH_fleet.json
 grep -q '"merkle_root_identical":true' BENCH_fleet.json
+grep -Eq '"scale":\{[^}]*"merkle_root":"d64e6e4a34666426cac8c4eae24244aa45bb4cd2981699099bc0ff7e6cec711d"' \
+  BENCH_fleet.json
 grep -q '"root_matches_digest_vector":true' BENCH_fleet.json
 grep -q '"resident_bounded":true' BENCH_fleet.json
 
@@ -356,7 +383,7 @@ grep -q '"agg_lines_per_sec":' BENCH_observe.json
 # all four attacks caught, zero violations on the clean fleet, bounded
 # resident monitor memory.
 echo "== integrity: flight-record replay, attack sweep, clean-run zero-violation =="
-cargo test -q -p kshot-fleet --test integrity_attacks
+cargo_test -p kshot-fleet --test integrity_attacks
 grep -q '"integrity":{"clean_records":64,"clean_violations":0,' BENCH_observe.json
 grep -q '"attacks_caught":4' BENCH_observe.json
 grep -q '"clean_resident_bytes":' BENCH_observe.json

@@ -456,9 +456,11 @@ impl KShot {
     /// fixed pause costs (switching + key generation, ≈40 µs) are paid
     /// once for the whole set — the natural "patch Tuesday" deployment.
     ///
-    /// Bundles are built through the server's decode-once memo
-    /// ([`PatchServer::build_patch_cached`]), so a fleet of machines
-    /// batching the same catalogue compiles each patch exactly once.
+    /// Bundles are built through the server's memo
+    /// ([`PatchServer::build_patch_cached`]), so machines batching the
+    /// same patches compile each one once. A fleet campaign holds
+    /// encoded bundles instead: it merges them once per campaign with
+    /// [`batch_bundle`] and hands every machine the merge's encoding.
     ///
     /// # Errors
     ///
@@ -477,85 +479,22 @@ impl KShot {
         self.live_patch_batch_bundles(bundles)
     }
 
-    /// Merge pre-built bundles into one batched bundle and apply it in
-    /// a single SMI. The merged bundle carries a per-CVE segment table,
-    /// so the SMM handler journals each CVE as its own
+    /// Merge pre-built bundles with [`batch_bundle`] and apply the merge
+    /// in a single SMI. The merged bundle carries a per-CVE segment
+    /// table, so the SMM handler journals each CVE as its own
     /// crash-consistency unit: [`KShot::rollback_last`] pops one CVE,
     /// [`KShot::recover`] after a mid-batch fault preserves completed
     /// CVEs and unwinds only the interrupted one, and the returned
     /// [`PatchReport::segments`] itemizes each CVE's contribution.
-    /// Bundles may be owned or borrowed; the merged bundle copies what
-    /// it needs from them.
     ///
     /// # Errors
     ///
-    /// * [`KShotError::EmptyBatch`] for an empty set.
-    /// * [`KShotError::BatchOverlap`] when two patches touch the same
-    ///   function — patched entry *or* added function (their target
-    ///   pre-hashes / placements cannot both hold).
-    /// * [`KShotError::BatchGlobalOverlap`] when two patches write
-    ///   overlapping global data ranges.
-    /// * Any [`KShot::live_patch`] error otherwise.
+    /// As [`batch_bundle`], then any [`KShot::live_patch`] error.
     pub fn live_patch_batch_bundles<B: Borrow<PatchBundle>>(
         &mut self,
         bundles: impl IntoIterator<Item = B>,
     ) -> Result<PatchReport, KShotError> {
-        let info = self.kernel.info();
-        let mut merged = PatchBundle {
-            id: String::from("BATCH"),
-            kernel_version: info.version.clone(),
-            ..Default::default()
-        };
-        let mut seen_functions = std::collections::BTreeSet::new();
-        let mut global_ranges: Vec<(u64, u64)> = Vec::new();
-        let mut ids = Vec::new();
-        for bundle in bundles {
-            let bundle = bundle.borrow();
-            // Two patches redirecting (or defining) the same function
-            // cannot both hold; catch entries AND new functions.
-            for e in bundle.entries.iter().chain(&bundle.new_functions) {
-                if !seen_functions.insert(e.name.clone()) {
-                    return Err(KShotError::BatchOverlap {
-                        function: e.name.clone(),
-                    });
-                }
-            }
-            for g in &bundle.global_ops {
-                let name = match g {
-                    kshot_patchserver::bundle::GlobalOp::SetBytes { name, .. }
-                    | kshot_patchserver::bundle::GlobalOp::InitBytes { name, .. } => name.clone(),
-                };
-                let (lo, hi) = (g.addr(), g.addr() + g.bytes().len() as u64);
-                if global_ranges.iter().any(|(a, b)| lo < *b && *a < hi) {
-                    return Err(KShotError::BatchGlobalOverlap {
-                        name,
-                        addr: g.addr(),
-                    });
-                }
-                global_ranges.push((lo, hi));
-            }
-            ids.push(bundle.id.clone());
-            merged
-                .segments
-                .push(kshot_patchserver::bundle::BundleSegment {
-                    id: bundle.id.clone(),
-                    entries: bundle.entries.len() as u32,
-                    new_functions: bundle.new_functions.len() as u32,
-                    global_ops: bundle.global_ops.len() as u32,
-                });
-            merged.entries.extend_from_slice(&bundle.entries);
-            merged
-                .new_functions
-                .extend_from_slice(&bundle.new_functions);
-            merged.global_ops.extend_from_slice(&bundle.global_ops);
-            merged.types.t1 |= bundle.types.t1;
-            merged.types.t2 |= bundle.types.t2;
-            merged.types.t3 |= bundle.types.t3;
-        }
-        if ids.is_empty() {
-            return Err(KShotError::EmptyBatch);
-        }
-        merged.id = format!("BATCH({})", ids.join("+"));
+        let merged = batch_bundle(self.kernel.version(), bundles)?;
         self.live_patch_bundle(merged)
     }
 
@@ -776,6 +715,80 @@ impl KShot {
         machine.rsm()?;
         Ok(result?)
     }
+}
+
+/// Merge pre-built bundles, in order, into one `BATCH(id+id+…)` bundle
+/// for `kernel_version` with one segment per bundle: what one SMI of
+/// [`KShot::live_patch_batch_bundles`] applies. Bundles may be owned or
+/// borrowed; the merge copies what it needs from them.
+///
+/// # Errors
+///
+/// * [`KShotError::EmptyBatch`] for an empty set.
+/// * [`KShotError::BatchOverlap`] when two patches touch the same
+///   function — patched entry *or* added function (their target
+///   pre-hashes / placements cannot both hold).
+/// * [`KShotError::BatchGlobalOverlap`] when two patches write
+///   overlapping global data ranges.
+pub fn batch_bundle<B: Borrow<PatchBundle>>(
+    kernel_version: &str,
+    bundles: impl IntoIterator<Item = B>,
+) -> Result<PatchBundle, KShotError> {
+    let mut merged = PatchBundle {
+        kernel_version: kernel_version.to_string(),
+        ..Default::default()
+    };
+    let mut seen_functions = std::collections::BTreeSet::new();
+    let mut global_ranges: Vec<(u64, u64)> = Vec::new();
+    let mut ids = Vec::new();
+    for bundle in bundles {
+        let bundle = bundle.borrow();
+        // Two patches redirecting (or defining) the same function
+        // cannot both hold; catch entries AND new functions.
+        for e in bundle.entries.iter().chain(&bundle.new_functions) {
+            if !seen_functions.insert(e.name.clone()) {
+                return Err(KShotError::BatchOverlap {
+                    function: e.name.clone(),
+                });
+            }
+        }
+        for g in &bundle.global_ops {
+            let name = match g {
+                kshot_patchserver::bundle::GlobalOp::SetBytes { name, .. }
+                | kshot_patchserver::bundle::GlobalOp::InitBytes { name, .. } => name.clone(),
+            };
+            let (lo, hi) = (g.addr(), g.addr() + g.bytes().len() as u64);
+            if global_ranges.iter().any(|(a, b)| lo < *b && *a < hi) {
+                return Err(KShotError::BatchGlobalOverlap {
+                    name,
+                    addr: g.addr(),
+                });
+            }
+            global_ranges.push((lo, hi));
+        }
+        ids.push(bundle.id.clone());
+        merged
+            .segments
+            .push(kshot_patchserver::bundle::BundleSegment {
+                id: bundle.id.clone(),
+                entries: bundle.entries.len() as u32,
+                new_functions: bundle.new_functions.len() as u32,
+                global_ops: bundle.global_ops.len() as u32,
+            });
+        merged.entries.extend_from_slice(&bundle.entries);
+        merged
+            .new_functions
+            .extend_from_slice(&bundle.new_functions);
+        merged.global_ops.extend_from_slice(&bundle.global_ops);
+        merged.types.t1 |= bundle.types.t1;
+        merged.types.t2 |= bundle.types.t2;
+        merged.types.t3 |= bundle.types.t3;
+    }
+    if ids.is_empty() {
+        return Err(KShotError::EmptyBatch);
+    }
+    merged.id = format!("BATCH({})", ids.join("+"));
+    Ok(merged)
 }
 
 #[cfg(test)]

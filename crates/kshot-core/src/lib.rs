@@ -47,7 +47,7 @@ pub mod sgx_prep;
 pub mod smm;
 
 pub use introspect::ActiveSite;
-pub use kshot::{KShot, KShotError, PatchReport, SgxTimings, SmmTimings};
+pub use kshot::{batch_bundle, KShot, KShotError, PatchReport, SgxTimings, SmmTimings};
 pub use package::{PatchPackage, VerificationAlgorithm};
 pub use reserved::ReservedLayout;
 pub use smm::{

@@ -4,13 +4,13 @@
 //!
 //! Each worker is an event-driven scheduler over resumable
 //! [`MachineSession`](crate::session) state machines: CPU phases run
-//! from a ready queue, wall-clock waits (link RTT, retry backoff) park
-//! in a deadline-ordered map, and the worker only sleeps when *no*
-//! session has CPU work ready. With [`FleetConfig::pipeline_depth`] > 1
-//! that overlaps one machine's in-flight delivery with other machines'
-//! attest/decrypt/verify/apply phases on the same worker thread — the
-//! single-worker throughput unlock for latency-bound campaigns. Depth 1
-//! reproduces the old one-machine-at-a-time behaviour exactly.
+//! from a ready queue, link-RTT waits park in a deadline-ordered map,
+//! and the worker only sleeps when *no* session has CPU work ready.
+//! With [`FleetConfig::pipeline_depth`] > 1 that overlaps one machine's
+//! in-flight delivery with other machines' attest/decrypt/verify/apply
+//! phases on the same worker thread — the single-worker throughput
+//! unlock for latency-bound campaigns. Depth 1 reproduces the old
+//! one-machine-at-a-time behaviour exactly.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::iter::Peekable;
@@ -38,7 +38,7 @@ use crate::report::{CampaignHealth, CampaignReport, WorkerOccupancy};
 use crate::rollout::{
     RolloutController, RolloutGate, RolloutPlan, RolloutReport, RolloutTrail, Wave, WaveAction,
 };
-use crate::session::{Campaign, MachineSession, StepStatus, TextHash};
+use crate::session::{Campaign, MachineSession, StepStatus};
 
 /// What every machine in the fleet patches: one pre-linked kernel image
 /// (shared immutably — booting a machine copies its segments into
@@ -207,8 +207,12 @@ impl MachineOutcome {
 
 /// Run one campaign: patch `config.machines` machines, sharded over
 /// `config.workers` OS threads, all applying the bundle serialized in
-/// `bundle_bytes`, or [`FleetConfig::catalogue`] when one is armed
-/// (each blob decoded once through a shared [`BundleCache`]).
+/// `bundle_bytes`, or [`FleetConfig::catalogue`] when one is armed.
+/// Before any worker starts, the campaign decodes each blob once through
+/// a [`BundleCache`] of its own and builds what every attempt delivers:
+/// a patch's own bytes, or under batching the encoded merge of the
+/// patches not yet applied. Every attempt is then one
+/// [`kshot_core::KShot::live_patch_wire`] call on those bytes.
 ///
 /// Every campaign takes one path. [`placement`] cuts the fleet into
 /// consecutive blocks dealt round-robin to the workers; each worker
@@ -220,7 +224,7 @@ impl MachineOutcome {
 /// seed, clock, and digest derive only from its own index). Each
 /// worker keeps up to [`FleetConfig::pipeline_depth`] sessions live at
 /// once, stepping whichever has CPU work while the others wait out
-/// their link RTT or backoff deadlines; per-machine execution stays
+/// their link RTT deadlines; per-machine execution stays
 /// deterministic because scheduling only decides *when* a machine's
 /// next step runs, never what it computes. A worker's panic is re-raised
 /// once every other worker and the health monitor have stopped; under a
@@ -231,31 +235,17 @@ pub fn run_campaign(
     bundle_bytes: &[u8],
     config: &FleetConfig,
 ) -> CampaignReport {
-    let cache = BundleCache::new();
     let workers = config.workers.max(1);
     let started = Instant::now();
-    let run = Campaign {
-        target,
-        cache: &cache,
-        config,
-        patches: if config.catalogue.is_empty() {
-            vec![bundle_bytes]
-        } else {
-            config.catalogue.iter().map(Vec::as_slice).collect()
-        },
-        batched: config.batched_smi && !config.catalogue.is_empty(),
-        text_hash: TextHash::default(),
-    };
-    // Decode each distinct blob once, here on the campaign thread and
-    // outside every machine's recorder scope. Every machine's lookup is
-    // then a hit, so no machine's parcel depends on which worker reached
-    // the empty cache first. A blob that fails to decode is not cached,
-    // and each machine reports the failure itself.
-    for (i, bytes) in run.patches.iter().enumerate() {
-        if !run.patches[..i].contains(bytes) {
-            let _ = cache.get_or_decode(bytes);
-        }
-    }
+    // Resolve every delivery here, on the campaign thread and outside
+    // every machine's recorder scope, so no machine's parcel carries the
+    // decode. A delivery that could not be built fails each machine that
+    // reaches it, once. Dropping the cache keeps no decoded bundle alive
+    // while the machines run.
+    let cache = BundleCache::new();
+    let run = Campaign::new(target, config, bundle_bytes, &cache);
+    let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
+    drop(cache);
 
     // The health monitor tails the worker shard files; arming it
     // without streaming would silently watch nothing, so fail loudly.
@@ -403,8 +393,8 @@ pub fn run_campaign(
         recorder,
         occupancy,
         wall,
-        cache.hits(),
-        cache.misses(),
+        cache_hits,
+        cache_misses,
         health,
         rollout,
     )
@@ -952,9 +942,9 @@ mod tests {
         assert_eq!(report.failed, 0);
         assert_eq!(report.retries, 0);
         assert!(report.all_identical_digests());
-        // The campaign decodes the bundle once before the workers start;
-        // every machine's lookup is a hit.
-        assert_eq!((report.cache_hits, report.cache_misses), (4, 1));
+        // The campaign decodes the bundle once before the workers start,
+        // and no machine looks it up.
+        assert_eq!((report.cache_hits, report.cache_misses), (0, 1));
         assert!(report.latency_max.as_ns() > 0);
         // Occupancy is reported per worker, in worker order.
         assert_eq!(report.worker_occupancy.len(), 2);
@@ -1168,9 +1158,8 @@ mod tests {
         assert!(batched.outcomes[0].latency.unwrap() < seq.outcomes[0].latency.unwrap());
     }
 
-    /// Satellite regression: batched attempts must route every
-    /// catalogue blob through the shared decode-once cache, not decode
-    /// privately — misses stay at one per blob for the whole fleet.
+    /// A batched campaign decodes each catalogue blob once for the
+    /// whole fleet, and its machines look nothing up.
     #[test]
     fn batched_catalogue_decodes_once_per_blob() {
         let (target, blobs) = catalogue_fixture();
@@ -1181,7 +1170,36 @@ mod tests {
         let report = run_campaign(&target, &[], &config);
         assert_eq!(report.succeeded, 4);
         assert_eq!(report.cache_misses, 2, "each catalogue blob decodes once");
-        assert_eq!(report.cache_hits, 8, "4 machines x 2 blobs = 8 lookups");
+        assert_eq!(report.cache_hits, 0, "no machine looks a blob up");
+    }
+
+    /// A batch whose blobs patch the same function cannot merge. The
+    /// campaign finds that once, and every machine fails its first
+    /// attempt with the merge's error instead of retrying it.
+    #[test]
+    fn unmergeable_batch_fails_each_machine_once() {
+        let (target, blobs) = catalogue_fixture();
+        let twice = vec![blobs[0].clone(), blobs[0].clone()];
+        let decoded = kshot_patchserver::PatchBundle::decode(&blobs[0]).expect("blob decodes");
+        let function = decoded.entries[0].name.clone();
+        let overlap = kshot_core::KShotError::BatchOverlap { function }.to_string();
+        let config = FleetConfig::new(3, 2)
+            .with_seed(9)
+            .with_catalogue(twice)
+            .with_batched_smi(true);
+        let report = run_campaign(&target, &[], &config);
+        assert_eq!((report.succeeded, report.failed), (0, 3));
+        for o in &report.outcomes {
+            assert_eq!(
+                o.error.as_deref(),
+                Some(overlap.as_str()),
+                "machine {}",
+                o.machine
+            );
+            assert_eq!((o.attempts, o.retries), (1, 0), "machine {}", o.machine);
+        }
+        // The repeated blob is the campaign's one repeat lookup.
+        assert_eq!((report.cache_hits, report.cache_misses), (1, 1));
     }
 
     /// A fault inside a batched apply unwinds only the interrupted
@@ -1349,10 +1367,8 @@ mod tests {
         assert_eq!(seq.latency_max, piped.latency_max);
     }
 
-    /// The first decode of the bundle is the campaign's, not a
-    /// machine's: no shard parcel carries the miss, whichever worker
-    /// reaches the cache first, and every machine's parcel carries one
-    /// hit.
+    /// The decode of the bundle is the campaign's, not a machine's: no
+    /// shard parcel carries a cache line, whichever worker runs first.
     #[test]
     fn cache_miss_is_never_charged_to_a_machine() {
         let (target, bytes) = campaign_fixture();
@@ -1364,21 +1380,19 @@ mod tests {
             .with_stream_dir(&dir);
         let report = run_campaign(&target, &bytes, &config);
         assert_eq!(report.succeeded, 8);
-        let mut hit_lines = 0;
         for worker in 0..WORKERS {
             let text = std::fs::read_to_string(dir.join(format!("worker-{worker}.jsonl")))
                 .expect("worker shard");
             assert!(
-                !text.contains("cache.bundle_miss"),
-                "worker {worker}'s shard charges the miss to a machine"
+                text.contains("\"type\":\"machine\""),
+                "worker {worker}'s shard"
             );
-            hit_lines += text
-                .lines()
-                .filter(|l| l.contains("\"cache.bundle_hit\""))
-                .count();
+            assert!(
+                !text.contains("\"cache."),
+                "worker {worker}'s shard charges a cache line to a machine"
+            );
         }
-        assert_eq!(hit_lines, 8, "one hit line per machine");
-        assert_eq!((report.cache_hits, report.cache_misses), (8, 1));
+        assert_eq!((report.cache_hits, report.cache_misses), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,9 +11,13 @@
 //! Design points:
 //!
 //! * **One bundle, many machines.** The patch server builds and encodes
-//!   the bundle once; workers share it through
-//!   [`kshot_patchserver::BundleCache`], which verifies/decodes the bytes
-//!   exactly once and hands out `Arc<PatchBundle>` clones.
+//!   the bundle once. Before any worker starts, `run_campaign` decodes
+//!   each blob once through a [`kshot_patchserver::BundleCache`] of its
+//!   own and resolves what every attempt delivers; under batching that
+//!   is the encoded merge of the patches not yet applied, built once
+//!   per campaign. Every attempt is one
+//!   [`kshot_core::KShot::live_patch_wire`] call on those bytes, and a
+//!   delivery that could not be built fails each machine once.
 //! * **Deterministic machines, concurrent fleet.** Each machine stays
 //!   deterministic and single-threaded (its own clock, its own
 //!   splitmix64-derived seed); only the *sharding* across workers is
@@ -26,7 +30,7 @@
 //!   dominated by the orchestrator↔machine RTT, not compute. Each
 //!   worker is an event-driven scheduler over resumable
 //!   `MachineSession` state machines (Boot → Install → InFlight →
-//!   Patch → Backoff → Done): with
+//!   Patch → Done): with
 //!   [`FleetConfig::with_pipeline_depth`] > 1 it steps other machines'
 //!   CPU phases while one machine's delivery is in flight, parking
 //!   waits in a deadline-ordered map instead of blocking in
@@ -94,7 +98,7 @@
 //!   resolves one patch list per campaign, so a single bundle is a
 //!   one-entry list on the same session path.
 //!   [`FleetConfig::with_batched_smi`] merges the whole catalogue into
-//!   a single SMI via [`kshot_core::KShot::live_patch_batch_bundles`],
+//!   a single SMI with [`kshot_core::batch_bundle`], once per campaign,
 //!   paying the fixed SMM entry+exit cost once per machine instead of
 //!   k times (the dwell watchdog budget scales by k). The journal is
 //!   segmented per CVE, so a mid-batch fault preserves the committed

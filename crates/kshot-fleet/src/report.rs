@@ -108,9 +108,12 @@ pub struct CampaignReport {
     /// in the modelled world, so the fleet finishes when the laggard
     /// does).
     pub throughput_sim: f64,
-    /// Bundle-cache hits across the fleet.
+    /// Repeat lookups in the campaign's one decode pass: catalogue
+    /// entries whose blob an earlier entry already decoded. No machine
+    /// looks a blob up, so this is 0 unless a catalogue repeats a blob.
     pub cache_hits: u64,
-    /// Bundle-cache misses (decodes) across the fleet.
+    /// Distinct blobs the campaign decoded, each once, before any
+    /// machine ran.
     pub cache_misses: u64,
     /// Per-machine outcomes, ordered by machine index. Empty unless the
     /// campaign ran with [`crate::FleetConfig::retain_outcomes`].

@@ -5,13 +5,14 @@
 //! link round trip — >95% of its wall time at realistic RTTs. This
 //! module splits that drive into a [`MachineSession`]: a state machine
 //! whose CPU phases ([`SessionState::Boot`], [`SessionState::Install`],
-//! [`SessionState::Patch`], the backoff bookkeeping) run when the
-//! scheduler calls [`MachineSession::step`], and whose waiting phases
-//! ([`SessionState::InFlight`], [`SessionState::Backoff`]) are plain
-//! wall-clock deadlines the scheduler parks in a deadline-ordered map.
-//! While one machine's delivery is in flight, the same worker steps
-//! other machines' CPU phases — the latency-hiding that lifts
-//! single-worker throughput.
+//! [`SessionState::Patch`]) run when the scheduler calls
+//! [`MachineSession::step`], and whose one waiting phase
+//! ([`SessionState::InFlight`]) is a plain wall-clock deadline the
+//! scheduler parks in a deadline-ordered map. While one machine's
+//! delivery is in flight, the same worker steps other machines' CPU
+//! phases — the latency-hiding that lifts single-worker throughput. A
+//! failed attempt charges its retry backoff to the machine's simulated
+//! clock and puts the next delivery on the wire in the same step.
 //!
 //! Determinism is untouched by the refactor: everything a machine
 //! computes (seed, simulated clock, telemetry, applied bytes) depends
@@ -29,17 +30,20 @@
 //! ([`SessionState::Release`]) or reverts through
 //! [`SessionState::Rollback`] → [`KShot::rollback_last`].
 //!
-//! Every session walks one patch list ([`Campaign::patches`]): a single
-//! bundle is a one-entry list, so the bundle and the catalogue share one
-//! apply, recover and rollback path. A fault that errors an attempt
-//! after some of its patches committed counts those patches as landed
-//! instead of retrying them.
+//! Every session walks one patch list: a single bundle is a one-entry
+//! list, so the bundle and the catalogue share one apply, recover and
+//! rollback path. The campaign resolves what each attempt delivers
+//! once, before any machine runs ([`Campaign::deliveries`]), so an
+//! attempt is one [`KShot::live_patch_wire`] call on bytes the campaign
+//! holds. A fault that errors an attempt after some of its patches
+//! committed counts those patches as landed instead of retrying them.
 
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use kshot_core::reserved::rw_offsets;
-use kshot_core::{KShot, KShotError, Recovery};
+use kshot_core::{batch_bundle, KShot, KShotError, Recovery};
 use kshot_crypto::sha256::sha256;
 use kshot_kernel::Kernel;
 use kshot_machine::{CostModel, InjectionPlan, LinearCost, SimTime};
@@ -49,23 +53,66 @@ use kshot_telemetry::Recorder;
 use crate::campaign::{CampaignTarget, MachineOutcome};
 use crate::config::{splitmix64, FleetConfig, BACKOFF_BASE};
 
-/// What every session of one campaign reads: the target, the shared
-/// decode-once cache, the configuration, the campaign's patch list, and
-/// the hash of the last kernel text a session digested.
+/// What every session of one campaign reads: the target, the
+/// configuration, what each attempt delivers, and the hash of the last
+/// kernel text a session digested.
 pub(crate) struct Campaign<'a> {
     pub(crate) target: &'a CampaignTarget,
-    pub(crate) cache: &'a BundleCache,
     pub(crate) config: &'a FleetConfig,
-    /// Encoded bundles every machine applies, in order: the catalogue
-    /// when one is armed, else the one bundle. A single bundle is a
-    /// one-entry list.
-    pub(crate) patches: Vec<&'a [u8]>,
+    /// What an attempt hands [`KShot::live_patch_wire`], by the index
+    /// of the first patch it carries, or why the campaign could not
+    /// build it: one entry per patch of the campaign's list (the
+    /// catalogue when one is armed, else the one bundle).
+    pub(crate) deliveries: Vec<Result<Cow<'a, [u8]>, String>>,
     /// Whether one SMI applies every patch not yet applied. Only a
     /// catalogue batches, so a one-entry batched catalogue keeps its
     /// `BATCH(..)` envelope.
     pub(crate) batched: bool,
     /// The SHA-256 of the last kernel text a session digested.
     pub(crate) text_hash: TextHash,
+}
+
+impl<'a> Campaign<'a> {
+    /// The campaign that applies `bundle`, or the configuration's
+    /// catalogue when one is armed, with every delivery resolved. Each
+    /// blob decodes once through `cache`; a blob that does not decode
+    /// stores `bundle: {error}`. Delivery `i` is patch `i`'s own bytes,
+    /// or under batching the encoded merge of patches `i..`, or the
+    /// first reason that suffix does not decode, merge or encode.
+    pub(crate) fn new(
+        target: &'a CampaignTarget,
+        config: &'a FleetConfig,
+        bundle: &'a [u8],
+        cache: &BundleCache,
+    ) -> Campaign<'a> {
+        let patches: Vec<&[u8]> = if config.catalogue.is_empty() {
+            vec![bundle]
+        } else {
+            config.catalogue.iter().map(Vec::as_slice).collect()
+        };
+        let batched = config.batched_smi && !config.catalogue.is_empty();
+        let decoded: Vec<_> = patches
+            .iter()
+            .map(|b| cache.get_or_decode(b).map_err(|e| format!("bundle: {e}")))
+            .collect();
+        let deliveries = (0..patches.len())
+            .map(|i| {
+                if !batched {
+                    return decoded[i].clone().map(|_| Cow::Borrowed(patches[i]));
+                }
+                let suffix: Result<Vec<_>, _> = decoded[i..].iter().cloned().collect();
+                let merged = batch_bundle(&target.version, suffix?).map_err(|e| e.to_string())?;
+                Ok(Cow::Owned(merged.try_encode().map_err(|e| e.to_string())?))
+            })
+            .collect();
+        Campaign {
+            target,
+            config,
+            deliveries,
+            batched,
+            text_hash: TextHash::default(),
+        }
+    }
 }
 
 /// The last kernel text a session of the campaign digested, and its
@@ -104,8 +151,8 @@ impl TextHash {
     }
 }
 
-/// Where a session is in its Boot → Install → InFlight → Patch →
-/// Backoff → Done lifecycle.
+/// Where a session is in its Boot → Install → InFlight → Patch → Done
+/// lifecycle.
 #[derive(Debug)]
 pub(crate) enum SessionState {
     /// CPU: boot the kernel from the shared image.
@@ -118,18 +165,8 @@ pub(crate) enum SessionState {
         /// Wall-clock instant the delivery completes.
         deadline: Instant,
     },
-    /// CPU: look the bundles up in the shared cache and run the patch
-    /// session.
+    /// CPU: run this attempt's delivery through the patch session.
     Patch,
-    /// Waiting-then-CPU: a failed attempt's retry backoff. The backoff
-    /// itself is charged to the machine's *simulated* clock (identical
-    /// to the sequential path — no extra wall time at depth 1); the
-    /// wall deadline exists so a scheduler could model wall-visible
-    /// backoff without touching the state machine.
-    Backoff {
-        /// Wall-clock instant the retry may start.
-        deadline: Instant,
-    },
     /// Rollout mode only: the patch applied, but the machine stays live
     /// (system held) until its wave's health verdict decides whether it
     /// finalizes patched or rolls back. The worker parks the session
@@ -198,14 +235,11 @@ pub(crate) struct MachineSession {
 }
 
 impl MachineSession {
-    /// The wall-clock instant this session is waiting for, if it is in
-    /// a waiting state ([`SessionState::InFlight`] or
-    /// [`SessionState::Backoff`]).
+    /// The wall-clock instant this session is waiting for, if its
+    /// delivery is in flight ([`SessionState::InFlight`]).
     pub(crate) fn deadline(&self) -> Option<Instant> {
         match self.state {
-            SessionState::InFlight { deadline } | SessionState::Backoff { deadline } => {
-                Some(deadline)
-            }
+            SessionState::InFlight { deadline } => Some(deadline),
             _ => None,
         }
     }
@@ -236,7 +270,6 @@ impl MachineSession {
             // A released InFlight deadline means the delivery landed:
             // the patch attempt is the next CPU work.
             SessionState::InFlight { .. } | SessionState::Patch => self.step_patch(run),
-            SessionState::Backoff { .. } => self.step_backoff(run.config),
             SessionState::AwaitVerdict => StepStatus::Held,
             SessionState::Rollback => self.step_rollback(run),
             SessionState::Release => self.finalize(run),
@@ -286,7 +319,7 @@ impl MachineSession {
         if run.batched {
             // One batched SMI legitimately dwells ~k× a single
             // patch's budget: it does all k CVEs inside one pause.
-            m.set_smm_dwell_budget_scale(run.patches.len() as u64);
+            m.set_smm_dwell_budget_scale(run.deliveries.len() as u64);
         }
         if let Some(factor) = plan.slowdown {
             let scaled = slow_cost_model(m.cost(), factor);
@@ -323,40 +356,26 @@ impl MachineSession {
     }
 
     fn step_patch(&mut self, run: &Campaign) -> StepStatus {
-        // This attempt's patches: the next one, or under batching every
-        // one not yet applied, in one SMI. Each decodes through the
-        // shared cache, once for the whole fleet.
-        let end = if run.batched {
-            run.patches.len()
+        // This attempt carries the next patch, or under batching every
+        // one not yet applied, in one SMI; the campaign already built
+        // its bytes.
+        let carried = if run.batched {
+            run.deliveries.len() - self.next_patch
         } else {
-            self.next_patch + 1
+            1
         };
-        let mut decoded = Vec::with_capacity(end - self.next_patch);
-        for bytes in &run.patches[self.next_patch..end] {
-            match run.cache.get_or_decode(bytes) {
-                Ok(b) => decoded.push(b),
-                Err(e) => {
-                    self.outcome.error = Some(format!("bundle: {e}"));
-                    // This terminal path must fold too: an armed plan's
-                    // observed-write count would otherwise vanish with
-                    // the plan.
-                    self.fold_injection_stats();
-                    return self.finalize(run);
-                }
+        let wire = match &run.deliveries[self.next_patch] {
+            Ok(wire) => wire,
+            Err(e) => {
+                self.outcome.error = Some(e.clone());
+                // This terminal path must fold too: an armed plan's
+                // observed-write count would otherwise vanish with the
+                // plan.
+                self.fold_injection_stats();
+                return self.finalize(run);
             }
-        }
-        // Borrow the fleet's decoded bundles for a batch: a copy per
-        // machine would cost a megabyte on large patches. A single patch
-        // needs no decode at all: the server seals the bytes the
-        // campaign holds, which the lookup just matched to a verified
-        // entry.
-        let attempt = if run.batched {
-            self.system()
-                .live_patch_batch_bundles(decoded.iter().map(Arc::as_ref))
-        } else {
-            let wire = run.patches[self.next_patch];
-            self.system().live_patch_wire(wire)
         };
+        let attempt = self.system().live_patch_wire(wire);
         // Fold injection stats on the success path too: an armed but
         // unfired plan (write index never reached) would otherwise
         // vanish without a trace.
@@ -364,7 +383,7 @@ impl MachineSession {
         let error = match attempt {
             Ok(report) => {
                 self.latency_acc += report.total();
-                return self.landed(decoded.len(), run);
+                return self.landed(carried, run);
             }
             Err(e) => e,
         };
@@ -400,7 +419,7 @@ impl MachineSession {
             // published key material. A retry would only fail against
             // the patched target.
             self.latency_acc += report.total();
-            decoded.len()
+            carried
         } else if let Recovery::UnwoundApply {
             segments_preserved, ..
         } = recovery
@@ -411,8 +430,8 @@ impl MachineSession {
         } else {
             0
         };
-        if landed >= decoded.len() {
-            return self.landed(decoded.len(), run);
+        if landed >= carried {
+            return self.landed(carried, run);
         }
         if landed > 0 {
             // The retry resumes from the first unapplied patch with a
@@ -420,15 +439,18 @@ impl MachineSession {
             self.next_patch += landed;
             self.patch_attempts = 0;
         }
-        if self.patch_attempts < run.config.max_attempts.max(1) {
-            // Ready immediately: the backoff is simulated-clock only,
-            // exactly as in the sequential path.
-            let deadline = Instant::now();
-            self.state = SessionState::Backoff { deadline };
-            StepStatus::Wait
-        } else {
-            self.finalize(run)
+        if self.patch_attempts >= run.config.max_attempts.max(1) {
+            return self.finalize(run);
         }
+        // The retry's backoff is simulated-clock only: charge it and put
+        // the next delivery on the wire. The just-failed attempt's
+        // 0-based index decides the doubling (per patch, so a machine
+        // deep into its list backs off like a fresh one).
+        self.outcome.retries += 1;
+        let shift = (self.patch_attempts.max(1) - 1).min(20);
+        let backoff = SimTime::from_ns(BACKOFF_BASE.as_ns().saturating_mul(1u64 << shift));
+        self.system().kernel_mut().machine_mut().charge(backoff);
+        self.begin_attempt(run.config)
     }
 
     /// `count` patches landed on the machine: start the next delivery,
@@ -436,7 +458,7 @@ impl MachineSession {
     fn landed(&mut self, count: usize, run: &Campaign) -> StepStatus {
         self.next_patch += count;
         self.patch_attempts = 0;
-        if self.next_patch < run.patches.len() {
+        if self.next_patch < run.deliveries.len() {
             return self.begin_attempt(run.config);
         }
         self.patched(run)
@@ -502,35 +524,19 @@ impl MachineSession {
         self.finalize(run)
     }
 
-    fn step_backoff(&mut self, config: &FleetConfig) -> StepStatus {
-        self.outcome.retries += 1;
-        // The just-failed attempt's 0-based index decides the doubling
-        // (per patch, so a machine deep into its list backs off like a
-        // fresh one).
-        let shift = (self.patch_attempts.max(1) - 1).min(20);
-        let backoff = SimTime::from_ns(BACKOFF_BASE.as_ns().saturating_mul(1u64 << shift));
-        self.system().kernel_mut().machine_mut().charge(backoff);
-        self.begin_attempt(config)
-    }
-
     /// Record what the installed machine ended as and release it.
     fn finalize(&mut self, run: &Campaign) -> StepStatus {
         self.observe_machine();
         let system = self.system.as_ref().expect("finalize with a live system");
-        self.outcome.state_digest = if self.outcome.rolled_back {
-            // A completed rollback restored the kernel text and
-            // deactivated every record, but SMM never rewinds the
-            // `mem_X` placement cursor — the reverted bodies stay
-            // behind as dead bytes no active record points at. The
-            // machine's *applied* state is therefore empty: digest it
-            // with an empty `mem_X` component so a rolled-back machine
-            // compares equal to one that never patched (whose cursor
-            // is still at `x_base`) and to one whose failed apply was
-            // unwound (whose cursor `recover()` reset).
-            state_digest(system, run, false)
-        } else {
-            applied_state_digest(system, run)
-        };
+        // A completed rollback restored the kernel text and deactivated
+        // every record, but SMM never rewinds the `mem_X` placement
+        // cursor — the reverted bodies stay behind as dead bytes no
+        // active record points at. The machine's *applied* state is
+        // therefore empty: digest it with an empty `mem_X` component so
+        // a rolled-back machine compares equal to one that never
+        // patched (whose cursor is still at `x_base`) and to one whose
+        // failed apply was unwound (whose cursor `recover()` reset).
+        self.outcome.state_digest = state_digest(system, run, !self.outcome.rolled_back);
         // Drop the machine now: at pipeline depth k a worker holds k
         // live machines, so releasing each one's memory at completion
         // (not at collection) bounds the high-water mark.
@@ -604,26 +610,19 @@ fn slow_cost_model(base: &CostModel, factor: u32) -> CostModel {
 }
 
 /// Digest the regions that define "the applied patch": the kernel text
-/// segment (where trampolines are written) and the *occupied* prefix of
-/// `mem_X` (where bodies are placed — the extent comes from the
-/// placement cursor the SMM handler publishes in `mem_RW`). Hashing
-/// occupied extents instead of full windows keeps the digest cheap
-/// (kilobytes, not the 12 MB of window space) without weakening the
-/// byte-identical-fleet property: any divergence in trampolines, placed
-/// bodies, or placement extent changes the digest. Each region is
-/// hashed separately, then the concatenation, so the digest is
-/// independent of region adjacency. The text's hash comes from the
-/// campaign's [`TextHash`], so a campaign whose machines carry one
-/// text hashes it once.
-fn applied_state_digest(system: &KShot, run: &Campaign) -> [u8; 32] {
-    state_digest(system, run, true)
-}
-
-/// The digest body shared by the applied and rolled-back cases. With
-/// `include_placed` the `mem_X` component covers the occupied prefix up
-/// to the published placement cursor; without it the component is empty
-/// — used after a completed rollback, where the cursor still points
-/// past the (now dead, deactivated) reverted bodies.
+/// segment (where trampolines are written) and, with `include_placed`,
+/// the *occupied* prefix of `mem_X` (where bodies are placed — the
+/// extent comes from the placement cursor the SMM handler publishes in
+/// `mem_RW`). Without it the `mem_X` component is empty — used after a
+/// completed rollback, where the cursor still points past the (now
+/// dead, deactivated) reverted bodies. Hashing occupied extents instead
+/// of full windows keeps the digest cheap (kilobytes, not the 12 MB of
+/// window space) without weakening the byte-identical-fleet property:
+/// any divergence in trampolines, placed bodies, or placement extent
+/// changes the digest. Each region is hashed separately, then the
+/// concatenation, so the digest is independent of region adjacency.
+/// The text's hash comes from the campaign's [`TextHash`], so a
+/// campaign whose machines carry one text hashes it once.
 fn state_digest(system: &KShot, run: &Campaign, include_placed: bool) -> [u8; 32] {
     let target = run.target;
     let phys = system.kernel().machine().phys();
@@ -672,15 +671,7 @@ mod tests {
             machine: 0,
             smm_write_index: u64::MAX, // armed, never fires
         });
-        let cache = BundleCache::new();
-        let run = Campaign {
-            target: &target,
-            cache: &cache,
-            config: &config,
-            patches: vec![b"not a bundle"],
-            batched: false,
-            text_hash: TextHash::default(),
-        };
+        let run = Campaign::new(&target, &config, b"not a bundle", &BundleCache::new());
         let mut session = MachineSession::new(0, 0, Recorder::new());
         let boot = session.step(&run);
         assert_eq!(boot, StepStatus::Ready, "Boot");
@@ -730,16 +721,8 @@ mod tests {
             .bundle
             .encode();
         let config = FleetConfig::new(2, 1);
-        let cache = BundleCache::new();
         let drive = |target: &CampaignTarget, machine: usize| {
-            let run = Campaign {
-                target,
-                cache: &cache,
-                config: &config,
-                patches: vec![&bundle],
-                batched: false,
-                text_hash: TextHash::default(),
-            };
+            let run = Campaign::new(target, &config, &bundle, &BundleCache::new());
             let mut session = MachineSession::new(machine, 0, Recorder::new());
             assert_eq!(session.step(&run), StepStatus::Ready);
             assert_eq!(
@@ -790,21 +773,13 @@ mod tests {
     fn text_memo_hashes_a_repeated_text_once() {
         let (target, bundle) = target_and_bundle();
         let config = FleetConfig::new(1, 1);
-        let cache = BundleCache::new();
-        let run = Campaign {
-            target: &target,
-            cache: &cache,
-            config: &config,
-            patches: vec![&bundle],
-            batched: false,
-            text_hash: TextHash::default(),
-        };
+        let run = Campaign::new(&target, &config, &bundle, &BundleCache::new());
         let mut system = installed(&target, 1);
         system.live_patch_wire(&bundle).expect("patch applies");
         let start = ByteCounts::current();
-        let first = applied_state_digest(&system, &run);
+        let first = state_digest(&system, &run, true);
         let mid = ByteCounts::current();
-        let second = applied_state_digest(&system, &run);
+        let second = state_digest(&system, &run, true);
         let end = ByteCounts::current();
         assert_eq!(first, second);
         let (cold, warm) = (mid.since(start).sha256, end.since(mid).sha256);
@@ -857,22 +832,14 @@ mod tests {
     fn text_memo_keeps_a_rolled_back_digest_equal_to_a_never_patched_one() {
         let (target, bundle) = target_and_bundle();
         let config = FleetConfig::new(2, 1);
-        let cache = BundleCache::new();
-        let campaign = || Campaign {
-            target: &target,
-            cache: &cache,
-            config: &config,
-            patches: vec![&bundle],
-            batched: false,
-            text_hash: TextHash::default(),
-        };
+        let campaign = || Campaign::new(&target, &config, &bundle, &BundleCache::new());
         let run = campaign();
         let mut patched = installed(&target, 1);
         patched.live_patch_wire(&bundle).expect("patch applies");
-        let applied = applied_state_digest(&patched, &run);
+        let applied = state_digest(&patched, &run, true);
         patched.rollback_last().expect("rollback");
         let rolled_back = state_digest(&patched, &run, false);
-        let never = applied_state_digest(&installed(&target, 2), &run);
+        let never = state_digest(&installed(&target, 2), &run, true);
         assert_ne!(applied, never);
         assert_eq!(rolled_back, never);
         assert_eq!(state_digest(&patched, &campaign(), false), never);

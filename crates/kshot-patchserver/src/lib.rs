@@ -23,8 +23,9 @@
 //!   the security experiments.
 //! * [`wire`] — the little binary reader/writer the bundle and the Fig. 3
 //!   patch package share.
-//! * [`cache`] — [`cache::BundleCache`], the decode-once shared bundle
-//!   cache fleet campaigns distribute one verified bundle through.
+//! * [`cache`] — [`cache::BundleCache`], the decode-once bundle cache,
+//!   keyed by the bytes each decode verified. A fleet campaign decodes
+//!   its blobs through one before any machine runs.
 
 pub mod bundle;
 pub mod cache;

@@ -73,7 +73,7 @@ fn main() {
         .expect("server builds the CVE patch");
     let bytes = build.bundle.encode();
     println!(
-        "bundle: {} bytes, built once, distributed through the shared cache\n",
+        "bundle: {} bytes, built once, decoded once per campaign\n",
         bytes.len()
     );
 
