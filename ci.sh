@@ -123,6 +123,23 @@ cargo_test -p kshot-patchserver \
   cache::tests::a_cached_trailer_with_one_differing_byte_is_decoded_and_rejected
 cargo_test -p kshot-patchserver cache::tests::a_blob_shorter_than_a_trailer_is_decoded_and_rejected
 
+# The buffer budget, counted by a counting global allocator: one
+# live_patch_wire of a 1 MiB bundle, PlaceOnly or a Patch record with a
+# call relocation, takes five payload-sized heap blocks (the server's
+# sealed frame, the enclave's package frame, mem_W, SMM's copy of mem_W
+# and mem_X). The in-place paths against their references: the in-place
+# seal equals seal_owned then Frame::encode byte for byte and leaves the
+# same channel state, the borrowing package decode equals an owned
+# reference field by field and error by error, and the enclave's bundle
+# layout accepts and rejects exactly what PatchBundle::decode does.
+echo "== buffer budget + in-place paths =="
+cargo_test -p kshot-core --test buffer_budget
+cargo_test -p kshot-patchserver channel::tests::seal_in_place_
+cargo_test -p kshot-patchserver --test prop_decode_robustness \
+  borrowed_package_decode_equals_the_owned_reference
+cargo_test -p kshot-patchserver --test prop_decode_robustness \
+  bundle_layout_parse_rejects_what_decode_rejects
+
 # Sparse physical memory gates: random writes, reads, slices, attribute
 # changes and clone-then-diverge sequences against a dense model (reads
 # always match, slices match or fail typed, clones stay isolated), and
@@ -152,6 +169,11 @@ cargo_test -p kshot-fleet cache_miss_is_never_charged_to_a_machine
 # with another) digests to its own SHA-256, and a rolled-back machine
 # still digests equal to a never-patched one.
 cargo_test -p kshot-fleet text_memo_
+# The placed bytes go through a memo of their own: a 4-machine fold
+# campaign of the 1 MiB bundle hashes its placement once, a placed byte
+# changed at the first, middle or last offset misses, and a rolled-back
+# machine neither hashes through the memo nor evicts it.
+cargo_test -p kshot-fleet placed_memo_
 
 # Committed-fault gates: a fault at every SMM write of the first patch
 # SMI, in four shapes (the bundle, a one-entry catalogue, a sequential

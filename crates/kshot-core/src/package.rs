@@ -7,6 +7,8 @@
 //! the *target's current bytes* (so SMM can refuse to patch a diverged
 //! kernel), and the payload itself.
 
+use std::borrow::Cow;
+
 use kshot_crypto::sdbm::sdbm;
 use kshot_crypto::sha256::{sha256, DIGEST_LEN};
 use kshot_patchserver::wire::{Reader, WireError, Writer};
@@ -74,7 +76,7 @@ impl VerificationAlgorithm {
 
 /// One record of the package.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackageRecord {
+pub struct PackageRecord<'a> {
     /// Position in the package (the paper's `sequence`).
     pub sequence: u32,
     /// Operation.
@@ -96,11 +98,11 @@ pub struct PackageRecord {
     pub expected_pre_hash: [u8; DIGEST_LEN],
     /// Size of the target's current body (for the pre-hash check).
     pub tsize: u32,
-    /// The patch body or data bytes.
-    pub payload: Vec<u8>,
+    /// The patch body or data bytes (borrowed when decoded).
+    pub payload: Cow<'a, [u8]>,
 }
 
-impl PackageRecord {
+impl PackageRecord<'_> {
     /// Verify the payload hash.
     pub fn verify_payload(&self, alg: VerificationAlgorithm) -> bool {
         alg.digest(&self.payload) == self.payload_hash
@@ -124,20 +126,20 @@ pub struct PackageSegment {
 
 /// A complete package: records plus the verification algorithm tag.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PatchPackage {
+pub struct PatchPackage<'a> {
     /// Patch identifier (CVE string).
     pub id: String,
     /// Hash algorithm for payload verification.
     pub algorithm: VerificationAlgorithm,
     /// Records in application order.
-    pub records: Vec<PackageRecord>,
+    pub records: Vec<PackageRecord<'a>>,
     /// Per-CVE segment table for batched packages. Empty means the
     /// package is one implicit segment carrying `id` — the single-patch
     /// wire shape every pre-batching package has.
     pub segments: Vec<PackageSegment>,
 }
 
-impl PatchPackage {
+impl<'a> PatchPackage<'a> {
     /// Total payload bytes (the "patch size" of Tables II/III).
     pub fn payload_size(&self) -> usize {
         self.records.iter().map(|r| r.payload.len()).sum()
@@ -157,30 +159,29 @@ impl PatchPackage {
         }
     }
 
-    /// Total on-wire size.
-    pub fn wire_size(&self) -> usize {
-        self.encode().len()
-    }
-
     /// Serialize.
     ///
     /// # Panics
     ///
     /// If a field exceeds the `u32` length-prefix range — see
-    /// [`PatchPackage::try_encode`] for the fallible form.
+    /// [`PatchPackage::encode_into`] for the fallible form.
     pub fn encode(&self) -> Vec<u8> {
-        self.try_encode()
+        self.encode_into(Writer::new(), |i, _| self.records[i].payload_hash)
             .expect("package fields fit the wire format")
     }
 
-    /// Serialize, rejecting fields too large for the wire format
-    /// instead of truncating their length prefixes.
-    pub fn try_encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut w = Writer::new();
+    /// Append the encoding to `w`'s bytes, rejecting fields too large for
+    /// the wire format. Record `i`'s payload hash is `finish(i, payload)`,
+    /// which sees the payload where it lies and may rewrite it there.
+    pub fn encode_into(
+        &self,
+        mut w: Writer,
+        mut finish: impl FnMut(usize, &mut [u8]) -> [u8; DIGEST_LEN],
+    ) -> Result<Vec<u8>, WireError> {
         w.put_str(&self.id);
         w.put_u8(self.algorithm as u8);
         w.put_u32(self.records.len() as u32);
-        for r in &self.records {
+        for (i, r) in self.records.iter().enumerate() {
             // 42-byte fixed header.
             let mut header = [0u8; HEADER_LEN];
             header[0..4].copy_from_slice(&r.sequence.to_le_bytes());
@@ -197,11 +198,17 @@ impl PatchPackage {
             header[22..26].copy_from_slice(&payload_len.to_le_bytes());
             header[26] = r.ftrace_skip;
             header[27..31].copy_from_slice(&r.tsize.to_le_bytes());
-            // header[31..42] reserved.
-            w.put_raw(&header);
-            w.put_raw(&r.payload_hash);
-            w.put_raw(&r.expected_pre_hash);
-            w.put_raw(&r.payload);
+            // header[31..42] reserved; then a slot for the payload hash.
+            w.put_raw(&header)
+                .put_raw(&[0; DIGEST_LEN])
+                .put_raw(&r.expected_pre_hash)
+                .put_raw(&r.payload);
+            if w.error().is_none() {
+                let at = w.len() - r.payload.len();
+                let buf = w.bytes_mut();
+                let hash = finish(i, &mut buf[at..]);
+                buf[at - 2 * DIGEST_LEN..at - DIGEST_LEN].copy_from_slice(&hash);
+            }
         }
         // Segment table (count 0 for the implicit single-segment shape).
         w.put_u32(self.segments.len() as u32);
@@ -212,12 +219,12 @@ impl PatchPackage {
         w.into_bytes()
     }
 
-    /// Deserialize.
+    /// Deserialize. Each record's payload borrows from `bytes`.
     ///
     /// # Errors
     ///
     /// [`WireError`] on malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+    pub fn decode(bytes: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let id = r.get_str("package id")?;
         let algorithm =
@@ -245,7 +252,7 @@ impl PatchPackage {
             payload_hash.copy_from_slice(r.get_raw(DIGEST_LEN, "payload hash")?);
             let mut expected_pre_hash = [0u8; DIGEST_LEN];
             expected_pre_hash.copy_from_slice(r.get_raw(DIGEST_LEN, "pre hash")?);
-            let payload = r.get_raw(size as usize, "payload")?.to_vec();
+            let payload = Cow::Borrowed(r.get_raw(size as usize, "payload")?);
             records.push(PackageRecord {
                 sequence,
                 op,
@@ -281,7 +288,7 @@ impl PatchPackage {
 mod tests {
     use super::*;
 
-    fn record(seq: u32, op: PackageOp, payload: Vec<u8>) -> PackageRecord {
+    fn record(seq: u32, op: PackageOp, payload: Vec<u8>) -> PackageRecord<'static> {
         let alg = VerificationAlgorithm::Sha256;
         PackageRecord {
             sequence: seq,
@@ -293,11 +300,11 @@ mod tests {
             payload_hash: alg.digest(&payload),
             expected_pre_hash: sha256(b"pre"),
             tsize: 77,
-            payload,
+            payload: payload.into(),
         }
     }
 
-    fn package() -> PatchPackage {
+    fn package() -> PatchPackage<'static> {
         PatchPackage {
             id: "CVE-2016-5195".into(),
             algorithm: VerificationAlgorithm::Sha256,
@@ -329,7 +336,7 @@ mod tests {
         // wire = id-prefix + id + alg + count + 3*(42+32+32) + payloads
         //        + segment count
         assert_eq!(
-            p.wire_size(),
+            p.encode().len(),
             4 + 13 + 1 + 4 + 3 * (42 + 32 + 32) + p.payload_size() + 4
         );
     }
@@ -348,7 +355,8 @@ mod tests {
                 first_record: 2,
             },
         ];
-        let back = PatchPackage::decode(&p.encode()).unwrap();
+        let bytes = p.encode();
+        let back = PatchPackage::decode(&bytes).unwrap();
         assert_eq!(back, p);
         assert_eq!(back.segment_table(), p.segments);
     }
@@ -370,7 +378,7 @@ mod tests {
             assert!(!r.verify_payload(VerificationAlgorithm::Sdbm));
         }
         let mut bad = p.records[0].clone();
-        bad.payload[0] ^= 1;
+        bad.payload.to_mut()[0] ^= 1;
         assert!(!bad.verify_payload(VerificationAlgorithm::Sha256));
     }
 

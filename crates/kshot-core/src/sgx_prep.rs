@@ -15,15 +15,16 @@
 //! 3. **Passing** — derive the SMM session key (DH public from
 //!    `mem_RW`), encrypt the package, and stage it in `mem_W`.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use kshot_crypto::dh::{DhError, DhKeyPair, DhParams};
 use kshot_crypto::BigUint;
 use kshot_enclave::{Enclave, SgxPlatform};
 use kshot_machine::{AccessCtx, Machine, MachineError, SimTime};
-use kshot_patchserver::bundle::{GlobalOp, PatchBundle, RelocTarget};
-use kshot_patchserver::channel::{ChannelError, Frame, SecureChannel};
-use kshot_patchserver::wire::WireError;
+use kshot_patchserver::bundle::{BundleLayout, RelocTarget};
+use kshot_patchserver::channel::{ChannelError, Frame, SecureChannel, FRAME_HEADER_LEN};
+use kshot_patchserver::wire::{WireError, Writer};
 
 use crate::package::{PackageOp, PackageRecord, PatchPackage, VerificationAlgorithm};
 use crate::reserved::{rw_offsets, ReservedLayout};
@@ -114,7 +115,8 @@ impl From<MachineError> for SgxError {
 #[derive(Default)]
 struct HelperState {
     server_channel: Option<SecureChannel>,
-    bundle: Option<PatchBundle>,
+    /// The fetched bundle: its verified bytes and their layout.
+    bundle: Option<(Vec<u8>, BundleLayout)>,
 }
 
 /// The helper application plus its enclave.
@@ -230,10 +232,10 @@ impl Helper {
 
     /// Stage 1 — receive the encrypted bundle frame from the server.
     ///
-    /// The enclave decrypts the frame in its own buffer, then decodes
-    /// and verifies the bundle. Returns what that checked decode says
-    /// the bundle is. Charges Table II "Fetching" time against the
-    /// machine clock.
+    /// The enclave decrypts the frame in its own buffer, then verifies
+    /// the bundle there and keeps that buffer. Returns what the checked
+    /// parse says the bundle is. Charges Table II "Fetching" time against
+    /// the machine clock.
     ///
     /// # Errors
     ///
@@ -251,23 +253,24 @@ impl Helper {
             mut ciphertext,
             mac,
         } = frame;
-        let cost = machine.cost().sgx_fetch.for_bytes(ciphertext.len());
+        let bytes = ciphertext.len();
+        let cost = machine.cost().sgx_fetch.for_bytes(bytes);
         machine.charge(cost);
         let (id, types, patched_functions) = self.enclave.ecall(|s| {
             let channel = s.server_channel.as_mut().ok_or(SgxError::NoSession)?;
             channel
                 .open_in_place(seq, &mut ciphertext, &mac)
                 .map_err(SgxError::Channel)?;
-            let bundle = PatchBundle::decode(&ciphertext).map_err(SgxError::Wire)?;
+            let bundle = BundleLayout::parse(&ciphertext).map_err(SgxError::Wire)?;
             let described = (
                 bundle.id.clone(),
                 (bundle.types.t1, bundle.types.t2, bundle.types.t3),
                 bundle.entries.iter().map(|e| e.name.clone()).collect(),
             );
-            s.bundle = Some(bundle);
+            s.bundle = Some((ciphertext, bundle));
             Ok::<_, SgxError>(described)
         })?;
-        span.field("bytes", ciphertext.len());
+        span.field("bytes", bytes);
         span.end_at(machine.now().as_ns());
         Ok(FetchOutcome {
             fetch: machine.now() - t0,
@@ -312,9 +315,9 @@ impl Helper {
         let t_pre = machine.now();
         let mut pre_span = kshot_telemetry::span_at("sgx.preprocess", t_pre.as_ns());
         let x_end = reserved.x_base + reserved.x_size;
-        let (package, payload_size) = self.enclave.ecall(|s| {
-            let bundle = s.bundle.as_ref().ok_or(SgxError::NoBundle)?;
-            build_package(bundle, algorithm, next_paddr, x_end)
+        let (mut frame_bytes, payload_size, records) = self.enclave.ecall(|s| {
+            let (wire, bundle) = s.bundle.as_ref().ok_or(SgxError::NoBundle)?;
+            build_package(wire, bundle, algorithm, next_paddr, x_end)
         })?;
         let pre_cost = machine.cost().sgx_preprocess.for_bytes(payload_size);
         machine.charge(pre_cost);
@@ -326,14 +329,12 @@ impl Helper {
         let mut pass_span = kshot_telemetry::span_at("sgx.pass", t_pass.as_ns());
         let kp = DhKeyPair::from_entropy(params, entropy).map_err(SgxError::BadSmmPublic)?;
         let helper_public = kp.public().to_bytes_be();
-        let (frame_bytes, records) = self.enclave.ecall(|_| {
+        self.enclave.ecall(|_| {
             let key = kp
                 .agree(params, &smm_public)
                 .map_err(SgxError::BadSmmPublic)?;
-            let mut channel = SecureChannel::new(key);
-            let encoded = package.try_encode().map_err(SgxError::Wire)?;
-            let frame = channel.seal_owned(encoded);
-            Ok::<_, SgxError>((frame.encode(), package.records.len()))
+            SecureChannel::new(key).seal_in_place(&mut frame_bytes);
+            Ok::<_, SgxError>(())
         })?;
         if frame_bytes.len() as u64 > reserved.w_size {
             return Err(SgxError::PackageTooLarge {
@@ -384,7 +385,10 @@ thread_local! {
 }
 
 /// Pure packaging logic: assign placements, resolve relocations, build
-/// the Fig. 3 records. Runs inside the enclave.
+/// the Fig. 3 records. Runs inside the enclave, on the verified bundle
+/// `wire`. Returns the package written once behind room for the frame
+/// header (each body relocated and hashed there), its payload bytes and
+/// its record count.
 ///
 /// A merged (batched) bundle is packaged segment by segment — each
 /// segment's entries, new functions, then global ops, sharing one
@@ -393,18 +397,20 @@ thread_local! {
 /// builds would. Relocation scope is per segment: a segment's relocs
 /// may only reference its own new functions.
 fn build_package(
-    bundle: &PatchBundle,
+    wire: &[u8],
+    bundle: &BundleLayout,
     algorithm: VerificationAlgorithm,
     mut next_paddr: u64,
     x_end: u64,
-) -> Result<(PatchPackage, usize), SgxError> {
-    use kshot_patchserver::bundle::PatchEntry;
+) -> Result<(Vec<u8>, usize, usize), SgxError> {
+    use kshot_patchserver::bundle::{GlobalOp, PatchEntry};
+    use std::ops::Range;
 
     struct SegSlice<'a> {
         id: &'a str,
-        entries: &'a [PatchEntry],
-        new_functions: &'a [PatchEntry],
-        global_ops: &'a [GlobalOp],
+        entries: &'a [PatchEntry<Range<usize>>],
+        new_functions: &'a [PatchEntry<Range<usize>>],
+        global_ops: &'a [GlobalOp<Range<usize>>],
     }
 
     // Assign a placement: 16-byte aligned, in order (p_i.paddr =
@@ -472,7 +478,8 @@ fn build_package(
     }
 
     let mut records = Vec::new();
-    let mut payload_size = 0usize;
+    // (record, offset, rel32) per call fixup, made in the package.
+    let mut fixups = Vec::new();
     let mut segments = Vec::new();
     for seg in &seg_slices {
         segments.push(crate::package::PackageSegment {
@@ -494,7 +501,6 @@ fn build_package(
         // Resolve relocations and build records.
         let n_entries = seg.entries.len();
         for (i, (e, paddr)) in placed.iter().enumerate() {
-            let mut body = e.body.clone();
             for r in &e.relocs {
                 let target = match &r.target {
                     RelocTarget::Absolute(a) => *a,
@@ -505,10 +511,8 @@ fn build_package(
                 let at = *paddr + r.offset as u64;
                 let rel = kshot_isa::rel32_for(at, target)
                     .map_err(|_| SgxError::DanglingReloc(e.name.clone()))?;
-                let o = r.offset as usize;
-                body[o + 1..o + 5].copy_from_slice(&rel.to_le_bytes());
+                fixups.push((records.len(), r.offset as usize, rel));
             }
-            payload_size += body.len();
             let is_new = i >= n_entries;
             let ftrace_skip = if e.ftrace_offset.is_some() {
                 kshot_isa::JMP_LEN as u8
@@ -526,19 +530,13 @@ fn build_package(
                 taddr: e.taddr,
                 paddr: *paddr,
                 ftrace_skip,
-                payload_hash: algorithm.digest(&body),
+                payload_hash: [0; 32],
                 expected_pre_hash: e.expected_pre_hash,
                 tsize: e.tsize as u32,
-                payload: body,
+                payload: Cow::Borrowed(&wire[e.body.clone()]),
             });
         }
         for g in seg.global_ops {
-            let bytes = match g {
-                GlobalOp::SetBytes { bytes, .. } | GlobalOp::InitBytes { bytes, .. } => {
-                    bytes.clone()
-                }
-            };
-            payload_size += bytes.len();
             records.push(PackageRecord {
                 sequence: records.len() as u32,
                 op: PackageOp::GlobalWrite,
@@ -546,10 +544,10 @@ fn build_package(
                 taddr: g.addr(),
                 paddr: 0,
                 ftrace_skip: 0,
-                payload_hash: algorithm.digest(&bytes),
+                payload_hash: [0; 32],
                 expected_pre_hash: [0; 32],
                 tsize: 0,
-                payload: bytes,
+                payload: Cow::Borrowed(&wire[g.bytes().clone()]),
             });
         }
     }
@@ -560,21 +558,51 @@ fn build_package(
     } else {
         segments
     };
-    Ok((
-        PatchPackage {
-            id: bundle.id.clone(),
-            algorithm,
-            records,
-            segments,
-        },
-        payload_size,
-    ))
+    let package = PatchPackage {
+        id: bundle.id.clone(),
+        algorithm,
+        records,
+        segments,
+    };
+    let mut w = Writer::new();
+    w.put_raw(&[0; FRAME_HEADER_LEN]);
+    // Each payload is relocated, then hashed, where it was written; that
+    // digest, not the records' zero placeholder, is its payload hash.
+    let mut fixups = fixups.into_iter().peekable();
+    let frame = package.encode_into(w, |i, payload| {
+        while let Some((_, o, rel)) = fixups.next_if(|f| f.0 == i) {
+            payload[o + 1..o + 5].copy_from_slice(&rel.to_le_bytes());
+        }
+        algorithm.digest(payload)
+    });
+    let frame = frame.map_err(SgxError::Wire)?;
+    Ok((frame, package.payload_size(), package.records.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kshot_patchserver::bundle::PatchEntry;
+    use kshot_patchserver::bundle::{GlobalOp, PatchBundle, PatchEntry};
+
+    /// The enclave's packaging of `bundle`'s encoding: the package read
+    /// back from behind the frame header's room, and its payload bytes.
+    fn build_package(
+        bundle: &PatchBundle,
+        algorithm: VerificationAlgorithm,
+        next_paddr: u64,
+        x_end: u64,
+    ) -> Result<(PatchPackage<'static>, usize), SgxError> {
+        let wire = bundle.encode();
+        let layout = BundleLayout::parse(&wire).unwrap();
+        let (frame, size, records) =
+            super::build_package(&wire, &layout, algorithm, next_paddr, x_end)?;
+        assert_eq!(frame[..FRAME_HEADER_LEN], [0; FRAME_HEADER_LEN]);
+        // Leaked so the package can borrow its payloads for the test.
+        let frame: &'static [u8] = Box::leak(frame.into_boxed_slice());
+        let package = PatchPackage::decode(&frame[FRAME_HEADER_LEN..]).unwrap();
+        assert_eq!(package.records.len(), records);
+        Ok((package, size))
+    }
 
     fn entry(name: &str, body_len: usize, taddr: u64) -> PatchEntry {
         PatchEntry {

@@ -1565,7 +1565,7 @@ impl SmmHandler {
     }
 }
 
-impl crate::package::PackageRecord {
+impl crate::package::PackageRecord<'_> {
     fn skip_u64(&self) -> u64 {
         self.ftrace_skip as u64
     }

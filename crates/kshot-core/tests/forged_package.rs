@@ -73,7 +73,7 @@ fn stage(rig: &mut Rig, package: &PatchPackage) {
         .unwrap();
 }
 
-fn place_record(seq: u32, paddr: u64, body: Vec<u8>) -> PackageRecord {
+fn place_record(seq: u32, paddr: u64, body: Vec<u8>) -> PackageRecord<'static> {
     PackageRecord {
         sequence: seq,
         op: PackageOp::PlaceOnly,
@@ -84,7 +84,7 @@ fn place_record(seq: u32, paddr: u64, body: Vec<u8>) -> PackageRecord {
         payload_hash: VerificationAlgorithm::Sha256.digest(&body),
         expected_pre_hash: [0; 32],
         tsize: 0,
-        payload: body,
+        payload: body.into(),
     }
 }
 

@@ -32,7 +32,7 @@ prop_compose! {
         tsize in any::<u32>(),
         payload in prop::collection::vec(any::<u8>(), 0..300),
         alg in arb_alg(),
-    ) -> PackageRecord {
+    ) -> PackageRecord<'static> {
         PackageRecord {
             sequence,
             op,
@@ -43,7 +43,7 @@ prop_compose! {
             payload_hash: alg.digest(&payload),
             expected_pre_hash: sha256(&payload),
             tsize,
-            payload,
+            payload: payload.into(),
         }
     }
 }
@@ -94,7 +94,7 @@ proptest! {
         r.payload_hash = alg.digest(&r.payload);
         prop_assert!(r.verify_payload(alg));
         let i = byte.index(r.payload.len());
-        r.payload[i] ^= 1 << bit;
+        r.payload.to_mut()[i] ^= 1 << bit;
         prop_assert!(!r.verify_payload(alg));
     }
 

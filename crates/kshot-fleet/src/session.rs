@@ -54,8 +54,8 @@ use crate::campaign::{CampaignTarget, MachineOutcome};
 use crate::config::{splitmix64, FleetConfig, BACKOFF_BASE};
 
 /// What every session of one campaign reads: the target, the
-/// configuration, what each attempt delivers, and the hash of the last
-/// kernel text a session digested.
+/// configuration, what each attempt delivers, and the hashes of the
+/// last kernel text and placed bytes a session digested.
 pub(crate) struct Campaign<'a> {
     pub(crate) target: &'a CampaignTarget,
     pub(crate) config: &'a FleetConfig,
@@ -69,7 +69,9 @@ pub(crate) struct Campaign<'a> {
     /// `BATCH(..)` envelope.
     pub(crate) batched: bool,
     /// The SHA-256 of the last kernel text a session digested.
-    pub(crate) text_hash: TextHash,
+    pub(crate) text_hash: HashMemo,
+    /// The SHA-256 of the last placed bytes a session digested.
+    pub(crate) placed_hash: HashMemo,
 }
 
 impl<'a> Campaign<'a> {
@@ -110,40 +112,41 @@ impl<'a> Campaign<'a> {
             config,
             deliveries,
             batched,
-            text_hash: TextHash::default(),
+            text_hash: HashMemo::default(),
+            placed_hash: HashMemo::default(),
         }
     }
 }
 
-/// The last kernel text a session of the campaign digested, and its
-/// SHA-256. Every patched machine of a campaign carries the same text,
-/// so a machine whose text equals it byte for byte reuses the hash;
-/// any other text is hashed and replaces it.
+/// The last bytes of one kind (a kernel text, placed bytes) a session
+/// of the campaign digested, and their SHA-256. Every patched machine
+/// of a campaign carries the same bytes of each kind, so a machine whose
+/// bytes equal them reuses the hash; other bytes are hashed and kept.
 #[derive(Default)]
-pub(crate) struct TextHash(Mutex<Option<Arc<HashedText>>>);
+pub(crate) struct HashMemo(Mutex<Option<Arc<HashedBytes>>>);
 
-struct HashedText {
-    text: Box<[u8]>,
+struct HashedBytes {
+    bytes: Box<[u8]>,
     sha256: [u8; 32],
 }
 
-impl TextHash {
-    /// `sha256(text)`. The lock is held only to take or replace the
+impl HashMemo {
+    /// `sha256(bytes)`. The lock is held only to take or replace the
     /// memo, never while comparing or hashing. The memo is replaced
     /// whole, so a lock poisoned by a panicking worker still holds a
     /// valid one.
-    fn sha256(&self, text: &[u8]) -> [u8; 32] {
+    fn sha256(&self, bytes: &[u8]) -> [u8; 32] {
         let last = self
             .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        if let Some(last) = last.filter(|last| *last.text == *text) {
+        if let Some(last) = last.filter(|last| *last.bytes == *bytes) {
             return last.sha256;
         }
-        let sha256 = sha256(text);
-        let memo = Arc::new(HashedText {
-            text: text.into(),
+        let sha256 = sha256(bytes);
+        let memo = Arc::new(HashedBytes {
+            bytes: bytes.into(),
             sha256,
         });
         *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(memo);
@@ -621,8 +624,9 @@ fn slow_cost_model(base: &CostModel, factor: u32) -> CostModel {
 /// any divergence in trampolines, placed bodies, or placement extent
 /// changes the digest. Each region is hashed separately, then the
 /// concatenation, so the digest is independent of region adjacency.
-/// The text's hash comes from the campaign's [`TextHash`], so a
-/// campaign whose machines carry one text hashes it once.
+/// Both hashes come from the campaign's [`HashMemo`]s, so a campaign
+/// hashes its one text and one placement once each; a rolled-back
+/// machine's empty `mem_X` bypasses the memo instead of evicting it.
 fn state_digest(system: &KShot, run: &Campaign, include_placed: bool) -> [u8; 32] {
     let target = run.target;
     let phys = system.kernel().machine().phys();
@@ -630,20 +634,21 @@ fn state_digest(system: &KShot, run: &Campaign, include_placed: bool) -> [u8; 32
         .slice(target.layout.kernel_text_base, target.image.text.len())
         .expect("text segment in bounds");
     let reserved = system.reserved();
-    let placed: &[u8] = if include_placed {
+    let placed = if include_placed {
         let cursor_bytes = phys
             .slice(reserved.rw_base + rw_offsets::NEXT_PADDR, 8)
             .expect("published cursor in bounds");
         let cursor = u64::from_le_bytes(cursor_bytes.try_into().expect("eight bytes"));
         let used_x = cursor.saturating_sub(reserved.x_base).min(reserved.x_size);
-        phys.slice(reserved.x_base, used_x as usize)
-            .expect("occupied mem_X prefix in bounds")
+        let placed = phys.slice(reserved.x_base, used_x as usize);
+        run.placed_hash
+            .sha256(placed.expect("occupied mem_X prefix in bounds"))
     } else {
-        &[]
+        sha256(&[])
     };
     let mut acc = [0u8; 64];
     acc[..32].copy_from_slice(&run.text_hash.sha256(text));
-    acc[32..].copy_from_slice(&sha256(placed));
+    acc[32..].copy_from_slice(&placed);
     sha256(&acc)
 }
 
@@ -783,14 +788,16 @@ mod tests {
         let end = ByteCounts::current();
         assert_eq!(first, second);
         let (cold, warm) = (mid.since(start).sha256, end.since(mid).sha256);
-        assert_eq!(cold - warm, target.image.text.len() as u64);
+        // The placed bytes repeat too, and their memo saves them as well.
+        let (_, placed) = placed_extent(&system);
+        assert_eq!(cold - warm, target.image.text.len() as u64 + placed);
     }
 
     #[test]
     fn text_memo_misses_on_a_first_last_or_middle_byte() {
         let (target, _) = target_and_bundle();
         let text = &target.image.text;
-        let memo = TextHash::default();
+        let memo = HashMemo::default();
         for i in [0, text.len() / 2, text.len() - 1] {
             assert_eq!(memo.sha256(text), sha256(text));
             let mut other = text.clone();
@@ -809,7 +816,7 @@ mod tests {
         let a = target.image.text.clone();
         let mut b = a.clone();
         b[a.len() / 3] ^= 0x80;
-        let memo = TextHash::default();
+        let memo = HashMemo::default();
         let mut previous: Option<&Vec<u8>> = None;
         for text in [&a, &b, &a, &a, &b, &b, &a] {
             let start = ByteCounts::current();
@@ -823,6 +830,132 @@ mod tests {
             assert_eq!(hashed, want as u64);
             previous = Some(text);
         }
+    }
+
+    /// A bundle placing one 1 MiB new function, as perfbench's
+    /// `fold_large` does.
+    fn large_bundle(target: &CampaignTarget) -> Vec<u8> {
+        kshot_patchserver::PatchBundle {
+            id: "BLOB-1MiB".into(),
+            kernel_version: target.version.as_str().into(),
+            new_functions: vec![kshot_patchserver::PatchEntry {
+                name: "blob".into(),
+                taddr: 0,
+                tsize: 0,
+                ftrace_offset: None,
+                expected_pre_hash: [0; 32],
+                body: vec![0x5A; 1 << 20],
+                relocs: vec![],
+            }],
+            ..Default::default()
+        }
+        .encode()
+    }
+
+    /// The occupied prefix of `system`'s `mem_X`: its base and length.
+    fn placed_extent(system: &KShot) -> (u64, u64) {
+        let reserved = system.reserved();
+        let cursor = system.kernel().machine().phys();
+        let cursor = cursor
+            .slice(reserved.rw_base + rw_offsets::NEXT_PADDR, 8)
+            .unwrap();
+        let cursor = u64::from_le_bytes(cursor.try_into().unwrap());
+        (reserved.x_base, cursor - reserved.x_base)
+    }
+
+    /// A 4-machine fold campaign of the 1 MiB bundle, its sessions
+    /// driven on this thread so `ByteCounts` sees every hash, hashes its
+    /// text and its placement once: the four machines in one campaign
+    /// hash three texts and three placements fewer than the same four
+    /// machines each in a campaign of its own.
+    #[test]
+    fn placed_memo_hashes_a_campaigns_placement_once() {
+        let (target, _) = target_and_bundle();
+        let bundle = large_bundle(&target);
+        let config = FleetConfig::new(4, 1).with_outcome_fold();
+        let campaign = || Campaign::new(&target, &config, &bundle, &BundleCache::new());
+        let drive = |run: &Campaign, machines: std::ops::Range<usize>| {
+            let start = ByteCounts::current();
+            for machine in machines {
+                let mut session = MachineSession::new(machine, 0, Recorder::new());
+                while session.step(run) != StepStatus::Done {}
+                assert!(session.outcome.ok, "{:?}", session.outcome.error);
+            }
+            ByteCounts::current().since(start).sha256
+        };
+        let run = campaign();
+        let together = drive(&run, 0..4);
+        let apart: u64 = (0..4).map(|m| drive(&campaign(), m..m + 1)).sum();
+        let mut patched = installed(&target, 1);
+        patched.live_patch_wire(&bundle).expect("patch applies");
+        let (_, placed) = placed_extent(&patched);
+        assert!(placed >= 1 << 20);
+        let text = target.image.text.len() as u64;
+        assert_eq!(apart - together, 3 * (text + placed));
+    }
+
+    /// A placed byte changed at the first, middle or last offset of the
+    /// occupied `mem_X` misses the memo: the digest equals the one a
+    /// fresh campaign computes, and the restored byte hits it again.
+    #[test]
+    fn placed_memo_misses_on_a_first_last_or_middle_byte() {
+        let (target, bundle) = target_and_bundle();
+        let config = FleetConfig::new(1, 1);
+        let campaign = || Campaign::new(&target, &config, &bundle, &BundleCache::new());
+        let run = campaign();
+        let mut system = installed(&target, 1);
+        system.live_patch_wire(&bundle).expect("patch applies");
+        let clean = state_digest(&system, &run, true);
+        let (base, len) = placed_extent(&system);
+        let flip = |system: &mut KShot, at: u64| {
+            let m = system.kernel_mut().machine_mut();
+            m.raise_smi().unwrap();
+            let mut byte = [0u8];
+            m.read_bytes(AccessCtx::Smm, at, &mut byte).unwrap();
+            m.write_bytes(AccessCtx::Smm, at, &[byte[0] ^ 1]).unwrap();
+            m.rsm().unwrap();
+        };
+        for at in [base, base + len / 2, base + len - 1] {
+            flip(&mut system, at);
+            let changed = state_digest(&system, &run, true);
+            assert_ne!(changed, clean, "byte {at:#x}");
+            assert_eq!(changed, state_digest(&system, &campaign(), true));
+            flip(&mut system, at);
+            assert_eq!(state_digest(&system, &run, true), clean);
+        }
+    }
+
+    /// A rolled-back machine's empty `mem_X` component neither hashes
+    /// through the placed memo nor evicts it: the patched machine after
+    /// it hashes its text again (the text memo now holds the clean
+    /// text), but not its placed bytes.
+    #[test]
+    fn placed_memo_is_neither_used_nor_evicted_by_a_rolled_back_machine() {
+        let (target, bundle) = target_and_bundle();
+        let config = FleetConfig::new(2, 1);
+        let run = Campaign::new(&target, &config, &bundle, &BundleCache::new());
+        let mut patched = installed(&target, 1);
+        patched.live_patch_wire(&bundle).expect("patch applies");
+        let mut rolled_back = installed(&target, 2);
+        rolled_back.live_patch_wire(&bundle).expect("patch applies");
+        rolled_back.rollback_last().expect("rollback");
+        let sha_bytes = |system: &KShot, include_placed: bool| {
+            let start = ByteCounts::current();
+            let digest = state_digest(system, &run, include_placed);
+            (digest, ByteCounts::current().since(start).sha256)
+        };
+        let (applied, _) = sha_bytes(&patched, true);
+        let (_, warm) = sha_bytes(&patched, true);
+        let text = target.image.text.len() as u64;
+        let (_, rolled) = sha_bytes(&rolled_back, false);
+        assert_eq!(rolled, warm + text, "the clean text, and no placed byte");
+        let (again, after) = sha_bytes(&patched, true);
+        assert_eq!(again, applied);
+        assert_eq!(
+            after,
+            warm + text,
+            "the patched text again, but no placed byte"
+        );
     }
 
     /// Rolling back a patched machine restores the clean text, which

@@ -1,5 +1,7 @@
 //! The binary patch bundle: what the server ships to the SGX enclave.
 
+use std::ops::Range;
+
 use kshot_crypto::sha256::{sha256, DIGEST_LEN};
 
 use crate::wire::{Reader, WireError, Writer};
@@ -25,9 +27,9 @@ pub struct BundleReloc {
     pub target: RelocTarget,
 }
 
-/// One patched function.
+/// One patched function (`B`: the body, or its range in a [`BundleLayout`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PatchEntry {
+pub struct PatchEntry<B = Vec<u8>> {
     /// Function name.
     pub name: String,
     /// Entry address of the vulnerable function in the running kernel
@@ -42,14 +44,14 @@ pub struct PatchEntry {
     /// verifies the target before redirecting it.
     pub expected_pre_hash: [u8; DIGEST_LEN],
     /// The patched body (ftrace pad stripped, call rel32s zeroed).
-    pub body: Vec<u8>,
+    pub body: B,
     /// Call fixups.
     pub relocs: Vec<BundleReloc>,
 }
 
 /// A global-data operation (Type 3 support, paper §V-C step 2).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GlobalOp {
+pub enum GlobalOp<B = Vec<u8>> {
     /// Overwrite bytes of an existing global (value/type change).
     SetBytes {
         /// Symbol name (for logs).
@@ -57,7 +59,7 @@ pub enum GlobalOp {
         /// Physical address in the kernel data segment.
         addr: u64,
         /// Replacement bytes.
-        bytes: Vec<u8>,
+        bytes: B,
     },
     /// Initialize storage for a global added by the patch (fresh,
     /// append-only space in the data segment).
@@ -67,11 +69,11 @@ pub enum GlobalOp {
         /// Physical address.
         addr: u64,
         /// Initial bytes.
-        bytes: Vec<u8>,
+        bytes: B,
     },
 }
 
-impl GlobalOp {
+impl<B> GlobalOp<B> {
     /// The affected address.
     pub fn addr(&self) -> u64 {
         match self {
@@ -80,7 +82,7 @@ impl GlobalOp {
     }
 
     /// The bytes written.
-    pub fn bytes(&self) -> &[u8] {
+    pub fn bytes(&self) -> &B {
         match self {
             GlobalOp::SetBytes { bytes, .. } | GlobalOp::InitBytes { bytes, .. } => bytes,
         }
@@ -116,18 +118,18 @@ pub struct BundleSegment {
 
 /// The complete patch artefact for one CVE.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PatchBundle {
+pub struct PatchBundle<B = Vec<u8>> {
     /// Patch identifier (CVE number).
     pub id: String,
     /// Kernel version the bundle was built for.
     pub kernel_version: String,
     /// Patched existing functions (sorted by name; applied in order).
-    pub entries: Vec<PatchEntry>,
+    pub entries: Vec<PatchEntry<B>>,
     /// Functions newly added by the patch (placed in `mem_X` but with no
     /// trampoline target of their own).
-    pub new_functions: Vec<PatchEntry>,
+    pub new_functions: Vec<PatchEntry<B>>,
     /// Global data operations.
-    pub global_ops: Vec<GlobalOp>,
+    pub global_ops: Vec<GlobalOp<B>>,
     /// Classification.
     pub types: BundleTypes,
     /// Per-CVE segment table for merged (batched) bundles. Empty means
@@ -139,21 +141,6 @@ pub struct PatchBundle {
 }
 
 impl PatchBundle {
-    /// Total payload bytes across all bodies (the "patch size" of the
-    /// paper's performance tables).
-    pub fn payload_size(&self) -> usize {
-        self.entries
-            .iter()
-            .chain(&self.new_functions)
-            .map(|e| e.body.len())
-            .sum::<usize>()
-            + self
-                .global_ops
-                .iter()
-                .map(|g| g.bytes().len())
-                .sum::<usize>()
-    }
-
     /// Serialize to wire bytes (integrity hash appended).
     ///
     /// # Panics
@@ -222,6 +209,24 @@ impl PatchBundle {
     /// [`WireError`] on malformed input, including a special
     /// `BadTag { what: "integrity" }` when the trailing hash mismatches.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        PatchBundle::parse_with(bytes, |body| bytes[body].to_vec())
+    }
+}
+
+/// A bundle whose bodies are the ranges they occupy in its encoding.
+pub type BundleLayout = PatchBundle<Range<usize>>;
+
+impl BundleLayout {
+    /// Parse `bytes` with [`PatchBundle::decode`]'s checks and errors,
+    /// copying no body.
+    pub fn parse(bytes: &[u8]) -> Result<Self, WireError> {
+        PatchBundle::parse_with(bytes, |body| body)
+    }
+}
+
+impl<B> PatchBundle<B> {
+    /// The one bundle parser, making each body's range in `bytes` a `B`.
+    fn parse_with(bytes: &[u8], body: impl Fn(Range<usize>) -> B) -> Result<Self, WireError> {
         if bytes.len() < DIGEST_LEN {
             return Err(WireError::Truncated { what: "bundle" });
         }
@@ -240,14 +245,14 @@ impl PatchBundle {
             t2: r.get_u8("t2")? != 0,
             t3: r.get_u8("t3")? != 0,
         };
-        let mut lists: [Vec<PatchEntry>; 2] = [Vec::new(), Vec::new()];
+        let mut lists: [Vec<PatchEntry<B>>; 2] = [Vec::new(), Vec::new()];
         for list in &mut lists {
             // Minimum entry footprint: four length prefixes, three u64
             // fields, the ftrace flag, and the 32-byte pre-hash.
             let n = r.get_count("entry count", 4 + 8 + 8 + 1 + 8 + 32 + 4 + 4)?;
             list.reserve(n);
             for _ in 0..n {
-                list.push(decode_entry(&mut r)?);
+                list.push(decode_entry(&mut r, &body)?);
             }
         }
         let [entries, new_functions] = lists;
@@ -258,7 +263,7 @@ impl PatchBundle {
             let tag = r.get_u8("global op tag")?;
             let name = r.get_str("global name")?;
             let addr = r.get_u64("global addr")?;
-            let bytes = r.get_bytes("global bytes")?;
+            let bytes = body(r.get_bytes_range("global bytes")?);
             global_ops.push(match tag {
                 0 => GlobalOp::SetBytes { name, addr, bytes },
                 1 => GlobalOp::InitBytes { name, addr, bytes },
@@ -316,7 +321,10 @@ fn encode_entry(w: &mut Writer, e: &PatchEntry) {
     }
 }
 
-fn decode_entry(r: &mut Reader<'_>) -> Result<PatchEntry, WireError> {
+fn decode_entry<B>(
+    r: &mut Reader<'_>,
+    body: impl Fn(Range<usize>) -> B,
+) -> Result<PatchEntry<B>, WireError> {
     let name = r.get_str("entry name")?;
     let taddr = r.get_u64("taddr")?;
     let tsize = r.get_u64("tsize")?;
@@ -324,7 +332,7 @@ fn decode_entry(r: &mut Reader<'_>) -> Result<PatchEntry, WireError> {
     let ftrace_raw = r.get_u64("ftrace offset")?;
     let mut expected_pre_hash = [0u8; DIGEST_LEN];
     expected_pre_hash.copy_from_slice(r.get_raw(DIGEST_LEN, "pre hash")?);
-    let body = r.get_bytes("body")?;
+    let body = body(r.get_bytes_range("body")?);
     // Minimum reloc footprint: offset, tag, and a name-prefix target.
     let n = r.get_count("reloc count", 4 + 1 + 4)?;
     let mut relocs = Vec::with_capacity(n);
@@ -475,12 +483,6 @@ mod tests {
         assert!(PatchBundle::decode(&bytes[..bytes.len() - 1]).is_err());
         assert!(PatchBundle::decode(&bytes[..10]).is_err());
         assert!(PatchBundle::decode(&[]).is_err());
-    }
-
-    #[test]
-    fn payload_size_counts_everything() {
-        let b = sample_bundle();
-        assert_eq!(b.payload_size(), 2 + 1 + 8 + 16);
     }
 
     #[test]

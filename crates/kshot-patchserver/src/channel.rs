@@ -18,6 +18,9 @@ use kshot_crypto::hmac::{hmac_sha256_parts, verify};
 
 use crate::wire::{Reader, WireError, Writer};
 
+/// Bytes in front of an encoded frame's ciphertext: seq and length.
+pub const FRAME_HEADER_LEN: usize = 8 + 4;
+
 /// An encrypted frame on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -204,18 +207,35 @@ impl SecureChannel {
     /// frame. The buffer is encrypted where it lies and becomes the
     /// frame's ciphertext.
     pub fn seal_owned(&mut self, mut data: Vec<u8>) -> Frame {
-        kshot_telemetry::counter("channel.frames_sealed", 1);
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        self.sent_high = self.sent_high.max(self.send_seq);
-        let nonce = self.key.nonce_for(seq);
-        ChaCha20::new(self.key.as_bytes(), &nonce).apply(&mut data);
-        let mac = mac_for(&self.key, seq, &data);
+        let (seq, mac) = self.seal_slice(&mut data);
         Frame {
             seq,
             ciphertext: data,
             mac,
         }
+    }
+
+    /// Seal the plaintext `frame[FRAME_HEADER_LEN..]` where it lies into
+    /// the encoded frame: the bytes and channel state of `seal_owned` on
+    /// it followed by [`Frame::encode`].
+    pub fn seal_in_place(&mut self, frame: &mut Vec<u8>) {
+        let (header, data) = frame.split_at_mut(FRAME_HEADER_LEN);
+        let len = u32::try_from(data.len()).expect("ciphertext fits the wire format");
+        let (seq, mac) = self.seal_slice(data);
+        header[..8].copy_from_slice(&seq.to_le_bytes());
+        header[8..].copy_from_slice(&len.to_le_bytes());
+        frame.extend_from_slice(&mac);
+    }
+
+    /// Encrypt `data` in place as the next frame; its seq and MAC.
+    fn seal_slice(&mut self, data: &mut [u8]) -> (u64, [u8; 32]) {
+        kshot_telemetry::counter("channel.frames_sealed", 1);
+        let seq = self.send_seq;
+        self.send_seq += 1;
+        self.sent_high = self.sent_high.max(self.send_seq);
+        let nonce = self.key.nonce_for(seq);
+        ChaCha20::new(self.key.as_bytes(), &nonce).apply(data);
+        (seq, mac_for(&self.key, seq, data))
     }
 
     /// Verify and decrypt a copy of a frame's ciphertext
@@ -594,6 +614,61 @@ mod tests {
                 (owned.send_seq, owned.recv_seq, owned.sent_high),
                 (by_ref.send_seq, by_ref.recv_seq, by_ref.sent_high)
             );
+        }
+    }
+
+    /// Seal `plaintext` in place on a clone of `tx` and check the frame
+    /// against `seal_owned` then `Frame::encode` on another clone: the
+    /// same bytes (seq, length, ciphertext and MAC), the same channel
+    /// state after, and one `channel.frames_sealed`.
+    fn assert_seal_in_place_matches(tx: &SecureChannel, plaintext: &[u8]) {
+        let (mut owned, mut in_place) = (tx.clone(), tx.clone());
+        let want = owned.seal_owned(plaintext.to_vec()).encode();
+        let mut frame = vec![0; FRAME_HEADER_LEN];
+        frame.extend_from_slice(plaintext);
+        let recorder = kshot_telemetry::Recorder::new();
+        kshot_telemetry::with_recorder(recorder.clone(), || in_place.seal_in_place(&mut frame));
+        assert_eq!(frame, want, "{} bytes", plaintext.len());
+        assert_eq!(
+            (in_place.send_seq, in_place.recv_seq, in_place.sent_high),
+            (owned.send_seq, owned.recv_seq, owned.sent_high)
+        );
+        let sealed = recorder.metrics_snapshot().counter("channel.frames_sealed");
+        assert_eq!(sealed, 1);
+    }
+
+    /// Lengths around the 64-byte block and the AVX2 keystream's whole
+    /// 512 bytes, at fresh, advanced and rewound send sequences (a
+    /// rewound sender keeps its high-water mark).
+    #[test]
+    fn seal_in_place_equals_seal_owned_then_encode() {
+        let (mut tx, mut rx) = pair();
+        for round in 0..3 {
+            for len in [0, 1, 63, 64, 511, 512, 513] {
+                let plaintext: Vec<u8> = (0..len).map(|i| (i * 7 + round) as u8).collect();
+                assert_seal_in_place_matches(&tx, &plaintext);
+            }
+            tx.seal(b"advance");
+            tx.seal(b"advance again");
+            if round == 1 {
+                rx.recv_seq = 1;
+                tx.resync(&rx.resync_ack()).unwrap();
+                assert!(tx.send_seq < tx.sent_high, "rewound");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn seal_in_place_equals_seal_owned_over_random_plaintexts(
+            plaintext in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..2100),
+            sealed_before in 0u64..4,
+        ) {
+            let (mut tx, _) = pair();
+            for _ in 0..sealed_before {
+                tx.seal(b"earlier");
+            }
+            assert_seal_in_place_matches(&tx, &plaintext);
         }
     }
 

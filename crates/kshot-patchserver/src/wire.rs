@@ -109,6 +109,11 @@ impl Writer {
         }
     }
 
+    /// The bytes written so far, to rewrite in place.
+    pub fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

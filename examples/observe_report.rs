@@ -375,7 +375,7 @@ fn main() {
     let bench = format!(
         concat!(
             "{{\"v\":1,\"machines\":{},\"workers\":{},\"window\":{},",
-            "\"snapshots\":{},\"live_snapshots\":{},\"degraded_live\":{},",
+            "\"snapshots\":{},\"degraded_live\":{},",
             "\"lines_consumed\":{},\"agg_wall_ms\":{:.3},",
             "\"agg_lines_per_sec\":{:.0},\"resident_sketch_bytes\":{},",
             "\"final_verdict\":\"{}\",",
@@ -387,7 +387,6 @@ fn main() {
         WORKERS,
         HEALTH_WINDOW,
         snaps.len(),
-        health.live_snapshots,
         health.degraded_live,
         health.report.lines_consumed,
         agg_secs * 1e3,
