@@ -277,12 +277,38 @@ cargo_test -p kshot-telemetry --test prop_shard_intake \
   long_lines_yield_a_verdict_or_a_typed_error_in_time
 cargo_test -p kshot-fleet --test health_stream respaced_campaign_shards_judge_like_the_compact_ones
 cargo_test -p kshot-fleet --test health_stream monitor_failure_under_a_rollout_fails_closed
-# A worker panic ends a health-monitored campaign with the worker's own
-# panic instead of hanging it (the test times out after 60 s).
-cargo_test -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_campaign
-# Under a rollout, the panic also fails the rollout closed, so the
-# surviving workers stop waiting on the dead worker's wave.
-cargo_test -p kshot-fleet --test health_stream worker_panic_ends_a_monitored_rollout
+# A worker whose shard will not open ends a health-monitored campaign
+# with a typed error naming the shard instead of hanging it (the test
+# times out after 60 s).
+cargo_test -p kshot-fleet --test health_stream unopenable_shard_ends_a_monitored_campaign
+# Under a rollout, the failed worker also fails the rollout closed, so
+# the surviving worker stops waiting on the failed worker's wave.
+cargo_test -p kshot-fleet --test health_stream unopenable_shard_ends_a_monitored_rollout
+# Integrity or a rollout without health, and a link RTT whose deadline
+# no Instant can hold, are typed errors before any worker starts: no
+# shard is written, and the RTT's error returns within a second.
+cargo_test -p kshot-fleet --test health_stream integrity_without_health_is_a_typed_error
+cargo_test -p kshot-fleet --test health_stream rollout_without_health_is_a_typed_error
+cargo_test -p kshot-fleet --test health_stream out_of_range_link_rtt_is_a_typed_error
+
+# The orchestrator fails typed. The non-test part of campaign.rs (up to
+# its first #[cfg(test)]) neither catches nor re-raises a panic, and its
+# one panic is run_campaign's, on a CampaignError's message; every other
+# assertion there is a debug_assert!.
+echo "== orchestrator fails typed =="
+campaign_src=$(awk '/^#\[cfg\(test\)\]/ { exit } { print }' crates/kshot-fleet/src/campaign.rs)
+if grep -nE 'catch_unwind|resume_unwind' <<<"$campaign_src"; then
+  echo "campaign.rs catches or re-raises a panic" >&2
+  exit 1
+fi
+panics=$(grep -nE '(^|[^_[:alnum:]])(panic|assert(_eq|_ne)?|unreachable|todo|unimplemented)!' \
+  <<<"$campaign_src" || true)
+if [ "$(grep -c . <<<"$panics")" -ne 1 ] \
+  || ! grep -Fq 'try_run_campaign(target, bundle_bytes, config).unwrap_or_else(|e| panic!("{e}"))' \
+    <<<"$panics"; then
+  printf 'campaign.rs panics outside run_campaign:\n%s\n' "$panics" >&2
+  exit 1
+fi
 
 # Roll-up gates: the Merkle accumulator's unit surface (append/merge/
 # root/divergence/frontier round-trip), the fleet fold's merge-equals-

@@ -159,11 +159,6 @@ impl Cfg {
         self.blocks.values().map(|b| b.successors.len()).sum()
     }
 
-    /// The block starting at `addr`.
-    pub fn block_at(&self, addr: u64) -> Option<&BasicBlock> {
-        self.blocks.get(&addr)
-    }
-
     /// Blocks reachable from the entry (DFS).
     pub fn reachable(&self) -> BTreeSet<u64> {
         let mut seen = BTreeSet::new();

@@ -132,13 +132,6 @@ impl ChaCha20 {
             }
         }
     }
-
-    /// Convenience: encrypt a copy of `data`.
-    pub fn apply_to_vec(&mut self, data: &[u8]) -> Vec<u8> {
-        let mut v = data.to_vec();
-        self.apply(&mut v);
-        v
-    }
 }
 
 #[inline]

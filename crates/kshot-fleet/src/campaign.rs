@@ -13,11 +13,10 @@
 //! one-machine-at-a-time behaviour exactly.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::iter::Peekable;
 use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -28,7 +27,7 @@ use kshot_kernel::Kernel;
 use kshot_machine::{JournalOp, MemLayout, SimTime, SmiCause, SmiFlightRecord};
 use kshot_patchserver::{BundleCache, PatchServer};
 use kshot_telemetry::{
-    DigestRollup, HealthMonitor, IntegrityPolicy, MachineLine, Recorder, RecorderScope, SmiLine,
+    DigestRollup, HealthMonitor, HealthPolicy, MachineLine, Recorder, RecorderScope, SmiLine,
     StreamSink, RECORDS_DROPPED_METRIC,
 };
 
@@ -62,6 +61,8 @@ impl CampaignTarget {
     pub fn benchmark(version: KernelVersion) -> (CampaignTarget, PatchServer) {
         let layout = MemLayout::fleet();
         let tree = benchmark_tree(version);
+        // Both benchmark trees are fixed sources, and kshot-cve's
+        // `both_trees_validate_and_link` links each at these bases.
         let image = kshot_kcc::link(
             &tree,
             &benchmark_options(),
@@ -83,6 +84,8 @@ impl CampaignTarget {
     /// obtain a [`kshot_kernel::KernelInfo`] for the patch server, and by
     /// tests that want a reference machine.
     pub fn boot_one(&self) -> Kernel {
+        // Every campaign machine boots this image on this layout, and
+        // `benchmark` linked it at the layout's own bases.
         Kernel::boot(Arc::clone(&self.image), self.version.as_str(), self.layout)
             .expect("fleet image boots on the fleet layout")
     }
@@ -205,6 +208,60 @@ impl MachineOutcome {
     }
 }
 
+/// Why a campaign failed as a whole; a machine that fails inside one
+/// is reported by its [`MachineOutcome`].
+#[derive(Debug)]
+pub enum CampaignError {
+    /// [`FleetConfig::with_health`] without a stream directory to tail.
+    HealthWithoutStream,
+    /// [`FleetConfig::with_integrity`] without the monitor that runs it.
+    IntegrityWithoutHealth,
+    /// [`FleetConfig::with_rollout`] without the monitor that judges it.
+    RolloutWithoutHealth,
+    /// A link RTT whose deadline, counted from now, no [`Instant`] holds.
+    LinkRttOutOfRange(Duration),
+    /// A worker could not open its shard.
+    Shard {
+        /// The shard's path.
+        path: PathBuf,
+        /// Why it did not open.
+        error: std::io::Error,
+    },
+    /// The monitor's snapshot sink did not open, or a poll or the final
+    /// catch-up failed.
+    Monitor(String),
+    /// A worker panicked.
+    WorkerPanicked {
+        /// The worker's index.
+        worker: usize,
+        /// The panic's message.
+        message: String,
+    },
+}
+
+impl fmt::Display for CampaignError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::HealthWithoutStream => {
+                "FleetConfig::with_health requires with_stream_dir (the monitor tails shards)"
+            }
+            Self::IntegrityWithoutHealth => {
+                "FleetConfig::with_integrity requires with_health (the monitor replays the smi stream)"
+            }
+            Self::RolloutWithoutHealth => {
+                "FleetConfig::with_rollout requires with_health (wave verdicts come from the monitor)"
+            }
+            Self::LinkRttOutOfRange(rtt) => {
+                return write!(f, "link RTT {rtt:?} puts a deadline past Instant's range");
+            }
+            Self::Shard { path, error } => return write!(f, "open shard {}: {error}", path.display()),
+            Self::Monitor(message) | Self::WorkerPanicked { message, .. } => message,
+        })
+    }
+}
+
+impl std::error::Error for CampaignError {}
+
 /// Run one campaign: patch `config.machines` machines, sharded over
 /// `config.workers` OS threads, all applying the bundle serialized in
 /// `bundle_bytes`, or [`FleetConfig::catalogue`] when one is armed.
@@ -226,15 +283,33 @@ impl MachineOutcome {
 /// once, stepping whichever has CPU work while the others wait out
 /// their link RTT deadlines; per-machine execution stays
 /// deterministic because scheduling only decides *when* a machine's
-/// next step runs, never what it computes. A worker's panic is re-raised
-/// once every other worker and the health monitor have stopped; under a
-/// rollout it first fails the rollout closed, since the wave in flight
-/// waits on the dead worker's machines.
-pub fn run_campaign(
+/// next step runs, never what it computes. The calling thread joins
+/// each worker as it stops and, between those checks, runs the health
+/// monitor and any rollout controller itself.
+///
+/// # Errors
+///
+/// An option combination or link RTT the campaign cannot run, before
+/// any work; else the first failed worker's error in worker order, else
+/// the monitor's. A failed worker or monitor fails a rollout closed.
+pub fn try_run_campaign(
     target: &CampaignTarget,
     bundle_bytes: &[u8],
     config: &FleetConfig,
-) -> CampaignReport {
+) -> Result<CampaignReport, CampaignError> {
+    // Refuse what the configuration cannot run before any work.
+    let health_cfg = match (&config.health_policy, &config.stream_dir) {
+        (Some(_), None) => return Err(CampaignError::HealthWithoutStream),
+        (Some(policy), Some(dir)) => Some((policy, dir.as_path())),
+        (None, _) if config.integrity.is_some() => {
+            return Err(CampaignError::IntegrityWithoutHealth)
+        }
+        (None, _) if config.rollout.is_some() => return Err(CampaignError::RolloutWithoutHealth),
+        (None, _) => None,
+    };
+    if Instant::now().checked_add(config.link_rtt).is_none() {
+        return Err(CampaignError::LinkRttOutOfRange(config.link_rtt));
+    }
     let workers = config.workers.max(1);
     let started = Instant::now();
     // Resolve every delivery here, on the campaign thread and outside
@@ -247,129 +322,74 @@ pub fn run_campaign(
     let (cache_hits, cache_misses) = (cache.hits(), cache.misses());
     drop(cache);
 
-    // The health monitor tails the worker shard files; arming it
-    // without streaming would silently watch nothing, so fail loudly.
-    let health_cfg = config.health_policy.as_ref().map(|policy| {
-        let dir = config.stream_dir.clone().unwrap_or_else(|| {
-            panic!("FleetConfig::with_health requires with_stream_dir (the monitor tails shards)")
-        });
-        (policy.clone(), dir)
-    });
-    // The integrity monitor replays the shard `smi` stream from inside
-    // the health monitor's tail loop; arming it without health would
-    // silently verify nothing, so fail loudly.
-    if config.integrity.is_some() {
-        assert!(
-            config.health_policy.is_some(),
-            "FleetConfig::with_integrity requires with_health (the monitor replays the smi stream)"
-        );
-    }
-    // A rollout's wave verdicts come from the health monitor; arming
-    // one without health would silently never admit past the canary.
-    let rollout_cfg = config
+    let rollout = config
         .rollout
         .as_ref()
         .filter(|_| config.machines > 0)
         .map(|plan| {
-            assert!(
-                config.health_policy.is_some(),
-                "FleetConfig::with_rollout requires with_health (wave verdicts come from the monitor)"
-            );
             let waves = plan.waves(config.machines);
             let gate = RolloutGate::new(waves[0].end);
             (plan, waves, gate)
         });
-    let campaign_done = AtomicBool::new(false);
-    let worker_panicked = AtomicBool::new(false);
     let shards = placement(config.machines, workers);
     let blocks: usize = shards.iter().map(Vec::len).sum();
-
-    let recorder = Recorder::new();
-    let mut occupancy = Vec::with_capacity(workers);
-    let mut worker_blocks = Vec::with_capacity(workers);
-    let mut health: Option<Result<CampaignHealth, String>> = None;
-    let mut trail: Option<RolloutTrail> = None;
-    thread::scope(|scope| {
-        // Spawn the monitor before the workers so the earliest windows
-        // can be judged while later machines are still in flight.
-        let monitor_handle = health_cfg.map(|(policy, dir)| {
-            let done = &campaign_done;
-            let worker_panicked = &worker_panicked;
-            let machines = config.machines;
-            // Rollouts size the window to the canary cohort so wave
-            // boundaries always fall on window boundaries.
-            let window = match &rollout_cfg {
-                Some((plan, _, _)) => plan.canary_size(machines),
-                None => config.health_window,
-            };
-            let rollout = rollout_cfg
-                .as_ref()
-                .map(|(plan, waves, gate)| (*plan, waves.as_slice(), gate));
-            let integrity = config.integrity.clone();
-            scope.spawn(move || {
-                run_health_monitor(
-                    policy,
-                    window,
-                    machines,
-                    workers,
-                    dir,
-                    done,
-                    worker_panicked,
-                    rollout,
-                    integrity,
-                )
-            })
-        });
-        let handles: Vec<_> = shards
+    let (stopped, health, trail) = thread::scope(|scope| {
+        let gate = rollout.as_ref().map(|(_, _, gate)| gate);
+        let mut running: Vec<_> = shards
             .iter()
             .enumerate()
             .map(|(worker, blocks)| {
                 let run = &run;
-                let gate = rollout_cfg.as_ref().map(|(_, _, gate)| gate);
-                let worker_panicked = &worker_panicked;
-                scope.spawn(move || {
-                    panic::catch_unwind(AssertUnwindSafe(|| run_worker(run, worker, blocks, gate)))
-                        .unwrap_or_else(|payload| {
-                            // Tell the monitor, then let the unwind go
-                            // on so the join still carries the payload.
-                            worker_panicked.store(true, Ordering::Release);
-                            panic::resume_unwind(payload)
-                        })
-                })
+                Some(scope.spawn(move || run_worker(run, worker, blocks, gate)))
             })
             .collect();
-        let mut panicked = None;
-        for handle in handles {
-            match handle.join() {
-                Ok((closed, metrics, worker_occupancy)) => {
-                    recorder.metrics().merge_from(metrics.metrics());
-                    worker_blocks.push(closed.into_iter());
-                    occupancy.push(worker_occupancy);
+        // The monitor opens its snapshot sink once the workers run.
+        let mut watch =
+            health_cfg.map(|(policy, dir)| Watch::open(policy, dir, config, rollout.as_ref()));
+        let mut stopped = BTreeMap::new();
+        loop {
+            // Join every worker that has stopped; with no monitor to
+            // poll, wait on each in turn.
+            for (worker, slot) in running.iter_mut().enumerate() {
+                if let Some(handle) = slot.take_if(|h| watch.is_none() || h.is_finished()) {
+                    let result = handle.join().unwrap_or_else(|payload| {
+                        let message = (payload.downcast_ref::<String>().map(String::as_str))
+                            .or_else(|| payload.downcast_ref::<&str>().copied());
+                        let message = message.unwrap_or_default().to_string();
+                        Err(CampaignError::WorkerPanicked { worker, message })
+                    });
+                    stopped.insert(worker, result);
                 }
-                Err(payload) => panicked = panicked.or(Some(payload)),
             }
+            let finished = stopped.len() == workers;
+            let Some(watch) = watch.as_mut() else {
+                break;
+            };
+            watch.poll(finished, stopped.values().any(Result::is_err));
+            if finished {
+                break;
+            }
+            thread::sleep(Duration::from_millis(1));
         }
-        // Every worker has flushed its shard (or died); release the
-        // monitor for its final catch-up poll and collect the health
-        // report. The monitor polls until this flag is set, so a worker's
-        // panic is re-raised only after it: the scope waits for the
-        // monitor too.
-        campaign_done.store(true, Ordering::Release);
-        if let Some(h) = monitor_handle {
-            let (campaign_health, rollout_trail) = h.join().expect("health monitor panicked");
-            health = Some(campaign_health);
-            trail = rollout_trail;
-        }
-        if let Some(payload) = panicked {
-            std::panic::resume_unwind(payload);
-        }
+        let (health, trail) = watch.map(Watch::finish).unzip();
+        (stopped, health, trail.flatten())
     });
-    let health = health.transpose().unwrap_or_else(|e| panic!("{e}"));
     let wall = started.elapsed();
+    let recorder = Recorder::new();
+    let mut occupancy = Vec::with_capacity(workers);
+    let mut worker_blocks = Vec::with_capacity(workers);
+    for result in stopped.into_values() {
+        let (closed, metrics, worker_occupancy) = result?;
+        recorder.metrics().merge_from(metrics.metrics());
+        worker_blocks.push(closed.into_iter());
+        occupancy.push(worker_occupancy);
+    }
+    let health = health.transpose()?;
     // Block `b` ran on worker `b % workers`, so taking the next block
     // from each worker in turn walks the fleet in machine order: the
     // folds merge as adjacent ranges, and kept outcomes (with their
-    // records) arrive sorted.
+    // records) arrive sorted. Every worker returned one block per range
+    // `placement` dealt it, and `placement` deals adjacent ranges.
     let mut fold = OutcomeFold::new();
     let mut outcomes = Vec::new();
     for worker in (0..workers).cycle().take(blocks) {
@@ -383,10 +403,10 @@ pub fn run_campaign(
             outcomes.push(outcome);
         }
     }
-    let rollout = rollout_cfg.map(|(plan, _, _)| {
+    let rollout = rollout.map(|(plan, _, _)| {
         RolloutReport::assemble(plan, config.machines, trail.unwrap_or_default(), &fold)
     });
-    CampaignReport::assemble(
+    Ok(CampaignReport::assemble(
         config,
         outcomes,
         fold,
@@ -397,114 +417,114 @@ pub fn run_campaign(
         cache_misses,
         health,
         rollout,
-    )
+    ))
 }
 
-/// The campaign's live health thread: build the monitor and [`watch`]
-/// the worker shards until the campaign completes.
-///
-/// Under a rollout, this thread also hosts the [`RolloutController`]:
-/// after every poll it folds new snapshots into wave verdicts and
-/// actuates the shared gate (admission, finalization, rollback) the
-/// workers are watching. Running the controller here keeps its
-/// decisions in the monitor's deterministic snapshot order. A monitor
-/// that fails — its sink cannot open, or a poll or the final catch-up
-/// fails — can judge nothing more, so it fails closed: the wave in
-/// flight is halted as a Halt verdict would halt it, and the workers
-/// finish instead of waiting on a gate nobody opens. The error goes
-/// back to `run_campaign`, which panics with it. A worker that panicked
-/// fails the rollout closed the same way, from [`watch`].
-#[allow(clippy::too_many_arguments)]
-fn run_health_monitor(
-    policy: kshot_telemetry::HealthPolicy,
-    window: usize,
-    machines: usize,
-    workers: usize,
-    dir: PathBuf,
-    done: &AtomicBool,
-    worker_panicked: &AtomicBool,
-    rollout: Option<(&RolloutPlan, &[Wave], &RolloutGate)>,
-    integrity: Option<IntegrityPolicy>,
-) -> (Result<CampaignHealth, String>, Option<RolloutTrail>) {
-    let shards: Vec<PathBuf> = (0..workers)
-        .map(|w| dir.join(format!("worker-{w}.jsonl")))
-        .collect();
-    let mut monitor = HealthMonitor::new(policy, window, machines, shards);
-    if let Some((_, waves, _)) = &rollout {
-        monitor = monitor.with_wave_boundaries(waves.iter().map(|w| w.end as u64).collect());
-    }
-    if let Some(policy) = integrity {
-        monitor = monitor.with_integrity(policy);
-    }
-    let mut controller =
-        rollout.map(|(plan, waves, gate)| RolloutController::new(plan, waves.to_vec(), gate));
-    let health = monitor
-        .with_snapshot_path(dir.join("health.jsonl"))
-        .map_err(|e| format!("open health snapshot sink: {e}"))
-        .and_then(|monitor| watch(monitor, done, worker_panicked, controller.as_mut()));
-    if let (Err(_), Some(controller)) = (&health, controller.as_mut()) {
-        controller.fail_closed();
-    }
-    (health, controller.map(RolloutController::into_trail))
+/// [`try_run_campaign`], panicking with the error's message when the
+/// campaign fails.
+pub fn run_campaign(
+    target: &CampaignTarget,
+    bundle_bytes: &[u8],
+    config: &FleetConfig,
+) -> CampaignReport {
+    try_run_campaign(target, bundle_bytes, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Poll `monitor` every millisecond until the campaign signals
-/// completion, tracking how many snapshots were emitted *while workers
-/// were still running* (the mid-campaign detection the health plane
-/// exists for), then run one final catch-up poll and fold everything
-/// into a [`CampaignHealth`]. Once a worker has panicked, its machines
-/// will never be judged, so the rollout fails closed.
-fn watch(
-    mut monitor: HealthMonitor,
-    done: &AtomicBool,
-    worker_panicked: &AtomicBool,
-    mut controller: Option<&mut RolloutController<'_>>,
-) -> Result<CampaignHealth, String> {
-    let mut live_snapshots = 0u64;
-    let mut degraded_live = false;
-    let mut halt_live = false;
-    loop {
-        // Read the flag *before* polling: if workers finished mid-poll,
-        // snapshots from this round may or may not have been live, so
-        // only rounds that started before completion count as live.
-        let finished = done.load(Ordering::Acquire);
-        let emitted = monitor
-            .poll()
-            .map_err(|e| format!("health monitor poll: {e}"))?;
-        if let Some(controller) = controller.as_deref_mut() {
-            controller.observe(&mut monitor);
-            if worker_panicked.load(Ordering::Acquire) {
-                controller.fail_closed();
-            }
+/// The campaign's live health plane, run by the thread that called
+/// [`try_run_campaign`] between its checks on the workers: the health
+/// monitor tailing the worker shards and, under a rollout, the
+/// [`RolloutController`] that folds its snapshots into wave verdicts
+/// and actuates the gate the workers watch (admission, finalization,
+/// rollback). One thread runs both, so the controller's decisions land
+/// in the monitor's deterministic snapshot order.
+struct Watch<'a> {
+    /// The monitor, or why it failed (a failed monitor judges nothing).
+    monitor: Result<HealthMonitor, CampaignError>,
+    controller: Option<RolloutController<'a>>,
+    /// Snapshots emitted by rounds that began before every worker had
+    /// stopped: the mid-campaign detection the health plane exists for.
+    live: usize,
+}
+
+impl<'a> Watch<'a> {
+    /// The monitor over `config`'s worker shards in `dir`, streaming its
+    /// snapshots to `dir/health.jsonl`, and the controller of `rollout`.
+    fn open(
+        policy: &HealthPolicy,
+        dir: &Path,
+        config: &FleetConfig,
+        rollout: Option<&'a (&RolloutPlan, Vec<Wave>, RolloutGate)>,
+    ) -> Watch<'a> {
+        let shards = (0..config.workers.max(1))
+            .map(|w| dir.join(format!("worker-{w}.jsonl")))
+            .collect();
+        // A rollout's window is its canary, so no window straddles a wave.
+        let window = rollout.map_or(config.health_window, |(plan, _, _)| {
+            plan.canary_size(config.machines)
+        });
+        let mut monitor = HealthMonitor::new(policy.clone(), window, config.machines, shards);
+        if let Some((_, waves, _)) = rollout {
+            monitor = monitor.with_wave_boundaries(waves.iter().map(|w| w.end as u64).collect());
         }
-        if !finished && emitted > 0 {
-            let snaps = monitor.snapshots();
-            for snap in &snaps[snaps.len() - emitted..] {
-                live_snapshots += 1;
-                // Halt is its own live signal: folding it into
-                // `degraded_live` (the old `severity() >= 1`) hid
-                // exactly the verdict the rollout plane acts on.
-                match snap.verdict.severity() {
-                    2.. => halt_live = true,
-                    1 => degraded_live = true,
-                    _ => {}
+        if let Some(policy) = &config.integrity {
+            monitor = monitor.with_integrity(policy.clone());
+        }
+        Watch {
+            monitor: monitor
+                .with_snapshot_path(dir.join("health.jsonl"))
+                .map_err(|e| CampaignError::Monitor(format!("open health snapshot sink: {e}"))),
+            controller: rollout
+                .map(|(plan, waves, gate)| RolloutController::new(plan, waves.clone(), gate)),
+            live: 0,
+        }
+    }
+
+    /// One round: poll the shards and fold new snapshots into wave
+    /// verdicts. `finished` says whether every worker had stopped before
+    /// the round began. A failed monitor, or a failed worker whose
+    /// machines will never be judged, fails the rollout closed: the wave
+    /// in flight halts as a Halt verdict would halt it, so the workers
+    /// finish instead of waiting on a gate nobody opens.
+    fn poll(&mut self, finished: bool, worker_failed: bool) {
+        if let Ok(monitor) = &mut self.monitor {
+            match monitor.poll() {
+                Ok(_) => {
+                    if !finished {
+                        self.live = monitor.snapshots().len();
+                    }
+                    if let Some(controller) = &mut self.controller {
+                        controller.observe(monitor);
+                    }
+                }
+                Err(e) => {
+                    self.monitor = Err(CampaignError::Monitor(format!("health monitor poll: {e}")));
                 }
             }
         }
-        if finished {
-            break;
+        let failed = worker_failed || self.monitor.is_err();
+        if let Some(controller) = self.controller.as_mut().filter(|_| failed) {
+            controller.fail_closed();
         }
-        thread::sleep(Duration::from_millis(1));
     }
-    let report = monitor
-        .finish()
-        .map_err(|e| format!("health monitor finish: {e}"))?;
-    Ok(CampaignHealth {
-        report,
-        live_snapshots,
-        degraded_live,
-        halt_live,
-    })
+
+    /// Run the final catch-up poll and fold everything into a
+    /// [`CampaignHealth`], beside the rollout's trail.
+    fn finish(self) -> (Result<CampaignHealth, CampaignError>, Option<RolloutTrail>) {
+        let health = self.monitor.and_then(|monitor| {
+            let report = monitor
+                .finish()
+                .map_err(|e| CampaignError::Monitor(format!("health monitor finish: {e}")))?;
+            let live = report.snapshots.get(..self.live).unwrap_or_default();
+            Ok(CampaignHealth {
+                live_snapshots: live.len() as u64,
+                // Halt, the verdict a rollout acts on, is a signal of its own.
+                degraded_live: live.iter().any(|s| s.verdict.severity() == 1),
+                halt_live: live.iter().any(|s| s.verdict.severity() >= 2),
+                report,
+            })
+        });
+        (health, self.controller.map(RolloutController::into_trail))
+    }
 }
 
 /// One machine's shard parcel, held back until its turn in the worker's
@@ -698,13 +718,13 @@ impl<'a> BlockFolds<'a> {
 /// Drive one worker's blocks (see [`placement`]) with up to
 /// `config.pipeline_depth` sessions in flight, and return the closed
 /// blocks, the metric totals of machines it did not keep, and the
-/// worker's busy/in-flight occupancy split.
+/// worker's busy/in-flight occupancy split; or its shard's open error.
 fn run_worker(
     run: &Campaign,
     worker: usize,
     blocks: &[Range<usize>],
     gate: Option<&RolloutGate>,
-) -> (Vec<Block>, Arc<Recorder>, WorkerOccupancy) {
+) -> Result<(Vec<Block>, Arc<Recorder>, WorkerOccupancy), CampaignError> {
     let config = run.config;
     let workers = config.workers.max(1);
     let depth = config.pipeline_depth.max(1);
@@ -721,8 +741,9 @@ fn run_worker(
     // lands in it as one parcel, parcels in machine order.
     let sink = config.stream_dir.as_ref().map(|dir| {
         let path = dir.join(format!("worker-{worker}.jsonl"));
-        StreamSink::to_path(&path).unwrap_or_else(|e| panic!("open shard {}: {e}", path.display()))
+        StreamSink::to_path(&path).map_err(|error| CampaignError::Shard { path, error })
     });
+    let sink = sink.transpose()?;
 
     // The worker's machines in machine order; admission and the shard
     // flush each walk them with their own cursor.
@@ -764,6 +785,7 @@ fn run_worker(
                 .filter(|&m| gate.action_for(m).is_some())
                 .collect();
             for machine in judged {
+                // `judged` was just collected from `held`'s own keys.
                 let mut session = held.remove(&machine).expect("collected from held");
                 let rollback = gate.action_for(machine) == Some(WaveAction::Rollback);
                 session.deliver_verdict(rollback);
@@ -820,6 +842,8 @@ fn run_worker(
             match status {
                 StepStatus::Ready => ready.push_back(session),
                 StepStatus::Wait => {
+                    // A session reports Wait only from InFlight, whose
+                    // state holds the deadline.
                     let deadline = session
                         .deadline()
                         .expect("a waiting session carries its deadline");
@@ -872,7 +896,7 @@ fn run_worker(
         sink.flush();
     }
     let (closed, metrics) = folds.finish();
-    (
+    Ok((
         closed,
         metrics,
         WorkerOccupancy {
@@ -880,7 +904,7 @@ fn run_worker(
             busy,
             in_flight,
         },
-    )
+    ))
 }
 
 /// The start offset for `worker`'s first delivery: `link_rtt * worker /

@@ -109,10 +109,10 @@ pub struct FleetConfig {
     /// spawning threads. Simulated-domain results (state digests, sim
     /// clocks, metrics, shard contents) are identical at every depth.
     pub pipeline_depth: usize,
-    /// When set, `run_campaign` spawns a live
-    /// [`kshot_telemetry::HealthMonitor`] thread tailing the worker
-    /// shards while the campaign runs (requires `stream_dir`); the
-    /// final [`kshot_telemetry::HealthReport`] lands in
+    /// When set, the campaign's calling thread runs a live
+    /// [`kshot_telemetry::HealthMonitor`] tailing the worker shards
+    /// while the workers run (requires `stream_dir`); the final
+    /// [`kshot_telemetry::HealthReport`] lands in
     /// `CampaignReport::health` and snapshots stream to
     /// `<stream_dir>/health.jsonl`.
     pub health_policy: Option<HealthPolicy>,
@@ -127,7 +127,7 @@ pub struct FleetConfig {
     /// with Halt verdicts actuating auto-rollback of the halted wave's
     /// patched machines. Requires [`FleetConfig::with_health`] (the
     /// verdicts come from the monitor) and therefore streaming;
-    /// `run_campaign` panics loudly otherwise.
+    /// `try_run_campaign` returns a `CampaignError` otherwise.
     pub rollout: Option<RolloutPlan>,
     /// Multi-CVE campaign catalogue: encoded [`kshot_patchserver`]
     /// bundle blobs, applied to every machine in order. Empty (the
@@ -255,7 +255,7 @@ impl FleetConfig {
     /// Builder-style: run a live health monitor over the worker shards
     /// during the campaign, windowing machines into cohorts of `window`
     /// and judging each against `policy`. Requires
-    /// [`FleetConfig::with_stream_dir`]; `run_campaign` panics loudly
+    /// [`FleetConfig::with_stream_dir`], a typed `CampaignError`
     /// otherwise (a silent no-op monitor would be worse).
     pub fn with_health(mut self, policy: HealthPolicy, window: usize) -> Self {
         self.health_policy = Some(policy);
@@ -264,8 +264,8 @@ impl FleetConfig {
     }
 
     /// Builder-style: run the campaign as a staged rollout under `plan`.
-    /// Requires [`FleetConfig::with_health`]; `run_campaign` panics
-    /// loudly otherwise (a rollout without verdicts cannot gate waves).
+    /// Requires [`FleetConfig::with_health`], a typed `CampaignError`
+    /// otherwise (a rollout without verdicts cannot gate waves).
     pub fn with_rollout(mut self, plan: RolloutPlan) -> Self {
         self.rollout = Some(plan);
         self
@@ -310,8 +310,8 @@ impl FleetConfig {
 
     /// Builder-style: replay the fleet's `smi` flight-record stream
     /// through a detached integrity monitor judging against `policy`.
-    /// Requires [`FleetConfig::with_health`]; `run_campaign` panics
-    /// loudly otherwise (a silent no-op integrity plane would be worse).
+    /// Requires [`FleetConfig::with_health`], a typed `CampaignError`
+    /// otherwise (a silent no-op integrity plane would be worse).
     pub fn with_integrity(mut self, policy: IntegrityPolicy) -> Self {
         self.integrity = Some(policy);
         self

@@ -45,7 +45,8 @@
 //!   per patch. Only what did not land is retried: a fault after the
 //!   journal committed surfaces as [`kshot_core::KShotError::Committed`]
 //!   and counts the attempted patches as landed, and the segments a
-//!   recovery preserved count as landed too.
+//!   recovery preserved count as landed too. A campaign that fails as a
+//!   whole is a typed [`CampaignError`] from [`try_run_campaign`].
 //! * **One campaign path.** Each worker folds every block it owns, in
 //!   machine order, into an [`OutcomeFold`] (counters, a mergeable
 //!   latency sketch, capped dwell attribution, and a
@@ -67,8 +68,9 @@
 //!   ([`FleetConfig::with_smm_dwell_budget`]) flags machines whose SMIs
 //!   overstay their budget in [`CampaignReport::dwell_anomalies`].
 //! * **Live health plane.** [`FleetConfig::with_health`] arms a
-//!   [`kshot_telemetry::HealthMonitor`] thread that tails the worker
-//!   shards *while the campaign runs*, folds machines into fixed
+//!   [`kshot_telemetry::HealthMonitor`] that the campaign's calling
+//!   thread polls every millisecond, tailing the worker shards *while
+//!   the workers run*; it folds machines into fixed
 //!   windows, judges each against a declarative
 //!   [`kshot_telemetry::HealthPolicy`], and streams schema-versioned
 //!   snapshots to `<stream_dir>/health.jsonl`. The snapshot sequence is
@@ -137,7 +139,7 @@ pub mod report;
 pub mod rollout;
 mod session;
 
-pub use campaign::{run_campaign, CampaignTarget, MachineOutcome};
+pub use campaign::{run_campaign, try_run_campaign, CampaignError, CampaignTarget, MachineOutcome};
 pub use config::{FleetConfig, PlannedAttack, PlannedFault, PlannedSlowdown};
 pub use fold::OutcomeFold;
 pub use kshot_telemetry::{

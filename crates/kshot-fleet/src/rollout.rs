@@ -2,15 +2,15 @@
 //! and Halt-actuated auto-rollback.
 //!
 //! A [`RolloutPlan`] partitions a campaign's machine range into
-//! **waves**: a canary cohort (absolute size or percent of the fleet)
-//! followed by exponentially growing ramp waves (`canary`, `canary×g`,
-//! `canary×g²`, …, the last clamped to the fleet size). Admission into
-//! wave `k+1` is gated on wave `k`'s health windows *all* judging
-//! `Healthy` under the armed [`kshot_telemetry::HealthPolicy`] — the
-//! verdicts come from the existing [`kshot_telemetry::HealthMonitor`]
-//! snapshots, not a second aggregation path. The monitor window is
-//! sized to the canary cohort, so wave boundaries always fall on window
-//! boundaries and no window straddles two waves.
+//! **waves**: a canary cohort of a given machine count followed by
+//! doubling ramp waves (`canary`, `canary×2`, `canary×4`, …, the last
+//! clamped to the fleet size). Admission into wave `k+1` is gated on
+//! wave `k`'s health windows *all* judging `Healthy` under the armed
+//! [`kshot_telemetry::HealthPolicy`] — the verdicts come from the
+//! existing [`kshot_telemetry::HealthMonitor`] snapshots, not a second
+//! aggregation path. The monitor window is sized to the canary cohort,
+//! so wave boundaries always fall on window boundaries and no window
+//! straddles two waves.
 //!
 //! Verdict → action:
 //!
@@ -45,22 +45,15 @@ use kshot_telemetry::{json_escape, HealthMonitor};
 
 use crate::fold::OutcomeFold;
 
-/// How large the canary cohort is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CanarySize {
-    /// An absolute machine count.
-    Machines(usize),
-    /// A percentage of the fleet (clamped to 1..=100).
-    Percent(u32),
-}
+/// Wave-size multiplier of the exponential ramp.
+const GROWTH: usize = 2;
 
-/// A staged-rollout plan: canary cohort size, ramp growth factor, and
-/// optional canary-derived dwell-budget calibration.
+/// A staged-rollout plan: canary cohort size and optional
+/// canary-derived dwell-budget calibration. Each ramp wave is twice the
+/// size of the one before it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RolloutPlan {
-    canary: CanarySize,
-    /// Wave-size multiplier for the exponential ramp (≥ 1; default 2).
-    pub growth: u32,
+    canary: usize,
     /// When set, a Healthy canary wave arms the health monitor's dwell
     /// check with `canary dwell p99 × margin / 1000` for the ramp.
     pub dwell_margin_per_mille: Option<u64>,
@@ -71,27 +64,9 @@ impl RolloutPlan {
     /// fleet size at resolution time).
     pub fn canary_machines(n: usize) -> RolloutPlan {
         RolloutPlan {
-            canary: CanarySize::Machines(n),
-            growth: 2,
+            canary: n,
             dwell_margin_per_mille: None,
         }
-    }
-
-    /// A plan whose canary is `percent`% of the fleet (clamped so the
-    /// resolved cohort is ≥ 1 machine).
-    pub fn canary_percent(percent: u32) -> RolloutPlan {
-        RolloutPlan {
-            canary: CanarySize::Percent(percent.clamp(1, 100)),
-            growth: 2,
-            dwell_margin_per_mille: None,
-        }
-    }
-
-    /// Builder-style: set the ramp growth factor (clamped to ≥ 1; 1
-    /// means constant-size waves).
-    pub fn with_growth(mut self, growth: u32) -> Self {
-        self.growth = growth.max(1);
-        self
     }
 
     /// Builder-style: derive the ramp waves' dwell budget from the
@@ -105,15 +80,11 @@ impl RolloutPlan {
     /// The canary cohort size this plan resolves to for a fleet of
     /// `machines` (always in `1..=machines` for a non-empty fleet).
     pub fn canary_size(&self, machines: usize) -> usize {
-        let n = match self.canary {
-            CanarySize::Machines(n) => n,
-            CanarySize::Percent(p) => machines.saturating_mul(p.min(100) as usize) / 100,
-        };
-        n.clamp(1, machines.max(1))
+        self.canary.clamp(1, machines.max(1))
     }
 
     /// Partition `machines` into waves: canary first, then ramp waves
-    /// of `canary × growth^k`, the last clamped to the fleet size.
+    /// of `canary × 2^k`, the last clamped to the fleet size.
     /// Every wave boundary is a multiple of the canary size (except the
     /// final clamp), which is what lets the health-window size equal
     /// the canary size without windows straddling waves.
@@ -128,7 +99,7 @@ impl RolloutPlan {
             let end = (start + size).min(machines);
             out.push(Wave { start, end });
             start = end;
-            size = size.saturating_mul(self.growth.max(1) as usize);
+            size = size.saturating_mul(GROWTH);
         }
         out
     }
@@ -153,8 +124,8 @@ pub(crate) enum WaveAction {
 }
 
 /// The shared admission/actuation gate between the rollout controller
-/// (on the monitor thread) and the workers. All transitions are
-/// monotonic — limits only advance, `halted` only sets — so plain
+/// (on the campaign's calling thread) and the workers. All transitions
+/// are monotonic — limits only advance, `halted` only sets — so plain
 /// atomics with release/acquire ordering are enough: a worker that
 /// observes `halted` also observes the rollback range stored before it.
 pub(crate) struct RolloutGate {
@@ -227,8 +198,8 @@ impl RolloutGate {
     }
 }
 
-/// What the controller learned, handed back to `run_campaign` to build
-/// the public [`RolloutReport`] alongside the campaign's fold.
+/// What the controller learned, handed back to `try_run_campaign` to
+/// build the public [`RolloutReport`] alongside the campaign's fold.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RolloutTrail {
     pub(crate) waves: Vec<WaveOutcome>,
@@ -239,9 +210,9 @@ pub(crate) struct RolloutTrail {
 }
 
 /// Folds the monitor's snapshot stream into wave verdicts and drives
-/// the gate. Runs on the monitor thread (it owns policy re-arming), so
-/// its decisions land in the same deterministic order as the snapshots
-/// themselves.
+/// the gate. Runs on the thread that polls the monitor (it owns policy
+/// re-arming), so its decisions land in the same deterministic order as
+/// the snapshots themselves.
 pub(crate) struct RolloutController<'a> {
     waves: Vec<Wave>,
     gate: &'a RolloutGate,
@@ -401,8 +372,6 @@ pub struct WaveOutcome {
 pub struct RolloutReport {
     /// Resolved canary cohort size (also the health-window size).
     pub canary: usize,
-    /// Ramp growth factor the plan ran with.
-    pub growth: u32,
     /// Waves the plan partitioned the fleet into.
     pub planned_waves: usize,
     /// Waves actually run to a verdict, in order.
@@ -441,7 +410,6 @@ impl RolloutReport {
     ) -> RolloutReport {
         RolloutReport {
             canary: plan.canary_size(machines),
-            growth: plan.growth,
             planned_waves: plan.waves(machines).len(),
             waves: trail.waves,
             halt_wave: trail.halt_wave,
@@ -488,7 +456,7 @@ impl RolloutReport {
                 "\"rollback_failed\":{},\"not_admitted\":{}}}"
             ),
             self.canary,
-            self.growth,
+            GROWTH,
             self.planned_waves,
             waves,
             self.halt_wave
@@ -526,27 +494,13 @@ mod tests {
         // Every boundary except the final clamp is a multiple of the
         // canary size — the wave/window alignment invariant.
         assert!(waves.iter().all(|w| w.start % 2 == 0));
-        // A growth-4 ramp over 64 machines: 2, 8, 32, clamp.
-        let plan = RolloutPlan::canary_machines(2).with_growth(4);
-        let sizes: Vec<usize> = plan.waves(64).iter().map(|w| w.end - w.start).collect();
-        assert_eq!(sizes, vec![2, 8, 32, 22]);
         // Degenerate fleets.
         assert!(plan.waves(0).is_empty());
         assert_eq!(plan.waves(1), vec![Wave { start: 0, end: 1 }]);
-        // Growth is clamped to ≥ 1 (constant-size waves, not an
-        // infinite loop of zero-size ones).
-        let flat = RolloutPlan::canary_machines(3).with_growth(0);
-        assert_eq!(flat.waves(9).len(), 3);
-    }
-
-    #[test]
-    fn canary_percent_resolves_against_the_fleet() {
-        assert_eq!(RolloutPlan::canary_percent(10).canary_size(64), 6);
-        // Never resolves to zero machines.
-        assert_eq!(RolloutPlan::canary_percent(1).canary_size(8), 1);
-        // Nor beyond the fleet.
+        // The canary never resolves to zero machines, nor beyond the
+        // fleet.
+        assert_eq!(RolloutPlan::canary_machines(0).canary_size(8), 1);
         assert_eq!(RolloutPlan::canary_machines(100).canary_size(8), 8);
-        assert_eq!(RolloutPlan::canary_percent(100).canary_size(8), 8);
     }
 
     #[test]
@@ -598,6 +552,7 @@ mod tests {
         assert_eq!(report.planned_waves, 3);
         assert!(!report.completed());
         let json = report.to_json();
+        assert!(json.contains("\"growth\":2,"), "{json}");
         assert!(json.contains("\"halt_wave\":1"), "{json}");
         assert!(json.contains("\"halt_verdict\":\"halt\""), "{json}");
         assert!(json.contains("\"dwell_budget_ns\":40000"), "{json}");

@@ -50,7 +50,7 @@ use kshot_machine::{CostModel, InjectionPlan, LinearCost, SimTime};
 use kshot_patchserver::BundleCache;
 use kshot_telemetry::Recorder;
 
-use crate::campaign::{CampaignTarget, MachineOutcome};
+use crate::campaign::{CampaignError, CampaignTarget, MachineOutcome};
 use crate::config::{splitmix64, FleetConfig, BACKOFF_BASE};
 
 /// What every session of one campaign reads: the target, the
@@ -353,7 +353,11 @@ impl MachineSession {
             self.state = SessionState::Patch;
             return StepStatus::Ready;
         }
-        let deadline = Instant::now() + config.link_rtt;
+        // `try_run_campaign` refused an RTT past `Instant`'s range; one
+        // that reaches that edge mid-campaign fails the machine.
+        let Some(deadline) = Instant::now().checked_add(config.link_rtt) else {
+            return self.fail_early(CampaignError::LinkRttOutOfRange(config.link_rtt).to_string());
+        };
         self.state = SessionState::InFlight { deadline };
         StepStatus::Wait
     }
@@ -548,8 +552,8 @@ impl MachineSession {
         StepStatus::Done
     }
 
-    /// Terminal failure before a machine existed (boot/install error):
-    /// there is no clock, dwell, or digest to read.
+    /// Terminal failure that reads nothing off the machine: a boot or
+    /// install error, or a deadline past `Instant`'s range.
     fn fail_early(&mut self, error: String) -> StepStatus {
         self.outcome.error = Some(error);
         self.state = SessionState::Done;

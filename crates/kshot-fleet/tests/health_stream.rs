@@ -7,7 +7,8 @@
 //!
 //! Also pins the verdict ladder end-to-end: an injected fault that
 //! retries trips a deterministic `Degraded` window, and the same fault
-//! with no retry budget trips `Halt`.
+//! with no retry budget trips `Halt`. And a campaign that cannot run,
+//! or whose worker or monitor fails, ends in a typed `CampaignError`.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -16,7 +17,8 @@ use std::time::Duration;
 use kshot_core::expected_handler_measurement;
 use kshot_cve::{find, patch_for};
 use kshot_fleet::{
-    run_campaign, CampaignHealth, CampaignTarget, FleetConfig, PlannedFault, RolloutPlan,
+    run_campaign, try_run_campaign, CampaignError, CampaignHealth, CampaignTarget, FleetConfig,
+    PlannedFault, RolloutPlan,
 };
 use kshot_telemetry::{
     HealthMonitor, HealthPolicy, HealthReport, IntegrityPolicy, ShardData, SMM_DWELL_METRIC,
@@ -197,121 +199,195 @@ fn arming_health_without_streaming_panics_loudly() {
     let _ = run_campaign(target, bytes, &config);
 }
 
-/// A worker that panics ends a health-monitored campaign with its own
-/// panic instead of hanging it: the monitor polls until every worker
-/// has stopped, so the campaign releases it before re-raising. Worker
-/// 1's shard is a dangling symlink into a missing directory, so opening
-/// it panics. The campaign runs on its own thread, so a regression
-/// fails here after 60 s instead of hanging the suite.
-#[cfg(unix)]
-#[test]
-fn worker_panic_ends_a_monitored_campaign() {
-    let dir = std::env::temp_dir().join(format!("kshot-worker-panic-{}", std::process::id()));
+/// `try_run_campaign` on a thread of its own, so a campaign that hangs
+/// fails the calling test after `limit` instead of hanging the suite.
+/// The shared fixture is built first, outside the limit.
+fn run_guarded(config: FleetConfig, limit: Duration) -> Result<(), CampaignError> {
+    let (target, bundle) = fixture();
+    let (sent, outcome) = std::sync::mpsc::channel();
+    let campaign = std::thread::spawn(move || {
+        let _ = sent.send(try_run_campaign(target, bundle, &config).map(drop));
+    });
+    let ran = outcome
+        .recv_timeout(limit)
+        .expect("the campaign returns in time");
+    campaign.join().expect("the campaign thread returns");
+    ran
+}
+
+/// A fresh path under the temp directory, not created.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("kshot-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// How many `worker-*.jsonl` shards `dir` holds (none when it does not
+/// exist).
+fn shard_count(dir: &Path) -> usize {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .flatten()
+        .filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with("worker-") && name.ends_with(".jsonl")
+        })
+        .count()
+}
+
+/// Integrity runs inside the health monitor, so arming it without
+/// health is a typed error before any worker starts: no shard is
+/// written.
+#[test]
+fn integrity_without_health_is_a_typed_error() {
+    let dir = scratch("integrity-no-health");
+    let config = FleetConfig::new(2, 2)
+        .with_stream_dir(&dir)
+        .with_integrity(IntegrityPolicy::new());
+    let ran = run_guarded(config, Duration::from_secs(60));
+    assert!(
+        matches!(ran, Err(CampaignError::IntegrityWithoutHealth)),
+        "{ran:?}"
+    );
+    assert_eq!(shard_count(&dir), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Wave verdicts come from the health monitor, so a rollout without
+/// health is a typed error before any worker starts: no shard is
+/// written.
+#[test]
+fn rollout_without_health_is_a_typed_error() {
+    let dir = scratch("rollout-no-health");
+    let config = FleetConfig::new(4, 2)
+        .with_stream_dir(&dir)
+        .with_rollout(RolloutPlan::canary_machines(2));
+    let ran = run_guarded(config, Duration::from_secs(60));
+    assert!(
+        matches!(ran, Err(CampaignError::RolloutWithoutHealth)),
+        "{ran:?}"
+    );
+    assert_eq!(shard_count(&dir), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A link RTT whose deadline no `Instant` can hold is a typed error
+/// before any worker starts. One worker's first delivery would overflow
+/// the deadline's add, and a second worker would first sleep out its
+/// stagger of half that RTT; both shapes return within a second and
+/// write no shard.
+#[test]
+fn out_of_range_link_rtt_is_a_typed_error() {
+    for workers in [1, 2] {
+        let dir = scratch(&format!("rtt-range-{workers}"));
+        let config = FleetConfig::new(workers, workers)
+            .with_link_rtt(Duration::MAX)
+            .with_stream_dir(&dir);
+        let ran = run_guarded(config, Duration::from_secs(1));
+        assert!(
+            matches!(ran, Err(CampaignError::LinkRttOutOfRange(rtt)) if rtt == Duration::MAX),
+            "{workers} workers: {ran:?}"
+        );
+        assert_eq!(shard_count(&dir), 0, "{workers} workers");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A stream directory whose worker 1 shard is a dangling symlink into a
+/// missing directory, so that worker cannot open it.
+#[cfg(unix)]
+fn dangling_shard_dir(name: &str) -> std::path::PathBuf {
+    let dir = scratch(name);
     std::fs::create_dir_all(&dir).unwrap();
     let dangling = dir.join("missing").join("worker-1.jsonl");
     std::os::unix::fs::symlink(dangling, dir.join("worker-1.jsonl")).unwrap();
+    dir
+}
+
+/// Every machine line in the shard at `path` names a machine of the
+/// rollout's first wave, `0..canary`: the halted rollout admitted no
+/// machine past it.
+fn assert_canary_parcels_only(path: &Path, canary: u64) {
+    let shard = ShardData::parse_file(path).unwrap();
+    let machines: Vec<u64> = shard.machines.iter().map(|m| m.machine).collect();
+    assert!(
+        machines.iter().all(|&m| m < canary),
+        "{}: {machines:?}",
+        path.display()
+    );
+}
+
+/// A worker whose shard will not open ends a health-monitored campaign
+/// with a typed error naming the shard, instead of hanging it: the
+/// calling thread joins the failed worker as it stops, polls the
+/// monitor until the other worker stops too, and returns the worker's
+/// error ahead of any the monitor has.
+#[cfg(unix)]
+#[test]
+fn unopenable_shard_ends_a_monitored_campaign() {
+    let dir = dangling_shard_dir("shard-unopenable");
     let config = FleetConfig::new(8, 2)
         .with_seed(0x4EA1)
         .with_stream_dir(&dir)
         .with_health(HealthPolicy::new(), 4);
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let (target, bundle) = fixture();
-        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(target, bundle, &config)
-        }));
-        let _ = tx.send(ran.map(drop).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default()
-        }));
-    });
-    let ran = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("the campaign returns instead of hanging");
-    let message = ran.expect_err("worker 1 cannot open its shard");
-    assert!(message.starts_with("open shard"), "{message}");
+    let ran = run_guarded(config, Duration::from_secs(60));
+    assert!(
+        matches!(&ran, Err(CampaignError::Shard { path, .. }) if path.ends_with("worker-1.jsonl")),
+        "{ran:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A worker that panics under a rollout fails the rollout closed: the
-/// wave in flight needs the dead worker's machines, so the surviving
+/// A worker whose shard will not open fails a rollout closed: the wave
+/// in flight needs the failed worker's machines, so the surviving
 /// worker would otherwise wait forever on the gate. Its held sessions
-/// roll back, admission stops, and `run_campaign` re-raises the dead
-/// worker's panic. Worker 1's shard is a dangling symlink, as above.
+/// roll back, admission stops (no machine past the canary gets a
+/// parcel), and `try_run_campaign` returns the worker's error.
 #[cfg(unix)]
 #[test]
-fn worker_panic_ends_a_monitored_rollout() {
-    let dir = std::env::temp_dir().join(format!("kshot-rollout-panic-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let dangling = dir.join("missing").join("worker-1.jsonl");
-    std::os::unix::fs::symlink(dangling, dir.join("worker-1.jsonl")).unwrap();
+fn unopenable_shard_ends_a_monitored_rollout() {
+    let dir = dangling_shard_dir("rollout-shard-unopenable");
     let config = FleetConfig::new(16, 2)
         .with_seed(0x4EA1)
         .with_stream_dir(&dir)
         .with_health(HealthPolicy::new(), 4)
         .with_rollout(RolloutPlan::canary_machines(4));
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let (target, bundle) = fixture();
-        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(target, bundle, &config)
-        }));
-        let _ = tx.send(ran.map(drop).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default()
-        }));
-    });
-    let ran = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("the rollout returns instead of hanging");
-    let message = ran.expect_err("worker 1 cannot open its shard");
-    assert!(message.starts_with("open shard"), "{message}");
+    let ran = run_guarded(config, Duration::from_secs(60));
+    assert!(
+        matches!(&ran, Err(CampaignError::Shard { path, .. }) if path.ends_with("worker-1.jsonl")),
+        "{ran:?}"
+    );
+    assert_canary_parcels_only(&dir.join("worker-0.jsonl"), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A monitor that fails under a rollout fails closed. Here its snapshot
 /// sink cannot open, because `health.jsonl` is a directory. The wave in
-/// flight halts as a Halt verdict would halt it, the workers finish,
-/// and `run_campaign` panics naming the monitor's error, instead of the
-/// workers waiting forever on a gate nobody opens.
+/// flight halts as a Halt verdict would halt it (no machine past the
+/// canary gets a parcel), the workers finish, and `try_run_campaign`
+/// returns the monitor's error, instead of the workers waiting forever
+/// on a gate nobody opens.
 #[test]
 fn monitor_failure_under_a_rollout_fails_closed() {
-    let dir = std::env::temp_dir().join(format!("kshot-health-failclosed-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch("health-failclosed");
     std::fs::create_dir_all(dir.join("health.jsonl")).unwrap();
     let config = FleetConfig::new(16, 2)
         .with_seed(0x4EA1)
         .with_stream_dir(&dir)
         .with_health(policy(), WINDOW)
         .with_rollout(RolloutPlan::canary_machines(2));
-    let (sent, outcome) = std::sync::mpsc::channel();
-    let campaign = std::thread::spawn(move || {
-        let (target, bytes) = fixture();
-        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(target, bytes, &config)
-        }));
-        let _ = sent.send(ran.map(drop).map_err(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default()
-        }));
-    });
-    let ran = outcome
-        .recv_timeout(Duration::from_secs(60))
-        .expect("the campaign terminates within 60 s");
-    campaign.join().expect("the panic was caught");
-    let message = ran.expect_err("a failed monitor fails the campaign");
+    let ran = run_guarded(config, Duration::from_secs(60));
     assert!(
-        message.starts_with("open health snapshot sink: ") && message.contains("health.jsonl"),
-        "{message}"
+        matches!(&ran, Err(CampaignError::Monitor(message))
+            if message.starts_with("open health snapshot sink: ")
+                && message.contains("health.jsonl")),
+        "{ran:?}"
     );
+    for worker in 0..2 {
+        assert_canary_parcels_only(&dir.join(format!("worker-{worker}.jsonl")), 2);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -454,19 +454,6 @@ impl Inst {
         }
     }
 
-    /// True for instructions that may divert control flow.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jmp { .. } | Inst::Call { .. } | Inst::Jcc { .. } | Inst::Ret | Inst::Halt
-        )
-    }
-
-    /// True if execution cannot fall through to the next instruction.
-    pub fn is_terminator(&self) -> bool {
-        matches!(self, Inst::Jmp { .. } | Inst::Ret | Inst::Halt | Inst::Trap)
-    }
-
     /// Absolute branch target given the instruction's own address.
     ///
     /// Returns `None` for instructions with no encoded target.

@@ -114,11 +114,6 @@ impl Expr {
         Expr::Load(Box::new(self))
     }
 
-    /// Dereference 1 byte at `self`.
-    pub fn deref_byte(self) -> Expr {
-        Expr::LoadByte(Box::new(self))
-    }
-
     /// Names of functions called anywhere in this expression.
     pub fn callees(&self, out: &mut Vec<String>) {
         match self {
@@ -500,11 +495,6 @@ impl Program {
     /// Find a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
-    }
-
-    /// Mutable lookup (patch construction edits function bodies).
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
     }
 
     /// Find a global by name.

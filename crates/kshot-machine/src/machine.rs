@@ -280,11 +280,6 @@ impl Machine {
         self.sealed_image = Some((base, len));
     }
 
-    /// The sealed handler-image region, if any.
-    pub fn sealed_handler_image(&self) -> Option<(u64, u64)> {
-        self.sealed_image
-    }
-
     /// Measure the sealed handler image right now (0 when unsealed or
     /// when the region is out of range).
     pub fn measure_handler_image(&self) -> u64 {
@@ -808,11 +803,6 @@ impl Machine {
     /// (immediately after the CPU save area).
     pub fn smram_scratch_base(&self) -> u64 {
         self.layout.smram_base + SAVE_AREA_LEN as u64
-    }
-
-    /// Size of the SMM handler's private scratch area.
-    pub fn smram_scratch_size(&self) -> u64 {
-        self.layout.smram_size - SAVE_AREA_LEN as u64
     }
 }
 

@@ -1019,8 +1019,8 @@ mod tests {
 
     /// Regression for the million-machine path: window state for
     /// retired machines must actually be dropped as windows close. A
-    /// 10k-machine monitored run, polled incrementally the way the
-    /// in-campaign monitor thread does, must keep per-machine resident
+    /// 10k-machine monitored run, polled incrementally the way a
+    /// campaign polls its monitor, must keep per-machine resident
     /// state bounded by the straggle (one chunk of parcels), never
     /// O(machines) — and end with only the campaign-total sketches
     /// resident.
@@ -1276,9 +1276,9 @@ mod tests {
     }
 
     /// A hostile shard line nested far past the JSON parser's limit
-    /// ends the poll in a typed parse error on a default 2 MiB thread —
-    /// the stack a campaign's monitor thread gets — instead of
-    /// overflowing it and aborting the process.
+    /// ends the poll in a typed parse error on a 2 MiB thread — the
+    /// default stack of a spawned thread, which a campaign may run on —
+    /// instead of overflowing it and aborting the process.
     #[test]
     fn deeply_nested_shard_line_is_a_typed_parse_error() {
         let dir = scratch("deep");
@@ -1303,7 +1303,7 @@ mod tests {
 
     /// A non-empty sketch line whose `min` exceeds its `max` ends the
     /// poll in a typed parse error naming the line, instead of reaching
-    /// the window's quantile query and panicking the monitor thread.
+    /// the window's quantile query and panicking the monitor.
     #[test]
     fn hostile_sketch_line_is_a_typed_parse_error() {
         let dir = scratch("minmax");
